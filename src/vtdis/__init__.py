@@ -6,7 +6,7 @@ size of trajectory-wise importance weights, plus a probability-flow ODE
 likelihood baseline for comparison.
 """
 
-from .gaussians import Covariance, log_density, logsumexp, sample
+from .gaussians import Covariance, log_density, logsumexp
 from .schedule import TimeGrid, geometric_grid, karras_grid
 
 __version__ = "0.1.0"
@@ -18,6 +18,5 @@ __all__ = [
     "karras_grid",
     "log_density",
     "logsumexp",
-    "sample",
     "__version__",
 ]

@@ -212,7 +212,12 @@ class AnalyticGmmScore(_Counted):
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def score_div_exact(self, x, t):
-        return tg.gmm_noised_score_divergence(x, float(t), self.gmm)
+        # priced as the dim directional derivatives per point that the
+        # learned backends spend (see ``_div_from_jvp``)
+        x2 = self._batch(x)
+        self.jvp_count += self.dim * x2.shape[0]
+        out = tg.gmm_noised_score_divergence(x2, float(t), self.gmm)
+        return out[0] if np.asarray(x).ndim == 1 else out
 
     def score_jvp(self, x, t, v):
         x2 = self._batch(x)

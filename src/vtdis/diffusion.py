@@ -37,9 +37,8 @@ from .schedule import TimeGrid
 # ---------------------------------------------------------------------------
 
 def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
-    d = delta.shape[1] if proj is None else proj.subspace_dim
-    q = np.sum(delta * delta, axis=1)
-    return -0.5 * d * (ga.LOG_2PI + np.log(var)) - 0.5 * q / var
+    d = None if proj is None else proj.subspace_dim
+    return ga._log_density_delta(delta, ga.Covariance.isotropic(1.0, var), d)
 
 
 def forward_kernel_log_density(x_next, x_prev, n: int, grid: TimeGrid,
@@ -83,49 +82,34 @@ class StepKernel:
         self.proj = proj
 
     def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        cov, proj = self.cov, self.proj
-        if proj is None:
-            return ga._log_density_delta(np.atleast_2d(x - mean), cov)
-        if cov.kind == "isotropic":
-            return eq.com_gaussian_log_density(x, mean, cov.eta, proj,
-                                               scale=cov.base_variance)
-        return eq.com_gaussian_log_density(x, mean, cov.block, proj,
-                                           scale=cov.base_variance)
+        delta = np.atleast_2d(x - mean)
+        if self.proj is None:
+            return ga._log_density_delta(delta, self.cov)
+        eq._check_on_subspace(delta, self.proj, "residual")
+        return eq._subspace_log_density(delta, self.cov, self.proj)
 
     def _draw(self, z: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Map standard normals (one row per sample) to a sample."""
         cov, proj = self.cov, self.proj
         s = cov.base_variance
-        if proj is not None:
-            if cov.kind == "isotropic":
-                noise = eq.com_project(z, proj)
-                return mean + np.sqrt(s * cov.eta) * noise
-            m1, n = proj.n_particles - 1, proj.spatial_dim
-            lb = np.linalg.cholesky(proj.reduced_block(cov.block))
-            corr = np.sqrt(s) * np.einsum("ij,bjn->bin",
-                                          lb, z.reshape(-1, m1, n))
-            return mean + proj.to_ambient(corr.reshape(z.shape[0], m1 * n))
         if cov.kind == "isotropic":
-            return mean + np.sqrt(s * cov.eta) * z
+            noise = z if proj is None else eq.com_project(z, proj)
+            return mean + np.sqrt(s * cov.eta) * noise
         if cov.kind == "diagonal":
             return mean + np.sqrt(s * cov.etas) * z
         if cov.kind == "full_factor":
             return mean + np.sqrt(s) * (z @ cov.factor.T)
-        if cov.kind == "low_rank":
-            k = cov.lr_factor.shape[1]
-            zk, zd = z[:, :k], z[:, k:]
-            return mean + np.sqrt(s) * (zk @ cov.lr_factor.T
-                                        + np.sqrt(cov.lr_ridge) * zd)
-        m, n = cov.block.shape[0], cov.spatial_dim
-        lb = np.linalg.cholesky(cov.block)
-        corr = np.einsum("ij,bjn->bin", lb, z.reshape(-1, m, n))
-        return mean + np.sqrt(s) * corr.reshape(z.shape[0], m * n)
+        # kron_block; on the subspace, V B V^T in the coordinates P x
+        block = cov.block if proj is None else proj.reduced_block(cov.block)
+        m, n = block.shape[0], cov.spatial_dim
+        corr = np.sqrt(s) * np.einsum("ij,bjn->bin", np.linalg.cholesky(block),
+                                      z.reshape(-1, m, n))
+        corr = corr.reshape(z.shape[0], m * n)
+        return mean + (corr if proj is None else proj.to_ambient(corr))
 
     def noise_dim(self, ambient_dim: int) -> int:
         if self.proj is not None and self.cov.kind == "kron_block":
             return self.proj.subspace_dim
-        if self.cov.kind == "low_rank":
-            return ambient_dim + self.cov.lr_factor.shape[1]
         return ambient_dim
 
     def sample(self, rng, mean: np.ndarray) -> np.ndarray:
@@ -159,10 +143,8 @@ def baseline_covariances(grid: TimeGrid) -> list[ga.Covariance]:
 class Trajectory:
     """States x_0..x_N with cached joint log-densities.
 
-    ``log_q_cond`` is the product of forward kernels only (the target
-    factor pi(x_0) is added by :func:`trajectory_log_weight` so both
-    conventions stay available); ``log_p_joint`` includes the terminal
-    prior.
+    ``log_q_cond`` is the product of forward kernels only (without the
+    target factor pi(x_0)); ``log_p_joint`` includes the terminal prior.
     """
 
     states: np.ndarray          # (N+1, dim)
@@ -175,18 +157,6 @@ class Trajectory:
         return self.states[0]
 
 
-def trajectory_log_weight(traj: Trajectory, target,
-                          direction: str = "target_over_proposal") -> float:
-    """Trajectory importance weight; pi may be unnormalized."""
-    log_pi = float(np.asarray(target.log_density(traj.x0)))
-    lw = log_pi + traj.log_q_cond - traj.log_p_joint
-    if direction == "target_over_proposal":
-        return lw
-    if direction == "proposal_over_target":
-        return -lw
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def reverse_sample_batch(rng, model, covs: list[ga.Covariance],
                          grid: TimeGrid, count: int | None = None,
                          proj: eq.ComProjection | None = None):
@@ -197,23 +167,43 @@ def reverse_sample_batch(rng, model, covs: list[ga.Covariance],
     of per-trajectory generators, in which case results are identical to
     running trajectories one at a time.
     """
-    n_steps = grid.n_steps
-    if len(covs) != n_steps:
-        raise ValueError(f"need {n_steps} step covariances, got {len(covs)}")
     if count is None:
         if not isinstance(rng, (list, tuple)):
             raise ValueError("count is required with a single generator")
         count = len(rng)
+    return _reverse_steps(rng, model, covs, grid, count, proj)
+
+
+def reverse_sample_trajectory(rng, model, covs: list[ga.Covariance],
+                              grid: TimeGrid,
+                              proj: eq.ComProjection | None = None
+                              ) -> Trajectory:
+    """Single full trajectory with all states retained; the same draws and
+    densities as ``reverse_sample_batch`` with ``count=1``."""
+    states = np.empty((grid.n_steps + 1, 1, model.dim))
+    _, log_q, log_p = _reverse_steps(rng, model, covs, grid, 1, proj, states)
+    return Trajectory(states=states[:, 0], grid=grid,
+                      log_q_cond=float(log_q[0]), log_p_joint=float(log_p[0]))
+
+
+def _reverse_steps(rng, model, covs, grid: TimeGrid, count: int, proj,
+                   states: np.ndarray | None = None):
+    """The reverse step loop of both samplers: x_N from the prior, then one
+    proposal draw per step.  Writes x_n to ``states[n]`` when given."""
+    n_steps = grid.n_steps
+    if len(covs) != n_steps:
+        raise ValueError(f"need {n_steps} step covariances, got {len(covs)}")
     kernels = [StepKernel(c, proj) for c in covs]
-    d = model.dim
     t_max = grid.t_max
 
-    z = _draw_normals(rng, count, d)
+    z = _draw_normals(rng, count, model.dim)
     if proj is not None:
         z = eq.com_project(z, proj)
     x = t_max * z
     log_p = prior_log_density(x, t_max, proj)
     log_q = np.zeros(count)
+    if states is not None:
+        states[n_steps] = x
 
     for n in range(n_steps, 0, -1):
         t_n = grid.times[n]
@@ -225,75 +215,10 @@ def reverse_sample_batch(rng, model, covs: list[ga.Covariance],
         log_p += kernels[n - 1].logpdf(x_prev, mean)
         log_q += _iso_logpdf(x - x_prev, grid.forward_var(n), proj)
         x = x_prev
+        if states is not None:
+            states[n - 1] = x
 
     return x, log_q, log_p
-
-
-def reverse_sample_trajectory(rng, model, covs: list[ga.Covariance],
-                              grid: TimeGrid,
-                              proj: eq.ComProjection | None = None
-                              ) -> Trajectory:
-    """Single full trajectory with all states retained."""
-    n_steps = grid.n_steps
-    if len(covs) != n_steps:
-        raise ValueError(f"need {n_steps} step covariances, got {len(covs)}")
-    kernels = [StepKernel(c, proj) for c in covs]
-    d = model.dim
-    t_max = grid.t_max
-
-    z = rng.standard_normal(d)[None, :]
-    if proj is not None:
-        z = eq.com_project(z, proj)
-    x = t_max * z
-    states = np.empty((n_steps + 1, d))
-    states[n_steps] = x[0]
-    log_p = float(prior_log_density(x, t_max, proj)[0])
-    log_q = 0.0
-
-    for n in range(n_steps, 0, -1):
-        x0_hat = model.denoise(x, grid.times[n])
-        if np.isnan(x0_hat).any():
-            raise FloatingPointError(f"denoiser produced NaN at step {n}")
-        mean, _ = ddpm_posterior(x, x0_hat, n, grid)
-        x_prev = kernels[n - 1].sample(rng, mean)
-        log_p += float(kernels[n - 1].logpdf(x_prev, mean)[0])
-        log_q += float(_iso_logpdf(x - x_prev, grid.forward_var(n), proj)[0])
-        states[n - 1] = x_prev[0]
-        x = x_prev
-
-    return Trajectory(states=states, grid=grid, log_q_cond=log_q,
-                      log_p_joint=log_p)
-
-
-def forward_sample_trajectory(rng, x0, grid: TimeGrid,
-                              proj: eq.ComProjection | None = None,
-                              noise: np.ndarray | None = None) -> Trajectory:
-    """Forward-noised trajectory from a given x_0.
-
-    ``noise`` (N, dim) overrides the random increments when provided
-    (testing hook); joint densities are cached exactly as in the reverse
-    direction so weights compose.  The reverse-kernel part of
-    ``log_p_joint`` is left at the prior only; use
-    :func:`recompute_log_densities` to fill it for given covariances.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.shape[0]
-    n_steps = grid.n_steps
-    states = np.empty((n_steps + 1, d))
-    states[0] = x0
-    log_q = 0.0
-    x = x0[None, :]
-    for n in range(1, n_steps + 1):
-        z = (rng.standard_normal(d) if noise is None else noise[n - 1])[None, :]
-        if proj is not None:
-            z = eq.com_project(z, proj)
-        x_next = x + np.sqrt(grid.forward_var(n)) * z
-        log_q += float(_iso_logpdf(x_next - x, grid.forward_var(n), proj)[0])
-        states[n] = x_next[0]
-        x = x_next
-    log_prior = float(prior_log_density(x, grid.t_max, proj)[0])
-    return Trajectory(states=states, grid=grid, log_q_cond=log_q,
-                      log_p_joint=log_prior)
 
 
 def recompute_log_densities(traj: Trajectory, model,

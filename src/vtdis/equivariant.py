@@ -9,12 +9,14 @@ direction and P P^T = I, the resulting kernels are exactly invariant under
 simultaneous rotation/reflection of all particles, and under particle
 permutations whenever S B S^T = B.
 
-Two symmetry-constrained covariance families are provided:
-
-* exchangeable     B = (b - a) I + a 11^T       (identical particles)
-* label-based      B_ij depends on (i, j) only through class labels,
-  either per-class variances on the diagonal or (A A^T)_{L_i L_j} + alpha
-  delta_ij for a full class-class coupling
+Kernels on the subspace are the isotropic one, normalised over the
+(M-1)n subspace dimensions, and the label-based one: B = diag(eta_{L_i})
+with one variance per particle class, so that B depends on (i, j) only
+through the class labels.  (An exchangeable block (b - a) I + a 11^T is
+not a family of its own: V 1 = 0 makes V B V^T = (b - a) I, the
+isotropic kernel.)  ``_subspace_log_density`` is the one place where the
+subspace enters a density, as the change of coordinates ``to_subspace``
+plus ``reduced_block``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gaussians import LOG_2PI, sigmoid, softplus, softplus_inv
+from .gaussians import (Covariance, _log_density_delta, sigmoid, softplus,
+                        softplus_inv)
 
 COM_TOLERANCE = 1e-6
 
@@ -95,10 +98,27 @@ def com_project(x: np.ndarray, proj: ComProjection) -> np.ndarray:
 
 
 def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"non-finite {what}")
     worst = float(np.max(proj.com_norm(np.atleast_2d(x))))
     if worst > COM_TOLERANCE:
         raise ValueError(
             f"{what} is off the zero-CoM subspace (|com| = {worst:.3e})")
+
+
+def _subspace_log_density(delta: np.ndarray, cov: Covariance,
+                          proj: ComProjection) -> np.ndarray:
+    """log N(delta; 0, cov) for (B, M*n) residuals on the zero-CoM subspace.
+
+    An isotropic kernel normalises over the subspace dimension (|P delta|
+    = |delta| there); a particle block B is taken in the coordinates
+    ``to_subspace(delta)``, where it acts as ``reduced_block(B)``.
+    """
+    if cov.kind == "isotropic":
+        return _log_density_delta(delta, cov, proj.subspace_dim)
+    reduced = Covariance.kron_block(proj.reduced_block(cov.block),
+                                    proj.spatial_dim, cov.base_variance)
+    return _log_density_delta(proj.to_subspace(delta), reduced)
 
 
 def com_gaussian_log_density(x, mean, B, proj: ComProjection,
@@ -112,86 +132,27 @@ def com_gaussian_log_density(x, mean, B, proj: ComProjection,
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     mean2 = np.atleast_2d(np.asarray(mean, dtype=float))
-    if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(mean2))):
-        raise ValueError("non-finite input")
     _check_on_subspace(x2, proj, "x")
     _check_on_subspace(mean2, proj, "mean")
-    delta = x2 - mean2
-    dsub = proj.subspace_dim
-    if np.isscalar(B) or np.ndim(B) == 0:
-        v = scale * float(B)
-        if v <= 0:
-            raise ValueError("isotropic block must be positive")
-        q = np.sum(delta * delta, axis=1)  # |P delta| = |delta| on subspace
-        out = -0.5 * dsub * (LOG_2PI + np.log(v)) - 0.5 * q / v
+    if np.ndim(B) == 0:
+        cov = Covariance.isotropic(float(B), scale)
     else:
-        Bt = proj.reduced_block(B)
-        ch = cho_factor(Bt, lower=True)
-        Z = proj.to_subspace(delta).reshape(delta.shape[0],
-                                            proj.n_particles - 1,
-                                            proj.spatial_dim)
-        BiZ = np.einsum("ij,bjn->bin", cho_solve(ch, np.eye(Bt.shape[0])), Z)
-        q = np.einsum("bin,bin->b", Z, BiZ) / scale
-        logdet = (proj.spatial_dim * 2.0 * np.sum(np.log(np.diag(ch[0])))
-                  + dsub * np.log(scale))
-        out = -0.5 * (dsub * LOG_2PI + logdet) - 0.5 * q
+        cov = Covariance.kron_block(B, proj.spatial_dim, scale)
+    out = _subspace_log_density(x2 - mean2, cov, proj)
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-def com_gaussian_sample(rng: np.random.Generator, mean, B,
-                        proj: ComProjection, scale: float = 1.0) -> np.ndarray:
-    """Sample on the subspace: draw (M-1)n standard normals, correlate by
-    the Cholesky factor of scale * V B V^T, and map back through P^T."""
-    mean = np.asarray(mean, dtype=float)
-    single = mean.ndim == 1
-    mean2 = np.atleast_2d(mean)
-    _check_on_subspace(mean2, proj, "mean")
-    m1, n = proj.n_particles - 1, proj.spatial_dim
-    z = rng.standard_normal((mean2.shape[0], m1, n))
-    if np.isscalar(B) or np.ndim(B) == 0:
-        corr = np.sqrt(scale * float(B)) * z
-    else:
-        Lb = np.linalg.cholesky(proj.reduced_block(B))
-        corr = np.sqrt(scale) * np.einsum("ij,bjn->bin", Lb, z)
-    out = mean2 + proj.to_ambient(corr.reshape(mean2.shape[0], m1 * n))
-    return out[0] if single else out
-
-
 # ---------------------------------------------------------------------------
-# symmetry-constrained particle-block builders
+# label-constrained particle block
 # ---------------------------------------------------------------------------
-
-def build_exchangeable_B(a: float, b: float, n_particles: int) -> np.ndarray:
-    """B = (b - a) I + a 11^T; positive definite iff b > a and
-    b + (M-1) a > 0 (eigenvalues b - a and b + (M-1) a)."""
-    m = n_particles
-    if b - a <= 0:
-        raise ValueError("require b - a > 0")
-    if b + (m - 1) * a <= 0:
-        raise ValueError("require a > -b/(M-1)")
-    return (b - a) * np.eye(m) + a * np.ones((m, m))
-
 
 def build_label_B(labels, params) -> np.ndarray:
-    """Label-constrained block.
-
-    ``params`` is either a per-class variance vector (diagonal form,
-    B = diag(eta_{L_i})) or a tuple ``(A, alpha)`` with A of shape (K, K)
-    and ridge alpha > 0 (block form, B_ij = (A A^T)_{L_i L_j} +
-    alpha delta_ij).  Entries depend on (i, j) only through the labels, so
-    within-class permutations leave B unchanged.
+    """Label-constrained block B = diag(eta_{L_i}) from the per-class
+    variances ``params``.  Entries depend on (i, j) only through the
+    labels, so within-class permutations leave B unchanged.
     """
     labels = np.asarray(labels, dtype=int)
     k = int(labels.max()) + 1
-    if isinstance(params, tuple):
-        A, alpha = params
-        A = np.asarray(A, dtype=float)
-        if A.shape != (k, k):
-            raise ValueError(f"class matrix must be ({k}, {k})")
-        if alpha <= 0:
-            raise ValueError("ridge must be positive")
-        S = A @ A.T
-        return S[np.ix_(labels, labels)] + alpha * np.eye(labels.shape[0])
     etas = np.asarray(params, dtype=float)
     if etas.shape != (k,):
         raise ValueError(f"need one variance per class ({k})")
@@ -204,113 +165,20 @@ def build_label_B(labels, params) -> np.ndarray:
 # raw parameterizations on the subspace (same interface as vtdis.gaussians)
 # ---------------------------------------------------------------------------
 
-class ExchangeableParams:
-    """Exchangeable block through its eigenvalues.
+class LabelDiagParams:
+    """Per-class variances: B = diag(softplus(z)_{L_i}); K raw parameters."""
 
-    raw = [z_gap, z_bulk] with softplus giving gap = b - a and
-    bulk = b + (M-1) a, so positive definiteness holds for any raw input.
-    Initialized at gap = bulk = 1, i.e. B = I.
-    """
-
-    def __init__(self, proj: ComProjection):
-        self.proj = proj
-        self.n_params = 2
-
-    def init(self) -> np.ndarray:
-        return np.full(2, float(softplus_inv(1.0)))
-
-    def _ab(self, raw) -> tuple[float, float]:
-        gap, bulk = float(softplus(raw[0])), float(softplus(raw[1]))
-        m = self.proj.n_particles
-        b = (bulk + (m - 1) * gap) / m
-        a = (bulk - gap) / m
-        return a, b
-
-    def block(self, raw) -> np.ndarray:
-        a, b = self._ab(raw)
-        return build_exchangeable_B(a, b, self.proj.n_particles)
-
-    def covariance(self, raw, base_variance):
-        from .gaussians import Covariance
-        return Covariance.kron_block(self.block(raw), self.proj.spatial_dim,
-                                     base_variance)
-
-    def log_density(self, deltas, raw, base) -> np.ndarray:
-        # V B V^T = gap * I on the subspace: isotropic in (M-1)n dims
-        gap = float(softplus(raw[0]))
-        v = base * gap
-        dsub = self.proj.subspace_dim
-        q = np.sum(deltas * deltas, axis=1)
-        return -0.5 * dsub * (LOG_2PI + np.log(v)) - 0.5 * q / v
-
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        gap = float(softplus(raw[0]))
-        dsub = self.proj.subspace_dim
-        q = np.sum(deltas * deltas, axis=1)
-        g_gap = np.sum(weights * (q / (2.0 * base * gap * gap)
-                                  - dsub / (2.0 * gap)))
-        return np.array([g_gap * float(sigmoid(raw[0])), 0.0])
-
-    def describe(self, raw) -> dict:
-        a, b = self._ab(raw)
-        return {"a": a, "b": b}
-
-    def to_constrained(self, raw) -> np.ndarray:
-        return np.array(self._ab(raw))   # (a, b)
-
-    def from_constrained(self, vals) -> np.ndarray:
-        a, b = float(vals[0]), float(vals[1])
-        m = self.proj.n_particles
-        return np.array([float(softplus_inv(b - a)),
-                         float(softplus_inv(b + (m - 1) * a))])
-
-
-class _LabelParamsBase:
     def __init__(self, labels, proj: ComProjection):
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (proj.n_particles,):
             raise ValueError("one label per particle")
         self.labels = labels
         self.n_classes = int(labels.max()) + 1
+        self.n_params = self.n_classes
         self.proj = proj
         # indicator (M, K): column sums over class members
         self._E = np.zeros((proj.n_particles, self.n_classes))
         self._E[np.arange(proj.n_particles), labels] = 1.0
-
-    def covariance(self, raw, base_variance):
-        from .gaussians import Covariance
-        return Covariance.kron_block(self.block(raw), self.proj.spatial_dim,
-                                     base_variance)
-
-    def log_density(self, deltas, raw, base) -> np.ndarray:
-        Bt = self.proj.reduced_block(self.block(raw))
-        ch = cho_factor(Bt, lower=True)
-        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
-        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
-        BiZ = np.einsum("ij,bjn->bin", cho_solve(ch, np.eye(m1)), Z)
-        q = np.einsum("bin,bin->b", Z, BiZ) / base
-        dsub = self.proj.subspace_dim
-        logdet = n * 2.0 * np.sum(np.log(np.diag(ch[0]))) + dsub * np.log(base)
-        return -0.5 * (dsub * LOG_2PI + logdet) - 0.5 * q
-
-    def _block_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        """sum_b w_b d log N(delta_b) / dB, an (M, M) symmetric matrix."""
-        Bt = self.proj.reduced_block(self.block(raw))
-        ch = cho_factor(Bt, lower=True)
-        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
-        Bi = cho_solve(ch, np.eye(m1))
-        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
-        S = np.einsum("b,bin,bjn->ij", weights, Z, Z)
-        Gt = -0.5 * n * np.sum(weights) * Bi + 0.5 * (Bi @ S @ Bi) / base
-        return self.proj.V.T @ Gt @ self.proj.V
-
-
-class LabelDiagParams(_LabelParamsBase):
-    """Per-class variances: B = diag(softplus(z)_{L_i}); K raw parameters."""
-
-    def __init__(self, labels, proj: ComProjection):
-        super().__init__(labels, proj)
-        self.n_params = self.n_classes
 
     def init(self) -> np.ndarray:
         return np.full(self.n_classes, float(softplus_inv(1.0)))
@@ -318,65 +186,30 @@ class LabelDiagParams(_LabelParamsBase):
     def block(self, raw) -> np.ndarray:
         return build_label_B(self.labels, softplus(raw))
 
+    def covariance(self, raw, base_variance) -> Covariance:
+        return Covariance.kron_block(self.block(raw), self.proj.spatial_dim,
+                                     base_variance)
+
+    def log_density(self, deltas, raw, base) -> np.ndarray:
+        return _subspace_log_density(deltas, self.covariance(raw, base),
+                                     self.proj)
+
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        G = self._block_grad(deltas, raw, base, weights)
+        # sum_b w_b d log N(delta_b) / dB on the subspace, mapped back to
+        # the (M, M) block; each class gathers its diagonal entries
+        Bt = self.proj.reduced_block(self.block(raw))
+        ch = cho_factor(Bt, lower=True)
+        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
+        Bi = cho_solve(ch, np.eye(m1))
+        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
+        S = np.einsum("b,bin,bjn->ij", weights, Z, Z)
+        Gt = -0.5 * n * np.sum(weights) * Bi + 0.5 * (Bi @ S @ Bi) / base
+        G = self.proj.V.T @ Gt @ self.proj.V
         per_class = self._E.T @ np.diag(G)
         return per_class * sigmoid(raw)
-
-    def describe(self, raw) -> dict:
-        return {"labels": self.labels.tolist(),
-                "etas": [float(v) for v in softplus(raw)]}
 
     def to_constrained(self, raw) -> np.ndarray:
         return softplus(np.asarray(raw))
 
     def from_constrained(self, vals) -> np.ndarray:
         return softplus_inv(np.asarray(vals))
-
-
-class LabelBlockParams(_LabelParamsBase):
-    """Full class-class coupling: B = (A A^T)_{L_i L_j} + alpha delta_ij.
-
-    raw = [vec(A) (K*K), z_alpha]; initialized at A = 0, alpha = 1.
-    """
-
-    def __init__(self, labels, proj: ComProjection):
-        super().__init__(labels, proj)
-        self.n_params = self.n_classes * self.n_classes + 1
-
-    def init(self) -> np.ndarray:
-        raw = np.zeros(self.n_params)
-        raw[-1] = float(softplus_inv(1.0))
-        return raw
-
-    def _unpack(self, raw):
-        k = self.n_classes
-        A = np.asarray(raw[:-1], dtype=float).reshape(k, k)
-        return A, float(softplus(raw[-1]))
-
-    def block(self, raw) -> np.ndarray:
-        return build_label_B(self.labels, self._unpack(raw))
-
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        A, _ = self._unpack(raw)
-        G = self._block_grad(deltas, raw, base, weights)
-        H = self._E.T @ G @ self._E           # class-aggregated gradient
-        g = np.empty(self.n_params)
-        g[:-1] = (2.0 * H @ A).reshape(-1)
-        g[-1] = np.trace(G) * float(sigmoid(raw[-1]))
-        return g
-
-    def describe(self, raw) -> dict:
-        A, alpha = self._unpack(raw)
-        return {"labels": self.labels.tolist(), "class_factor": A.tolist(),
-                "ridge": alpha}
-
-    def to_constrained(self, raw) -> np.ndarray:
-        vals = np.array(raw, dtype=float, copy=True)
-        vals[-1] = softplus(vals[-1])
-        return vals
-
-    def from_constrained(self, vals) -> np.ndarray:
-        raw = np.array(vals, dtype=float, copy=True)
-        raw[-1] = softplus_inv(raw[-1])
-        return raw

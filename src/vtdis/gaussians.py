@@ -1,19 +1,18 @@
-"""Structured Gaussian covariances: densities, sampling, parameter gradients.
+"""Structured Gaussian covariances: densities and parameter gradients.
 
 A proposal covariance is ``base_variance * C`` where ``base_variance`` is a
-fixed per-step scalar and ``C`` is one of five structures:
+fixed per-step scalar and ``C`` is one of four structures:
 
 * ``isotropic``    C = eta * I
 * ``diagonal``     C = diag(etas)
 * ``full_factor``  C = L L^T with L lower-triangular, positive diagonal
-* ``low_rank``     C = A A^T + alpha * I with A of shape (d, k), k < d
 * ``kron_block``   C = B (x) I_n with B an M x M SPD matrix acting on
   particles and I_n on spatial coordinates
 
 Densities avoid dense d x d work wherever the structure allows: isotropic
-and diagonal are O(d), the low-rank form uses the matrix-determinant lemma
-and Woodbury identity (O(d k^2)), and the Kronecker form reduces to M x M
-solves.
+and diagonal are O(d), and the Kronecker form reduces to M x M solves.
+``_log_density_delta`` is the one density of every structure; sampling
+lives in ``vtdis.diffusion.StepKernel``.
 
 Each structure also has a raw (unconstrained) parameterization used by the
 optimizer: positivity is enforced through a softplus transform, initialized
@@ -27,14 +26,14 @@ the structure and the softplus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-_KINDS = ("isotropic", "diagonal", "full_factor", "low_rank", "kron_block")
+_KINDS = ("isotropic", "diagonal", "full_factor", "kron_block")
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +113,6 @@ class Covariance:
     eta: float | None = None
     etas: np.ndarray | None = None
     factor: np.ndarray | None = None          # L, lower-triangular
-    lr_factor: np.ndarray | None = None       # A, (d, k)
-    lr_ridge: float | None = None             # alpha
     block: np.ndarray | None = None           # B, (M, M)
     spatial_dim: int | None = None
 
@@ -152,16 +149,6 @@ class Covariance:
         return Covariance("full_factor", float(base_variance), factor=L)
 
     @staticmethod
-    def low_rank(A, alpha: float, base_variance: float) -> "Covariance":
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("low-rank factor must be (d, k)")
-        if not (np.isfinite(alpha) and alpha > 0) or not np.all(np.isfinite(A)):
-            raise ValueError("low-rank ridge must be positive")
-        return Covariance("low_rank", float(base_variance), lr_factor=A,
-                          lr_ridge=float(alpha))
-
-    @staticmethod
     def kron_block(B, spatial_dim: int, base_variance: float) -> "Covariance":
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -183,8 +170,6 @@ class Covariance:
             return self.etas.shape[0]
         if self.kind == "full_factor":
             return self.factor.shape[0]
-        if self.kind == "low_rank":
-            return self.lr_factor.shape[0]
         if self.kind == "kron_block":
             return self.block.shape[0] * self.spatial_dim
         return None
@@ -201,14 +186,11 @@ class Covariance:
             return s * np.diag(self.etas)
         if self.kind == "full_factor":
             return s * (self.factor @ self.factor.T)
-        if self.kind == "low_rank":
-            A = self.lr_factor
-            return s * (A @ A.T + self.lr_ridge * np.eye(d))
         return s * np.kron(self.block, np.eye(self.spatial_dim))
 
 
 # ---------------------------------------------------------------------------
-# density and sampling
+# density
 # ---------------------------------------------------------------------------
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -238,9 +220,15 @@ def log_density(x, mean, cov: Covariance):
     return float(out[0]) if single else out
 
 
-def _log_density_delta(delta: np.ndarray, cov: Covariance) -> np.ndarray:
-    """Core density on centered residuals, batched (B, d) -> (B,)."""
-    d = delta.shape[1]
+def _log_density_delta(delta: np.ndarray, cov: Covariance,
+                       dim: int | None = None) -> np.ndarray:
+    """Core density on centered residuals, batched (B, d) -> (B,).
+
+    ``dim`` is the dimension an isotropic kernel normalises over; it
+    defaults to ``d`` and is smaller when the residuals lie on a subspace
+    (``vtdis.equivariant`` passes the zero-CoM subspace dimension).
+    """
+    d = delta.shape[1] if dim is None else dim
     s = cov.base_variance
     if cov.kind == "isotropic":
         v = s * cov.eta
@@ -256,18 +244,7 @@ def _log_density_delta(delta: np.ndarray, cov: Covariance) -> np.ndarray:
         q = np.sum(u * u, axis=1) / s
         logdet = d * np.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
         return -0.5 * (d * LOG_2PI + logdet) - 0.5 * q
-    if cov.kind == "low_rank":
-        A, alpha = cov.lr_factor, cov.lr_ridge
-        k = A.shape[1]
-        K = alpha * np.eye(k) + A.T @ A
-        Kc = cho_factor(K, lower=True)
-        At_delta = delta @ A                                    # (B, k)
-        r = (delta - cho_solve(Kc, At_delta.T).T @ A.T) / alpha  # C^-1 delta
-        q = np.sum(delta * r, axis=1) / s
-        logdet_K = 2.0 * np.sum(np.log(np.diag(Kc[0])))
-        logdet = d * np.log(s) + (d - k) * np.log(alpha) + logdet_K
-        return -0.5 * (d * LOG_2PI + logdet) - 0.5 * q
-    # kron_block, ambient density on the full M*n space
+    # kron_block, a density over all M*n coordinates of delta
     B, n = cov.block, cov.spatial_dim
     M = B.shape[0]
     Bc = cho_factor(B, lower=True)
@@ -276,32 +253,6 @@ def _log_density_delta(delta: np.ndarray, cov: Covariance) -> np.ndarray:
     q = np.einsum("bin,bin->b", D, BiD) / s
     logdet = M * n * np.log(s) + 2.0 * n * np.sum(np.log(np.diag(Bc[0])))
     return -0.5 * (M * n * LOG_2PI + logdet) - 0.5 * q
-
-
-def sample(rng: np.random.Generator, mean, cov: Covariance, dim: int | None = None):
-    """Draw one sample from N(mean, base_variance * structure).
-
-    Exact for every structure; deterministic given the generator state.
-    """
-    mean = np.asarray(mean, dtype=float)
-    _check_finite(mean)
-    d = cov.dim() if cov.dim() is not None else (dim or mean.shape[-1])
-    s = cov.base_variance
-    if cov.kind == "isotropic":
-        return mean + np.sqrt(s * cov.eta) * rng.standard_normal(d)
-    if cov.kind == "diagonal":
-        return mean + np.sqrt(s * cov.etas) * rng.standard_normal(d)
-    if cov.kind == "full_factor":
-        return mean + np.sqrt(s) * (cov.factor @ rng.standard_normal(d))
-    if cov.kind == "low_rank":
-        A, alpha = cov.lr_factor, cov.lr_ridge
-        zk = rng.standard_normal(A.shape[1])
-        zd = rng.standard_normal(d)
-        return mean + np.sqrt(s) * (A @ zk + np.sqrt(alpha) * zd)
-    B, n = cov.block, cov.spatial_dim
-    Lb = np.linalg.cholesky(B)
-    Z = rng.standard_normal((B.shape[0], n))
-    return mean + np.sqrt(s) * (Lb @ Z).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +267,14 @@ def sample(rng: np.random.Generator, mean, cov: Covariance, dim: int | None = No
 #   covariance(raw, base_variance)        -> Covariance
 #   log_density(deltas, raw, base)        -> (B,) log N(delta; 0, Sigma(raw))
 #   weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
-#   describe(raw)     -> constrained values for serialization
+#   to_constrained(raw) / from_constrained(vals)  -> serialization values
 
 class IsotropicParams:
-    """eta = softplus(z); one raw parameter."""
+    """eta = softplus(z); one raw parameter.
+
+    ``dim`` is the dimension the kernel normalises over: the ambient
+    dimension, or the subspace dimension for zero-CoM residuals.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -332,7 +287,8 @@ class IsotropicParams:
         return Covariance.isotropic(float(softplus(raw[0])), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _log_density_delta(deltas, self.covariance(raw, base))
+        return _log_density_delta(deltas, self.covariance(raw, base),
+                                  self.dim)
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         eta = float(softplus(raw[0]))
@@ -340,9 +296,6 @@ class IsotropicParams:
         g_eta = np.sum(weights * (q / (2.0 * base * eta * eta)
                                   - self.dim / (2.0 * eta)))
         return np.array([g_eta * float(sigmoid(raw[0]))])
-
-    def describe(self, raw) -> dict:
-        return {"eta": float(softplus(raw[0]))}
 
     def to_constrained(self, raw) -> np.ndarray:
         return softplus(np.asarray(raw))
@@ -372,9 +325,6 @@ class DiagonalParams:
         g = (weights @ (deltas * deltas)) / (2.0 * base * etas * etas) \
             - np.sum(weights) / (2.0 * etas)
         return g * sigmoid(raw)
-
-    def describe(self, raw) -> dict:
-        return {"etas": [float(v) for v in softplus(raw)]}
 
     def to_constrained(self, raw) -> np.ndarray:
         return softplus(np.asarray(raw))
@@ -424,9 +374,6 @@ class FullFactorParams:
         g[self._diag_mask] *= sigmoid(np.asarray(raw)[self._diag_mask])
         return g
 
-    def describe(self, raw) -> dict:
-        return {"factor": self._factor(raw).tolist()}
-
     def to_constrained(self, raw) -> np.ndarray:
         vals = np.array(raw, dtype=float, copy=True)
         vals[self._diag_mask] = softplus(vals[self._diag_mask])
@@ -436,76 +383,3 @@ class FullFactorParams:
         raw = np.array(vals, dtype=float, copy=True)
         raw[self._diag_mask] = softplus_inv(raw[self._diag_mask])
         return raw
-
-
-class LowRankParams:
-    """C = A A^T + alpha I; raw = [vec(A), z_alpha], alpha = softplus(z)."""
-
-    def __init__(self, dim: int, rank: int):
-        if not 1 <= rank < dim:
-            raise ValueError("rank must satisfy 1 <= k < d")
-        self.dim = dim
-        self.rank = rank
-        self.n_params = dim * rank + 1
-
-    def init(self) -> np.ndarray:
-        raw = np.zeros(self.n_params)
-        raw[-1] = float(softplus_inv(1.0))
-        return raw
-
-    def _unpack(self, raw):
-        A = np.asarray(raw[:-1], dtype=float).reshape(self.dim, self.rank)
-        return A, float(softplus(raw[-1]))
-
-    def covariance(self, raw, base_variance) -> Covariance:
-        A, alpha = self._unpack(raw)
-        return Covariance.low_rank(A, alpha, base_variance)
-
-    def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _log_density_delta(deltas, self.covariance(raw, base))
-
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        A, alpha = self._unpack(raw)
-        d, k = self.dim, self.rank
-        K = alpha * np.eye(k) + A.T @ A
-        Kc = cho_factor(K, lower=True)
-        Kinv = cho_solve(Kc, np.eye(k))
-        R = (deltas - (deltas @ A) @ Kinv @ A.T) / alpha       # rows C^-1 d_b
-        wsum = float(np.sum(weights))
-        # dA: -sum(w) A K^-1 + (1/base) sum_b w_b r_b (r_b^T A)
-        gA = -wsum * (A @ Kinv) + (R * weights[:, None]).T @ (R @ A) / base
-        tr_Cinv = (d - k + alpha * np.trace(Kinv)) / alpha
-        g_alpha = -0.5 * wsum * tr_Cinv \
-            + 0.5 * np.sum(weights * np.sum(R * R, axis=1)) / base
-        g = np.empty(self.n_params)
-        g[:-1] = gA.reshape(-1)
-        g[-1] = g_alpha * float(sigmoid(raw[-1]))
-        return g
-
-    def describe(self, raw) -> dict:
-        A, alpha = self._unpack(raw)
-        return {"factor": A.tolist(), "ridge": alpha}
-
-    def to_constrained(self, raw) -> np.ndarray:
-        vals = np.array(raw, dtype=float, copy=True)
-        vals[-1] = softplus(vals[-1])
-        return vals
-
-    def from_constrained(self, vals) -> np.ndarray:
-        raw = np.array(vals, dtype=float, copy=True)
-        raw[-1] = softplus_inv(raw[-1])
-        return raw
-
-
-def grad_log_density_wrt_params(x, mean, params, raw, base_variance) -> np.ndarray:
-    """Gradient of log N(x; mean, Sigma(raw)) w.r.t. the raw parameters.
-
-    ``params`` is any of the raw-parameterization objects above (or the
-    subspace ones from :mod:`vtdis.equivariant`).
-    """
-    xb, _ = _as_batch(x)
-    mean = np.asarray(mean, dtype=float)
-    _check_finite(xb, mean)
-    deltas = xb - mean
-    return params.weighted_grad(deltas, np.asarray(raw, float), base_variance,
-                                np.ones(deltas.shape[0]))

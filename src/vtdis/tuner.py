@@ -13,6 +13,11 @@ always drawn from the forward process; only the Gaussian covariance terms
 depend on phi, so denoiser predictions are computed once per batch and
 the gradient is assembled from the analytic per-structure formulas.
 
+``TUNABLE_KINDS`` are isotropic, diagonal and full on vector data, and
+isotropic and label_diag on the zero-CoM subspace of particle systems.
+Each starts at the untuned baseline, where the alpha = 2 gradient of
+every raw parameter is generically nonzero.
+
 A forward-KL objective (mean log w) is available behind a flag for
 comparison; it controls the mean of log weights rather than their tails.
 
@@ -37,19 +42,17 @@ logger = logging.getLogger(__name__)
 
 PARAM_FILE_HEADER = "vtdis-step-covariances v1"
 
-TUNABLE_KINDS = ("isotropic", "diagonal", "full", "lowrank",
-                 "exchangeable", "label_diag", "label_block")
+TUNABLE_KINDS = ("isotropic", "diagonal", "full", "label_diag")
 
 
 def make_param_spec(kind: str, *, dim: int | None = None,
-                    rank: int | None = None,
                     proj: eq.ComProjection | None = None,
                     labels=None):
     """Raw-parameterization factory for a covariance kind.
 
     Vector-space kinds need ``dim`` (for particle systems run with an
-    isotropic proposal, the subspace dimension); the symmetry-constrained
-    kinds need the projection and, for label kinds, per-particle labels.
+    isotropic proposal, the subspace dimension); ``label_diag`` needs the
+    projection and per-particle labels.
     """
     if kind == "isotropic":
         return ga.IsotropicParams(_need(dim, "dim"))
@@ -57,14 +60,8 @@ def make_param_spec(kind: str, *, dim: int | None = None,
         return ga.DiagonalParams(_need(dim, "dim"))
     if kind == "full":
         return ga.FullFactorParams(_need(dim, "dim"))
-    if kind == "lowrank":
-        return ga.LowRankParams(_need(dim, "dim"), _need(rank, "rank"))
-    if kind == "exchangeable":
-        return eq.ExchangeableParams(_need(proj, "proj"))
     if kind == "label_diag":
         return eq.LabelDiagParams(_need(labels, "labels"), _need(proj, "proj"))
-    if kind == "label_block":
-        return eq.LabelBlockParams(_need(labels, "labels"), _need(proj, "proj"))
     raise ValueError(f"unknown covariance kind {kind!r}")
 
 
@@ -160,8 +157,7 @@ def covariances_from_raws(spec, raws: np.ndarray, grid: TimeGrid
 
 def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
          config: TunerConfig | None = None, *, data: np.ndarray | None = None,
-         proj: eq.ComProjection | None = None, rank: int | None = None,
-         labels=None) -> TuneResult:
+         proj: eq.ComProjection | None = None, labels=None) -> TuneResult:
     """Optimize per-step covariances against a frozen score model.
 
     Each iteration draws a fresh batch of x_0 (from ``data`` rows or from
@@ -171,11 +167,11 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     below ``plateau_tol`` across ``plateau_window`` iterations).
     """
     config = config or TunerConfig()
-    if proj is not None and kind in ("diagonal", "full", "lowrank"):
+    if proj is not None and kind in ("diagonal", "full"):
         raise ValueError(f"{kind} covariance is not defined on the CoM "
-                         "subspace; use exchangeable or label kinds")
+                         "subspace; use isotropic or label_diag")
     dim = proj.subspace_dim if proj is not None else model.dim
-    spec = make_param_spec(kind, dim=dim, rank=rank, proj=proj, labels=labels)
+    spec = make_param_spec(kind, dim=dim, proj=proj, labels=labels)
     n_steps = grid.n_steps
     raws = np.tile(spec.init(), (n_steps, 1))
     bases = np.array([grid.ddpm_var(n) for n in range(1, n_steps + 1)])
@@ -274,27 +270,18 @@ def _cov_meta(kind: str, spec) -> dict:
     meta = {"kind": kind}
     if kind in ("isotropic", "diagonal", "full"):
         meta["dim"] = spec.dim
-    elif kind == "lowrank":
-        meta["dim"] = spec.dim
-        meta["rank"] = spec.rank
     else:
         meta["particles"] = spec.proj.n_particles
         meta["spatial"] = spec.proj.spatial_dim
-        if kind in ("label_diag", "label_block"):
-            meta["labels"] = ",".join(str(v) for v in spec.labels)
+        meta["labels"] = ",".join(str(v) for v in spec.labels)
     return meta
 
 
 def _spec_from_meta(kind: str, meta: dict):
     if kind in ("isotropic", "diagonal", "full"):
         return make_param_spec(kind, dim=int(meta["dim"]))
-    if kind == "lowrank":
-        return make_param_spec(kind, dim=int(meta["dim"]),
-                               rank=int(meta["rank"]))
     proj = eq.ComProjection(int(meta["particles"]), int(meta["spatial"]))
-    labels = None
-    if "labels" in meta:
-        labels = np.array([int(v) for v in meta["labels"].split(",")])
+    labels = np.array([int(v) for v in meta["labels"].split(",")])
     return make_param_spec(kind, proj=proj, labels=labels)
 
 

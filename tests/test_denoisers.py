@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from vtdis import denoisers as dn
+from vtdis import pfode as pf
 from vtdis import targets as tg
+from vtdis.schedule import karras_grid
 
 
 def finite_diff_param_grads(model, x, t, d_out, h=1e-6):
@@ -271,3 +273,17 @@ class TestCounters:
         assert model.jvp_count == 7
         model.reset_counters()
         assert model.eval_count == 0 and model.jvp_count == 0
+
+    def test_exact_divergence_counts_jvp_rows(self):
+        # Heun makes 1 + 2N divergence calls; the exact divergence of each
+        # point is priced at dim directional derivatives
+        gmm = tg.two_mode_gmm(3)
+        model = dn.AnalyticGmmScore(gmm)
+        grid = karras_grid(5, 1e-3, 10.0, 7.0)
+        count = 4
+        out = pf.ode_is_weights(np.random.default_rng(0), model, gmm, grid,
+                                pf.OdeRunConfig(divergence="exact"), count)
+        assert out["metadata"]["jvp_evals"] == \
+            count * gmm.dim * (2 * grid.n_steps + 1)
+        with pytest.raises(ValueError):
+            model.score_div_exact(np.zeros((2, gmm.dim + 1)), 1.0)

@@ -3,8 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, ortho_group
 
+from vtdis import denoisers as dn
 from vtdis import equivariant as eq
 from vtdis import gaussians as ga
+from vtdis import targets as tg
+from vtdis import tuner as tu
+from vtdis.diffusion import StepKernel
+from vtdis.schedule import karras_grid
 
 
 def random_spd(m, rng):
@@ -19,6 +24,16 @@ def rotate(x, r_spatial, m):
 
 def permute(x, perm, n):
     return x.reshape(-1, n)[perm].reshape(-1)
+
+
+def com_draw(rng, B, p, count, scale=1.0):
+    """``count`` batched draws on the subspace through the sampling kernel;
+    a scalar ``B`` is the isotropic kernel."""
+    if np.ndim(B) == 0:
+        cov = ga.Covariance.isotropic(B, scale)
+    else:
+        cov = ga.Covariance.kron_block(B, p.spatial_dim, scale)
+    return StepKernel(cov, p).sample(rng, np.zeros((count, p.ambient_dim)))
 
 
 class TestProjection:
@@ -115,7 +130,7 @@ class TestComGaussian:
     def test_exchangeable_permutation_invariance(self):
         rng = np.random.default_rng(5)
         p = eq.ComProjection(6, 2)
-        b = eq.build_exchangeable_B(0.4, 1.5, 6)
+        b = 1.1 * np.eye(6) + 0.4 * np.ones((6, 6))     # exchangeable
         for _ in range(50):
             perm = rng.permutation(6)
             x = eq.com_project(rng.standard_normal(12), p)
@@ -148,32 +163,33 @@ class TestComSampling:
         p = eq.ComProjection(5, 3)
         rng = np.random.default_rng(6)
         b = random_spd(5, rng)
-        s = eq.com_gaussian_sample(rng, np.zeros((1000, 15)), b, p)
+        s = com_draw(rng, b, p, 1000)
         assert np.max(p.com_norm(s)) < 1e-12
 
     def test_seed_determinism(self):
         p = eq.ComProjection(4, 2)
-        a = eq.com_gaussian_sample(np.random.default_rng(9), np.zeros(8), 2.0, p)
-        b = eq.com_gaussian_sample(np.random.default_rng(9), np.zeros(8), 2.0, p)
+        a = com_draw(np.random.default_rng(9), 2.0, p, 5)
+        b = com_draw(np.random.default_rng(9), 2.0, p, 5)
         assert np.array_equal(a, b)
 
     def test_empirical_covariance(self):
         rng = np.random.default_rng(7)
         p = eq.ComProjection(4, 3)
-        b = eq.build_exchangeable_B(-0.2, 1.0, 4)
-        s = eq.com_gaussian_sample(rng, np.zeros((10 ** 5, 12)), b, p, scale=2.0)
+        b = 1.2 * np.eye(4) - 0.2 * np.ones((4, 4))     # exchangeable
+        s = com_draw(rng, b, p, 10 ** 5, scale=2.0)
         z = p.to_subspace(s).reshape(-1, 3, 3)
         emp = np.einsum("bin,bjn->ij", z, z) / (s.shape[0] * 3)
         want = 2.0 * p.reduced_block(b)
         assert np.max(np.abs(emp - want)) < 0.05 * np.max(np.abs(want))
 
     def test_isotropic_matches_ambient_subtract_com_in_distribution(self):
-        # the projected draw and the subtract-CoM shortcut agree in law:
-        # compare 1-D projections through a KS test
+        # the projected draw (identity block, subspace normals mapped by
+        # P^T) and the isotropic subtract-CoM draw agree in law: compare
+        # 1-D projections through a KS test
         p = eq.ComProjection(4, 2)
         rng = np.random.default_rng(8)
-        direct = eq.com_gaussian_sample(rng, np.zeros((4000, 8)), 1.0, p)
-        shortcut = eq.com_project(rng.standard_normal((4000, 8)), p)
+        direct = com_draw(rng, np.eye(4), p, 4000)
+        shortcut = com_draw(rng, 1.0, p, 4000)
         u = rng.standard_normal(8)
         a = direct @ u
         b = shortcut @ u
@@ -184,7 +200,7 @@ class TestComSampling:
         rng = np.random.default_rng(10)
         p = eq.ComProjection(3, 2)
         b = random_spd(3, rng)
-        s = eq.com_gaussian_sample(rng, np.zeros((2 * 10 ** 4, 6)), b, p)
+        s = com_draw(rng, b, p, 2 * 10 ** 4)
         lp = eq.com_gaussian_log_density(s, np.zeros(6), b, p)
         sig = np.kron(p.reduced_block(b), np.eye(2))
         _, logdet = np.linalg.slogdet(sig)
@@ -193,112 +209,80 @@ class TestComSampling:
 
 
 class TestBlockBuilders:
-    def test_exchangeable_zero_coupling_is_identity_scale(self):
-        b = eq.build_exchangeable_B(0.0, 1.3, 5)
-        assert np.allclose(b, 1.3 * np.eye(5), atol=1e-15)
-
-    def test_exchangeable_eigenvalues(self):
-        a, bb, m = 0.35, 1.2, 6
-        vals = np.sort(np.linalg.eigvalsh(eq.build_exchangeable_B(a, bb, m)))
-        want = np.sort(np.concatenate([[bb + (m - 1) * a],
-                                       np.full(m - 1, bb - a)]))
-        assert np.allclose(vals, want, atol=1e-12)
-
-    def test_exchangeable_constraints(self):
-        with pytest.raises(ValueError):
-            eq.build_exchangeable_B(1.0, 1.0, 4)     # b - a <= 0
-        with pytest.raises(ValueError):
-            eq.build_exchangeable_B(-0.5, 1.0, 4)    # b + (M-1)a <= 0
-
-    def test_label_block_all_same_label_reduces_to_exchangeable(self):
-        labels = np.zeros(5, dtype=int)
-        a = np.array([[0.8]])
-        got = eq.build_label_B(labels, (a, 0.3))
-        want = eq.build_exchangeable_B(0.64, 0.64 + 0.3, 5)
-        assert np.allclose(got, want, atol=1e-12)
-
     def test_label_diag(self):
         labels = np.array([0, 1, 1, 0])
         b = eq.build_label_B(labels, np.array([2.0, 3.0]))
         assert np.allclose(np.diag(b), [2.0, 3.0, 3.0, 2.0])
 
-    def test_label_block_depends_only_on_labels(self):
-        rng = np.random.default_rng(11)
-        labels = np.array([0, 1, 0, 2, 1])
-        a = rng.standard_normal((3, 3))
-        b = eq.build_label_B(labels, (a, 0.5))
-        for i in range(5):
-            for j in range(5):
-                for k in range(5):
-                    for l in range(5):
-                        if (labels[i], labels[j]) == (labels[k], labels[l]) \
-                                and (i == j) == (k == l):
-                            assert b[i, j] == pytest.approx(b[k, l], abs=1e-15)
-
     def test_label_validation(self):
         with pytest.raises(ValueError):
             eq.build_label_B(np.array([0, 1]), np.array([1.0]))
         with pytest.raises(ValueError):
-            eq.build_label_B(np.array([0, 1]), (np.eye(2), -0.1))
+            eq.build_label_B(np.array([0, 1]), np.array([1.0, -0.1]))
+
+
+LABELS = np.array([0, 0, 1, 1])
 
 
 class TestSubspaceParams:
-    def test_exchangeable_gradient_fd(self):
-        rng = np.random.default_rng(12)
-        proj = eq.ComProjection(4, 2)
-        spec = eq.ExchangeableParams(proj)
-        deltas = eq.com_project(rng.standard_normal((6, 8)), proj)
-        weights = rng.uniform(0.2, 1.0, 6)
-        raw = spec.init() + 0.3 * rng.standard_normal(2)
-        grad = spec.weighted_grad(deltas, raw, 0.7, weights)
-        h = 1e-6
-        for i in range(2):
-            up, dn = raw.copy(), raw.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (weights @ spec.log_density(deltas, up, 0.7)
-                  - weights @ spec.log_density(deltas, dn, 0.7)) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+    SPECS = {
+        "isotropic": lambda proj: ga.IsotropicParams(proj.subspace_dim),
+        "label_diag": lambda proj: eq.LabelDiagParams(LABELS, proj),
+    }
 
-    @pytest.mark.parametrize("kind", ["label_diag", "label_block"])
-    def test_label_gradients_fd(self, kind):
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_gradients_fd(self, kind):
         rng = np.random.default_rng(13)
-        proj = eq.ComProjection(5, 2)
-        labels = np.array([0, 0, 1, 1, 2])
-        cls = eq.LabelDiagParams if kind == "label_diag" else eq.LabelBlockParams
-        spec = cls(labels, proj)
-        deltas = eq.com_project(rng.standard_normal((5, 10)), proj)
+        proj = eq.ComProjection(4, 2)
+        spec = self.SPECS[kind](proj)
+        deltas = eq.com_project(rng.standard_normal((5, 8)), proj)
         weights = rng.uniform(0.2, 1.0, 5)
         raw = spec.init() + 0.25 * rng.standard_normal(spec.n_params)
         grad = spec.weighted_grad(deltas, raw, 0.9, weights)
         h = 1e-6
         for i in range(spec.n_params):
-            up, dn = raw.copy(), raw.copy()
+            up, dn_ = raw.copy(), raw.copy()
             up[i] += h
-            dn[i] -= h
+            dn_[i] -= h
             fd = (weights @ spec.log_density(deltas, up, 0.9)
-                  - weights @ spec.log_density(deltas, dn, 0.9)) / (2 * h)
+                  - weights @ spec.log_density(deltas, dn_, 0.9)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_density_matches_com_gaussian(self):
+        # every spec's density is the sampling kernel's density, and the
+        # projected Gaussian's
         rng = np.random.default_rng(14)
         proj = eq.ComProjection(4, 3)
-        labels = np.array([0, 1, 1, 0])
-        for spec in (eq.ExchangeableParams(proj),
-                     eq.LabelDiagParams(labels, proj),
-                     eq.LabelBlockParams(labels, proj)):
+        for spec in (make(proj) for make in self.SPECS.values()):
             raw = spec.init() + 0.2 * rng.standard_normal(spec.n_params)
             deltas = eq.com_project(rng.standard_normal((4, 12)), proj)
             direct = spec.log_density(deltas, raw, 0.8)
-            via = eq.com_gaussian_log_density(deltas, np.zeros(12),
-                                              spec.block(raw), proj, scale=0.8)
+            cov = spec.covariance(raw, 0.8)
+            kernel = StepKernel(cov, proj).logpdf(deltas, 0)
+            assert np.allclose(direct, kernel, atol=1e-10)
+            B = cov.eta if cov.kind == "isotropic" else cov.block
+            via = eq.com_gaussian_log_density(deltas, np.zeros(12), B, proj,
+                                              scale=0.8)
             assert np.allclose(direct, via, atol=1e-10)
 
     def test_baseline_init(self):
         proj = eq.ComProjection(5, 2)
-        labels = np.array([0, 1, 0, 1, 1])
-        for spec in (eq.ExchangeableParams(proj),
-                     eq.LabelDiagParams(labels, proj),
-                     eq.LabelBlockParams(labels, proj)):
-            b = spec.block(spec.init())
-            assert np.allclose(b, np.eye(5), atol=1e-12)
+        spec = eq.LabelDiagParams(np.array([0, 1, 0, 1, 1]), proj)
+        assert np.allclose(spec.block(spec.init()), np.eye(5), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_tuning_moves_every_parameter(self, kind):
+        # a kind whose baseline is a stationary point of the objective
+        # would leave some raw parameter exactly at init()
+        rng = np.random.default_rng(22)
+        target = tg.DoubleWell()
+        proj = eq.ComProjection(target.n_particles, target.spatial_dim)
+        model = dn.RadialDenoiser(target.n_particles, target.spatial_dim,
+                                  [8], 1.0, rng)
+        data = eq.com_project(2.0 * rng.standard_normal((64, target.dim)),
+                              proj)
+        result = tu.tune(rng, model, target, karras_grid(4, 1e-3, 10.0, 7.0),
+                         kind, tu.TunerConfig(iterations=3, batch_size=16,
+                                              lr=0.05),
+                         data=data, proj=proj, labels=LABELS)
+        assert np.all(result.raws != self.SPECS[kind](proj).init())
