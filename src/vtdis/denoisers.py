@@ -92,12 +92,17 @@ class Mlp:
         return len(self.sizes) - 1
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        # each layer allocates only its gemm output; the bias add and the
+        # tanh then work in place on it, so no two cache entries share
+        # memory and the input is never written
         a = x
         cache = [a]
         for i in range(self.n_layers):
             w, b = self.params[2 * i], self.params[2 * i + 1]
-            z = a @ w.T + b
-            a = np.tanh(z) if i < self.n_layers - 1 else z
+            a = a @ w.T
+            a += b
+            if i < self.n_layers - 1:
+                np.tanh(a, out=a)
             if np.isnan(a).any():
                 raise FloatingPointError(f"NaN activation in layer {i}")
             cache.append(a)
@@ -112,7 +117,9 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             a_prev, a_cur = cache[i], cache[i + 1]
             if i < self.n_layers - 1:
-                dz = dz * (1.0 - a_cur * a_cur)   # tanh'
+                # tanh' into the fresh dz of the layer above; the cache
+                # and d_out stay untouched
+                dz *= _tanh_slope(a_cur)
             w = self.params[2 * i]
             grads[2 * i] = dz.T @ a_prev
             grads[2 * i + 1] = np.sum(dz, axis=0)
@@ -125,14 +132,22 @@ class Mlp:
         for i in range(self.n_layers):
             w = self.params[2 * i]
             b = self.params[2 * i + 1]
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             dz = da @ w.T
             if i < self.n_layers - 1:
-                a = np.tanh(z)
-                da = dz * (1.0 - a * a)
+                a = np.tanh(z, out=z)
+                dz *= _tanh_slope(a)
+                da = dz
             else:
                 a, da = z, dz
         return da
+
+
+def _tanh_slope(a: np.ndarray) -> np.ndarray:
+    """1 - a^2, the tanh derivative at activation a, in one new array."""
+    s = np.multiply(a, a)
+    return np.subtract(1.0, s, out=s)
 
 
 class Adam:
@@ -310,32 +325,32 @@ class RadialDenoiser(_Counted):
         self.dim = n_particles * spatial_dim
         self.sigma_data = float(sigma_data)
         self.net = Mlp([3] + list(hidden) + [1], rng)
-        self._ii, self._jj = np.triu_indices(n_particles, k=1)
-        # signed incidence matrix: row i collects +pair where i leads,
-        # -pair where i trails; turns pair scatter-adds into one matmul
-        n_pairs = self._ii.shape[0]
-        inc = np.zeros((n_particles, n_pairs))
-        inc[self._ii, np.arange(n_pairs)] = 1.0
-        inc[self._jj, np.arange(n_pairs)] = -1.0
-        self._incidence = inc
+        # signed incidence matrix (M, P): every pair gather (inc.T @ conf)
+        # and per-particle scatter-add (inc @ contrib) is one matmul
+        self._incidence = tg.pair_incidence(n_particles)
+
+    def _gather(self, per_particle: np.ndarray) -> np.ndarray:
+        """Flat (B, M*n) -> pair differences (B, P, n), x_i - x_j."""
+        b = per_particle.shape[0]
+        return np.matmul(self._incidence.T,
+                         per_particle.reshape(b, self.n_particles,
+                                              self.spatial_dim))
 
     def _geometry(self, x2, tv):
         _, _, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
-        conf = (c_in[:, None] * x2).reshape(x2.shape[0], self.n_particles,
-                                            self.spatial_dim)
-        diff = conf[:, self._ii, :] - conf[:, self._jj, :]   # (B, P, n)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))          # (B, P)
+        diff = self._gather(c_in[:, None] * x2)              # (B, P, n)
+        dist = np.sqrt(tg._spatial_dot(diff, diff))          # (B, P)
         n_pairs = dist.shape[1]
         feats = np.stack([dist.reshape(-1),
                           1.0 / (dist.reshape(-1) + self.INV_OFFSET),
                           np.repeat(c_noise, n_pairs)], axis=1)
         return diff, dist, feats
 
-    def _assemble(self, coef, diff, batch):
-        """sum_p +-coef_p * diff_p into per-particle vectors, flat (B, M*n)."""
-        contrib = coef[:, :, None] * diff
-        out = np.einsum("mp,bpn->bmn", self._incidence, contrib)
-        return out.reshape(batch, self.dim)
+    def _assemble(self, contrib):
+        """sum_p +-contrib_p (B, P, n) into per-particle vectors, flat
+        (B, M*n)."""
+        out = np.matmul(self._incidence, contrib)
+        return out.reshape(out.shape[0], self.dim)
 
     def forward_with_cache(self, x, t):
         x2 = self._batch(x)
@@ -346,7 +361,7 @@ class RadialDenoiser(_Counted):
         diff, dist, feats = self._geometry(x2, tv)
         g_flat, net_cache = self.net.forward(feats)
         g = g_flat.reshape(b, -1)
-        raw = self._assemble(g, diff, b)
+        raw = self._assemble(g[:, :, None] * diff)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
         return out, (net_cache, diff, c_out)
 
@@ -362,11 +377,7 @@ class RadialDenoiser(_Counted):
 
     def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
         net_cache, diff, c_out = cache
-        b = d_out.shape[0]
-        d_raw = (c_out[:, None] * d_out).reshape(b, self.n_particles,
-                                                 self.spatial_dim)
-        dg = np.sum((d_raw[:, self._ii, :] - d_raw[:, self._jj, :]) * diff,
-                    axis=2)
+        dg = tg._spatial_dot(self._gather(c_out[:, None] * d_out), diff)
         return self.net.backward(net_cache, dg.reshape(-1, 1))
 
     def denoise_jvp(self, x, t, v):
@@ -378,15 +389,14 @@ class RadialDenoiser(_Counted):
         c_skip, c_out, c_in, _ = precond_coeffs(tv, self.sigma_data)
         diff, dist, feats = self._geometry(x2, tv)
         g = self.net(feats).reshape(b, -1)
-        w = (c_in[:, None] * v2).reshape(b, self.n_particles, self.spatial_dim)
-        wdiff = w[:, self._ii, :] - w[:, self._jj, :]
+        wdiff = self._gather(c_in[:, None] * v2)
         safe = np.maximum(dist, 1e-300)
-        ddist = np.sum(diff * wdiff, axis=2) / safe
+        ddist = tg._spatial_dot(diff, wdiff) / safe
         dinv = -ddist / (dist + self.INV_OFFSET) ** 2
         tangent = np.stack([ddist.reshape(-1), dinv.reshape(-1),
                             np.zeros(ddist.size)], axis=1)
         dg = self.net.jvp(feats, tangent).reshape(b, -1)
-        d_raw = self._assemble(dg, diff, b) + self._assemble(g, wdiff, b)
+        d_raw = self._assemble(dg[:, :, None] * diff + g[:, :, None] * wdiff)
         out = c_skip[:, None] * v2 + c_out[:, None] * d_raw
         return out[0] if np.asarray(x).ndim == 1 else out
 

@@ -120,6 +120,15 @@ class StepKernel:
         return self._draw(z, mean)
 
 
+def _step_kernels(covs: list[ga.Covariance], grid: TimeGrid,
+                  proj: eq.ComProjection | None) -> list[StepKernel]:
+    """One kernel per reverse step of ``grid``, ``covs[n-1]`` for step n."""
+    if len(covs) != grid.n_steps:
+        raise ValueError(
+            f"need {grid.n_steps} step covariances, got {len(covs)}")
+    return [StepKernel(c, proj) for c in covs]
+
+
 def _draw_normals(rng, rows: int, cols: int) -> np.ndarray:
     if isinstance(rng, (list, tuple)):
         if len(rng) != rows:
@@ -191,9 +200,7 @@ def _reverse_steps(rng, model, covs, grid: TimeGrid, count: int, proj,
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
     n_steps = grid.n_steps
-    if len(covs) != n_steps:
-        raise ValueError(f"need {n_steps} step covariances, got {len(covs)}")
-    kernels = [StepKernel(c, proj) for c in covs]
+    kernels = _step_kernels(covs, grid, proj)
     t_max = grid.t_max
 
     z = _draw_normals(rng, count, model.dim)
@@ -227,7 +234,7 @@ def recompute_log_densities(traj: Trajectory, model,
                             ) -> tuple[float, float]:
     """Joint log-densities recomputed from stored states (cache check)."""
     grid = traj.grid
-    kernels = [StepKernel(c, proj) for c in covs]
+    kernels = _step_kernels(covs, grid, proj)
     log_q = 0.0
     log_p = float(prior_log_density(traj.states[-1][None, :], grid.t_max,
                                     proj)[0])

@@ -105,7 +105,7 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, covs,
         raise ValueError("upper bound needs at least two inner samples")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     b = x0.shape[0]
-    kernels = [df.StepKernel(c, proj) for c in covs]
+    kernels = df._step_kernels(covs, grid, proj)
     elbos, eubos = [], []
     for _ in range(repeats):
         tiled = np.repeat(x0, inner, axis=0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,16 +176,66 @@ def remove_com(x: np.ndarray, n_particles: int, spatial_dim: int) -> np.ndarray:
     return conf.reshape(shape)
 
 
-def _pair_distances(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """conf (B, M, n) -> (dists (B, P), idx_i, idx_j) over pairs i<j."""
-    m = conf.shape[1]
+def pair_incidence(m: int) -> np.ndarray:
+    """Signed incidence matrix (m, P) of the pairs i < j of ``m`` particles.
+
+    Pairs follow ``np.triu_indices(m, k=1)`` order; column p holds +1 at
+    its leading particle i and -1 at its trailing particle j.  Gathers and
+    scatters over pairs are then single matmuls on (B, m, n) batches:
+    ``inc.T @ conf`` gives the pair differences x_i - x_j, and ``inc @ c``
+    adds +c_p to particle i and -c_p to particle j.
+    """
     ii, jj = np.triu_indices(m, k=1)
-    diff = conf[:, ii, :] - conf[:, jj, :]
-    return np.sqrt(np.sum(diff * diff, axis=2)), ii, jj
+    cols = np.arange(ii.shape[0])
+    inc = np.zeros((m, ii.shape[0]))
+    inc[ii, cols] = 1.0
+    inc[jj, cols] = -1.0
+    return inc
+
+
+def _spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] * b[..., k] over the short spatial axis.
+
+    Adds the same terms in the same order as ``np.sum(a * b, axis=-1)``,
+    one strided column at a time, which avoids numpy's per-row cost of
+    reducing a length-n axis.
+    """
+    prod = a * b
+    out = prod[..., 0].copy()
+    for k in range(1, prod.shape[-1]):
+        out += prod[..., k]
+    return out
+
+
+def _pair_distances(conf: np.ndarray, inc: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """conf (B, M, n) -> (diffs (B, P, n), dists (B, P)) over the pairs of
+    the incidence matrix ``inc = pair_incidence(M)``; one matmul gathers
+    every pair difference."""
+    diff = np.matmul(inc.T, conf)
+    return diff, np.sqrt(_spatial_dot(diff, diff))
+
+
+class _PairSystem:
+    """Pair geometry shared by the particle targets."""
+
+    @property
+    def dim(self) -> int:
+        return self.n_particles * self.spatial_dim
+
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        return pair_incidence(self.n_particles)
+
+    def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x2 (B, M*n), conf (B, M, n), pair diffs, pair distances)."""
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
+        return (x2, conf) + _pair_distances(conf, self._incidence)
 
 
 @dataclass(frozen=True)
-class DoubleWell:
+class DoubleWell(_PairSystem):
     """Pairwise double-well system, 4 particles in 2-D by default.
 
     Pair energy a*(d - d0) + b*(d - d0)^2 + c*(d - d0)^4 summed over
@@ -200,14 +251,8 @@ class DoubleWell:
     temperature: float = 1.0
     name: str = "dw4"
 
-    @property
-    def dim(self) -> int:
-        return self.n_particles * self.spatial_dim
-
     def energy(self, x) -> np.ndarray | float:
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        d, _, _ = _pair_distances(conf)
+        _, _, _, d = self._pairs(x)
         delta = d - self.d0
         e = np.sum(self.a * delta + self.b * delta ** 2 + self.c * delta ** 4,
                    axis=1)
@@ -217,18 +262,16 @@ class DoubleWell:
         return -np.asarray(self.energy(x)) / self.temperature
 
     def grad_log_density(self, x) -> np.ndarray:
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        d, ii, jj = _pair_distances(conf)
+        x2, _, diff, d = self._pairs(x)
         delta = d - self.d0
         de = self.a + 2.0 * self.b * delta + 4.0 * self.c * delta ** 3
-        g = _pair_force_assemble(conf, d, ii, jj, de)
+        g = _pair_force_assemble(self._incidence, diff, d, de)
         g = -g / self.temperature
         return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
 
 
 @dataclass(frozen=True)
-class LennardJones:
+class LennardJones(_PairSystem):
     """Lennard-Jones cluster with a harmonic pull toward the center of mass.
 
     Pair energy eps_lj * ((r_m/d)^12 - 2 (r_m/d)^6), minimized at d = r_m
@@ -244,14 +287,8 @@ class LennardJones:
     temperature: float = 1.0
     name: str = "lj13"
 
-    @property
-    def dim(self) -> int:
-        return self.n_particles * self.spatial_dim
-
     def energy(self, x) -> np.ndarray | float:
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        d, _, _ = _pair_distances(conf)
+        _, conf, _, d = self._pairs(x)
         with np.errstate(divide="ignore", over="ignore"):
             inv6 = (self.r_m / d) ** 6
             pair = self.eps_lj * inv6 * (inv6 - 2.0)   # +inf at coincidence
@@ -264,31 +301,27 @@ class LennardJones:
         return -np.asarray(self.energy(x)) / self.temperature
 
     def grad_log_density(self, x) -> np.ndarray:
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        d, ii, jj = _pair_distances(conf)
+        x2, conf, diff, d = self._pairs(x)
         with np.errstate(divide="ignore", over="ignore"):
             inv = self.r_m / d
             de = self.eps_lj * 12.0 * (inv ** 6 - inv ** 12) / d
-        g = _pair_force_assemble(conf, d, ii, jj, de)
+        g = _pair_force_assemble(self._incidence, diff, d, de)
         centered = conf - conf.mean(axis=1, keepdims=True)
         g = g + self.c_osc * centered.reshape(x2.shape)
         g = -g / self.temperature
         return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
 
 
-def _pair_force_assemble(conf, d, ii, jj, de) -> np.ndarray:
-    """dE/dx from per-pair radial derivatives de = dE/dd, flattened (B, M*n)."""
-    b, m, n = conf.shape
-    diff = conf[:, ii, :] - conf[:, jj, :]
-    unit = diff / d[:, :, None]
-    contrib = de[:, :, None] * unit
-    n_pairs = ii.shape[0]
-    inc = np.zeros((m, n_pairs))
-    inc[ii, np.arange(n_pairs)] = 1.0
-    inc[jj, np.arange(n_pairs)] = -1.0
-    g = np.einsum("mp,bpn->bmn", inc, contrib)
-    return g.reshape(b, m * n)
+def _pair_force_assemble(inc, diff, d, de) -> np.ndarray:
+    """dE/dx from per-pair radial derivatives de = dE/dd, flattened (B, M*n).
+
+    ``diff`` and ``d`` are the pair differences and distances of
+    ``_pair_distances`` over the same incidence matrix ``inc``.
+    """
+    contrib = diff / d[:, :, None]          # unit vectors, then scaled
+    contrib *= de[:, :, None]
+    g = np.matmul(inc, contrib)
+    return g.reshape(g.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from vtdis import denoisers as dn
 from vtdis import diffusion as df
 from vtdis import equivariant as eq
 from vtdis import gaussians as ga
+from vtdis import metrics as mt
 from vtdis import targets as tg
 from vtdis.schedule import karras_grid
 
@@ -57,3 +58,23 @@ def test_stored_densities_match_recompute(case):
         assert log_p == pytest.approx(traj.log_p_joint, rel=0, abs=1e-10)
         if proj is not None:
             assert np.max(proj.com_norm(traj.states)) < 1e-12
+
+
+@pytest.mark.parametrize("extra", [2, -2])
+def test_recompute_rejects_wrong_covariance_count(extra):
+    model, covs, proj = com_case()
+    traj = df.reverse_sample_trajectory(np.random.default_rng(7), model,
+                                        covs, GRID, proj)
+    wrong = covs + covs[:extra] if extra > 0 else covs[:extra]
+    with pytest.raises(ValueError, match="step covariances"):
+        df.recompute_log_densities(traj, model, wrong, proj)
+
+
+@pytest.mark.parametrize("extra", [2, -2])
+def test_elbo_eubo_rejects_wrong_covariance_count(extra):
+    model, covs, proj = com_case()
+    x0 = tg.remove_com(np.random.default_rng(8).standard_normal((2, 8)), 4, 2)
+    wrong = covs + covs[:extra] if extra > 0 else covs[:extra]
+    with pytest.raises(ValueError, match="step covariances"):
+        mt.elbo_eubo(np.random.default_rng(9), x0, model, wrong, GRID,
+                     inner=2, proj=proj)

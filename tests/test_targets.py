@@ -153,6 +153,52 @@ class TestScoreDivergence:
                            atol=1e-6)
 
 
+def pair_loop_energy_and_grad(target, x):
+    """Energy and grad log density of one configuration, pair by pair.
+
+    ``pair(d)`` returns the pair energy and its derivative in d; LJ adds
+    its harmonic centering term.
+    """
+    m, n = target.n_particles, target.spatial_dim
+    conf = x.reshape(m, n)
+    if isinstance(target, tg.LennardJones):
+        def pair(d):
+            r = target.r_m / d
+            return (target.eps_lj * (r ** 12 - 2.0 * r ** 6),
+                    target.eps_lj * 12.0 * (r ** 6 - r ** 12) / d)
+    else:
+        def pair(d):
+            u = d - target.d0
+            return (target.a * u + target.b * u ** 2 + target.c * u ** 4,
+                    target.a + 2.0 * target.b * u + 4.0 * target.c * u ** 3)
+    energy = 0.0
+    grad_e = np.zeros((m, n))          # dE/dx
+    for i in range(m):
+        for j in range(i + 1, m):
+            diff = conf[i] - conf[j]
+            d = math.sqrt(float(np.dot(diff, diff)))
+            e, de = pair(d)
+            energy += e
+            grad_e[i] += de * diff / d
+            grad_e[j] -= de * diff / d
+    if isinstance(target, tg.LennardJones):
+        centered = conf - conf.mean(axis=0)
+        energy += 0.5 * target.c_osc * float(np.sum(centered ** 2))
+        grad_e += target.c_osc * centered
+    return energy, -grad_e.reshape(-1) / target.temperature
+
+
+def lattice_configs(target, count, rng):
+    """Jittered simple-cubic configurations with no close pairs."""
+    m, n = target.n_particles, target.spatial_dim
+    side = int(np.ceil(m ** (1.0 / n)))
+    sites = np.stack(np.meshgrid(*[np.arange(side)] * n, indexing="ij"),
+                     axis=-1).reshape(-1, n)[:m].astype(float)
+    spacing = 1.1 * getattr(target, "r_m", 1.0)
+    x = spacing * sites[None] + 0.15 * rng.standard_normal((count, m, n))
+    return tg.remove_com(x.reshape(count, m * n), m, n)
+
+
 class TestParticleEnergies:
     def test_double_well_zero_at_rest_length(self):
         # four particles pairwise at d0 needs three dimensions: a regular
@@ -200,6 +246,27 @@ class TestParticleEnergies:
     def test_lj_coincident_particles_diverge(self):
         lj = tg.LennardJones(n_particles=2, spatial_dim=3)
         assert lj.energy(np.zeros(6)) == np.inf
+        # LJ-13: only the batch row holding the coincident pair diverges
+        lj13 = tg.LennardJones()
+        x = lattice_configs(lj13, 3, np.random.default_rng(12))
+        x.reshape(3, 13, 3)[1, 7] = x.reshape(3, 13, 3)[1, 4]
+        e = lj13.energy(x)
+        assert e[1] == np.inf
+        assert np.all(np.isfinite(e[[0, 2]]))
+
+    @pytest.mark.parametrize("target", [tg.DoubleWell(), tg.LennardJones()],
+                             ids=["dw4", "lj13"])
+    def test_energy_and_gradient_match_pair_loop(self, target):
+        # tolerance fixed from float64 rounding: the batched code adds the
+        # same pair terms in another order
+        rel = 1e-12
+        x = lattice_configs(target, 4, np.random.default_rng(11))
+        energies = target.energy(x)
+        grads = target.grad_log_density(x)
+        for row in range(x.shape[0]):
+            e, g = pair_loop_energy_and_grad(target, x[row])
+            assert energies[row] == pytest.approx(e, rel=rel)
+            assert np.max(np.abs(grads[row] - g)) <= rel * np.max(np.abs(g))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
