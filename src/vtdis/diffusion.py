@@ -37,8 +37,9 @@ from .schedule import TimeGrid
 # ---------------------------------------------------------------------------
 
 def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
-    d = None if proj is None else proj.subspace_dim
-    return ga._log_density_delta(delta, ga.Covariance.isotropic(1.0, var), d)
+    """log N(delta; 0, var I) per row, over the subspace with ``proj``."""
+    d = delta.shape[-1] if proj is None else proj.subspace_dim
+    return ga._scaled_log_density(delta, var, d)
 
 
 def forward_kernel_log_density(x_next, x_prev, n: int, grid: TimeGrid,
@@ -276,22 +277,32 @@ class ForwardBatch:
 
 def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
                       proj: eq.ComProjection | None = None) -> ForwardBatch:
-    """Noise a batch of x_0 forward and collect per-step residuals."""
+    """Noise a batch of x_0 forward and collect per-step residuals.
+
+    One noise draw and one denoiser call per step; the posterior mean and
+    the residual are formed in place in ``deltas[n-1]``.
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     b, d = x0.shape
     n_steps = grid.n_steps
     deltas = np.empty((n_steps, b, d))
+    scratch = np.empty((b, d))
     log_q = np.zeros(b)
     x = x0
     for n in range(1, n_steps + 1):
+        var = grid.forward_var(n)
         z = rng.standard_normal((b, d))
         if proj is not None:
             z = eq.com_project(z, proj)
-        x_next = x + np.sqrt(grid.forward_var(n)) * z
-        log_q += _iso_logpdf(x_next - x, grid.forward_var(n), proj)
+        x_next = x + np.sqrt(var) * z
+        log_q += _iso_logpdf(np.subtract(x_next, x, out=scratch), var, proj)
         x0_hat = model.denoise(x_next, grid.times[n])
-        mean, _ = ddpm_posterior(x_next, x0_hat, n, grid)
-        deltas[n - 1] = x - mean
+        # residual x - (r x_next + (1 - r) x0_hat), the ddpm_posterior mean
+        r = grid.mean_ratio(n)
+        delta = deltas[n - 1]
+        np.multiply(x_next, r, out=delta)
+        delta += np.multiply(x0_hat, 1.0 - r, out=scratch)
+        np.subtract(x, delta, out=delta)
         x = x_next
     log_prior = prior_log_density(x, grid.t_max, proj)
     return ForwardBatch(deltas=deltas, log_q_cond=log_q, log_prior=log_prior)

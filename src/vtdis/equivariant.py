@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gaussians import (Covariance, _log_density_delta, sigmoid, softplus,
-                        softplus_inv)
+from .gaussians import (Covariance, _log_density_delta, _map_steps, sigmoid,
+                        softplus, softplus_inv)
 
 COM_TOLERANCE = 1e-6
 
@@ -162,7 +162,8 @@ def build_label_B(labels, params) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw parameterizations on the subspace (same interface as vtdis.gaussians)
+# raw parameterizations on the subspace (same interface as vtdis.gaussians,
+# including the optional leading step axis)
 # ---------------------------------------------------------------------------
 
 class LabelDiagParams:
@@ -191,10 +192,17 @@ class LabelDiagParams:
                                      base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
+        return _map_steps(self._step_log_density, deltas, raw, base)
+
+    def _step_log_density(self, deltas, raw, base) -> np.ndarray:
         return _subspace_log_density(deltas, self.covariance(raw, base),
                                      self.proj)
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
+        return _map_steps(self._step_weighted_grad, deltas, raw, base,
+                          weights)
+
+    def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         # sum_b w_b d log N(delta_b) / dB on the subspace, mapped back to
         # the (M, M) block; each class gathers its diagonal entries
         Bt = self.proj.reduced_block(self.block(raw))

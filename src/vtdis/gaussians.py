@@ -11,8 +11,10 @@ fixed per-step scalar and ``C`` is one of four structures:
 
 Densities avoid dense d x d work wherever the structure allows: isotropic
 and diagonal are O(d), and the Kronecker form reduces to M x M solves.
-``_log_density_delta`` is the one density of every structure; sampling
-lives in ``vtdis.diffusion.StepKernel``.
+``_log_density_delta`` is the one density of every structure (its
+isotropic and diagonal branch, ``_scaled_log_density``, also takes the
+stacked residuals of the tuner objective); sampling lives in
+``vtdis.diffusion.StepKernel``.
 
 Each structure also has a raw (unconstrained) parameterization used by the
 optimizer: positivity is enforced through a softplus transform, initialized
@@ -231,13 +233,9 @@ def _log_density_delta(delta: np.ndarray, cov: Covariance,
     d = delta.shape[1] if dim is None else dim
     s = cov.base_variance
     if cov.kind == "isotropic":
-        v = s * cov.eta
-        q = np.sum(delta * delta, axis=1)
-        return -0.5 * d * (LOG_2PI + np.log(v)) - 0.5 * q / v
+        return _scaled_log_density(delta, s * cov.eta, d)
     if cov.kind == "diagonal":
-        v = s * cov.etas
-        q = np.sum(delta * delta / v, axis=1)
-        return -0.5 * (d * LOG_2PI + np.sum(np.log(v))) - 0.5 * q
+        return _scaled_log_density(delta, s * cov.etas, d)
     if cov.kind == "full_factor":
         L = cov.factor
         u = solve_triangular(L, delta.T, lower=True).T
@@ -255,6 +253,43 @@ def _log_density_delta(delta: np.ndarray, cov: Covariance,
     return -0.5 * (M * n * LOG_2PI + logdet) - 0.5 * q
 
 
+def _scaled_log_density(delta: np.ndarray, v, dim: int) -> np.ndarray:
+    """log N(delta; 0, diag(v)) per row of ``delta`` (..., B, d) -> (..., B).
+
+    ``v`` is isotropic, one variance per leading index (shape ``(...)``),
+    or diagonal, one per coordinate (shape ``(..., d)``); ``dim`` is the
+    dimension the kernel normalises over.  The leading axes are the
+    optional step axis of the stacked tuner objective.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == delta.ndim - 2:
+        v = v[..., None]
+        q = np.einsum("...d,...d->...", delta, delta)
+        return -0.5 * dim * (LOG_2PI + np.log(v)) - 0.5 * q / v
+    v = v[..., None, :]
+    q = np.einsum("...d,...d->...", delta, delta / v)
+    return -0.5 * (dim * LOG_2PI + np.sum(np.log(v), axis=-1)) - 0.5 * q
+
+
+def _spec_variances(base, etas) -> np.ndarray:
+    """base * etas for a raw-parameter spec, rejected unless positive and
+    finite as ``Covariance`` does (softplus underflows to 0 below -745)."""
+    v = base * etas
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError("proposal variances must be positive and finite")
+    return v
+
+
+def _map_steps(step_fn, deltas, raw, base, *rest) -> np.ndarray:
+    """Apply a per-step spec method over an optional leading step axis:
+    ``raw`` (p,) is one step, ``raw`` (N, p) pairs with ``deltas[n]`` and
+    ``base[n]``; trailing arguments are shared by every step."""
+    if np.ndim(raw) == 1:
+        return step_fn(deltas, raw, base, *rest)
+    return np.stack([step_fn(deltas[n], raw[n], base[n], *rest)
+                     for n in range(len(raw))])
+
+
 # ---------------------------------------------------------------------------
 # raw (unconstrained) parameterizations with analytic gradients
 # ---------------------------------------------------------------------------
@@ -268,6 +303,12 @@ def _log_density_delta(delta: np.ndarray, cov: Covariance,
 #   log_density(deltas, raw, base)        -> (B,) log N(delta; 0, Sigma(raw))
 #   weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
 #   to_constrained(raw) / from_constrained(vals)  -> serialization values
+#
+# ``log_density`` and ``weighted_grad`` broadcast over an optional leading
+# step axis: deltas (N, B, d), raw (N, p) and base (N,) give (N, B) and
+# (N, p), step n using raw[n] and base[n], with the weights (B,) shared by
+# every step.  Isotropic and diagonal specs do this in closed form; the
+# others map their per-step algebra over the axis (``_map_steps``).
 
 class IsotropicParams:
     """eta = softplus(z); one raw parameter.
@@ -287,15 +328,18 @@ class IsotropicParams:
         return Covariance.isotropic(float(softplus(raw[0])), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _log_density_delta(deltas, self.covariance(raw, base),
-                                  self.dim)
+        raw = np.asarray(raw, dtype=float)
+        return _scaled_log_density(
+            deltas, _spec_variances(base, softplus(raw[..., 0])), self.dim)
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        eta = float(softplus(raw[0]))
-        q = np.sum(deltas * deltas, axis=1)
+        raw = np.asarray(raw, dtype=float)
+        eta = softplus(raw[..., :1])                  # (..., 1)
+        base = np.asarray(base, dtype=float)[..., None]
+        q = np.einsum("...d,...d->...", deltas, deltas)
         g_eta = np.sum(weights * (q / (2.0 * base * eta * eta)
-                                  - self.dim / (2.0 * eta)))
-        return np.array([g_eta * float(sigmoid(raw[0]))])
+                                  - self.dim / (2.0 * eta)), axis=-1)
+        return g_eta[..., None] * sigmoid(raw[..., :1])
 
     def to_constrained(self, raw) -> np.ndarray:
         return softplus(np.asarray(raw))
@@ -318,10 +362,13 @@ class DiagonalParams:
         return Covariance.diagonal(softplus(raw), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _log_density_delta(deltas, self.covariance(raw, base))
+        base = np.asarray(base, dtype=float)[..., None]
+        return _scaled_log_density(
+            deltas, _spec_variances(base, softplus(raw)), self.dim)
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         etas = softplus(raw)
+        base = np.asarray(base, dtype=float)[..., None]
         g = (weights @ (deltas * deltas)) / (2.0 * base * etas * etas) \
             - np.sum(weights) / (2.0 * etas)
         return g * sigmoid(raw)
@@ -362,9 +409,16 @@ class FullFactorParams:
         return Covariance.full_factor(self._factor(raw), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
+        return _map_steps(self._step_log_density, deltas, raw, base)
+
+    def _step_log_density(self, deltas, raw, base) -> np.ndarray:
         return _log_density_delta(deltas, self.covariance(raw, base))
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
+        return _map_steps(self._step_weighted_grad, deltas, raw, base,
+                          weights)
+
+    def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         L = self._factor(raw)
         U = solve_triangular(L, deltas.T, lower=True).T        # u_b = L^-1 d_b
         S = (U * weights[:, None]).T @ U                       # sum w u u^T

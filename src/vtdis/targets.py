@@ -59,8 +59,29 @@ class Gmm:
     def n_components(self) -> int:
         return self.means.shape[0]
 
+    @cached_property
+    def _log_weights(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):    # zero weights give -inf
+            return np.log(self.weights)
+
     def log_density(self, x):
         return gmm_log_density(x, self)
+
+    def grad_log_density(self, x):
+        return gmm_noised_score(x, 0.0, self)
+
+    def log_density_and_grad(self, x):
+        """(log_density(x), grad_log_density(x)) from one pass over the
+        components."""
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        if x2.shape[1] != self.dim:
+            raise ValueError("dimension mismatch")
+        diff, _, v, lp = _component_logpdfs(x2, self)
+        log_p = logsumexp(lp, axis=0)
+        grad = _mixture_score(diff, v, _responsibilities(lp))
+        if log_p.shape == (1,):
+            log_p = float(log_p[0])
+        return log_p, grad[0] if np.asarray(x).ndim == 1 else grad
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return gmm_sample(rng, self, count)
@@ -87,16 +108,41 @@ def single_gaussian(dim: int, variance: float = 1.0, mean: float = 0.0) -> Gmm:
                variances=np.array([float(variance)]))
 
 
-def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0) -> np.ndarray:
-    """(B, K) log w_k N(x; mu_k, (sigma_k^2 + t^2) I)."""
+def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
+    """Component terms of the mixture convolved with N(0, t^2 I).
+
+    Returns the differences x - mu_k (K, B, d), their squared norms
+    (K, B), the convolved variances sigma_k^2 + t^2 as a (K, 1) column
+    and the (K, B) log w_k N(x; mu_k, (sigma_k^2 + t^2) I); zero weights
+    give -inf.  Components lead, so reductions over them are row-wise.
+    """
     d = gmm.dim
-    v = gmm.variances + t * t                              # (K,)
-    diff = x[:, None, :] - gmm.means[None, :, :]           # (B, K, d)
-    q = np.sum(diff * diff, axis=2) / v[None, :]
-    with np.errstate(divide="ignore"):    # zero weights contribute -inf
-        logw = np.log(gmm.weights)
-    return (logw[None, :]
-            - 0.5 * (d * LOG_2PI + d * np.log(v))[None, :] - 0.5 * q)
+    v = (gmm.variances + t * t)[:, None]
+    diff = x - gmm.means[:, None, :]
+    sq = np.einsum("kbd,kbd->kb", diff, diff)
+    lp = (gmm._log_weights[:, None] - 0.5 * (d * LOG_2PI + d * np.log(v))
+          - 0.5 * sq / v)
+    return diff, sq, v, lp
+
+
+def _responsibilities(lp: np.ndarray) -> np.ndarray:
+    """Softmax over the components (axis 0) of their log densities,
+    shifted by the per-point maximum."""
+    r = np.exp(lp - np.max(lp, axis=0))
+    r /= np.sum(r, axis=0)
+    return r
+
+
+def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float):
+    """One responsibility pass: (diff, sq, v, resp) for the score, its
+    divergence and its Hessian-vector product."""
+    diff, sq, v, lp = _component_logpdfs(x, gmm, t)
+    return diff, sq, v, _responsibilities(lp)
+
+
+def _mixture_score(diff, v, resp) -> np.ndarray:
+    """sum_k r_k s_k (B, d), component scores s_k = -(x - mu_k) / v_k."""
+    return -np.einsum("kb,kbd->bd", resp / v, diff)
 
 
 def gmm_log_density(x, gmm: Gmm):
@@ -104,7 +150,7 @@ def gmm_log_density(x, gmm: Gmm):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != gmm.dim:
         raise ValueError("dimension mismatch")
-    out = logsumexp(_component_logpdfs(x, gmm), axis=1)
+    out = logsumexp(_component_logpdfs(x, gmm)[3], axis=0)
     return float(out[0]) if out.shape == (1,) else out
 
 
@@ -121,28 +167,20 @@ def gmm_noised_score(x, t: float, gmm: Gmm):
     the responsibility-weighted sum of per-component linear scores.
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    lp = _component_logpdfs(x2, gmm, t)
-    resp = np.exp(lp - logsumexp(lp, axis=1)[:, None])      # (B, K)
-    v = gmm.variances + t * t
-    comp_scores = -(x2[:, None, :] - gmm.means[None, :, :]) / v[None, :, None]
-    out = np.einsum("bk,bkd->bd", resp, comp_scores)
+    diff, _, v, resp = _gmm_posterior(x2, gmm, t)
+    out = _mixture_score(diff, v, resp)
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def gmm_noised_score_divergence(x, t: float, gmm: Gmm):
     """Exact divergence (Jacobian trace) of ``gmm_noised_score``."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    d = gmm.dim
-    lp = _component_logpdfs(x2, gmm, t)
-    resp = np.exp(lp - logsumexp(lp, axis=1)[:, None])
-    v = gmm.variances + t * t
-    comp_scores = -(x2[:, None, :] - gmm.means[None, :, :]) / v[None, :, None]
-    sbar = np.einsum("bk,bkd->bd", resp, comp_scores)
-    # trace of hessian of log p_t:
+    diff, sq, v, resp = _gmm_posterior(x2, gmm, t)
+    sbar = _mixture_score(diff, v, resp)
+    # trace of hessian of log p_t, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
     #   sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2
-    sk2 = np.sum(comp_scores * comp_scores, axis=2)         # (B, K)
-    out = (np.einsum("bk,bk->b", resp, sk2 - d / v[None, :])
-           - np.sum(sbar * sbar, axis=1))
+    out = (np.sum(resp * (sq / (v * v) - gmm.dim / v), axis=0)
+           - np.einsum("bd,bd->b", sbar, sbar))
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -151,16 +189,14 @@ def gmm_noised_score_hvp(x, t: float, gmm: Gmm, vec):
     the score along ``vec``.  Batched over rows of x and vec."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     v2 = np.atleast_2d(np.asarray(vec, dtype=float))
-    lp = _component_logpdfs(x2, gmm, t)
-    resp = np.exp(lp - logsumexp(lp, axis=1)[:, None])
-    var = gmm.variances + t * t
-    comp_scores = -(x2[:, None, :] - gmm.means[None, :, :]) / var[None, :, None]
-    sbar = np.einsum("bk,bkd->bd", resp, comp_scores)
-    # H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T
-    sv = np.einsum("bkd,bd->bk", comp_scores, v2)
-    out = (np.einsum("bk,bkd->bd", resp * sv, comp_scores)
-           - np.einsum("bk,k->b", resp, 1.0 / var)[:, None] * v2
-           - sbar * np.sum(sbar * v2, axis=1)[:, None])
+    diff, _, v, resp = _gmm_posterior(x2, gmm, t)
+    sbar = _mixture_score(diff, v, resp)
+    # H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T, where
+    # (s_k . vec) s_k = ((x - mu_k) . vec) (x - mu_k) / v_k^2
+    dv = np.einsum("kbd,bd->kb", diff, v2)
+    out = (np.einsum("kb,kbd->bd", resp * dv / (v * v), diff)
+           - np.sum(resp / v, axis=0)[:, None] * v2
+           - sbar * np.einsum("bd,bd->b", sbar, v2)[:, None])
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
@@ -217,7 +253,13 @@ def _pair_distances(conf: np.ndarray, inc: np.ndarray
 
 
 class _PairSystem:
-    """Pair geometry shared by the particle targets."""
+    """Pair geometry shared by the particle targets.
+
+    Subclasses give ``_energy(conf, d)`` (B,) and ``_energy_grad(x2, conf,
+    diff, d)`` (B, M*n) on one pair geometry; the public densities are
+    built from them, so ``log_density_and_grad`` equals ``log_density``
+    and ``grad_log_density`` bit for bit.
+    """
 
     @property
     def dim(self) -> int:
@@ -232,6 +274,27 @@ class _PairSystem:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
         return (x2, conf) + _pair_distances(conf, self._incidence)
+
+    def energy(self, x) -> np.ndarray | float:
+        _, conf, _, d = self._pairs(x)
+        e = self._energy(conf, d)
+        return float(e[0]) if np.asarray(x).ndim == 1 else e
+
+    def grad_log_density(self, x) -> np.ndarray:
+        return self._grad_log(x, *self._pairs(x))
+
+    def log_density_and_grad(self, x):
+        """(log_density(x), grad_log_density(x)) from one pair geometry."""
+        x2, conf, diff, d = self._pairs(x)
+        e = self._energy(conf, d)
+        e = float(e[0]) if np.asarray(x).ndim == 1 else e
+        return (-np.asarray(e) / self.temperature,
+                self._grad_log(x, x2, conf, diff, d))
+
+    def _grad_log(self, x, x2, conf, diff, d) -> np.ndarray:
+        g = self._energy_grad(x2, conf, diff, d)
+        g = -g / self.temperature
+        return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
 
 
 @dataclass(frozen=True)
@@ -251,23 +314,18 @@ class DoubleWell(_PairSystem):
     temperature: float = 1.0
     name: str = "dw4"
 
-    def energy(self, x) -> np.ndarray | float:
-        _, _, _, d = self._pairs(x)
-        delta = d - self.d0
-        e = np.sum(self.a * delta + self.b * delta ** 2 + self.c * delta ** 4,
-                   axis=1)
-        return float(e[0]) if np.asarray(x).ndim == 1 else e
-
     def log_density(self, x):
         return -np.asarray(self.energy(x)) / self.temperature
 
-    def grad_log_density(self, x) -> np.ndarray:
-        x2, _, diff, d = self._pairs(x)
+    def _energy(self, conf, d) -> np.ndarray:
+        delta = d - self.d0
+        return np.sum(self.a * delta + self.b * delta ** 2
+                      + self.c * delta ** 4, axis=1)
+
+    def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
         delta = d - self.d0
         de = self.a + 2.0 * self.b * delta + 4.0 * self.c * delta ** 3
-        g = _pair_force_assemble(self._incidence, diff, d, de)
-        g = -g / self.temperature
-        return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
+        return _pair_force_assemble(self._incidence, diff, d, de)
 
 
 @dataclass(frozen=True)
@@ -287,39 +345,38 @@ class LennardJones(_PairSystem):
     temperature: float = 1.0
     name: str = "lj13"
 
-    def energy(self, x) -> np.ndarray | float:
-        _, conf, _, d = self._pairs(x)
+    def log_density(self, x):
+        return -np.asarray(self.energy(x)) / self.temperature
+
+    def _energy(self, conf, d) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             inv6 = (self.r_m / d) ** 6
             pair = self.eps_lj * inv6 * (inv6 - 2.0)   # +inf at coincidence
         e = np.sum(pair, axis=1)
         centered = conf - conf.mean(axis=1, keepdims=True)
-        e = e + 0.5 * self.c_osc * np.sum(centered ** 2, axis=(1, 2))
-        return float(e[0]) if np.asarray(x).ndim == 1 else e
+        return e + 0.5 * self.c_osc * np.sum(centered ** 2, axis=(1, 2))
 
-    def log_density(self, x):
-        return -np.asarray(self.energy(x)) / self.temperature
-
-    def grad_log_density(self, x) -> np.ndarray:
-        x2, conf, diff, d = self._pairs(x)
-        with np.errstate(divide="ignore", over="ignore"):
+    def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
+        # a coincident pair gives inf - inf = NaN here; _pair_force_assemble
+        # gives it no contribution
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self.r_m / d
             de = self.eps_lj * 12.0 * (inv ** 6 - inv ** 12) / d
         g = _pair_force_assemble(self._incidence, diff, d, de)
         centered = conf - conf.mean(axis=1, keepdims=True)
-        g = g + self.c_osc * centered.reshape(x2.shape)
-        g = -g / self.temperature
-        return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
+        return g + self.c_osc * centered.reshape(x2.shape)
 
 
 def _pair_force_assemble(inc, diff, d, de) -> np.ndarray:
     """dE/dx from per-pair radial derivatives de = dE/dd, flattened (B, M*n).
 
     ``diff`` and ``d`` are the pair differences and distances of
-    ``_pair_distances`` over the same incidence matrix ``inc``.
+    ``_pair_distances`` over the same incidence matrix ``inc``.  A pair at
+    zero distance has no direction and contributes nothing, whatever its
+    ``de`` (the denoiser's ``safe`` guard does the same).
     """
-    contrib = diff / d[:, :, None]          # unit vectors, then scaled
-    contrib *= de[:, :, None]
+    contrib = diff / np.maximum(d, 1e-300)[:, :, None]   # unit vectors
+    contrib *= np.where(d > 0.0, de, 0.0)[:, :, None]
     g = np.matmul(inc, contrib)
     return g.reshape(g.shape[0], -1)
 
@@ -342,9 +399,10 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
                 target_accept: float = 0.574) -> tuple[np.ndarray, McmcReport]:
     """Metropolis-adjusted Langevin chains targeting exp(log_density).
 
-    ``target`` needs ``dim``, ``log_density`` and ``grad_log_density``;
-    particle targets (``n_particles`` attribute) are sampled on the
-    zero-center-of-mass subspace with projected proposals.  The step size
+    ``target`` needs ``dim``, ``log_density`` and ``grad_log_density``; its
+    ``log_density_and_grad``, where it has one, gives both in one call per
+    proposal.  Particle targets (``n_particles`` attribute) are sampled on
+    the zero-center-of-mass subspace with projected proposals.  The step size
     is adapted toward ``target_accept`` during burn-in and frozen after.
     Gradients are norm-clipped and energies capped inside the kernel; the
     Metropolis ratio uses the actual (clipped) proposal densities, so the
@@ -360,19 +418,20 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
             return z
         return remove_com(z, particles, target.spatial_dim)
 
-    def logpi(z):
-        lp = np.asarray(target.log_density(z), dtype=float)
-        return np.maximum(lp, -energy_cap)
+    joint = getattr(target, "log_density_and_grad", None) or (
+        lambda z: (target.log_density(z), target.grad_log_density(z)))
 
-    def drift(z):
-        g = project(np.asarray(target.grad_log_density(z), dtype=float))
+    def evaluate(z):
+        """Capped log-density and clipped, projected drift."""
+        lp, g = joint(z)
+        lp = np.maximum(np.asarray(lp, dtype=float), -energy_cap)
+        g = project(np.asarray(g, dtype=float))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         scale = np.minimum(1.0, grad_clip / np.maximum(norms, 1e-300))
-        return g * scale
+        return lp, g * scale
 
     x = project(init_scale * rng.standard_normal((n_chains, dim)))
-    lp = logpi(x)
-    gx = drift(x)
+    lp, gx = evaluate(x)
     h = float(step_size)
     per_chain = -(-count // n_chains)
     keep: list[np.ndarray] = []
@@ -384,8 +443,7 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
         noise = project(rng.standard_normal((n_chains, dim)))
         mean_fwd = x + 0.5 * h * h * gx
         y = mean_fwd + h * noise
-        lpy = logpi(y)
-        gy = drift(y)
+        lpy, gy = evaluate(y)
         mean_bwd = y + 0.5 * h * h * gy
         log_q_fwd = -np.sum((y - mean_fwd) ** 2, axis=1) / (2.0 * h * h)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h * h)

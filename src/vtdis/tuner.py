@@ -13,6 +13,12 @@ always drawn from the forward process; only the Gaussian covariance terms
 depend on phi, so denoiser predictions are computed once per batch and
 the gradient is assembled from the analytic per-structure formulas.
 
+One iteration is one ``forward_residuals`` batch (one denoiser call per
+step) followed by one stacked ``spec.log_density`` and one stacked
+``spec.weighted_grad`` call over all N steps: residuals (N, B, dim), raw
+parameters (N, p) and base variances (N,) in, (N, B) log-densities and
+(N, p) gradients out.  The tuner never branches on the covariance kind.
+
 ``TUNABLE_KINDS`` are isotropic, diagonal and full on vector data, and
 isotropic and label_diag on the zero-CoM subspace of particle systems.
 Each starts at the untuned baseline, where the alpha = 2 gradient of
@@ -77,10 +83,9 @@ def _need(value, name):
 
 def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
                       bases: np.ndarray, log_pi: np.ndarray) -> np.ndarray:
-    """log w per trajectory for the current raw parameters."""
-    log_p_steps = np.zeros(batch.count)
-    for n in range(batch.n_steps):
-        log_p_steps += spec.log_density(batch.deltas[n], raws[n], bases[n])
+    """log w per trajectory for the current raw parameters; one stacked
+    ``spec.log_density`` call covers every step."""
+    log_p_steps = np.sum(spec.log_density(batch.deltas, raws, bases), axis=0)
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
@@ -111,10 +116,7 @@ def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi,
         weights = np.full(batch.count, 1.0 / batch.count)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    grad = np.empty_like(raws)
-    for n in range(batch.n_steps):
-        grad[n] = -spec.weighted_grad(batch.deltas[n], raws[n], bases[n],
-                                      weights)
+    grad = -spec.weighted_grad(batch.deltas, raws, bases, weights)
     return loss, grad, lw
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vtdis import gaussians as ga
 from vtdis import targets as tg
 
 
@@ -153,11 +154,94 @@ class TestScoreDivergence:
                            atol=1e-6)
 
 
-def pair_loop_energy_and_grad(target, x):
+def logsumexp_gmm_reference(x, t, gmm, vec):
+    """Score, divergence and HVP of the convolved mixture written out per
+    component, with responsibilities exp(lp - logsumexp(lp))."""
+    d = gmm.dim
+    v = gmm.variances + t * t
+    diff = x[:, None, :] - gmm.means[None, :, :]              # (B, K, d)
+    with np.errstate(divide="ignore"):
+        logw = np.log(gmm.weights)
+    lp = (logw - 0.5 * d * (np.log(2 * np.pi) + np.log(v))
+          - 0.5 * np.sum(diff * diff, axis=2) / v)
+    resp = np.exp(lp - ga.logsumexp(lp, axis=1)[:, None])
+    comp = -diff / v[None, :, None]                           # s_k
+    sbar = np.einsum("bk,bkd->bd", resp, comp)
+    div = (np.einsum("bk,bk->b", resp, np.sum(comp * comp, axis=2) - d / v)
+           - np.sum(sbar * sbar, axis=1))
+    sv = np.einsum("bkd,bd->bk", comp, vec)
+    hvp = (np.einsum("bk,bkd->bd", resp * sv, comp)
+           - (resp @ (1.0 / v))[:, None] * vec
+           - sbar * np.sum(sbar * vec, axis=1)[:, None])
+    return sbar, div, hvp
+
+
+ZERO_WEIGHT_GMM = tg.Gmm(weights=np.array([0.7, 0.0, 0.3]),
+                         means=np.array([[1.0, 0.5, -1.0], [40.0, 0.0, 0.0],
+                                         [-2.0, 0.0, 1.0]]),
+                         variances=np.array([0.2, 0.5, 0.4]))
+
+
+class TestGmmResponsibilityPass:
+    @pytest.mark.parametrize("gmm", [tg.two_mode_gmm(3), ZERO_WEIGHT_GMM],
+                             ids=["two_mode", "zero_weight"])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.7, 3.0])
+    def test_matches_logsumexp_reference(self, gmm, t):
+        rng = np.random.default_rng(13)
+        x = 1.5 * rng.standard_normal((40, 3))
+        vec = rng.standard_normal((40, 3))
+        score, div, hvp = logsumexp_gmm_reference(x, t, gmm, vec)
+        rel = 1e-12
+        got = [tg.gmm_noised_score(x, t, gmm),
+               tg.gmm_noised_score_divergence(x, t, gmm),
+               tg.gmm_noised_score_hvp(x, t, gmm, vec)]
+        for g, want in zip(got, (score, div, hvp)):
+            assert np.max(np.abs(g - want)) <= rel * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("gmm", [tg.two_mode_gmm(3), ZERO_WEIGHT_GMM],
+                             ids=["two_mode", "zero_weight"])
+    def test_finite_far_from_every_mode(self, gmm):
+        # |x| = 1e3: every component log density is below -1e5, so only
+        # the max shift keeps the responsibilities finite; no warnings
+        rng = np.random.default_rng(14)
+        u = rng.standard_normal((8, 3))
+        x = 1e3 * u / np.linalg.norm(u, axis=1, keepdims=True)
+        vec = rng.standard_normal((8, 3))
+        t = 0.05
+        score, _, hvp = logsumexp_gmm_reference(x, t, gmm, vec)
+        got_score = tg.gmm_noised_score(x, t, gmm)
+        got_div = tg.gmm_noised_score_divergence(x, t, gmm)
+        got_hvp = tg.gmm_noised_score_hvp(x, t, gmm, vec)
+        for g in (got_score, got_div, got_hvp):
+            assert np.all(np.isfinite(g))
+        assert np.max(np.abs(got_score - score)) <= 1e-12 * np.max(
+            np.abs(score))
+        # the divergence and HVP cancel terms of size |s|^2 ~ 1e8 down to
+        # about d / v; compare at that cancellation's rounding level
+        big = np.max(np.sum(score * score, axis=1))
+        assert np.max(np.abs(got_hvp - hvp)) <= 1e-13 * big * np.max(
+            np.abs(vec))
+
+    def test_log_density_and_grad_bit_for_bit(self):
+        for gmm in (tg.two_mode_gmm(3), ZERO_WEIGHT_GMM):
+            x = np.random.default_rng(15).standard_normal((20, 3))
+            for arg in (x, x[3]):
+                lp, g = gmm.log_density_and_grad(arg)
+                want_lp = gmm.log_density(arg)
+                want_g = gmm.grad_log_density(arg)
+                assert type(lp) is type(want_lp)
+                assert np.array_equal(lp, want_lp)
+                assert np.array_equal(g, want_g)
+            assert np.array_equal(gmm.grad_log_density(x),
+                                  tg.gmm_noised_score(x, 0.0, gmm))
+
+
+def pair_loop_energy_and_grad(target, x, skip=lambda i, j: False):
     """Energy and grad log density of one configuration, pair by pair.
 
     ``pair(d)`` returns the pair energy and its derivative in d; LJ adds
-    its harmonic centering term.
+    its harmonic centering term.  Pairs where ``skip(i, j)`` holds are
+    left out.
     """
     m, n = target.n_particles, target.spatial_dim
     conf = x.reshape(m, n)
@@ -175,6 +259,8 @@ def pair_loop_energy_and_grad(target, x):
     grad_e = np.zeros((m, n))          # dE/dx
     for i in range(m):
         for j in range(i + 1, m):
+            if skip(i, j):
+                continue
             diff = conf[i] - conf[j]
             d = math.sqrt(float(np.dot(diff, diff)))
             e, de = pair(d)
@@ -254,6 +340,40 @@ class TestParticleEnergies:
         assert e[1] == np.inf
         assert np.all(np.isfinite(e[[0, 2]]))
 
+    @pytest.mark.parametrize("target", [
+        tg.LennardJones(n_particles=2, spatial_dim=3),
+        tg.DoubleWell(n_particles=2, spatial_dim=2)], ids=["lj2", "dw2"])
+    def test_coincident_pair_gradient_is_finite(self, target):
+        # runs under filterwarnings = error: no RuntimeWarning either
+        g = target.grad_log_density(np.zeros(target.dim))
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g, np.zeros(target.dim))
+
+    def test_lj13_coincident_row_leaves_other_rows(self):
+        lj13 = tg.LennardJones()
+        x = lattice_configs(lj13, 3, np.random.default_rng(12))
+        clean = lj13.grad_log_density(x)
+        x.reshape(3, 13, 3)[1, 7] = x.reshape(3, 13, 3)[1, 4]
+        g = lj13.grad_log_density(x)
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g[[0, 2]], clean[[0, 2]])
+        assert not np.array_equal(g[1], clean[1])
+        # the coincident pair drops out; every other pair still pulls
+        e, want = pair_loop_energy_and_grad(
+            lj13, x[1], skip=lambda i, j: (i, j) == (4, 7))
+        assert np.max(np.abs(g[1] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("target", [tg.DoubleWell(), tg.LennardJones()],
+                             ids=["dw4", "lj13"])
+    def test_log_density_and_grad_bit_for_bit(self, target):
+        x = lattice_configs(target, 5, np.random.default_rng(16))
+        for arg in (x, x[2]):
+            lp, g = target.log_density_and_grad(arg)
+            want_lp = target.log_density(arg)
+            assert type(lp) is type(want_lp)
+            assert np.array_equal(lp, want_lp)
+            assert np.array_equal(g, target.grad_log_density(arg))
+
     @pytest.mark.parametrize("target", [tg.DoubleWell(), tg.LennardJones()],
                              ids=["dw4", "lj13"])
     def test_energy_and_gradient_match_pair_loop(self, target):
@@ -325,6 +445,38 @@ class TestMcmc:
                                     n_chains=16, burn_in=200, thin=2)
         conf = samples.reshape(-1, 4, 2)
         assert np.max(np.abs(conf.mean(axis=1))) < 1e-12
+
+    def test_one_joint_evaluation_per_proposal(self):
+        class Joint:
+            dim = 2
+            calls = 0
+
+            def log_density_and_grad(self, x):
+                Joint.calls += 1
+                x2 = np.atleast_2d(x)
+                return -0.5 * np.sum(x2 ** 2, axis=1), -x2
+
+            def log_density(self, x):
+                raise AssertionError("separate density call")
+
+            grad_log_density = log_density
+
+        tg.mcmc_sample(np.random.default_rng(3), Joint(), 40, n_chains=4,
+                       burn_in=10, thin=2)
+        assert Joint.calls == 1 + 10 + 10 * 2
+
+    def test_joint_call_reproduces_separate_calls(self):
+        dw = tg.DoubleWell()
+
+        class Separate:
+            dim, n_particles, spatial_dim = dw.dim, 4, 2
+            log_density = staticmethod(dw.log_density)
+            grad_log_density = staticmethod(dw.grad_log_density)
+
+        runs = [tg.mcmc_sample(np.random.default_rng(4), t, 200, n_chains=8,
+                               burn_in=50, thin=2) for t in (dw, Separate())]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1].step_size == runs[1][1].step_size
 
     def test_acceptance_warning(self):
         class Gauss:
