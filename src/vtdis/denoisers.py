@@ -6,11 +6,19 @@ Every backend answers two queries on batches of flat states:
 * ``score(x, t)``      -> gradient of the log marginal at noise level t
 
 linked by the Tweedie identity ``denoise = x + t^2 * score``.  Backends
-additionally expose exact divergence and directional derivatives of the
-score, used by the probability-flow ODE likelihood:
+additionally expose derivatives of the score for the probability-flow ODE
+likelihood.  The fused queries return the score together with its
+derivatives from one primal pass, which every tangent reuses:
 
-* ``score_div_exact(x, t)`` -> divergence (Jacobian trace) of the score
+* ``score_and_jvp(x, t, v)``    -> score and its directional derivatives
+  along one (B, d) tangent or a (K, B, d) stack of them
+* ``score_and_div(x, t, proj)`` -> score and its exact divergence, the
+  trace on the zero-center-of-mass subspace when ``proj`` is given
+
+and the single queries return one derivative:
+
 * ``score_jvp(x, t, v)``    -> directional derivative of the score
+* ``score_div_exact(x, t)`` -> divergence (Jacobian trace) of the score
 
 ``AnalyticGmmScore`` wraps the closed-form mixture score.  The trainable
 backends are small networks with hand-written reverse-mode gradients and
@@ -22,8 +30,11 @@ a combination of difference vectors, which makes it rotation-, reflection-
 and permutation-equivariant by construction, with exactly zero center of
 mass output.
 
-All backends count work: ``eval_count`` accumulates denoiser evaluations
-(one per batch row) and ``jvp_count`` directional derivatives.
+All backends count work by what a query returns: ``eval_count`` gains
+one per batch row for each denoiser or score output, ``jvp_count`` one
+per batch row for each directional derivative.  An exact divergence is
+priced at ``dim`` directional derivatives per row, what the learned
+backends spend on it, also where the analytic backend has a closed form.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equivariant as eq
 from . import targets as tg
 
 MAGIC = b"VTDNOISE"
@@ -71,7 +83,8 @@ class Mlp:
 
     Parameters are a flat list [W1, b1, W2, b2, ...]; the last layer is
     linear.  ``backward`` returns exact gradients of a scalar loss given
-    the output cotangent; ``jvp`` propagates an input tangent.
+    the output cotangent; ``tangent`` propagates an input tangent through
+    the activations a ``forward`` pass cached, and ``jvp`` is the two.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
@@ -127,21 +140,19 @@ class Mlp:
                 dz = dz @ w
         return grads
 
-    def jvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        a, da = x, v
+    def tangent(self, cache: list, v: np.ndarray) -> np.ndarray:
+        """Output tangent along input tangent v, through the activations
+        that ``forward`` cached; neither the cache nor v is written."""
+        da = v
         for i in range(self.n_layers):
-            w = self.params[2 * i]
-            b = self.params[2 * i + 1]
-            z = a @ w.T
-            z += b
-            dz = da @ w.T
+            dz = da @ self.params[2 * i].T
             if i < self.n_layers - 1:
-                a = np.tanh(z, out=z)
-                dz *= _tanh_slope(a)
-                da = dz
-            else:
-                a, da = z, dz
+                dz *= _tanh_slope(cache[i + 1])
+            da = dz
         return da
+
+    def jvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.tangent(self.forward(x)[1], v)
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:
@@ -184,6 +195,15 @@ def cosine_lr(iteration: int, total: int, lr0: float, floor: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Counted:
+    """Work counters and the score-derivative queries of every backend.
+
+    A backend supplies ``_linearize(x2, t)`` -> (score, tangent): one
+    primal pass at a (B, d) batch, and a function that maps a (B, d)
+    tangent to the directional derivative of the score by reusing that
+    pass.  The queries here count what they return: one evaluation per
+    row for a score, one JVP per row for each tangent.
+    """
+
     def __init__(self):
         self.eval_count = 0
         self.jvp_count = 0
@@ -204,6 +224,48 @@ class _Counted:
         if np.any(tv <= 0):
             raise ValueError("noise level t must be positive")
         return tv
+
+    def score_and_jvp(self, x, t, v):
+        """Score of a (B, d) batch and its directional derivatives along
+        ``v``, one (B, d) tangent or a stack (K, B, d), from one primal
+        pass that every tangent reuses."""
+        x2 = self._batch(x)
+        vs = np.asarray(v, dtype=float)
+        stack = vs.reshape(-1, *x2.shape)
+        score, tangent = self._linearize(x2, t)
+        self.eval_count += x2.shape[0]
+        self.jvp_count += stack.shape[0] * x2.shape[0]
+        return score, np.stack([tangent(u) for u in stack]).reshape(vs.shape)
+
+    def score_jvp(self, x, t, v):
+        """Directional derivative of the score along v."""
+        x2 = self._batch(x)
+        self.jvp_count += x2.shape[0]
+        out = self._linearize(x2, t)[1](np.atleast_2d(np.asarray(v, float)))
+        return out[0] if np.asarray(x).ndim == 1 else out
+
+    def score_and_div(self, x, t, proj: eq.ComProjection | None = None):
+        """Score of a (B, d) batch and its exact divergence from one primal
+        pass.  With ``proj`` the divergence is the trace on the zero-CoM
+        subspace, tr(P J P), the one that matches a prior normalised
+        there."""
+        x2 = self._batch(x)
+        self.eval_count += x2.shape[0]
+        self.jvp_count += self.dim * x2.shape[0]
+        return self._score_and_div(x2, t, proj)
+
+    def score_div_exact(self, x, t):
+        """Divergence (Jacobian trace) of the score."""
+        x2 = self._batch(x)
+        # priced as the dim directional derivatives per point that the
+        # learned backends spend (see ``_div_from_jvp``)
+        self.jvp_count += self.dim * x2.shape[0]
+        out = self._score_and_div(x2, t, None)[1]
+        return float(out[0]) if np.asarray(x).ndim == 1 else out
+
+    def _score_and_div(self, x2, t, proj):
+        score, tangent = self._linearize(x2, t)
+        return score, _div_from_jvp(tangent, x2, proj)
 
 
 class AnalyticGmmScore(_Counted):
@@ -226,42 +288,32 @@ class AnalyticGmmScore(_Counted):
         out = x2 + float(t) ** 2 * tg.gmm_noised_score(x2, float(t), self.gmm)
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def score_div_exact(self, x, t):
-        # priced as the dim directional derivatives per point that the
-        # learned backends spend (see ``_div_from_jvp``)
-        x2 = self._batch(x)
-        self.jvp_count += self.dim * x2.shape[0]
-        out = tg.gmm_noised_score_divergence(x2, float(t), self.gmm)
-        return out[0] if np.asarray(x).ndim == 1 else out
+    def _linearize(self, x2, t):
+        post = tg._gmm_posterior(x2, self.gmm, float(t))
+        return post[4], lambda v: tg._posterior_hvp(post, v)
 
-    def score_jvp(self, x, t, v):
-        x2 = self._batch(x)
-        self.jvp_count += x2.shape[0]
-        out = tg.gmm_noised_score_hvp(x2, float(t), self.gmm, np.atleast_2d(v))
-        return out[0] if np.asarray(x).ndim == 1 else out
+    def _score_and_div(self, x2, t, proj):
+        # the ambient trace has a closed form; a subspace trace takes the
+        # per-axis HVPs
+        if proj is not None:
+            return super()._score_and_div(x2, t, proj)
+        post = tg._gmm_posterior(x2, self.gmm, float(t))
+        return post[4], tg._posterior_divergence(post)
 
 
-class VectorDenoiser(_Counted):
-    """Preconditioned dense network for unstructured vector data."""
+class _Preconditioned(_Counted):
+    """Queries shared by the learned backends D = c_skip x + c_out F.
 
-    kind = "vector"
-
-    def __init__(self, dim: int, hidden: list[int], sigma_data: float,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        self.dim = dim
-        self.sigma_data = float(sigma_data)
-        self.net = Mlp([dim + 1] + list(hidden) + [dim], rng)
+    A subclass supplies ``_primal(x2, tv)`` -> (D(x), cache), one network
+    pass whose cache serves both ``param_grad`` and ``_tangent(cache, v)``,
+    the directional derivative of D along v.
+    """
 
     def forward_with_cache(self, x, t):
         x2 = self._batch(x)
         tv = self._tvec(t, x2.shape[0])
         self.eval_count += x2.shape[0]
-        c_skip, c_out, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
-        feats = np.concatenate([c_in[:, None] * x2, c_noise[:, None]], axis=1)
-        raw, cache = self.net.forward(feats)
-        out = c_skip[:, None] * x2 + c_out[:, None] * raw
-        return out, (cache, c_out)
+        return self._primal(x2, tv)
 
     def denoise(self, x, t):
         out, _ = self.forward_with_cache(np.atleast_2d(np.asarray(x, float)), t)
@@ -273,36 +325,54 @@ class VectorDenoiser(_Counted):
         out = (self.denoise(x2, t) - x2) / tv[:, None] ** 2
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
-        net_cache, c_out = cache
-        return self.net.backward(net_cache, c_out[:, None] * d_out)
-
     def denoise_jvp(self, x, t, v):
         """Directional derivative of denoise(x, t) along v."""
         x2 = self._batch(x)
-        v2 = np.atleast_2d(np.asarray(v, dtype=float))
-        tv = self._tvec(t, x2.shape[0])
         self.jvp_count += x2.shape[0]
+        _, cache = self._primal(x2, self._tvec(t, x2.shape[0]))
+        out = self._tangent(cache, np.atleast_2d(np.asarray(v, dtype=float)))
+        return out[0] if np.asarray(x).ndim == 1 else out
+
+    def _linearize(self, x2, t):
+        # Tweedie: score = (D - x) / t^2, and its tangent (dD - v) / t^2
+        tv = self._tvec(t, x2.shape[0])
+        out, cache = self._primal(x2, tv)
+        t2 = tv[:, None] ** 2
+        return (out - x2) / t2, lambda v: (self._tangent(cache, v) - v) / t2
+
+
+class VectorDenoiser(_Preconditioned):
+    """Preconditioned dense network for unstructured vector data."""
+
+    kind = "vector"
+
+    def __init__(self, dim: int, hidden: list[int], sigma_data: float,
+                 rng: np.random.Generator | None = None):
+        super().__init__()
+        self.dim = dim
+        self.sigma_data = float(sigma_data)
+        self.net = Mlp([dim + 1] + list(hidden) + [dim], rng)
+
+    def _primal(self, x2, tv):
         c_skip, c_out, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
         feats = np.concatenate([c_in[:, None] * x2, c_noise[:, None]], axis=1)
+        raw, net_cache = self.net.forward(feats)
+        out = c_skip[:, None] * x2 + c_out[:, None] * raw
+        return out, (net_cache, c_skip, c_out, c_in)
+
+    def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
+        net_cache, _, c_out, _ = cache
+        return self.net.backward(net_cache, c_out[:, None] * d_out)
+
+    def _tangent(self, cache, v2):
+        net_cache, c_skip, c_out, c_in = cache
         tangent = np.concatenate([c_in[:, None] * v2,
                                   np.zeros((v2.shape[0], 1))], axis=1)
-        raw_t = self.net.jvp(feats, tangent)
-        out = c_skip[:, None] * v2 + c_out[:, None] * raw_t
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def score_jvp(self, x, t, v):
-        x2 = self._batch(x)
-        tv = self._tvec(t, x2.shape[0])
-        dj = self.denoise_jvp(x2, t, v)
-        out = (dj - np.atleast_2d(np.asarray(v, float))) / tv[:, None] ** 2
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def score_div_exact(self, x, t):
-        return _div_from_jvp(self, x, t)
+        raw_t = self.net.tangent(net_cache, tangent)
+        return c_skip[:, None] * v2 + c_out[:, None] * raw_t
 
 
-class RadialDenoiser(_Counted):
+class RadialDenoiser(_Preconditioned):
     """Pairwise radial network for particle systems.
 
     The inner network maps (pair distance, c_noise) to a scalar coupling
@@ -316,6 +386,11 @@ class RadialDenoiser(_Counted):
 
     # offset keeping the reciprocal distance feature bounded near collision
     INV_OFFSET = 0.5
+
+    # in this class's own namespace: the benchmark's per-layer tracer
+    # looks both up there and replaces them for this backend only
+    denoise = _Preconditioned.denoise
+    denoise_jvp = _Preconditioned.denoise_jvp
 
     def __init__(self, n_particles: int, spatial_dim: int, hidden: list[int],
                  sigma_data: float, rng: np.random.Generator | None = None):
@@ -352,75 +427,45 @@ class RadialDenoiser(_Counted):
         out = np.matmul(self._incidence, contrib)
         return out.reshape(out.shape[0], self.dim)
 
-    def forward_with_cache(self, x, t):
-        x2 = self._batch(x)
-        tv = self._tvec(t, x2.shape[0])
-        self.eval_count += x2.shape[0]
+    def _primal(self, x2, tv):
         b = x2.shape[0]
-        c_skip, c_out, _, _ = precond_coeffs(tv, self.sigma_data)
+        c_skip, c_out, c_in, _ = precond_coeffs(tv, self.sigma_data)
         diff, dist, feats = self._geometry(x2, tv)
         g_flat, net_cache = self.net.forward(feats)
         g = g_flat.reshape(b, -1)
         raw = self._assemble(g[:, :, None] * diff)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
-        return out, (net_cache, diff, c_out)
-
-    def denoise(self, x, t):
-        out, _ = self.forward_with_cache(np.atleast_2d(np.asarray(x, float)), t)
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def score(self, x, t):
-        x2 = self._batch(x)
-        tv = self._tvec(t, x2.shape[0])
-        out = (self.denoise(x2, t) - x2) / tv[:, None] ** 2
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return out, (net_cache, diff, dist, g, c_skip, c_out, c_in)
 
     def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
-        net_cache, diff, c_out = cache
+        net_cache, diff, _, _, _, c_out, _ = cache
         dg = tg._spatial_dot(self._gather(c_out[:, None] * d_out), diff)
         return self.net.backward(net_cache, dg.reshape(-1, 1))
 
-    def denoise_jvp(self, x, t, v):
-        x2 = self._batch(x)
-        v2 = np.atleast_2d(np.asarray(v, dtype=float))
-        tv = self._tvec(t, x2.shape[0])
-        self.jvp_count += x2.shape[0]
-        b = x2.shape[0]
-        c_skip, c_out, c_in, _ = precond_coeffs(tv, self.sigma_data)
-        diff, dist, feats = self._geometry(x2, tv)
-        g = self.net(feats).reshape(b, -1)
+    def _tangent(self, cache, v2):
+        net_cache, diff, dist, g, c_skip, c_out, c_in = cache
         wdiff = self._gather(c_in[:, None] * v2)
         safe = np.maximum(dist, 1e-300)
         ddist = tg._spatial_dot(diff, wdiff) / safe
         dinv = -ddist / (dist + self.INV_OFFSET) ** 2
         tangent = np.stack([ddist.reshape(-1), dinv.reshape(-1),
                             np.zeros(ddist.size)], axis=1)
-        dg = self.net.jvp(feats, tangent).reshape(b, -1)
+        dg = self.net.tangent(net_cache, tangent).reshape(g.shape)
         d_raw = self._assemble(dg[:, :, None] * diff + g[:, :, None] * wdiff)
-        out = c_skip[:, None] * v2 + c_out[:, None] * d_raw
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def score_jvp(self, x, t, v):
-        x2 = self._batch(x)
-        tv = self._tvec(t, x2.shape[0])
-        dj = self.denoise_jvp(x2, t, v)
-        out = (dj - np.atleast_2d(np.asarray(v, float))) / tv[:, None] ** 2
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def score_div_exact(self, x, t):
-        return _div_from_jvp(self, x, t)
+        return c_skip[:, None] * v2 + c_out[:, None] * d_raw
 
 
-def _div_from_jvp(model, x, t):
-    """Exact score divergence via one directional derivative per axis."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+def _div_from_jvp(tangent, x2, proj):
+    """Exact divergence (B,) from one tangent pass per axis of one primal
+    pass: sum_i (J P e_i)_i = tr(J P) = tr(P J P), the trace on the
+    zero-CoM subspace with ``proj`` and the ambient trace without."""
+    axes = np.eye(x2.shape[1])
+    if proj is not None:
+        axes = eq.com_project(axes, proj)
     div = np.zeros(x2.shape[0])
-    for i in range(model.dim):
-        e = np.zeros((1, model.dim))
-        e[0, i] = 1.0
-        basis = np.broadcast_to(e, x2.shape)
-        div += model.score_jvp(x2, t, basis)[:, i]
-    return float(div[0]) if np.asarray(x).ndim == 1 else div
+    for i, axis in enumerate(axes):
+        div += tangent(np.broadcast_to(axis, x2.shape))[:, i]
+    return div
 
 
 # ---------------------------------------------------------------------------

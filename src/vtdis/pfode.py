@@ -12,6 +12,15 @@ in the same pass.  The divergence is either exact (analytic trace or one
 directional derivative per axis) or the Hutchinson probe estimate
 mean_j v_j . J v_j, which is unbiased for the instantaneous divergence
 but makes downstream importance weights biased; results carry a flag.
+
+Each grid node costs one model pass: ``divergence_estimate`` returns the
+drift together with the divergence, and every probe or axis reuses that
+pass through the backend's fused queries.  With a zero-center-of-mass
+projection the prior is normalised on the subspace, so the divergence is
+taken there as well, tr(P J P): Hutchinson probes are projected, which
+keeps the estimate unbiased, and the exact trace runs over the projected
+axes.  The ambient trace would exceed it by the Jacobian's trace along
+the center-of-mass directions, a constant offset in log p0.
 """
 
 from __future__ import annotations
@@ -41,10 +50,6 @@ class OdeRunConfig:
             raise ValueError(f"unknown probe distribution {self.probe_dist!r}")
 
 
-def _drift(model, x, t):
-    return -t * np.atleast_2d(model.score(x, t))
-
-
 def draw_probe(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
     if dist == "rademacher":
         return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
@@ -52,50 +57,61 @@ def draw_probe(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
 
 
 def divergence_estimate(model, x, t, config: OdeRunConfig,
-                        rng: np.random.Generator | None = None) -> np.ndarray:
-    """div(-t s) at (x, t), exact or probe-averaged."""
+                        rng: np.random.Generator | None = None,
+                        proj: eq.ComProjection | None = None):
+    """(drift -t s, div(-t s)) at (x, t) from one model pass, the
+    divergence exact or probe-averaged; with ``proj`` it is the
+    divergence on the zero-CoM subspace."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     if config.divergence == "exact":
-        return -t * np.atleast_1d(model.score_div_exact(x2, t))
+        score, div = model.score_and_div(x2, t, proj)
+        return -t * score, -t * div
     if rng is None:
         raise ValueError("hutchinson divergence needs a generator")
+    probes = np.stack([draw_probe(rng, x2.shape, config.probe_dist)
+                       for _ in range(config.probes)])
+    if proj is not None:
+        # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
+        probes = eq.com_project(probes, proj)
+    score, jvps = model.score_and_jvp(x2, t, probes)
     acc = np.zeros(x2.shape[0])
-    for _ in range(config.probes):
-        v = draw_probe(rng, x2.shape, config.probe_dist)
-        acc += np.sum(v * model.score_jvp(x2, t, v), axis=1)
-    return -t * acc / config.probes
+    for v, jv in zip(probes, jvps):
+        acc += np.sum(v * jv, axis=1)
+    return -t * score, -t * acc / config.probes
 
 
 def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
                    direction: str = "up",
-                   rng: np.random.Generator | None = None):
+                   rng: np.random.Generator | None = None,
+                   proj: eq.ComProjection | None = None):
     """Integrate the flow across the grid, accumulating int div dt.
 
     ``direction`` "up" runs eps -> T, "down" runs T -> eps.  Returns the
     terminal state and the divergence integral along the traversal (the
     sign of dt is included, so the "down" integral is the negative of the
-    eps -> T integral).
+    eps -> T integral).  Every grid node costs one ``divergence_estimate``
+    call, which gives the drift as well.
     """
     x2 = np.array(np.atleast_2d(np.asarray(x, dtype=float)))
     times = grid.times if direction == "up" else grid.times[::-1]
     if direction not in ("up", "down"):
         raise ValueError(f"unknown direction {direction!r}")
     div_int = np.zeros(x2.shape[0])
-    f_cur = _drift(model, x2, float(times[0]))
-    g_cur = divergence_estimate(model, x2, float(times[0]), config, rng)
+    f_cur, g_cur = divergence_estimate(model, x2, float(times[0]), config,
+                                       rng, proj)
     for i in range(len(times) - 1):
         t_cur, t_next = float(times[i]), float(times[i + 1])
         h = t_next - t_cur
         x_pred = x2 + h * f_cur
         if np.isnan(x_pred).any():
             raise FloatingPointError(f"NaN state at grid node {i}")
-        f_next = _drift(model, x_pred, t_next)
-        g_next = divergence_estimate(model, x_pred, t_next, config, rng)
+        f_next, g_next = divergence_estimate(model, x_pred, t_next, config,
+                                             rng, proj)
         x2 = x2 + 0.5 * h * (f_cur + f_next)
         div_int += 0.5 * h * (g_cur + g_next)
         # corrector endpoint values are reused as the next step's start
-        f_cur = _drift(model, x2, t_next)
-        g_cur = divergence_estimate(model, x2, t_next, config, rng)
+        f_cur, g_cur = divergence_estimate(model, x2, t_next, config, rng,
+                                           proj)
     if np.isnan(x2).any():
         raise FloatingPointError("NaN terminal state")
     return x2, div_int
@@ -108,7 +124,7 @@ def ode_log_likelihood(x0, model, grid: TimeGrid,
     """log p at the data end of the flow for given points x0."""
     config = config or OdeRunConfig()
     x2 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x_end, div_int = heun_integrate(x2, model, grid, config, "up", rng)
+    x_end, div_int = heun_integrate(x2, model, grid, config, "up", rng, proj)
     out = prior_log_density(x_end, grid.t_max, proj) + div_int
     return float(out[0]) if np.asarray(x0).ndim == 1 else out
 
@@ -133,7 +149,8 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
         z = eq.com_project(z, proj)
     x_t = grid.t_max * z
     log_prior = prior_log_density(x_t, grid.t_max, proj)
-    x0, div_down = heun_integrate(x_t, model, grid, config, "down", rng)
+    x0, div_down = heun_integrate(x_t, model, grid, config, "down", rng,
+                                  proj)
     log_p0 = log_prior - div_down
     log_pi = np.asarray(target.log_density(x0), dtype=float)
     log_w = log_pi - log_p0

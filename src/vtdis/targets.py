@@ -79,9 +79,9 @@ class Gmm:
         diff, _, v, lp = _component_logpdfs(x2, self)
         log_p = logsumexp(lp, axis=0)
         grad = _mixture_score(diff, v, _responsibilities(lp))
-        if log_p.shape == (1,):
-            log_p = float(log_p[0])
-        return log_p, grad[0] if np.asarray(x).ndim == 1 else grad
+        if np.asarray(x).ndim == 1:
+            return float(log_p[0]), grad[0]
+        return log_p, grad
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return gmm_sample(rng, self, count)
@@ -134,10 +134,31 @@ def _responsibilities(lp: np.ndarray) -> np.ndarray:
 
 
 def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float):
-    """One responsibility pass: (diff, sq, v, resp) for the score, its
-    divergence and its Hessian-vector product."""
+    """One responsibility pass: (diff, sq, v, resp, sbar), all that the
+    score ``sbar``, its divergence and its Hessian-vector product need."""
     diff, sq, v, lp = _component_logpdfs(x, gmm, t)
-    return diff, sq, v, _responsibilities(lp)
+    resp = _responsibilities(lp)
+    return diff, sq, v, resp, _mixture_score(diff, v, resp)
+
+
+def _posterior_divergence(post) -> np.ndarray:
+    """Trace of the Hessian of log p_t (B,) from a ``_gmm_posterior``
+    pass, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
+    sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2."""
+    diff, sq, v, resp, sbar = post
+    return (np.sum(resp * (sq / (v * v) - diff.shape[2] / v), axis=0)
+            - np.einsum("bd,bd->b", sbar, sbar))
+
+
+def _posterior_hvp(post, vec: np.ndarray) -> np.ndarray:
+    """Hessian of log p_t times ``vec`` (B, d) from a ``_gmm_posterior``
+    pass: H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T, where
+    (s_k . vec) s_k = ((x - mu_k) . vec) (x - mu_k) / v_k^2."""
+    diff, _, v, resp, sbar = post
+    dv = np.einsum("kbd,bd->kb", diff, vec)
+    return (np.einsum("kb,kbd->bd", resp * dv / (v * v), diff)
+            - np.sum(resp / v, axis=0)[:, None] * vec
+            - sbar * np.einsum("bd,bd->b", sbar, vec)[:, None])
 
 
 def _mixture_score(diff, v, resp) -> np.ndarray:
@@ -147,11 +168,11 @@ def _mixture_score(diff, v, resp) -> np.ndarray:
 
 def gmm_log_density(x, gmm: Gmm):
     """log sum_k w_k N(x; mu_k, sigma_k^2 I) via logsumexp."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != gmm.dim:
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    if x2.shape[1] != gmm.dim:
         raise ValueError("dimension mismatch")
-    out = logsumexp(_component_logpdfs(x, gmm)[3], axis=0)
-    return float(out[0]) if out.shape == (1,) else out
+    out = logsumexp(_component_logpdfs(x2, gmm)[3], axis=0)
+    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def gmm_sample(rng: np.random.Generator, gmm: Gmm, count: int) -> np.ndarray:
@@ -167,20 +188,14 @@ def gmm_noised_score(x, t: float, gmm: Gmm):
     the responsibility-weighted sum of per-component linear scores.
     """
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    diff, _, v, resp = _gmm_posterior(x2, gmm, t)
-    out = _mixture_score(diff, v, resp)
+    out = _gmm_posterior(x2, gmm, t)[4]
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def gmm_noised_score_divergence(x, t: float, gmm: Gmm):
     """Exact divergence (Jacobian trace) of ``gmm_noised_score``."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    diff, sq, v, resp = _gmm_posterior(x2, gmm, t)
-    sbar = _mixture_score(diff, v, resp)
-    # trace of hessian of log p_t, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
-    #   sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2
-    out = (np.sum(resp * (sq / (v * v) - gmm.dim / v), axis=0)
-           - np.einsum("bd,bd->b", sbar, sbar))
+    out = _posterior_divergence(_gmm_posterior(x2, gmm, t))
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -189,14 +204,7 @@ def gmm_noised_score_hvp(x, t: float, gmm: Gmm, vec):
     the score along ``vec``.  Batched over rows of x and vec."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     v2 = np.atleast_2d(np.asarray(vec, dtype=float))
-    diff, _, v, resp = _gmm_posterior(x2, gmm, t)
-    sbar = _mixture_score(diff, v, resp)
-    # H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T, where
-    # (s_k . vec) s_k = ((x - mu_k) . vec) (x - mu_k) / v_k^2
-    dv = np.einsum("kbd,bd->kb", diff, v2)
-    out = (np.einsum("kb,kbd->bd", resp * dv / (v * v), diff)
-           - np.sum(resp / v, axis=0)[:, None] * v2
-           - sbar * np.einsum("bd,bd->b", sbar, v2)[:, None])
+    out = _posterior_hvp(_gmm_posterior(x2, gmm, t), v2)
     return out[0] if np.asarray(x).ndim == 1 else out
 
 

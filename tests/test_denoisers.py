@@ -165,6 +165,19 @@ class TestMlpAliasing:
         self.net.jvp(self.x, self.v)
         assert np.array_equal(self.x, x) and np.array_equal(self.v, v)
 
+    def test_tangent_repeatable_and_leaves_cache_unchanged(self):
+        _, cache = self.net.forward(self.x)
+        saved = [c.copy() for c in cache]
+        x, v = self.x.copy(), self.v.copy()
+        first = self.net.tangent(cache, self.v)
+        second = self.net.tangent(cache, self.v)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, self.net.jvp(self.x, self.v))
+        for c, s in zip(cache, saved):
+            assert np.array_equal(c, s)
+            assert not np.shares_memory(first, c)
+        assert np.array_equal(self.x, x) and np.array_equal(self.v, v)
+
     def test_cache_entries_do_not_share_memory(self):
         _, cache = self.net.forward(self.x)
         assert len(cache) == self.net.n_layers + 1

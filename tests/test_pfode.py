@@ -1,0 +1,220 @@
+"""Probability-flow ODE: oracles for the likelihood and the divergence,
+and the fused one-pass-per-node path against separate calls."""
+
+import numpy as np
+import pytest
+
+from vtdis import denoisers as dn
+from vtdis import equivariant as eq
+from vtdis import pfode as pf
+from vtdis import targets as tg
+from vtdis.schedule import karras_grid
+
+# the particle cases: 4 particles in the plane, as DW-4
+M, SPATIAL = 4, 2
+DIM = M * SPATIAL
+PROJ = eq.ComProjection(M, SPATIAL)
+P_DENSE = eq.com_project(np.eye(DIM), PROJ)
+GRID = karras_grid(4, 1e-3, 10.0, 7.0)
+
+BACKENDS = {
+    "gmm": lambda: dn.AnalyticGmmScore(tg.two_mode_gmm(DIM)),
+    "vector": lambda: dn.VectorDenoiser(DIM, [12], 1.3,
+                                        np.random.default_rng(11)),
+    "radial": lambda: dn.RadialDenoiser(M, SPATIAL, [12, 8], 1.3,
+                                        np.random.default_rng(12)),
+}
+CONFIGS = {
+    "exact": pf.OdeRunConfig(divergence="exact"),
+    "hutch1": pf.OdeRunConfig(divergence="hutchinson", probes=1),
+    "hutch2": pf.OdeRunConfig(divergence="hutchinson", probes=2,
+                              probe_dist="gaussian"),
+}
+
+
+def points(count, seed=0):
+    """Zero-CoM points, so every backend can run with or without PROJ."""
+    x = np.random.default_rng(seed).standard_normal((count, DIM))
+    return eq.com_project(x, PROJ)
+
+
+def dense_jacobian(model, x, t):
+    """(B, d, d) score Jacobian, one ``score_jvp`` per axis."""
+    return np.stack([model.score_jvp(x, t, np.broadcast_to(e, x.shape))
+                     for e in np.eye(x.shape[1])], axis=2)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Heun loop with one score call and separate divergence calls
+# per node
+# ---------------------------------------------------------------------------
+
+def reference_divergence(model, x, t, config, rng, proj):
+    if config.divergence == "exact":
+        if proj is None and isinstance(model, dn.AnalyticGmmScore):
+            return -t * tg.gmm_noised_score_divergence(x, t, model.gmm)
+        axes = np.eye(DIM) if proj is None else P_DENSE
+        div = np.zeros(x.shape[0])
+        for i, axis in enumerate(axes):
+            div += model.score_jvp(x, t, np.broadcast_to(axis, x.shape))[:, i]
+        return -t * div
+    acc = np.zeros(x.shape[0])
+    for _ in range(config.probes):
+        v = pf.draw_probe(rng, x.shape, config.probe_dist)
+        if proj is not None:
+            v = eq.com_project(v, proj)
+        acc += np.sum(v * model.score_jvp(x, t, v), axis=1)
+    return -t * acc / config.probes
+
+
+def reference_heun(x, model, grid, config, direction, rng, proj):
+    times = grid.times if direction == "up" else grid.times[::-1]
+
+    def node(y, t):
+        return (-t * model.score(y, t),
+                reference_divergence(model, y, t, config, rng, proj))
+
+    x2 = np.array(x, dtype=float)
+    div_int = np.zeros(x2.shape[0])
+    f_cur, g_cur = node(x2, float(times[0]))
+    for t_cur, t_next in zip(times[:-1], times[1:]):
+        t_cur, t_next = float(t_cur), float(t_next)
+        h = t_next - t_cur
+        x_pred = x2 + h * f_cur
+        f_next, g_next = node(x_pred, t_next)
+        x2 = x2 + 0.5 * h * (f_cur + f_next)
+        div_int += 0.5 * h * (g_cur + g_next)
+        f_cur, g_cur = node(x2, t_next)
+    return x2, div_int
+
+
+@pytest.mark.parametrize("with_proj", [False, True])
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_fused_heun_matches_separate_calls_bit_for_bit(backend, config,
+                                                       with_proj):
+    model = BACKENDS[backend]()
+    cfg = CONFIGS[config]
+    proj = PROJ if with_proj else None
+    x = GRID.t_max * points(5)
+    got = pf.heun_integrate(x, model, GRID, cfg, "down",
+                            np.random.default_rng(3), proj)
+    want = reference_heun(x, model, GRID, cfg, "down",
+                          np.random.default_rng(3), proj)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("with_proj", [False, True])
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
+                                                            with_proj):
+    model = BACKENDS[backend]()
+    cfg = CONFIGS[config]
+    count = 5
+    pf.heun_integrate(points(count), model, GRID, cfg, "up",
+                      np.random.default_rng(3), PROJ if with_proj else None)
+    nodes = count * (2 * GRID.n_steps + 1)
+    per_point = DIM if cfg.divergence == "exact" else cfg.probes
+    assert model.eval_count == nodes
+    assert model.jvp_count == nodes * per_point
+
+
+# ---------------------------------------------------------------------------
+# exact divergence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("with_proj", [False, True])
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_exact_divergence_matches_dense_jacobian_trace(backend, t, with_proj):
+    # one primal and dim tangent passes against the trace of a Jacobian
+    # built column by column from separate calls; the sums run in another
+    # order, so the tolerance is float64 rounding
+    model = BACKENDS[backend]()
+    x = points(3)
+    jac = dense_jacobian(model, x, t)
+    if with_proj:
+        want = np.einsum("ij,bjk,ki->b", P_DENSE, jac, P_DENSE)
+        got = model.score_and_div(x, t, PROJ)[1]
+    else:
+        want = np.trace(jac, axis1=1, axis2=2)
+        got = model.score_div_exact(x, t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(jac)) * DIM
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+@pytest.mark.parametrize("backend", ["vector", "radial"])
+def test_subspace_divergence_matches_finite_difference_trace(backend, t):
+    model = BACKENDS[backend]()
+    x = points(2, seed=1)
+    h = 1e-5 * max(1.0, t)
+    jac = np.stack([(model.score(x + h * e, t) - model.score(x - h * e, t))
+                    / (2 * h) for e in np.eye(DIM)], axis=2)
+    want = np.einsum("ij,bjk,ki->b", P_DENSE, jac, P_DENSE)
+    got = model.score_and_div(x, t, PROJ)[1]
+    assert np.allclose(got, want, rtol=1e-7, atol=1e-7 / t ** 2)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+def test_radial_ambient_trace_exceeds_subspace_by_com_skip_term(t):
+    # the radial output has zero CoM, so along the n CoM directions the
+    # score Jacobian is (c_skip - 1) / t^2 times the identity
+    model = BACKENDS["radial"]()
+    x = points(2, seed=2)
+    c_skip = dn.precond_coeffs(t, model.sigma_data)[0]
+    gap = model.score_div_exact(x, t) - model.score_and_div(x, t, PROJ)[1]
+    assert np.allclose(gap, SPATIAL * (c_skip - 1.0) / t ** 2,
+                       rtol=1e-9, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Hutchinson estimate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("with_proj", [False, True])
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("backend", ["gmm", "radial"])
+def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
+    model = BACKENDS[backend]()
+    proj = PROJ if with_proj else None
+    x, t = points(3, seed=4), 0.7
+    cfg = pf.OdeRunConfig(divergence="hutchinson", probe_dist=dist)
+    rng = np.random.default_rng(5)
+    draws = np.stack([pf.divergence_estimate(model, x, t, cfg, rng, proj)[1]
+                      for _ in range(1000)])
+    exact = pf.divergence_estimate(model, x, t, CONFIGS["exact"], None,
+                                   proj)[1]
+    se = np.std(draws, axis=0, ddof=1) / np.sqrt(draws.shape[0])
+    assert np.all(se > 0)
+    assert np.all(np.abs(draws.mean(axis=0) - exact) <= 4.0 * se)
+
+
+# ---------------------------------------------------------------------------
+# likelihood oracle
+# ---------------------------------------------------------------------------
+
+def test_gaussian_likelihood_converges_to_analytic_density():
+    # For N(mu, var I) the flow is linear, x(t) - mu = (x - mu) r(t) with
+    # r(t)^2 = (var + t^2) / (var + eps^2), so the change of variables is
+    # log p_eps(x) plus the closed-form mismatch between the N(0, T^2 I)
+    # prior and the true p_T.  Heun is second order: the error falls about
+    # fourfold per doubling of the grid.
+    d, var, mu = 3, 0.8, 0.5
+    model = dn.AnalyticGmmScore(tg.single_gaussian(d, var, mu))
+    x = np.random.default_rng(0).standard_normal((4, d))
+    errors = []
+    for n in (4, 8, 16, 32, 64):
+        grid = karras_grid(n, 1e-3, 10.0, 7.0)
+        eps, big_t = grid.eps, grid.t_max
+        x_end = mu + (x - mu) * np.sqrt((var + big_t ** 2)
+                                        / (var + eps ** 2))
+        prior = tg.single_gaussian(d, big_t ** 2)
+        p_end = tg.single_gaussian(d, var + big_t ** 2, mu)
+        want = (tg.single_gaussian(d, var + eps ** 2, mu).log_density(x)
+                + prior.log_density(x_end) - p_end.log_density(x_end))
+        got = pf.ode_log_likelihood(x, model, grid)
+        errors.append(np.max(np.abs(got - want)))
+    assert all(b < a / 2.5 for a, b in zip(errors, errors[1:]))
+    assert errors[-1] < 0.02

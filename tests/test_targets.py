@@ -47,6 +47,19 @@ class TestGmmDensity:
         with pytest.raises(ValueError):
             tg.gmm_log_density(np.zeros(3), tg.two_mode_gmm(2))
 
+    def test_float_only_for_one_point(self):
+        # a one-row batch keeps its batch axis, as the particle targets do
+        gmm = tg.two_mode_gmm(3)
+        x = np.array([0.3, -0.2, 1.1])
+        assert type(gmm.log_density(x)) is float
+        lp, g = gmm.log_density_and_grad(x)
+        assert type(lp) is float and g.shape == (3,)
+        batch = x[None, :]
+        assert gmm.log_density(batch).shape == (1,)
+        lp, g = gmm.log_density_and_grad(batch)
+        assert lp.shape == (1,) and g.shape == (1, 3)
+        assert lp[0] == gmm.log_density(x)
+
 
 class TestGmmSampling:
     def test_degenerate_weight_selects_component(self):
