@@ -33,8 +33,10 @@ mass output.
 All backends count work by what a query returns: ``eval_count`` gains
 one per batch row for each denoiser or score output, ``jvp_count`` one
 per batch row for each directional derivative.  An exact divergence is
-priced at ``dim`` directional derivatives per row, what the learned
-backends spend on it, also where the analytic backend has a closed form.
+priced at one directional derivative per row and dimension of the space
+it is taken over, ``dim`` or, with a projection, ``proj.subspace_dim``:
+what the learned backends spend on it, also where the analytic backend
+has a closed form.
 """
 
 from __future__ import annotations
@@ -250,8 +252,9 @@ class _Counted:
         subspace, tr(P J P), the one that matches a prior normalised
         there."""
         x2 = self._batch(x)
+        axes = self.dim if proj is None else proj.subspace_dim
         self.eval_count += x2.shape[0]
-        self.jvp_count += self.dim * x2.shape[0]
+        self.jvp_count += axes * x2.shape[0]
         return self._score_and_div(x2, t, proj)
 
     def score_div_exact(self, x, t):
@@ -293,8 +296,8 @@ class AnalyticGmmScore(_Counted):
         return post[4], lambda v: tg._posterior_hvp(post, v)
 
     def _score_and_div(self, x2, t, proj):
-        # the ambient trace has a closed form; a subspace trace takes the
-        # per-axis HVPs
+        # the ambient trace has a closed form; a subspace trace takes one
+        # HVP per basis vector of the subspace
         if proj is not None:
             return super()._score_and_div(x2, t, proj)
         post = tg._gmm_posterior(x2, self.gmm, float(t))
@@ -456,15 +459,17 @@ class RadialDenoiser(_Preconditioned):
 
 
 def _div_from_jvp(tangent, x2, proj):
-    """Exact divergence (B,) from one tangent pass per axis of one primal
-    pass: sum_i (J P e_i)_i = tr(J P) = tr(P J P), the trace on the
-    zero-CoM subspace with ``proj`` and the ambient trace without."""
-    axes = np.eye(x2.shape[1])
-    if proj is not None:
-        axes = eq.com_project(axes, proj)
+    """Exact divergence (B,) from one primal pass and one tangent pass per
+    basis vector: sum_k u_k . (J u_k) over an orthonormal basis u_k of the
+    space the divergence is taken on.  Without ``proj`` the u_k are the
+    unit axes and the sum is the ambient trace.  With it they are the
+    (M-1) n rows of U = ``proj.to_ambient(I)``, a basis of the zero-CoM
+    subspace with U^T U = P, and the sum is tr(U J U^T) = tr(P J P)."""
+    basis = (np.eye(x2.shape[1]) if proj is None
+             else proj.to_ambient(np.eye(proj.subspace_dim)))
     div = np.zeros(x2.shape[0])
-    for i, axis in enumerate(axes):
-        div += tangent(np.broadcast_to(axis, x2.shape))[:, i]
+    for u in basis:
+        div += np.sum(u * tangent(np.broadcast_to(u, x2.shape)), axis=1)
     return div
 
 

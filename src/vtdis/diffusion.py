@@ -42,15 +42,6 @@ def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
     return ga._scaled_log_density(delta, var, d)
 
 
-def forward_kernel_log_density(x_next, x_prev, n: int, grid: TimeGrid,
-                               proj=None):
-    """log q(x_n | x_{n-1}) = log N(x_n; x_{n-1}, (t_n^2 - t_{n-1}^2) I)."""
-    xn = np.atleast_2d(np.asarray(x_next, dtype=float))
-    xp = np.atleast_2d(np.asarray(x_prev, dtype=float))
-    out = _iso_logpdf(xn - xp, grid.forward_var(n), proj)
-    return float(out[0]) if np.asarray(x_next).ndim == 1 else out
-
-
 def ddpm_posterior(x_n, x0_hat, n: int, grid: TimeGrid):
     """Posterior mean and base variance of x_{n-1} given (x_n, x0_hat)."""
     if n < 1:
@@ -113,12 +104,12 @@ class StepKernel:
             return self.proj.subspace_dim
         return ambient_dim
 
-    def sample(self, rng, mean: np.ndarray) -> np.ndarray:
-        """One draw per row of ``mean``; ``rng`` is a generator or a list
-        of per-row generators (the latter reproduces row-by-row runs)."""
+    def sample(self, rng: np.random.Generator, mean: np.ndarray
+               ) -> np.ndarray:
+        """One draw per row of ``mean``, all rows from one (rows, noise
+        dim) block of standard normals of ``rng``."""
         nd = self.noise_dim(mean.shape[1])
-        z = _draw_normals(rng, mean.shape[0], nd)
-        return self._draw(z, mean)
+        return self._draw(rng.standard_normal((mean.shape[0], nd)), mean)
 
 
 def _step_kernels(covs: list[ga.Covariance], grid: TimeGrid,
@@ -128,14 +119,6 @@ def _step_kernels(covs: list[ga.Covariance], grid: TimeGrid,
         raise ValueError(
             f"need {grid.n_steps} step covariances, got {len(covs)}")
     return [StepKernel(c, proj) for c in covs]
-
-
-def _draw_normals(rng, rows: int, cols: int) -> np.ndarray:
-    if isinstance(rng, (list, tuple)):
-        if len(rng) != rows:
-            raise ValueError("need one generator per row")
-        return np.stack([g.standard_normal(cols) for g in rng])
-    return rng.standard_normal((rows, cols))
 
 
 def baseline_covariances(grid: TimeGrid) -> list[ga.Covariance]:
@@ -167,20 +150,15 @@ class Trajectory:
         return self.states[0]
 
 
-def reverse_sample_batch(rng, model, covs: list[ga.Covariance],
-                         grid: TimeGrid, count: int | None = None,
-                         proj: eq.ComProjection | None = None):
+def reverse_sample_batch(rng: np.random.Generator, model,
+                         covs: list[ga.Covariance], grid: TimeGrid,
+                         count: int, proj: eq.ComProjection | None = None):
     """Sample ``count`` reverse trajectories, streaming.
 
     Returns ``(x0, log_q_cond, log_p_joint)`` with batch-shaped log
-    densities; states other than x_0 are not kept.  ``rng`` may be a list
-    of per-trajectory generators, in which case results are identical to
-    running trajectories one at a time.
+    densities; states other than x_0 are not kept.  All trajectories draw
+    from the one generator ``rng``, one block of normals per step.
     """
-    if count is None:
-        if not isinstance(rng, (list, tuple)):
-            raise ValueError("count is required with a single generator")
-        count = len(rng)
     return _reverse_steps(rng, model, covs, grid, count, proj)
 
 
@@ -204,7 +182,7 @@ def _reverse_steps(rng, model, covs, grid: TimeGrid, count: int, proj,
     kernels = _step_kernels(covs, grid, proj)
     t_max = grid.t_max
 
-    z = _draw_normals(rng, count, model.dim)
+    z = rng.standard_normal((count, model.dim))
     if proj is not None:
         z = eq.com_project(z, proj)
     x = t_max * z

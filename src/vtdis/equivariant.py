@@ -215,9 +215,3 @@ class LabelDiagParams:
         G = self.proj.V.T @ Gt @ self.proj.V
         per_class = self._E.T @ np.diag(G)
         return per_class * sigmoid(raw)
-
-    def to_constrained(self, raw) -> np.ndarray:
-        return softplus(np.asarray(raw))
-
-    def from_constrained(self, vals) -> np.ndarray:
-        return softplus_inv(np.asarray(vals))

@@ -302,7 +302,6 @@ def _map_steps(step_fn, deltas, raw, base, *rest) -> np.ndarray:
 #   covariance(raw, base_variance)        -> Covariance
 #   log_density(deltas, raw, base)        -> (B,) log N(delta; 0, Sigma(raw))
 #   weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
-#   to_constrained(raw) / from_constrained(vals)  -> serialization values
 #
 # ``log_density`` and ``weighted_grad`` broadcast over an optional leading
 # step axis: deltas (N, B, d), raw (N, p) and base (N,) give (N, B) and
@@ -341,12 +340,6 @@ class IsotropicParams:
                                   - self.dim / (2.0 * eta)), axis=-1)
         return g_eta[..., None] * sigmoid(raw[..., :1])
 
-    def to_constrained(self, raw) -> np.ndarray:
-        return softplus(np.asarray(raw))
-
-    def from_constrained(self, vals) -> np.ndarray:
-        return softplus_inv(np.asarray(vals))
-
 
 class DiagonalParams:
     """etas_i = softplus(z_i); d raw parameters."""
@@ -372,12 +365,6 @@ class DiagonalParams:
         g = (weights @ (deltas * deltas)) / (2.0 * base * etas * etas) \
             - np.sum(weights) / (2.0 * etas)
         return g * sigmoid(raw)
-
-    def to_constrained(self, raw) -> np.ndarray:
-        return softplus(np.asarray(raw))
-
-    def from_constrained(self, vals) -> np.ndarray:
-        return softplus_inv(np.asarray(vals))
 
 
 class FullFactorParams:
@@ -427,13 +414,3 @@ class FullFactorParams:
         g = G[self._rows, self._cols]
         g[self._diag_mask] *= sigmoid(np.asarray(raw)[self._diag_mask])
         return g
-
-    def to_constrained(self, raw) -> np.ndarray:
-        vals = np.array(raw, dtype=float, copy=True)
-        vals[self._diag_mask] = softplus(vals[self._diag_mask])
-        return vals
-
-    def from_constrained(self, vals) -> np.ndarray:
-        raw = np.array(vals, dtype=float, copy=True)
-        raw[self._diag_mask] = softplus_inv(raw[self._diag_mask])
-        return raw

@@ -9,23 +9,24 @@ likelihoods:
 Integration is Heun's method (trapezoidal predictor-corrector) on the
 same grid family as the stochastic sampler, co-integrating the divergence
 in the same pass.  The divergence is either exact (analytic trace or one
-directional derivative per axis) or the Hutchinson probe estimate
+directional derivative per basis vector) or the Hutchinson probe estimate
 mean_j v_j . J v_j, which is unbiased for the instantaneous divergence
 but makes downstream importance weights biased; results carry a flag.
 
 Each grid node costs one model pass: ``divergence_estimate`` returns the
-drift together with the divergence, and every probe or axis reuses that
-pass through the backend's fused queries.  With a zero-center-of-mass
-projection the prior is normalised on the subspace, so the divergence is
-taken there as well, tr(P J P): Hutchinson probes are projected, which
-keeps the estimate unbiased, and the exact trace runs over the projected
-axes.  The ambient trace would exceed it by the Jacobian's trace along
-the center-of-mass directions, a constant offset in log p0.
+drift together with the divergence, and every probe or basis vector
+reuses that pass through the backend's fused queries.  With a
+zero-center-of-mass projection the prior is normalised on the subspace,
+so the divergence is taken there as well, tr(P J P): Hutchinson probes
+are projected, which keeps the estimate unbiased, and the exact trace
+takes one tangent pass per vector of an orthonormal basis of the
+subspace, (M-1) n of them.  The ambient trace would exceed it by the
+Jacobian's trace along the center-of-mass directions, a constant offset
+in log p0.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +136,16 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     """Sample via the reverse flow and attach importance weights.
 
     Weights are pi(x0) / p0(x0) with p0 from the co-integrated
-    divergence.  The result records score-evaluation counts (forward
-    evaluations and directional derivatives) as the cost proxy, and marks
-    the weights as biased whenever a stochastic divergence estimate was
-    used.
+    divergence.  Returns a dict with ``samples`` (count, dim),
+    ``log_weights`` (count,), their ``reverse_ess`` and ``metadata``:
+    ``score_evals`` and ``jvp_evals``, the model's evaluation and
+    directional-derivative rows spent on this call (the cost proxy), and
+    ``biased_weights``, true when a stochastic (Hutchinson) divergence
+    estimate makes the weights biased.
     """
     from .metrics import reverse_ess  # local import avoids a cycle
 
     evals0, jvps0 = model.eval_count, model.jvp_count
-    t0 = time.perf_counter()
     z = rng.standard_normal((count, model.dim))
     if proj is not None:
         z = eq.com_project(z, proj)
@@ -152,36 +154,14 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     x0, div_down = heun_integrate(x_t, model, grid, config, "down", rng,
                                   proj)
     log_p0 = log_prior - div_down
-    log_pi = np.asarray(target.log_density(x0), dtype=float)
-    log_w = log_pi - log_p0
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    metadata = {
-        "divergence_mode": config.divergence,
-        "probes": config.probes if config.divergence == "hutchinson" else None,
-        "biased_weights": config.divergence == "hutchinson",
-        "score_evals": model.eval_count - evals0,
-        "jvp_evals": model.jvp_count - jvps0,
-        "wall_ms": wall_ms,
-    }
-    if metadata["biased_weights"]:
-        metadata["warning"] = ("stochastic divergence estimates bias "
-                               "importance weights; ESS may be misstated")
+    log_w = np.asarray(target.log_density(x0), dtype=float) - log_p0
     return {
         "samples": x0,
-        "log_p0": log_p0,
-        "log_target": log_pi,
         "log_weights": log_w,
         "reverse_ess": reverse_ess(log_w),
-        "metadata": metadata,
+        "metadata": {
+            "score_evals": model.eval_count - evals0,
+            "jvp_evals": model.jvp_count - jvps0,
+            "biased_weights": config.divergence == "hutchinson",
+        },
     }
-
-
-def save_ode_results(path, result: dict) -> None:
-    """CSV: sample index, log p0, log target, log weight, divergence mode."""
-    mode = result["metadata"]["divergence_mode"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,log_p0,log_target,log_weight,divergence_mode\n")
-        for i, (lp, lt, lw) in enumerate(zip(result["log_p0"],
-                                             result["log_target"],
-                                             result["log_weights"])):
-            fh.write(f"{i},{lp!r},{lt!r},{lw!r},{mode}\n")

@@ -97,16 +97,6 @@ def karras_grid(n_steps: int, eps: float, t_max: float, rho: float) -> TimeGrid:
     return TimeGrid(t, kind="karras", rho=float(rho))
 
 
-def grid_from_dict(d: dict) -> TimeGrid:
-    kind = d["kind"]
-    if kind == "geometric":
-        return geometric_grid(int(d["steps"]), float(d["eps"]), float(d["t_max"]))
-    if kind == "karras":
-        return karras_grid(int(d["steps"]), float(d["eps"]), float(d["t_max"]),
-                           float(d["rho"]))
-    raise ValueError(f"unknown grid kind {kind!r}")
-
-
 def _validate(n_steps: int, eps: float, t_max: float) -> None:
     if n_steps < 1:
         raise ValueError("need at least one step")

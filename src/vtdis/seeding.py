@@ -28,8 +28,3 @@ def derive_rng(root_seed: int, *tags: str | int) -> np.random.Generator:
     entropy = [int(root_seed)] + [_tag_to_int(t) for t in tags]
     seq = np.random.SeedSequence(entropy)
     return np.random.Generator(np.random.Philox(seq))
-
-
-def spawn_rngs(root_seed: int, count: int, *tags: str | int) -> list[np.random.Generator]:
-    """Independent per-task generators, e.g. one per trajectory."""
-    return [derive_rng(root_seed, *tags, i) for i in range(count)]

@@ -477,34 +477,3 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
         report.warnings.append(msg)
         logger.warning("mcmc_sample: %s", msg)
     return samples, report
-
-
-# ---------------------------------------------------------------------------
-# dataset files
-# ---------------------------------------------------------------------------
-
-def save_dataset(path, samples: np.ndarray, target_name: str,
-                 n_particles: int | None = None,
-                 spatial_dim: int | None = None) -> None:
-    """One configuration per row of comma-separated floats, with a
-    one-line header naming the target and its dimensions."""
-    samples = np.asarray(samples, dtype=float)
-    parts = [f"target={target_name}", f"dim={samples.shape[1]}"]
-    if n_particles is not None:
-        parts += [f"particles={n_particles}", f"spatial={spatial_dim}"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(parts) + "\n")
-        np.savetxt(fh, samples, delimiter=",", fmt="%.17g")
-
-
-def load_dataset(path) -> tuple[np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError("dataset file missing header line")
-        meta = {}
-        for tok in header[1:].split():
-            key, _, val = tok.partition("=")
-            meta[key] = val
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return data, meta

@@ -33,8 +33,7 @@ deterministic numpy sums, so a fixed seed reproduces results bit for bit.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +41,7 @@ from . import equivariant as eq
 from . import gaussians as ga
 from .denoisers import Adam, cosine_lr
 from .diffusion import ForwardBatch, forward_residuals
-from .schedule import TimeGrid, grid_from_dict
-
-logger = logging.getLogger(__name__)
-
-PARAM_FILE_HEADER = "vtdis-step-covariances v1"
+from .schedule import TimeGrid
 
 TUNABLE_KINDS = ("isotropic", "diagonal", "full", "label_diag")
 
@@ -89,14 +84,6 @@ def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
-def loss_log_alpha2(batch: ForwardBatch, spec, raws, bases, log_pi) -> float:
-    """logsumexp(log w) - log M over the batch."""
-    if batch.count == 0:
-        raise ValueError("empty batch")
-    lw = batch_log_weights(batch, spec, raws, bases, log_pi)
-    return float(ga.logsumexp(lw) - np.log(batch.count))
-
-
 def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi,
                       objective: str = "alpha2"):
     """Loss value and exact gradient w.r.t. the per-step raw parameters.
@@ -133,19 +120,24 @@ class TunerConfig:
     objective: str = "alpha2"
     plateau_tol: float = 1e-4
     plateau_window: int = 200
-    log_every: int = 0          # 0 = silent
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("need at least one tuning iteration")
+        if self.batch_size < 1:
+            raise ValueError("need a batch of at least one trajectory")
 
 
 @dataclass
 class TuneResult:
+    """Tuned raw parameters; ``iterations`` below the configured budget
+    means the plateau stop ended the run."""
+
     raws: np.ndarray            # (N, n_params)
     spec: object
     grid: TimeGrid
-    kind: str
     loss_curve: np.ndarray
     iterations: int
-    converged: bool
-    report: dict = field(default_factory=dict)
 
     def covariances(self) -> list[ga.Covariance]:
         return covariances_from_raws(self.spec, self.raws, self.grid)
@@ -179,7 +171,6 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     bases = np.array([grid.ddpm_var(n) for n in range(1, n_steps + 1)])
     opt = Adam([raws], lr=config.lr)
     losses = []
-    converged = False
     half = config.plateau_window // 2
 
     for it in range(config.iterations):
@@ -202,104 +193,12 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
                                       config.lr_floor))
         if not np.all(np.isfinite(raws)):
             raise RuntimeError(f"non-finite parameters at iteration {it}")
-        if config.log_every and (it + 1) % config.log_every == 0:
-            logger.info("tune[%s] iter %d loss %.6f", kind, it + 1, loss)
         if it + 1 >= config.plateau_window and half > 0:
             recent = np.mean(losses[-half:])
             previous = np.mean(losses[-2 * half:-half])
             if abs(recent - previous) < config.plateau_tol * max(
                     1.0, abs(previous)):
-                converged = True
                 break
 
-    return TuneResult(raws=raws, spec=spec, grid=grid, kind=kind,
-                      loss_curve=np.asarray(losses),
-                      iterations=len(losses), converged=converged,
-                      report={"final_loss": losses[-1],
-                              "initial_loss": losses[0]})
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_step_params(path, result_or_parts, raws: np.ndarray | None = None,
-                     *, grid: TimeGrid | None = None, kind: str | None = None,
-                     spec=None) -> None:
-    """Versioned text dump: grid, kind metadata, one line per step with
-    the constrained values."""
-    if isinstance(result_or_parts, TuneResult):
-        res = result_or_parts
-        grid, kind, spec, raws = res.grid, res.kind, res.spec, res.raws
-    gm = grid.to_dict()
-    lines = [PARAM_FILE_HEADER,
-             "grid " + " ".join(f"{k}={v}" for k, v in gm.items()),
-             "cov " + " ".join(f"{k}={v}" for k, v in
-                               _cov_meta(kind, spec).items())]
-    for n in range(raws.shape[0]):
-        vals = spec.to_constrained(raws[n])
-        lines.append(f"{n + 1} {kind} " + " ".join(repr(float(v))
-                                                   for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_step_params(path) -> tuple[TimeGrid, str, object, np.ndarray]:
-    """Inverse of :func:`save_step_params`; rebuilds the parameter spec."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines[0] != PARAM_FILE_HEADER:
-        raise ValueError("unrecognized step-parameter file")
-    grid_meta = _parse_kv(lines[1], "grid")
-    cov_meta = _parse_kv(lines[2], "cov")
-    grid = grid_from_dict(grid_meta)
-    kind = cov_meta["kind"]
-    spec = _spec_from_meta(kind, cov_meta)
-    raws = []
-    for ln in lines[3:]:
-        toks = ln.split()
-        if toks[1] != kind:
-            raise ValueError(f"kind mismatch on line: {ln!r}")
-        vals = np.array([float(v) for v in toks[2:]])
-        raws.append(spec.from_constrained(vals))
-    raws = np.asarray(raws)
-    if raws.shape[0] != grid.n_steps:
-        raise ValueError("step count does not match grid")
-    return grid, kind, spec, raws
-
-
-def _cov_meta(kind: str, spec) -> dict:
-    meta = {"kind": kind}
-    if kind in ("isotropic", "diagonal", "full"):
-        meta["dim"] = spec.dim
-    else:
-        meta["particles"] = spec.proj.n_particles
-        meta["spatial"] = spec.proj.spatial_dim
-        meta["labels"] = ",".join(str(v) for v in spec.labels)
-    return meta
-
-
-def _spec_from_meta(kind: str, meta: dict):
-    if kind in ("isotropic", "diagonal", "full"):
-        return make_param_spec(kind, dim=int(meta["dim"]))
-    proj = eq.ComProjection(int(meta["particles"]), int(meta["spatial"]))
-    labels = np.array([int(v) for v in meta["labels"].split(",")])
-    return make_param_spec(kind, proj=proj, labels=labels)
-
-
-def _parse_kv(line: str, tag: str) -> dict:
-    toks = line.split()
-    if toks[0] != tag:
-        raise ValueError(f"expected {tag!r} line, got {line!r}")
-    out = {}
-    for tok in toks[1:]:
-        key, _, val = tok.partition("=")
-        out[key] = val
-    return out
-
-
-def save_loss_curve(path, losses: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,loss\n")
-        for i, v in enumerate(losses):
-            fh.write(f"{i},{v!r}\n")
+    return TuneResult(raws=raws, spec=spec, grid=grid,
+                      loss_curve=np.asarray(losses), iterations=len(losses))

@@ -234,14 +234,6 @@ class TestRawParamGradients:
                          tu.TunerConfig(iterations=3, batch_size=32, lr=0.05))
         assert np.all(result.raws != self.SPECS[kind](d).init())
 
-    @pytest.mark.parametrize("kind", list(SPECS))
-    def test_constrained_round_trip(self, kind):
-        rng = np.random.default_rng(17)
-        spec = self.SPECS[kind](4)
-        raw = spec.init() + 0.5 * rng.standard_normal(spec.n_params)
-        back = spec.from_constrained(spec.to_constrained(raw))
-        assert np.allclose(back, raw, atol=1e-9)
-
     def test_baseline_init_is_identity(self):
         for kind in self.SPECS:
             spec = self.SPECS[kind](3)

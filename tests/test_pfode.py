@@ -15,6 +15,8 @@ M, SPATIAL = 4, 2
 DIM = M * SPATIAL
 PROJ = eq.ComProjection(M, SPATIAL)
 P_DENSE = eq.com_project(np.eye(DIM), PROJ)
+# orthonormal basis of the zero-CoM subspace, (M - 1) * SPATIAL rows
+BASIS = PROJ.to_ambient(np.eye(PROJ.subspace_dim))
 GRID = karras_grid(4, 1e-3, 10.0, 7.0)
 
 BACKENDS = {
@@ -53,10 +55,15 @@ def reference_divergence(model, x, t, config, rng, proj):
     if config.divergence == "exact":
         if proj is None and isinstance(model, dn.AnalyticGmmScore):
             return -t * tg.gmm_noised_score_divergence(x, t, model.gmm)
-        axes = np.eye(DIM) if proj is None else P_DENSE
         div = np.zeros(x.shape[0])
-        for i, axis in enumerate(axes):
-            div += model.score_jvp(x, t, np.broadcast_to(axis, x.shape))[:, i]
+        if proj is None:
+            for i, axis in enumerate(np.eye(DIM)):
+                div += model.score_jvp(x, t,
+                                       np.broadcast_to(axis, x.shape))[:, i]
+        else:
+            for u in BASIS:
+                div += np.sum(u * model.score_jvp(
+                    x, t, np.broadcast_to(u, x.shape)), axis=1)
         return -t * div
     acc = np.zeros(x.shape[0])
     for _ in range(config.probes):
@@ -116,7 +123,11 @@ def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
     pf.heun_integrate(points(count), model, GRID, cfg, "up",
                       np.random.default_rng(3), PROJ if with_proj else None)
     nodes = count * (2 * GRID.n_steps + 1)
-    per_point = DIM if cfg.divergence == "exact" else cfg.probes
+    if cfg.divergence == "hutchinson":
+        per_point = cfg.probes
+    else:
+        # one tangent pass per dimension of the space the trace is on
+        per_point = PROJ.subspace_dim if with_proj else DIM
     assert model.eval_count == nodes
     assert model.jvp_count == nodes * per_point
 
@@ -129,9 +140,9 @@ def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
 @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
 @pytest.mark.parametrize("backend", list(BACKENDS))
 def test_exact_divergence_matches_dense_jacobian_trace(backend, t, with_proj):
-    # one primal and dim tangent passes against the trace of a Jacobian
-    # built column by column from separate calls; the sums run in another
-    # order, so the tolerance is float64 rounding
+    # one primal and one tangent pass per basis vector against the trace
+    # of a Jacobian built column by column from separate calls; the sums
+    # run in another order, so the tolerance is float64 rounding
     model = BACKENDS[backend]()
     x = points(3)
     jac = dense_jacobian(model, x, t)
@@ -142,6 +153,26 @@ def test_exact_divergence_matches_dense_jacobian_trace(backend, t, with_proj):
         want = np.trace(jac, axis1=1, axis2=2)
         got = model.score_div_exact(x, t)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(jac)) * DIM
+
+
+@pytest.mark.parametrize("m,spatial", [(4, 2), (13, 3)])
+def test_subspace_divergence_takes_one_jvp_row_per_subspace_dimension(
+        m, spatial):
+    # (M - 1) n tangent passes per point: 6 on DW-4 and 36 on LJ-13, where
+    # the M n projected axes would take 8 and 39
+    model = dn.RadialDenoiser(m, spatial, [12, 8], 1.3,
+                              np.random.default_rng(13))
+    proj = eq.ComProjection(m, spatial)
+    x = eq.com_project(np.random.default_rng(6).standard_normal(
+        (3, m * spatial)), proj)
+    jac = dense_jacobian(model, x, 0.5)
+    model.reset_counters()
+    got = model.score_and_div(x, 0.5, proj)[1]
+    assert model.jvp_count == 3 * (m - 1) * spatial
+    p_dense = eq.com_project(np.eye(m * spatial), proj)
+    want = np.einsum("ij,bjk,ki->b", p_dense, jac, p_dense)
+    assert np.max(np.abs(got - want)) <= \
+        1e-12 * np.max(np.abs(jac)) * m * spatial
 
 
 @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])

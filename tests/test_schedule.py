@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vtdis.schedule import TimeGrid, geometric_grid, grid_from_dict, karras_grid
+from vtdis.schedule import TimeGrid, geometric_grid, karras_grid
 
 
 def test_karras_rho_one_is_linear():
@@ -82,9 +82,3 @@ def test_step_index_bounds():
         g.forward_var(0)
     with pytest.raises(ValueError):
         g.ddpm_var(6)
-
-
-def test_dict_round_trip():
-    for g in (geometric_grid(7, 1e-3, 10.0), karras_grid(7, 1e-3, 10.0, 7.0)):
-        back = grid_from_dict(g.to_dict())
-        assert np.allclose(back.times, g.times, rtol=1e-15)

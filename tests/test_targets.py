@@ -506,17 +506,3 @@ class TestMcmc:
                                    n_chains=8, burn_in=0, thin=1,
                                    step_size=1e-6)
         assert report.warnings
-
-
-class TestDatasetIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        samples = rng.standard_normal((50, 8))
-        path = tmp_path / "data.csv"
-        tg.save_dataset(path, samples, "dw4", n_particles=4, spatial_dim=2)
-        back, meta = tg.load_dataset(path)
-        assert np.allclose(back, samples, rtol=1e-15)
-        assert meta["target"] == "dw4"
-        assert meta["particles"] == "4"
-        first = path.read_text().splitlines()[1]
-        assert len(first.split(",")) == 8

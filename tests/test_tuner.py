@@ -5,6 +5,7 @@ from vtdis import denoisers as dn
 from vtdis import diffusion as df
 from vtdis import equivariant as eq
 from vtdis import gaussians as ga
+from vtdis import metrics as mt
 from vtdis import targets as tg
 from vtdis import tuner as tu
 from vtdis.schedule import karras_grid
@@ -204,3 +205,87 @@ def test_tune_replays_bit_for_bit(space):
     assert not np.array_equal(runs[0].raws,
                               np.tile(runs[0].spec.init(),
                                       (GRID.n_steps, 1)))
+
+
+@pytest.mark.parametrize("field,value", [("iterations", 0),
+                                         ("batch_size", 0)])
+def test_config_rejects_an_empty_budget(field, value):
+    with pytest.raises(ValueError):
+        tu.TunerConfig(**{field: value})
+
+
+class TestGaussianOptimum:
+    """For a Gaussian target N(0, s2 I) with its exact score, the reverse
+    posterior q(x_{n-1} | x_n) is Gaussian around the ddpm mean with
+    variance ddpm_var_n + (1 - r_n)^2 Var(x0 | x_n), so the optimal
+    isotropic scaling is known in closed form."""
+
+    D, S2 = 10, 1.0
+    GRID = karras_grid(32, 1e-3, 10.0, 7.0)
+
+    def problem(self):
+        gmm = tg.single_gaussian(self.D, self.S2)
+        return gmm, dn.AnalyticGmmScore(gmm)
+
+    def eta_star(self):
+        grid, s2 = self.GRID, self.S2
+        out = []
+        for n in range(1, grid.n_steps + 1):
+            t2, r = grid.times[n] ** 2, grid.mean_ratio(n)
+            out.append(1.0 + (1.0 - r) ** 2 * (s2 * t2 / (s2 + t2))
+                       / grid.ddpm_var(n))
+        return np.array(out)
+
+    def log_weights(self, covs, seed):
+        gmm, model = self.problem()
+        x0, log_q, log_p = df.reverse_sample_batch(
+            np.random.default_rng(seed), model, covs, self.GRID, 4096)
+        return gmm.log_density(x0) + log_q - log_p
+
+    def test_optimum_kernels_give_full_ess_and_log_z(self):
+        covs = [ga.Covariance.isotropic(eta, self.GRID.ddpm_var(n))
+                for n, eta in enumerate(self.eta_star(), start=1)]
+        log_w = self.log_weights(covs, seed=0)
+        assert mt.reverse_ess(log_w) > 0.99
+        assert abs(mt.estimate_log_Z(log_w)) < 0.01       # Z = 1
+        baseline = self.log_weights(df.baseline_covariances(self.GRID), 0)
+        assert mt.reverse_ess(baseline) < 0.01
+
+    def test_isotropic_tuning_reaches_the_optimum(self):
+        gmm, model = self.problem()
+        result = tu.tune(np.random.default_rng(0), model, gmm, self.GRID,
+                         "isotropic",
+                         tu.TunerConfig(iterations=300, batch_size=256,
+                                        lr=0.05))
+        eta = ga.softplus(result.raws[:, 0])
+        err = np.abs(np.log(eta) - np.log(self.eta_star()))
+        assert np.median(err) < 0.01
+        assert np.max(err) < 0.1
+        assert mt.reverse_ess(self.log_weights(result.covariances(), 1)) \
+            > 0.95
+
+
+def plateau_reached(losses, window, tol):
+    half = window // 2
+    recent = np.mean(losses[-half:])
+    previous = np.mean(losses[-2 * half:-half])
+    return abs(recent - previous) < tol * max(1.0, abs(previous))
+
+
+@pytest.mark.parametrize("window", [50, 1001])
+def test_plateau_stop_ends_the_run_at_the_first_flat_window(window):
+    gmm = tg.single_gaussian(3)
+    config = tu.TunerConfig(iterations=1000, batch_size=64, lr=0.05,
+                            plateau_tol=1e-3, plateau_window=window)
+    result = tu.tune(np.random.default_rng(0), dn.AnalyticGmmScore(gmm), gmm,
+                     karras_grid(8, 1e-3, 10.0, 7.0), "isotropic", config)
+    losses = result.loss_curve
+    assert result.iterations == len(losses)
+    if window > config.iterations:
+        assert result.iterations == config.iterations
+    else:
+        # stopped early, at the first iteration whose windows are flat
+        flat = [k for k in range(window, len(losses) + 1)
+                if plateau_reached(losses[:k], window, config.plateau_tol)]
+        assert result.iterations < config.iterations
+        assert flat[0] == result.iterations
