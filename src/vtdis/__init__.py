@@ -6,17 +6,15 @@ size of trajectory-wise importance weights, plus a probability-flow ODE
 likelihood baseline for comparison.
 """
 
-from .gaussians import Covariance, log_density, logsumexp
+from .gaussians import logsumexp
 from .schedule import TimeGrid, geometric_grid, karras_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Covariance",
     "TimeGrid",
     "geometric_grid",
     "karras_grid",
-    "log_density",
     "logsumexp",
     "__version__",
 ]

@@ -7,10 +7,13 @@ draws ``x_{n-1}`` around the Bayes posterior mean
 
     mean = (t_{n-1}^2 / t_n^2) x_n + (1 - t_{n-1}^2 / t_n^2) x0_hat
 
-with a per-step proposal covariance (tuned or baseline) whose natural
-scale is the posterior variance t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2.
-The terminal prior is N(0, T^2 I) regardless of the forward marginal; the
-mismatch is part of what the trajectory importance weight corrects.
+from the step's proposal Gaussian, whose natural scale is the posterior
+variance t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2.  A proposal is the pair
+``(spec, raws)`` of ``vtdis.gaussians`` (tuned, or the isotropic spec at
+``init()`` for the baseline); ``StepKernel`` is step n of it, the spec at
+``raws[n - 1]`` and base variance ``grid.ddpm_var(n)``.  The terminal
+prior is N(0, T^2 I) regardless of the forward marginal; the mismatch is
+part of what the trajectory importance weight corrects.
 
 Log weights follow the target-over-proposal convention
 
@@ -18,7 +21,7 @@ Log weights follow the target-over-proposal convention
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
-``ComProjection`` and all kernels become projected Gaussians.
+``ComProjection`` and every kernel lives on the subspace.
 """
 
 from __future__ import annotations
@@ -59,73 +62,47 @@ def prior_log_density(x, t_max: float, proj=None):
 
 
 class StepKernel:
-    """Sampling and density for one reverse step's proposal covariance.
+    """Sampling and density of one reverse step's proposal: ``spec`` at
+    raw parameters ``raw`` and base variance ``base``.  With a projection
+    the residuals are checked to lie on the zero-CoM subspace."""
 
-    Wraps a :class:`~vtdis.gaussians.Covariance`; with a projection the
-    kernel lives on the zero-CoM subspace (isotropic and particle-block
-    structures only).
-    """
-
-    def __init__(self, cov: ga.Covariance, proj: eq.ComProjection | None):
-        if proj is not None and cov.kind not in ("isotropic", "kron_block"):
-            raise ValueError(
-                f"{cov.kind} covariance is not defined on the CoM subspace")
-        self.cov = cov
+    def __init__(self, spec, raw: np.ndarray, base: float,
+                 proj: eq.ComProjection | None = None):
+        self.spec = spec
+        self.raw = raw
+        self.base = base
         self.proj = proj
 
     def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
         delta = np.atleast_2d(x - mean)
-        if self.proj is None:
-            return ga._log_density_delta(delta, self.cov)
-        eq._check_on_subspace(delta, self.proj, "residual")
-        return eq._subspace_log_density(delta, self.cov, self.proj)
-
-    def _draw(self, z: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """Map standard normals (one row per sample) to a sample."""
-        cov, proj = self.cov, self.proj
-        s = cov.base_variance
-        if cov.kind == "isotropic":
-            noise = z if proj is None else eq.com_project(z, proj)
-            return mean + np.sqrt(s * cov.eta) * noise
-        if cov.kind == "diagonal":
-            return mean + np.sqrt(s * cov.etas) * z
-        if cov.kind == "full_factor":
-            return mean + np.sqrt(s) * (z @ cov.factor.T)
-        # kron_block; on the subspace, V B V^T in the coordinates P x
-        block = cov.block if proj is None else proj.reduced_block(cov.block)
-        m, n = block.shape[0], cov.spatial_dim
-        corr = np.sqrt(s) * np.einsum("ij,bjn->bin", np.linalg.cholesky(block),
-                                      z.reshape(-1, m, n))
-        corr = corr.reshape(z.shape[0], m * n)
-        return mean + (corr if proj is None else proj.to_ambient(corr))
-
-    def noise_dim(self, ambient_dim: int) -> int:
-        if self.proj is not None and self.cov.kind == "kron_block":
-            return self.proj.subspace_dim
-        return ambient_dim
+        if self.proj is not None:
+            eq._check_on_subspace(delta, self.proj, "residual")
+        return self.spec.log_density(delta, self.raw, self.base)
 
     def sample(self, rng: np.random.Generator, mean: np.ndarray
                ) -> np.ndarray:
-        """One draw per row of ``mean``, all rows from one (rows, noise
-        dim) block of standard normals of ``rng``."""
-        nd = self.noise_dim(mean.shape[1])
-        return self._draw(rng.standard_normal((mean.shape[0], nd)), mean)
+        """One draw per row of ``mean``, all rows from one block of
+        standard normals of ``rng``."""
+        return self.spec.draw(rng, self.raw, self.base, mean, self.proj)
 
 
-def _step_kernels(covs: list[ga.Covariance], grid: TimeGrid,
-                  proj: eq.ComProjection | None) -> list[StepKernel]:
-    """One kernel per reverse step of ``grid``, ``covs[n-1]`` for step n."""
-    if len(covs) != grid.n_steps:
+def proposal_steps(proposal, grid: TimeGrid):
+    """``(spec, raws, bases)`` of a proposal ``(spec, raws)`` on ``grid``:
+    step n uses ``raws[n-1]`` and the posterior variance ``bases[n-1]``."""
+    spec, raws = proposal
+    if len(raws) != grid.n_steps:
         raise ValueError(
-            f"need {grid.n_steps} step covariances, got {len(covs)}")
-    return [StepKernel(c, proj) for c in covs]
+            f"need {grid.n_steps} step covariances, got {len(raws)}")
+    bases = np.array([grid.ddpm_var(n) for n in range(1, grid.n_steps + 1)])
+    return spec, raws, bases
 
 
-def baseline_covariances(grid: TimeGrid) -> list[ga.Covariance]:
-    """The untuned sampler: unit isotropic scaling of the posterior
-    variance at every step."""
-    return [ga.Covariance.isotropic(1.0, grid.ddpm_var(n))
-            for n in range(1, grid.n_steps + 1)]
+def _step_kernels(proposal, grid: TimeGrid,
+                  proj: eq.ComProjection | None) -> list[StepKernel]:
+    """One kernel per reverse step of ``grid``."""
+    spec, raws, bases = proposal_steps(proposal, grid)
+    return [StepKernel(spec, raw, base, proj)
+            for raw, base in zip(raws, bases)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,36 +127,36 @@ class Trajectory:
         return self.states[0]
 
 
-def reverse_sample_batch(rng: np.random.Generator, model,
-                         covs: list[ga.Covariance], grid: TimeGrid,
-                         count: int, proj: eq.ComProjection | None = None):
+def reverse_sample_batch(rng: np.random.Generator, model, proposal,
+                         grid: TimeGrid, count: int,
+                         proj: eq.ComProjection | None = None):
     """Sample ``count`` reverse trajectories, streaming.
 
     Returns ``(x0, log_q_cond, log_p_joint)`` with batch-shaped log
     densities; states other than x_0 are not kept.  All trajectories draw
     from the one generator ``rng``, one block of normals per step.
     """
-    return _reverse_steps(rng, model, covs, grid, count, proj)
+    return _reverse_steps(rng, model, proposal, grid, count, proj)
 
 
-def reverse_sample_trajectory(rng, model, covs: list[ga.Covariance],
-                              grid: TimeGrid,
+def reverse_sample_trajectory(rng, model, proposal, grid: TimeGrid,
                               proj: eq.ComProjection | None = None
                               ) -> Trajectory:
     """Single full trajectory with all states retained; the same draws and
     densities as ``reverse_sample_batch`` with ``count=1``."""
     states = np.empty((grid.n_steps + 1, 1, model.dim))
-    _, log_q, log_p = _reverse_steps(rng, model, covs, grid, 1, proj, states)
+    _, log_q, log_p = _reverse_steps(rng, model, proposal, grid, 1, proj,
+                                      states)
     return Trajectory(states=states[:, 0], grid=grid,
                       log_q_cond=float(log_q[0]), log_p_joint=float(log_p[0]))
 
 
-def _reverse_steps(rng, model, covs, grid: TimeGrid, count: int, proj,
+def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
                    states: np.ndarray | None = None):
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
     n_steps = grid.n_steps
-    kernels = _step_kernels(covs, grid, proj)
+    kernels = _step_kernels(proposal, grid, proj)
     t_max = grid.t_max
 
     z = rng.standard_normal((count, model.dim))
@@ -207,13 +184,12 @@ def _reverse_steps(rng, model, covs, grid: TimeGrid, count: int, proj,
     return x, log_q, log_p
 
 
-def recompute_log_densities(traj: Trajectory, model,
-                            covs: list[ga.Covariance],
+def recompute_log_densities(traj: Trajectory, model, proposal,
                             proj: eq.ComProjection | None = None
                             ) -> tuple[float, float]:
     """Joint log-densities recomputed from stored states (cache check)."""
     grid = traj.grid
-    kernels = _step_kernels(covs, grid, proj)
+    kernels = _step_kernels(proposal, grid, proj)
     log_q = 0.0
     log_p = float(prior_log_density(traj.states[-1][None, :], grid.t_max,
                                     proj)[0])

@@ -1,4 +1,4 @@
-"""Zero-center-of-mass subspace machinery.
+"""Zero-center-of-mass subspace machinery and its one tunable kernel.
 
 Configurations of M particles in n spatial dimensions live on the
 (M-1)n-dimensional subspace where the particle mean vanishes.  A fixed
@@ -9,14 +9,15 @@ direction and P P^T = I, the resulting kernels are exactly invariant under
 simultaneous rotation/reflection of all particles, and under particle
 permutations whenever S B S^T = B.
 
-Kernels on the subspace are the isotropic one, normalised over the
-(M-1)n subspace dimensions, and the label-based one: B = diag(eta_{L_i})
-with one variance per particle class, so that B depends on (i, j) only
-through the class labels.  (An exchangeable block (b - a) I + a 11^T is
-not a family of its own: V 1 = 0 makes V B V^T = (b - a) I, the
-isotropic kernel.)  ``_subspace_log_density`` is the one place where the
-subspace enters a density, as the change of coordinates ``to_subspace``
-plus ``reduced_block``.
+Two kinds are defined on the subspace.  The isotropic one is
+``vtdis.gaussians.IsotropicParams`` normalised over the (M-1)n subspace
+dimensions, its draws projected by ``com_project``.  The label-based one
+is ``LabelDiagParams`` here: B = diag(eta_{L_i}) with one variance per
+particle class, so that B depends on (i, j) only through the class
+labels; its density, draw and gradient work in the coordinates
+``to_subspace`` with the block ``reduced_block(B)`` = V B V^T.  (An
+exchangeable block (b - a) I + a 11^T is not a family of its own:
+V 1 = 0 makes V B V^T = (b - a) I, the isotropic kernel.)
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .gaussians import (Covariance, _log_density_delta, _map_steps, sigmoid,
+from .gaussians import (LOG_2PI, _map_steps, _spec_variances, sigmoid,
                         softplus, softplus_inv)
 
 COM_TOLERANCE = 1e-6
@@ -106,63 +107,8 @@ def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
             f"{what} is off the zero-CoM subspace (|com| = {worst:.3e})")
 
 
-def _subspace_log_density(delta: np.ndarray, cov: Covariance,
-                          proj: ComProjection) -> np.ndarray:
-    """log N(delta; 0, cov) for (B, M*n) residuals on the zero-CoM subspace.
-
-    An isotropic kernel normalises over the subspace dimension (|P delta|
-    = |delta| there); a particle block B is taken in the coordinates
-    ``to_subspace(delta)``, where it acts as ``reduced_block(B)``.
-    """
-    if cov.kind == "isotropic":
-        return _log_density_delta(delta, cov, proj.subspace_dim)
-    reduced = Covariance.kron_block(proj.reduced_block(cov.block),
-                                    proj.spatial_dim, cov.base_variance)
-    return _log_density_delta(proj.to_subspace(delta), reduced)
-
-
-def com_gaussian_log_density(x, mean, B, proj: ComProjection,
-                             scale: float = 1.0):
-    """Density of the projected Gaussian N(Px; Pmean, scale * V B V^T (x) I_n).
-
-    A scalar ``B`` denotes the isotropic case B = b I, for which the
-    density simplifies to an ordinary Gaussian on (M-1)n dimensions and no
-    basis is needed.  Inputs must lie on the subspace (tolerance 1e-6;
-    small drift is absorbed because P annihilates the CoM component).
-    """
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    mean2 = np.atleast_2d(np.asarray(mean, dtype=float))
-    _check_on_subspace(x2, proj, "x")
-    _check_on_subspace(mean2, proj, "mean")
-    if np.ndim(B) == 0:
-        cov = Covariance.isotropic(float(B), scale)
-    else:
-        cov = Covariance.kron_block(B, proj.spatial_dim, scale)
-    out = _subspace_log_density(x2 - mean2, cov, proj)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
 # ---------------------------------------------------------------------------
-# label-constrained particle block
-# ---------------------------------------------------------------------------
-
-def build_label_B(labels, params) -> np.ndarray:
-    """Label-constrained block B = diag(eta_{L_i}) from the per-class
-    variances ``params``.  Entries depend on (i, j) only through the
-    labels, so within-class permutations leave B unchanged.
-    """
-    labels = np.asarray(labels, dtype=int)
-    k = int(labels.max()) + 1
-    etas = np.asarray(params, dtype=float)
-    if etas.shape != (k,):
-        raise ValueError(f"need one variance per class ({k})")
-    if np.any(etas <= 0):
-        raise ValueError("class variances must be positive")
-    return np.diag(etas[labels])
-
-
-# ---------------------------------------------------------------------------
-# raw parameterizations on the subspace (same interface as vtdis.gaussians,
+# label-constrained particle block (the spec interface of vtdis.gaussians,
 # including the optional leading step axis)
 # ---------------------------------------------------------------------------
 
@@ -184,19 +130,25 @@ class LabelDiagParams:
     def init(self) -> np.ndarray:
         return np.full(self.n_classes, float(softplus_inv(1.0)))
 
-    def block(self, raw) -> np.ndarray:
-        return build_label_B(self.labels, softplus(raw))
-
-    def covariance(self, raw, base_variance) -> Covariance:
-        return Covariance.kron_block(self.block(raw), self.proj.spatial_dim,
-                                     base_variance)
+    def _reduced_block(self, raw, base) -> np.ndarray:
+        """V diag(eta_{L_i}) V^T, the block on the subspace; base * eta is
+        checked positive and finite."""
+        etas = softplus(raw)
+        _spec_variances(base, etas)
+        return self.proj.reduced_block(np.diag(etas[self.labels]))
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
         return _map_steps(self._step_log_density, deltas, raw, base)
 
     def _step_log_density(self, deltas, raw, base) -> np.ndarray:
-        return _subspace_log_density(deltas, self.covariance(raw, base),
-                                     self.proj)
+        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
+        ch = cho_factor(self._reduced_block(raw, base), lower=True)
+        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
+        BiZ = np.einsum("ij,bjn->bin", cho_solve(ch, np.eye(m1)), Z)
+        q = np.einsum("bin,bin->b", Z, BiZ) / base
+        logdet = m1 * n * np.log(base) + 2.0 * n * np.sum(
+            np.log(np.diag(ch[0])))
+        return -0.5 * (m1 * n * LOG_2PI + logdet) - 0.5 * q
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         return _map_steps(self._step_weighted_grad, deltas, raw, base,
@@ -205,8 +157,7 @@ class LabelDiagParams:
     def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         # sum_b w_b d log N(delta_b) / dB on the subspace, mapped back to
         # the (M, M) block; each class gathers its diagonal entries
-        Bt = self.proj.reduced_block(self.block(raw))
-        ch = cho_factor(Bt, lower=True)
+        ch = cho_factor(self._reduced_block(raw, base), lower=True)
         m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
         Bi = cho_solve(ch, np.eye(m1))
         Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
@@ -215,3 +166,14 @@ class LabelDiagParams:
         G = self.proj.V.T @ Gt @ self.proj.V
         per_class = self._E.T @ np.diag(G)
         return per_class * sigmoid(raw)
+
+    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
+        """One draw per row of ``mean`` from one block of subspace normals,
+        mapped by the Cholesky factor of the reduced block and P^T; the
+        kernel is always on its own subspace, whatever ``proj``."""
+        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
+        z = rng.standard_normal((mean.shape[0], m1 * n))
+        chol = np.linalg.cholesky(self._reduced_block(raw, base))
+        corr = np.sqrt(base) * np.einsum("ij,bjn->bin", chol,
+                                         z.reshape(-1, m1, n))
+        return mean + self.proj.to_ambient(corr.reshape(z.shape[0], m1 * n))

@@ -1,41 +1,58 @@
-"""Structured Gaussian covariances: densities and parameter gradients.
+"""Per-step Gaussian proposals: one class per covariance kind.
 
-A proposal covariance is ``base_variance * C`` where ``base_variance`` is a
-fixed per-step scalar and ``C`` is one of four structures:
+In VT-DIS the Gaussian of each reverse step does three jobs: it is a term
+of the alpha = 2 objective, the reverse draw, and a factor of the
+trajectory weight.  Each covariance kind is one class that does all
+three for ``Sigma = base * C(raw)``, where ``base`` is the step's fixed
+posterior variance and ``C`` a structure with unconstrained raw
+parameters (positivity through a softplus):
 
-* ``isotropic``    C = eta * I
-* ``diagonal``     C = diag(etas)
-* ``full_factor``  C = L L^T with L lower-triangular, positive diagonal
-* ``kron_block``   C = B (x) I_n with B an M x M SPD matrix acting on
-  particles and I_n on spatial coordinates
+* ``IsotropicParams``    C = eta I
+* ``DiagonalParams``     C = diag(etas)
+* ``FullFactorParams``   C = L L^T, L lower-triangular, positive diagonal
+* ``vtdis.equivariant.LabelDiagParams``  per-class particle variances on
+  the zero-center-of-mass subspace
+
+Every class has the same duck-typed interface:
+
+    n_params                              -> int
+    init()                                -> raw vector at C = I, the
+                                             untuned baseline
+    log_density(deltas, raw, base)        -> log N(delta; 0, Sigma) per row
+    weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
+    draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
+
+``log_density`` and ``weighted_grad`` broadcast over an optional leading
+step axis: deltas (N, B, d), raw (N, p) and base (N,) give (N, B) and
+(N, p), step n using raw[n] and base[n], with the weights (B,) shared by
+every step.  Isotropic and diagonal do this in closed form; the others
+map their per-step algebra over the axis (``_map_steps``).  Each rejects
+variances that are not positive and finite (softplus underflows to 0
+below -745) with a ``ValueError``.  ``draw`` takes the zero-CoM
+projection of a particle system: the isotropic draw projects its normals
+with it, label_diag always draws on its own subspace, and diagonal and
+full are ambient only (``make_param_spec`` rejects them on the subspace).
+
+A proposal over a time grid is the pair ``(spec, raws)``: one raw row per
+reverse step, step n using ``raws[n - 1]`` and the base variance
+``grid.ddpm_var(n)``.  ``vtdis.tuner.tune`` returns one, the baseline is
+the isotropic spec at ``init()``, ``vtdis.diffusion.StepKernel`` wraps
+one step of it, and ``vtdis.tuner.make_param_spec`` is the one place
+that maps a kind name to its class.
 
 Densities avoid dense d x d work wherever the structure allows: isotropic
-and diagonal are O(d), and the Kronecker form reduces to M x M solves.
-``_log_density_delta`` is the one density of every structure (its
-isotropic and diagonal branch, ``_scaled_log_density``, also takes the
-stacked residuals of the tuner objective); sampling lives in
-``vtdis.diffusion.StepKernel``.
-
-Each structure also has a raw (unconstrained) parameterization used by the
-optimizer: positivity is enforced through a softplus transform, initialized
-at its inverse so raw parameters start exactly at the identity-structure
-baseline.  The ``*Params`` classes map raw vectors to constrained
-covariances and provide analytic gradients of the log-density with respect
-to the raw parameters (standard Gaussian calculus,
+and diagonal are O(d), the full factor takes one triangular solve.  The
+gradients are standard Gaussian calculus,
 d/dSigma log N = 1/2 (Sigma^-1 dd^T Sigma^-1 - Sigma^-1), chained through
-the structure and the softplus).
+the structure and the softplus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-_KINDS = ("isotropic", "diagonal", "full_factor", "kron_block")
 
 
 # ---------------------------------------------------------------------------
@@ -96,163 +113,6 @@ def sigmoid(z):
     return out
 
 
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite input")
-
-
-# ---------------------------------------------------------------------------
-# covariance container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Covariance:
-    """One per-step proposal covariance ``base_variance * structure``."""
-
-    kind: str
-    base_variance: float
-    eta: float | None = None
-    etas: np.ndarray | None = None
-    factor: np.ndarray | None = None          # L, lower-triangular
-    block: np.ndarray | None = None           # B, (M, M)
-    spatial_dim: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown covariance kind {self.kind!r}")
-        if not (np.isfinite(self.base_variance) and self.base_variance > 0):
-            raise ValueError("base_variance must be positive and finite")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def isotropic(eta: float, base_variance: float) -> "Covariance":
-        if not (np.isfinite(eta) and eta > 0):
-            raise ValueError("isotropic eta must be positive")
-        return Covariance("isotropic", float(base_variance), eta=float(eta))
-
-    @staticmethod
-    def diagonal(etas, base_variance: float) -> "Covariance":
-        etas = np.asarray(etas, dtype=float)
-        if etas.ndim != 1 or not np.all(np.isfinite(etas)) or np.any(etas <= 0):
-            raise ValueError("diagonal etas must be a positive vector")
-        return Covariance("diagonal", float(base_variance), etas=etas)
-
-    @staticmethod
-    def full_factor(L, base_variance: float) -> "Covariance":
-        L = np.asarray(L, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValueError("factor must be square")
-        if not np.allclose(L, np.tril(L)):
-            raise ValueError("factor must be lower-triangular")
-        if not np.all(np.isfinite(L)) or np.any(np.diag(L) <= 0):
-            raise ValueError("factor diagonal must be positive")
-        return Covariance("full_factor", float(base_variance), factor=L)
-
-    @staticmethod
-    def kron_block(B, spatial_dim: int, base_variance: float) -> "Covariance":
-        B = np.asarray(B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("block must be square")
-        if not np.allclose(B, B.T, atol=1e-12):
-            raise ValueError("block must be symmetric")
-        try:
-            np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("block must be positive definite") from exc
-        return Covariance("kron_block", float(base_variance), block=B,
-                          spatial_dim=int(spatial_dim))
-
-    # -- queries -------------------------------------------------------------
-
-    def dim(self) -> int | None:
-        """Ambient dimension, or None when any dimension fits (isotropic)."""
-        if self.kind == "diagonal":
-            return self.etas.shape[0]
-        if self.kind == "full_factor":
-            return self.factor.shape[0]
-        if self.kind == "kron_block":
-            return self.block.shape[0] * self.spatial_dim
-        return None
-
-    def dense(self, dim: int | None = None) -> np.ndarray:
-        """Dense Sigma, for reference/oracle use only."""
-        d = self.dim() if self.dim() is not None else dim
-        if d is None:
-            raise ValueError("isotropic dense() needs an explicit dim")
-        s = self.base_variance
-        if self.kind == "isotropic":
-            return s * self.eta * np.eye(d)
-        if self.kind == "diagonal":
-            return s * np.diag(self.etas)
-        if self.kind == "full_factor":
-            return s * (self.factor @ self.factor.T)
-        return s * np.kron(self.block, np.eye(self.spatial_dim))
-
-
-# ---------------------------------------------------------------------------
-# density
-# ---------------------------------------------------------------------------
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError("expected a vector or a (batch, dim) array")
-
-
-def log_density(x, mean, cov: Covariance):
-    """log N(x; mean, base_variance * structure).
-
-    ``x`` may be a single vector or a (batch, dim) array; ``mean``
-    broadcasts against it.
-    """
-    xb, single = _as_batch(x)
-    mean = np.asarray(mean, dtype=float)
-    _check_finite(xb, mean)
-    delta = xb - mean
-    d = delta.shape[1]
-    cd = cov.dim()
-    if cd is not None and cd != d:
-        raise ValueError(f"dimension mismatch: x has {d}, covariance has {cd}")
-    out = _log_density_delta(delta, cov)
-    return float(out[0]) if single else out
-
-
-def _log_density_delta(delta: np.ndarray, cov: Covariance,
-                       dim: int | None = None) -> np.ndarray:
-    """Core density on centered residuals, batched (B, d) -> (B,).
-
-    ``dim`` is the dimension an isotropic kernel normalises over; it
-    defaults to ``d`` and is smaller when the residuals lie on a subspace
-    (``vtdis.equivariant`` passes the zero-CoM subspace dimension).
-    """
-    d = delta.shape[1] if dim is None else dim
-    s = cov.base_variance
-    if cov.kind == "isotropic":
-        return _scaled_log_density(delta, s * cov.eta, d)
-    if cov.kind == "diagonal":
-        return _scaled_log_density(delta, s * cov.etas, d)
-    if cov.kind == "full_factor":
-        L = cov.factor
-        u = solve_triangular(L, delta.T, lower=True).T
-        q = np.sum(u * u, axis=1) / s
-        logdet = d * np.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
-        return -0.5 * (d * LOG_2PI + logdet) - 0.5 * q
-    # kron_block, a density over all M*n coordinates of delta
-    B, n = cov.block, cov.spatial_dim
-    M = B.shape[0]
-    Bc = cho_factor(B, lower=True)
-    D = delta.reshape(delta.shape[0], M, n)
-    BiD = np.einsum("ij,bjn->bin", cho_solve(Bc, np.eye(M)), D)
-    q = np.einsum("bin,bin->b", D, BiD) / s
-    logdet = M * n * np.log(s) + 2.0 * n * np.sum(np.log(np.diag(Bc[0])))
-    return -0.5 * (M * n * LOG_2PI + logdet) - 0.5 * q
-
-
 def _scaled_log_density(delta: np.ndarray, v, dim: int) -> np.ndarray:
     """log N(delta; 0, diag(v)) per row of ``delta`` (..., B, d) -> (..., B).
 
@@ -272,8 +132,8 @@ def _scaled_log_density(delta: np.ndarray, v, dim: int) -> np.ndarray:
 
 
 def _spec_variances(base, etas) -> np.ndarray:
-    """base * etas for a raw-parameter spec, rejected unless positive and
-    finite as ``Covariance`` does (softplus underflows to 0 below -745)."""
+    """base * etas, rejected unless positive and finite (softplus
+    underflows to 0 below -745)."""
     v = base * etas
     if not np.all(np.isfinite(v) & (v > 0)):
         raise ValueError("proposal variances must be positive and finite")
@@ -291,23 +151,8 @@ def _map_steps(step_fn, deltas, raw, base, *rest) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw (unconstrained) parameterizations with analytic gradients
+# one class per covariance kind (LabelDiagParams is in vtdis.equivariant)
 # ---------------------------------------------------------------------------
-#
-# Shared interface (duck-typed; see also the subspace variants in
-# vtdis.equivariant):
-#
-#   n_params          -> int
-#   init()            -> raw vector at the identity-structure baseline
-#   covariance(raw, base_variance)        -> Covariance
-#   log_density(deltas, raw, base)        -> (B,) log N(delta; 0, Sigma(raw))
-#   weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
-#
-# ``log_density`` and ``weighted_grad`` broadcast over an optional leading
-# step axis: deltas (N, B, d), raw (N, p) and base (N,) give (N, B) and
-# (N, p), step n using raw[n] and base[n], with the weights (B,) shared by
-# every step.  Isotropic and diagonal specs do this in closed form; the
-# others map their per-step algebra over the axis (``_map_steps``).
 
 class IsotropicParams:
     """eta = softplus(z); one raw parameter.
@@ -323,9 +168,6 @@ class IsotropicParams:
     def init(self) -> np.ndarray:
         return np.array([float(softplus_inv(1.0))])
 
-    def covariance(self, raw, base_variance) -> Covariance:
-        return Covariance.isotropic(float(softplus(raw[0])), base_variance)
-
     def log_density(self, deltas, raw, base) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
         return _scaled_log_density(
@@ -340,6 +182,15 @@ class IsotropicParams:
                                   - self.dim / (2.0 * eta)), axis=-1)
         return g_eta[..., None] * sigmoid(raw[..., :1])
 
+    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
+        """One draw per row of ``mean`` from one block of ambient normals,
+        projected onto the zero-CoM subspace of ``proj`` when given."""
+        z = rng.standard_normal(mean.shape)
+        if proj is not None:
+            from .equivariant import com_project  # local import avoids a cycle
+            z = com_project(z, proj)
+        return mean + np.sqrt(_spec_variances(base, softplus(raw[0]))) * z
+
 
 class DiagonalParams:
     """etas_i = softplus(z_i); d raw parameters."""
@@ -350,9 +201,6 @@ class DiagonalParams:
 
     def init(self) -> np.ndarray:
         return np.full(self.dim, float(softplus_inv(1.0)))
-
-    def covariance(self, raw, base_variance) -> Covariance:
-        return Covariance.diagonal(softplus(raw), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
         base = np.asarray(base, dtype=float)[..., None]
@@ -365,6 +213,11 @@ class DiagonalParams:
         g = (weights @ (deltas * deltas)) / (2.0 * base * etas * etas) \
             - np.sum(weights) / (2.0 * etas)
         return g * sigmoid(raw)
+
+    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
+        """One draw per row of ``mean``; ambient only."""
+        z = rng.standard_normal(mean.shape)
+        return mean + np.sqrt(_spec_variances(base, softplus(raw))) * z
 
 
 class FullFactorParams:
@@ -385,28 +238,31 @@ class FullFactorParams:
         raw[self._diag_mask] = float(softplus_inv(1.0))
         return raw
 
-    def _factor(self, raw) -> np.ndarray:
+    def _factor(self, raw, base) -> np.ndarray:
+        """L, with base * diag(L) checked positive and finite."""
         L = np.zeros((self.dim, self.dim))
         vals = np.array(raw, dtype=float, copy=True)
         vals[self._diag_mask] = softplus(vals[self._diag_mask])
         L[self._rows, self._cols] = vals
+        _spec_variances(base, np.diag(L))
         return L
-
-    def covariance(self, raw, base_variance) -> Covariance:
-        return Covariance.full_factor(self._factor(raw), base_variance)
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
         return _map_steps(self._step_log_density, deltas, raw, base)
 
     def _step_log_density(self, deltas, raw, base) -> np.ndarray:
-        return _log_density_delta(deltas, self.covariance(raw, base))
+        L = self._factor(raw, base)
+        u = solve_triangular(L, deltas.T, lower=True).T
+        q = np.sum(u * u, axis=1) / base
+        logdet = self.dim * np.log(base) + 2.0 * np.sum(np.log(np.diag(L)))
+        return -0.5 * (self.dim * LOG_2PI + logdet) - 0.5 * q
 
     def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
         return _map_steps(self._step_weighted_grad, deltas, raw, base,
                           weights)
 
     def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        L = self._factor(raw)
+        L = self._factor(raw, base)
         U = solve_triangular(L, deltas.T, lower=True).T        # u_b = L^-1 d_b
         S = (U * weights[:, None]).T @ U                       # sum w u u^T
         G = solve_triangular(L, S, lower=True, trans="T") / base
@@ -414,3 +270,8 @@ class FullFactorParams:
         g = G[self._rows, self._cols]
         g[self._diag_mask] *= sigmoid(np.asarray(raw)[self._diag_mask])
         return g
+
+    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
+        """One draw per row of ``mean``; ambient only."""
+        z = rng.standard_normal(mean.shape)
+        return mean + np.sqrt(base) * (z @ self._factor(raw, base).T)

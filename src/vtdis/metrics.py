@@ -15,6 +15,7 @@ import numpy as np
 
 from . import diffusion as df
 from .gaussians import logsumexp
+from .tuner import batch_log_weights
 
 
 def reverse_ess(log_weights) -> float:
@@ -38,47 +39,36 @@ def estimate_log_Z(log_weights) -> float:
 # evidence bounds
 # ---------------------------------------------------------------------------
 
-def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, covs,
+def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
               grid, inner: int, proj=None, repeats: int = 3) -> dict:
     """Evidence sandwich for the reverse model at given data points.
 
     For each x0, draw ``inner`` forward paths and form
-    R = log p(x_{0:N}) - log q(x_{1:N} | x0).  The lower bound is the
-    plain average of R; the upper bound reweights the same draws by
-    softmax(R), i.e. a self-normalized estimate under the reverse-path
-    posterior.  The weighted average can only move mass toward larger R,
-    so the sandwich inequality holds for every finite sample.
+    R = log p(x_{0:N}) - log q(x_{1:N} | x0) = log pi(x0) - log w, with
+    log w from ``tuner.batch_log_weights`` under the proposal
+    ``(spec, raws)``.  The lower bound is the plain average of R; the
+    upper bound reweights the same draws by softmax(R), i.e. a
+    self-normalized estimate under the reverse-path posterior.  The
+    weighted average can only move mass toward larger R, so the sandwich
+    inequality holds for every finite sample.
 
-    Returns batch means and the standard deviation across ``repeats``
-    independent repetitions.
+    Returns ``{"elbo", "eubo"}``, each the mean over ``repeats``
+    independent repetitions of the batch means.
     """
     if inner < 2:
         raise ValueError("upper bound needs at least two inner samples")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     b = x0.shape[0]
-    kernels = df._step_kernels(covs, grid, proj)
+    spec, raws, bases = df.proposal_steps(proposal, grid)
     elbos, eubos = [], []
     for _ in range(repeats):
         tiled = np.repeat(x0, inner, axis=0)
         batch = df.forward_residuals(rng, tiled, model, grid, proj)
-        log_p_steps = np.zeros(tiled.shape[0])
-        zeros = np.zeros_like(tiled)
-        for n in range(batch.n_steps):
-            log_p_steps += kernels[n].logpdf(batch.deltas[n], zeros)
-        r = (batch.log_prior + log_p_steps - batch.log_q_cond).reshape(b, inner)
+        r = -batch_log_weights(batch, spec, raws, bases, 0.0).reshape(b, inner)
         elbo_b = np.mean(r, axis=1)
         shifted = np.exp(r - np.max(r, axis=1, keepdims=True))
         u = shifted / np.sum(shifted, axis=1, keepdims=True)
         eubo_b = np.sum(u * r, axis=1)
         elbos.append(float(np.mean(elbo_b)))
         eubos.append(float(np.mean(eubo_b)))
-    elbos, eubos = np.asarray(elbos), np.asarray(eubos)
-    return {
-        "elbo": float(np.mean(elbos)),
-        "eubo": float(np.mean(eubos)),
-        "elbo_std": float(np.std(elbos)),
-        "eubo_std": float(np.std(eubos)),
-        "gap": float(np.mean(eubos) - np.mean(elbos)),
-        "estimator": "forward-path average (lower) / softmax-reweighted "
-                     "forward-path average (upper)",
-    }
+    return {"elbo": float(np.mean(elbos)), "eubo": float(np.mean(eubos))}

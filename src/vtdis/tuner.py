@@ -17,7 +17,12 @@ One iteration is one ``forward_residuals`` batch (one denoiser call per
 step) followed by one stacked ``spec.log_density`` and one stacked
 ``spec.weighted_grad`` call over all N steps: residuals (N, B, dim), raw
 parameters (N, p) and base variances (N,) in, (N, B) log-densities and
-(N, p) gradients out.  The tuner never branches on the covariance kind.
+(N, p) gradients out.  The spec is the one class of its covariance kind
+(``vtdis.gaussians``), and ``make_param_spec`` is the only place that
+maps a kind name to a class; nothing else branches on the kind.  The
+result is the proposal ``(spec, raws)`` that the samplers and the bound
+metrics take, and ``batch_log_weights`` is the one log-weight function of
+a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
 
 ``TUNABLE_KINDS`` are isotropic, diagonal and full on vector data, and
 isotropic and label_diag on the zero-CoM subspace of particle systems.
@@ -49,12 +54,16 @@ TUNABLE_KINDS = ("isotropic", "diagonal", "full", "label_diag")
 def make_param_spec(kind: str, *, dim: int | None = None,
                     proj: eq.ComProjection | None = None,
                     labels=None):
-    """Raw-parameterization factory for a covariance kind.
+    """The spec class of a covariance kind, built for the problem's space.
 
     Vector-space kinds need ``dim`` (for particle systems run with an
     isotropic proposal, the subspace dimension); ``label_diag`` needs the
-    projection and per-particle labels.
+    projection and per-particle labels.  Diagonal and full are not defined
+    on the zero-CoM subspace: their draws would leave it.
     """
+    if proj is not None and kind in ("diagonal", "full"):
+        raise ValueError(f"{kind} covariance is not defined on the CoM "
+                         "subspace; use isotropic or label_diag")
     if kind == "isotropic":
         return ga.IsotropicParams(_need(dim, "dim"))
     if kind == "diagonal":
@@ -78,10 +87,19 @@ def _need(value, name):
 
 def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
                       bases: np.ndarray, log_pi: np.ndarray) -> np.ndarray:
-    """log w per trajectory for the current raw parameters; one stacked
-    ``spec.log_density`` call covers every step."""
-    log_p_steps = np.sum(spec.log_density(batch.deltas, raws, bases), axis=0)
-    return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
+    """log w per trajectory for the current raw parameters.
+
+    One stacked ``spec.log_density`` call covers every step of up to
+    ``rows`` trajectories.  A diagonal density makes one (N, rows, dim)
+    temporary, so a larger batch (the held-out bounds) goes in blocks of
+    rows; every value is the same as from one call.
+    """
+    rows = 1024
+    log_p_steps = [np.sum(spec.log_density(batch.deltas[:, i:i + rows], raws,
+                                           bases), axis=0)
+                   for i in range(0, batch.count, rows)]
+    return (log_pi + batch.log_q_cond - batch.log_prior
+            - np.concatenate(log_p_steps))
 
 
 def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi,
@@ -135,18 +153,12 @@ class TuneResult:
 
     raws: np.ndarray            # (N, n_params)
     spec: object
-    grid: TimeGrid
     loss_curve: np.ndarray
     iterations: int
 
-    def covariances(self) -> list[ga.Covariance]:
-        return covariances_from_raws(self.spec, self.raws, self.grid)
-
-
-def covariances_from_raws(spec, raws: np.ndarray, grid: TimeGrid
-                          ) -> list[ga.Covariance]:
-    return [spec.covariance(raws[n - 1], grid.ddpm_var(n))
-            for n in range(1, grid.n_steps + 1)]
+    def covariances(self) -> tuple:
+        """The tuned proposal ``(spec, raws)``."""
+        return self.spec, self.raws
 
 
 def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
@@ -161,9 +173,6 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     below ``plateau_tol`` across ``plateau_window`` iterations).
     """
     config = config or TunerConfig()
-    if proj is not None and kind in ("diagonal", "full"):
-        raise ValueError(f"{kind} covariance is not defined on the CoM "
-                         "subspace; use isotropic or label_diag")
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim=dim, proj=proj, labels=labels)
     n_steps = grid.n_steps
@@ -200,5 +209,5 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
                     1.0, abs(previous)):
                 break
 
-    return TuneResult(raws=raws, spec=spec, grid=grid,
+    return TuneResult(raws=raws, spec=spec,
                       loss_curve=np.asarray(losses), iterations=len(losses))

@@ -7,6 +7,7 @@ from vtdis import equivariant as eq
 from vtdis import gaussians as ga
 from vtdis import metrics as mt
 from vtdis import targets as tg
+from vtdis import tuner as tu
 from vtdis.schedule import karras_grid
 
 GRID = karras_grid(6, 1e-3, 10.0, 7.0)
@@ -16,9 +17,7 @@ def ambient_case():
     """Analytic GMM score with tuned-looking diagonal kernels."""
     model = dn.AnalyticGmmScore(tg.two_mode_gmm(3))
     etas = np.random.default_rng(1).uniform(0.5, 2.0, (GRID.n_steps, 3))
-    covs = [ga.Covariance.diagonal(etas[n - 1], GRID.ddpm_var(n))
-            for n in range(1, GRID.n_steps + 1)]
-    return model, covs, None
+    return model, (ga.DiagonalParams(3), ga.softplus_inv(etas)), None
 
 
 def com_case():
@@ -27,9 +26,9 @@ def com_case():
     model = dn.RadialDenoiser(target.n_particles, target.spatial_dim, [8],
                               1.0, np.random.default_rng(2))
     proj = eq.ComProjection(target.n_particles, target.spatial_dim)
-    covs = [ga.Covariance.isotropic(0.5 + 0.1 * n, GRID.ddpm_var(n))
-            for n in range(1, GRID.n_steps + 1)]
-    return model, covs, proj
+    etas = 0.5 + 0.1 * np.arange(1, GRID.n_steps + 1)
+    spec = ga.IsotropicParams(proj.subspace_dim)
+    return model, (spec, ga.softplus_inv(etas)[:, None]), proj
 
 
 CASES = {"ambient": ambient_case, "com": com_case}
@@ -37,11 +36,11 @@ CASES = {"ambient": ambient_case, "com": com_case}
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_trajectory_matches_batch_of_one(case):
-    model, covs, proj = CASES[case]()
+    model, proposal, proj = CASES[case]()
     traj = df.reverse_sample_trajectory(np.random.default_rng(5), model,
-                                        covs, GRID, proj)
+                                        proposal, GRID, proj)
     x0, log_q, log_p = df.reverse_sample_batch(np.random.default_rng(5),
-                                               model, covs, GRID, 1, proj)
+                                               model, proposal, GRID, 1, proj)
     assert np.array_equal(traj.x0, x0[0])
     assert traj.log_q_cond == log_q[0]
     assert traj.log_p_joint == log_p[0]
@@ -49,32 +48,109 @@ def test_trajectory_matches_batch_of_one(case):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_stored_densities_match_recompute(case):
-    model, covs, proj = CASES[case]()
+    model, proposal, proj = CASES[case]()
     rng = np.random.default_rng(6)
     for _ in range(3):
-        traj = df.reverse_sample_trajectory(rng, model, covs, GRID, proj)
-        log_q, log_p = df.recompute_log_densities(traj, model, covs, proj)
+        traj = df.reverse_sample_trajectory(rng, model, proposal, GRID, proj)
+        log_q, log_p = df.recompute_log_densities(traj, model, proposal, proj)
         assert log_q == pytest.approx(traj.log_q_cond, rel=0, abs=1e-10)
         assert log_p == pytest.approx(traj.log_p_joint, rel=0, abs=1e-10)
         if proj is not None:
             assert np.max(proj.com_norm(traj.states)) < 1e-12
 
 
+def wrong_count(proposal, extra):
+    """The proposal with ``extra`` steps appended (> 0) or dropped (< 0)."""
+    spec, raws = proposal
+    if extra > 0:
+        return spec, np.concatenate([raws, raws[:extra]])
+    return spec, raws[:extra]
+
+
 @pytest.mark.parametrize("extra", [2, -2])
 def test_recompute_rejects_wrong_covariance_count(extra):
-    model, covs, proj = com_case()
+    model, proposal, proj = com_case()
     traj = df.reverse_sample_trajectory(np.random.default_rng(7), model,
-                                        covs, GRID, proj)
-    wrong = covs + covs[:extra] if extra > 0 else covs[:extra]
+                                        proposal, GRID, proj)
+    wrong = wrong_count(proposal, extra)
     with pytest.raises(ValueError, match="step covariances"):
         df.recompute_log_densities(traj, model, wrong, proj)
 
 
 @pytest.mark.parametrize("extra", [2, -2])
 def test_elbo_eubo_rejects_wrong_covariance_count(extra):
-    model, covs, proj = com_case()
+    model, proposal, proj = com_case()
     x0 = tg.remove_com(np.random.default_rng(8).standard_normal((2, 8)), 4, 2)
-    wrong = covs + covs[:extra] if extra > 0 else covs[:extra]
+    wrong = wrong_count(proposal, extra)
     with pytest.raises(ValueError, match="step covariances"):
         mt.elbo_eubo(np.random.default_rng(9), x0, model, wrong, GRID,
                      inner=2, proj=proj)
+
+
+class TestUnbiasedWeights:
+    """E_p[w] = Z for any proposal whose draws and densities agree: on the
+    normalised two-mode GMM (Z = 1) the mean of w = exp(log w) must lie
+    within 4 standard errors of 1.  The SE is taken across seeds, each
+    seed's figure being its batch mean of w.  log Z-hat is biased low by
+    Jensen's inequality, so the test is on w itself."""
+
+    GRID = karras_grid(8, 0.2, 10.0, 7.0)
+    SEEDS, COUNT = 32, 1024
+
+    def proposals(self, gmm, model):
+        spec = ga.IsotropicParams(gmm.dim)
+        tuned = tu.tune(np.random.default_rng(0), model, gmm, self.GRID,
+                        "diagonal", tu.TunerConfig(iterations=50,
+                                                   batch_size=64, lr=0.1))
+        assert not np.array_equal(tuned.raws, np.tile(
+            tuned.spec.init(), (self.GRID.n_steps, 1)))
+        return {"baseline": (spec, np.tile(spec.init(),
+                                           (self.GRID.n_steps, 1))),
+                "tuned": tuned.covariances()}
+
+    @pytest.mark.parametrize("which", ["baseline", "tuned"])
+    def test_mean_weight_is_one(self, which):
+        gmm = tg.two_mode_gmm(2)
+        model = dn.AnalyticGmmScore(gmm)
+        proposal = self.proposals(gmm, model)[which]
+        means = []
+        for seed in range(self.SEEDS):
+            x0, log_q, log_p = df.reverse_sample_batch(
+                np.random.default_rng(seed), model, proposal, self.GRID,
+                self.COUNT)
+            means.append(np.mean(np.exp(gmm.log_density(x0) + log_q
+                                        - log_p)))
+        se = np.std(means, ddof=1) / np.sqrt(self.SEEDS)
+        assert se < 0.05          # enough power to see a bias of 20%
+        assert abs(np.mean(means) - 1.0) < 4.0 * se
+
+
+class TestWeightFailurePaths:
+    def log_weights(self):
+        """Log weights of LJ-13 configurations, the last of which has two
+        coincident particles and so zero target density."""
+        lj = tg.LennardJones()
+        x0 = 1.5 * np.random.default_rng(12).standard_normal((5, lj.dim))
+        x0[-1, 3:6] = x0[-1, 0:3]
+        log_pi = lj.log_density(tg.remove_com(x0, 13, 3))
+        assert np.all(np.isfinite(log_pi[:-1])) and log_pi[-1] == -np.inf
+        # a shift keeps the finite weights in range; it cancels in the ESS
+        return log_pi - np.max(log_pi[:-1])
+
+    def test_zero_weight_counts_in_n(self):
+        lw = self.log_weights()
+        w = np.exp(lw)
+        assert w[-1] == 0.0
+        want_ess = np.sum(w) ** 2 / (len(w) * np.sum(w * w))
+        assert mt.reverse_ess(lw) == pytest.approx(want_ess, rel=1e-12)
+        assert mt.reverse_ess(lw) < mt.reverse_ess(lw[:-1])
+        assert mt.estimate_log_Z(lw) == pytest.approx(
+            np.log(np.sum(w) / len(w)), rel=1e-12)
+
+    def test_nan_log_weight_raises(self):
+        lw = self.log_weights()
+        lw[0] = np.nan
+        with pytest.raises(ValueError):
+            mt.reverse_ess(lw)
+        with pytest.raises(ValueError):
+            mt.estimate_log_Z(lw)

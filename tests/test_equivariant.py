@@ -26,14 +26,28 @@ def permute(x, perm, n):
     return x.reshape(-1, n)[perm].reshape(-1)
 
 
-def com_draw(rng, B, p, count, scale=1.0):
-    """``count`` batched draws on the subspace through the sampling kernel;
-    a scalar ``B`` is the isotropic kernel."""
-    if np.ndim(B) == 0:
-        cov = ga.Covariance.isotropic(B, scale)
-    else:
-        cov = ga.Covariance.kron_block(B, p.spatial_dim, scale)
-    return StepKernel(cov, p).sample(rng, np.zeros((count, p.ambient_dim)))
+def subspace_kernel(p, eta, scale=1.0, labels=None):
+    """The step kernel on the subspace of ``p``: isotropic with variance
+    ``scale * eta`` for a scalar ``eta``, else label_diag with class
+    variances ``eta`` (one class per particle unless ``labels``)."""
+    if np.ndim(eta) == 0:
+        spec = ga.IsotropicParams(p.subspace_dim)
+        return StepKernel(spec, ga.softplus_inv(np.array([eta])), scale, p)
+    labels = np.arange(p.n_particles) if labels is None else labels
+    spec = eq.LabelDiagParams(labels, p)
+    return StepKernel(spec, ga.softplus_inv(np.asarray(eta, dtype=float)),
+                      scale, p)
+
+
+def block_sigma(p, b, scale=1.0):
+    """Dense scale * (V B V^T (x) I_n), the covariance of P x."""
+    return scale * np.kron(p.V @ b @ p.V.T, np.eye(p.spatial_dim))
+
+
+def com_draw(rng, eta, p, count, scale=1.0, labels=None):
+    """``count`` batched draws on the subspace through the sampling kernel."""
+    return subspace_kernel(p, eta, scale, labels).sample(
+        rng, np.zeros((count, p.ambient_dim)))
 
 
 class TestProjection:
@@ -86,6 +100,13 @@ class TestComProject:
         assert np.allclose(a, b, atol=1e-14)
 
 
+def dense_logpdf(z, sigma):
+    """log N(z; 0, sigma) for one vector, by a dense solve."""
+    _, logdet = np.linalg.slogdet(sigma)
+    return -0.5 * (len(z) * np.log(2 * np.pi) + logdet
+                   + z @ np.linalg.solve(sigma, z))
+
+
 class TestComGaussian:
     def test_isotropic_matches_reduced_dense(self):
         rng = np.random.default_rng(2)
@@ -93,7 +114,7 @@ class TestComGaussian:
         x = eq.com_project(rng.standard_normal(8), p)
         mean = eq.com_project(rng.standard_normal(8), p)
         sigma2 = 1.7
-        got = eq.com_gaussian_log_density(x, mean, sigma2, p)
+        got = subspace_kernel(p, sigma2).logpdf(x, mean)[0]
         z = p.to_subspace(x - mean)
         want = (-0.5 * 6 * np.log(2 * np.pi * sigma2)
                 - 0.5 * z @ z / sigma2)
@@ -102,57 +123,62 @@ class TestComGaussian:
     def test_block_matches_reduced_dense(self):
         rng = np.random.default_rng(3)
         p = eq.ComProjection(5, 3)
-        b = random_spd(5, rng)
+        eta = rng.uniform(0.5, 2.0, 5)
         x = eq.com_project(rng.standard_normal(15), p)
         mean = eq.com_project(rng.standard_normal(15), p)
         scale = 0.6
-        got = eq.com_gaussian_log_density(x, mean, b, p, scale=scale)
-        sig = scale * np.kron(p.reduced_block(b), np.eye(3))
-        z = p.to_subspace(x - mean)
-        _, logdet = np.linalg.slogdet(sig)
-        want = -0.5 * (12 * np.log(2 * np.pi) + logdet
-                       + z @ np.linalg.solve(sig, z))
+        got = subspace_kernel(p, eta, scale).logpdf(x, mean)[0]
+        want = dense_logpdf(p.to_subspace(x - mean),
+                            block_sigma(p, np.diag(eta), scale))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_rotation_reflection_invariance(self):
         rng = np.random.default_rng(4)
         p = eq.ComProjection(5, 3)
-        b = random_spd(5, rng)
+        kernel = subspace_kernel(p, rng.uniform(0.5, 2.0, 5))
         for trial in range(50):
             r = ortho_group.rvs(3, random_state=trial)
             x = eq.com_project(rng.standard_normal(15), p)
             mean = eq.com_project(rng.standard_normal(15), p)
-            a = eq.com_gaussian_log_density(x, mean, b, p)
-            c = eq.com_gaussian_log_density(rotate(x, r, 5),
-                                            rotate(mean, r, 5), b, p)
+            a = kernel.logpdf(x, mean)
+            c = kernel.logpdf(rotate(x, r, 5), rotate(mean, r, 5))
             assert abs(a - c) < 1e-10
 
     def test_exchangeable_permutation_invariance(self):
+        # isotropic (the exchangeable block) under any permutation;
+        # label_diag under permutations within each class
         rng = np.random.default_rng(5)
         p = eq.ComProjection(6, 2)
-        b = 1.1 * np.eye(6) + 0.4 * np.ones((6, 6))     # exchangeable
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        iso = subspace_kernel(p, 1.5)
+        by_label = subspace_kernel(p, np.array([0.7, 1.9]), labels=labels)
         for _ in range(50):
-            perm = rng.permutation(6)
             x = eq.com_project(rng.standard_normal(12), p)
             mean = eq.com_project(rng.standard_normal(12), p)
-            a = eq.com_gaussian_log_density(x, mean, b, p)
-            c = eq.com_gaussian_log_density(permute(x, perm, 2),
-                                            permute(mean, perm, 2), b, p)
-            assert abs(a - c) < 1e-10
+            perm = rng.permutation(6)
+            assert abs(iso.logpdf(x, mean) - iso.logpdf(
+                permute(x, perm, 2), permute(mean, perm, 2))) < 1e-10
+            within = np.arange(6)
+            for k in (0, 1):
+                members = np.flatnonzero(labels == k)
+                within[members] = rng.permutation(members)
+            assert abs(by_label.logpdf(x, mean) - by_label.logpdf(
+                permute(x, within, 2), permute(mean, within, 2))) < 1e-10
 
     def test_off_subspace_rejected(self):
         p = eq.ComProjection(3, 2)
         x = np.ones(6)   # com = (1, 1)
         with pytest.raises(ValueError):
-            eq.com_gaussian_log_density(x, np.zeros(6), 1.0, p)
+            subspace_kernel(p, 1.0).logpdf(x, np.zeros(6))
 
     def test_normalizes_on_subspace(self):
         # M = 2, n = 1: one effective coordinate, integrate by quadrature
         p = eq.ComProjection(2, 1)
+        kernel = subspace_kernel(p, 1.3)
 
         def density(z):
             x = p.to_ambient(np.array([z]))
-            return np.exp(eq.com_gaussian_log_density(x, np.zeros(2), 1.3, p))
+            return np.exp(kernel.logpdf(x, np.zeros(2))[0])
 
         val, err = quad(density, -15, 15)
         assert val == pytest.approx(1.0, abs=1e-8)
@@ -162,8 +188,7 @@ class TestComSampling:
     def test_zero_com_exact(self):
         p = eq.ComProjection(5, 3)
         rng = np.random.default_rng(6)
-        b = random_spd(5, rng)
-        s = com_draw(rng, b, p, 1000)
+        s = com_draw(rng, rng.uniform(0.5, 2.0, 5), p, 1000)
         assert np.max(p.com_norm(s)) < 1e-12
 
     def test_seed_determinism(self):
@@ -175,11 +200,12 @@ class TestComSampling:
     def test_empirical_covariance(self):
         rng = np.random.default_rng(7)
         p = eq.ComProjection(4, 3)
-        b = 1.2 * np.eye(4) - 0.2 * np.ones((4, 4))     # exchangeable
-        s = com_draw(rng, b, p, 10 ** 5, scale=2.0)
+        labels = np.array([0, 1, 0, 1])
+        eta = np.array([1.5, 0.7])
+        s = com_draw(rng, eta, p, 10 ** 5, scale=2.0, labels=labels)
         z = p.to_subspace(s).reshape(-1, 3, 3)
         emp = np.einsum("bin,bjn->ij", z, z) / (s.shape[0] * 3)
-        want = 2.0 * p.reduced_block(b)
+        want = 2.0 * p.V @ np.diag(eta[labels]) @ p.V.T
         assert np.max(np.abs(emp - want)) < 0.05 * np.max(np.abs(want))
 
     def test_isotropic_matches_ambient_subtract_com_in_distribution(self):
@@ -188,7 +214,7 @@ class TestComSampling:
         # 1-D projections through a KS test
         p = eq.ComProjection(4, 2)
         rng = np.random.default_rng(8)
-        direct = com_draw(rng, np.eye(4), p, 4000)
+        direct = com_draw(rng, np.ones(4), p, 4000)
         shortcut = com_draw(rng, 1.0, p, 4000)
         u = rng.standard_normal(8)
         a = direct @ u
@@ -199,26 +225,35 @@ class TestComSampling:
         # average log-density of own draws ~ differential entropy
         rng = np.random.default_rng(10)
         p = eq.ComProjection(3, 2)
-        b = random_spd(3, rng)
-        s = com_draw(rng, b, p, 2 * 10 ** 4)
-        lp = eq.com_gaussian_log_density(s, np.zeros(6), b, p)
-        sig = np.kron(p.reduced_block(b), np.eye(2))
-        _, logdet = np.linalg.slogdet(sig)
+        eta = rng.uniform(0.5, 2.0, 3)
+        kernel = subspace_kernel(p, eta)
+        s = kernel.sample(rng, np.zeros((2 * 10 ** 4, 6)))
+        lp = kernel.logpdf(s, np.zeros(6))
+        _, logdet = np.linalg.slogdet(block_sigma(p, np.diag(eta)))
         want = -0.5 * 4 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
 
 
 class TestBlockBuilders:
     def test_label_diag(self):
+        # B = diag(eta_{L_i}): class variances spread over their members
+        rng = np.random.default_rng(11)
+        p = eq.ComProjection(4, 2)
         labels = np.array([0, 1, 1, 0])
-        b = eq.build_label_B(labels, np.array([2.0, 3.0]))
-        assert np.allclose(np.diag(b), [2.0, 3.0, 3.0, 2.0])
+        kernel = subspace_kernel(p, np.array([2.0, 3.0]), 0.9, labels)
+        x = eq.com_project(rng.standard_normal((3, 8)), p)
+        sig = block_sigma(p, np.diag([2.0, 3.0, 3.0, 2.0]), 0.9)
+        want = [dense_logpdf(p.to_subspace(row), sig) for row in x]
+        assert np.allclose(kernel.logpdf(x, 0), want, atol=1e-10)
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            eq.build_label_B(np.array([0, 1]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            eq.build_label_B(np.array([0, 1]), np.array([1.0, -0.1]))
+        p = eq.ComProjection(2, 2)
+        with pytest.raises(ValueError, match="one label per particle"):
+            eq.LabelDiagParams(np.array([0, 1, 1]), p)
+        spec = eq.LabelDiagParams(np.array([0, 1]), p)
+        with pytest.raises(ValueError, match="positive"):
+            spec.draw(np.random.default_rng(0), np.array([0.0, -800.0]),
+                      1.0, np.zeros((1, 4)))
 
 
 LABELS = np.array([0, 0, 1, 1])
@@ -250,25 +285,33 @@ class TestSubspaceParams:
 
     def test_density_matches_com_gaussian(self):
         # every spec's density is the sampling kernel's density, and the
-        # projected Gaussian's
+        # dense projected Gaussian's
         rng = np.random.default_rng(14)
         proj = eq.ComProjection(4, 3)
-        for spec in (make(proj) for make in self.SPECS.values()):
+        for kind, make in self.SPECS.items():
+            spec = make(proj)
             raw = spec.init() + 0.2 * rng.standard_normal(spec.n_params)
             deltas = eq.com_project(rng.standard_normal((4, 12)), proj)
             direct = spec.log_density(deltas, raw, 0.8)
-            cov = spec.covariance(raw, 0.8)
-            kernel = StepKernel(cov, proj).logpdf(deltas, 0)
-            assert np.allclose(direct, kernel, atol=1e-10)
-            B = cov.eta if cov.kind == "isotropic" else cov.block
-            via = eq.com_gaussian_log_density(deltas, np.zeros(12), B, proj,
-                                              scale=0.8)
-            assert np.allclose(direct, via, atol=1e-10)
+            kernel = StepKernel(spec, raw, 0.8, proj).logpdf(deltas, 0)
+            assert np.array_equal(direct, kernel)
+            etas = ga.softplus(raw)
+            b = (etas[0] * np.eye(4) if kind == "isotropic"
+                 else np.diag(etas[LABELS]))
+            sig = block_sigma(proj, b, 0.8)
+            want = [dense_logpdf(proj.to_subspace(x), sig) for x in deltas]
+            assert np.allclose(direct, want, atol=1e-10)
 
     def test_baseline_init(self):
+        # label_diag at init() is the isotropic baseline on the subspace
         proj = eq.ComProjection(5, 2)
+        deltas = eq.com_project(
+            np.random.default_rng(15).standard_normal((3, 10)), proj)
         spec = eq.LabelDiagParams(np.array([0, 1, 0, 1, 1]), proj)
-        assert np.allclose(spec.block(spec.init()), np.eye(5), atol=1e-12)
+        iso = ga.IsotropicParams(proj.subspace_dim)
+        assert np.allclose(spec.log_density(deltas, spec.init(), 0.6),
+                           iso.log_density(deltas, iso.init(), 0.6),
+                           atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_tuning_moves_every_parameter(self, kind):

@@ -23,16 +23,34 @@ def dense_logpdf(x, mean, sigma):
                    + delta @ np.linalg.solve(sigma, delta))
 
 
-def random_cov(kind, d, rng):
+CLASSES = {"isotropic": ga.IsotropicParams, "diagonal": ga.DiagonalParams,
+           "full_factor": ga.FullFactorParams}
+
+
+def dense_sigma(kind, raw, base, d):
+    """Sigma built densely from the raw parameters, by the documented
+    layout rather than through the spec."""
     if kind == "isotropic":
-        return ga.Covariance.isotropic(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.0))
+        return base * float(ga.softplus(raw[0])) * np.eye(d)
     if kind == "diagonal":
-        return ga.Covariance.diagonal(rng.uniform(0.3, 3.0, d), rng.uniform(0.2, 2.0))
-    if kind == "full_factor":
-        L = np.tril(rng.standard_normal((d, d)))
-        L[np.diag_indices(d)] = np.abs(np.diag(L)) + d + 1
-        return ga.Covariance.full_factor(L, rng.uniform(0.2, 2.0))
-    raise ValueError(kind)
+        return base * np.diag(ga.softplus(raw))
+    L = np.zeros((d, d))
+    L[np.tril_indices(d)] = raw             # row-major lower triangle
+    L[np.diag_indices(d)] = ga.softplus(np.diag(L))
+    return base * (L @ L.T)
+
+
+def random_case(kind, d, rng):
+    """(spec, raw, base) with variances well away from zero."""
+    spec = CLASSES[kind](d)
+    base = rng.uniform(0.2, 2.0)
+    if kind == "isotropic":
+        return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, 1)), base
+    if kind == "diagonal":
+        return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, d)), base
+    L = np.tril(rng.standard_normal((d, d)))
+    L[np.diag_indices(d)] = ga.softplus_inv(np.abs(np.diag(L)) + d + 1)
+    return spec, L[np.tril_indices(d)], base
 
 
 def seed_of(*key):
@@ -40,21 +58,22 @@ def seed_of(*key):
     return zlib.crc32(repr(key).encode())
 
 
-def draw(rng, cov, count, d):
-    """``count`` batched draws of N(0, cov) through the sampling kernel."""
-    return StepKernel(cov, None).sample(rng, np.zeros((count, d)))
+def draw(rng, spec, raw, base, count):
+    """``count`` batched draws of N(0, Sigma) through the sampling kernel."""
+    return StepKernel(spec, raw, base).sample(rng, np.zeros((count, spec.dim)))
 
 
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
-        cov = ga.Covariance.isotropic(1.0, 1.0)
-        got = ga.log_density(np.zeros(1), np.zeros(1), cov)
+        spec = ga.IsotropicParams(1)
+        got = spec.log_density(np.zeros((1, 1)), spec.init(), 1.0)[0]
         assert got == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_diagonal_two_dim(self):
         # x=(1,0), Sigma=diag(1,4): -log(2pi) - 0.5*log(4) - 0.5
-        cov = ga.Covariance.diagonal(np.array([1.0, 4.0]), 1.0)
-        got = ga.log_density(np.array([1.0, 0.0]), np.zeros(2), cov)
+        raw = ga.softplus_inv(np.array([1.0, 4.0]))
+        got = ga.DiagonalParams(2).log_density(np.array([[1.0, 0.0]]), raw,
+                                               1.0)[0]
         want = -np.log(2 * np.pi) - 0.5 * np.log(4.0) - 0.5
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -63,104 +82,77 @@ class TestLogDensity:
     def test_matches_dense_reference(self, kind, d):
         rng = np.random.default_rng(seed_of(kind, d))
         for _ in range(20):
-            cov = random_cov(kind, d, rng)
+            spec, raw, base = random_case(kind, d, rng)
             x = rng.standard_normal(d)
             mean = rng.standard_normal(d)
-            got = ga.log_density(x, mean, cov)
-            want = dense_logpdf(x, mean, cov.dense(d))
+            got = StepKernel(spec, raw, base).logpdf(x, mean)[0]
+            want = dense_logpdf(x, mean, dense_sigma(kind, raw, base, d))
             assert got == pytest.approx(want, abs=1e-10)
-
-    def test_kron_block_matches_dense(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m, n = 4, 2
-            b = rng.standard_normal((m, m))
-            b = b @ b.T + m * np.eye(m)
-            cov = ga.Covariance.kron_block(b, n, rng.uniform(0.2, 2.0))
-            x = rng.standard_normal(m * n)
-            mean = rng.standard_normal(m * n)
-            want = dense_logpdf(x, mean, cov.dense())
-            assert ga.log_density(x, mean, cov) == pytest.approx(want, abs=1e-10)
 
     def test_baseline_inits_agree_across_kinds(self):
         d, base = 4, 0.73
-        x = RNG.standard_normal(d)
-        mean = RNG.standard_normal(d)
-        covs = [ga.Covariance.isotropic(1.0, base),
-                ga.Covariance.diagonal(np.ones(d), base),
-                ga.Covariance.full_factor(np.eye(d), base),
-                ga.Covariance.kron_block(np.eye(2), 2, base)]
-        vals = [ga.log_density(x, mean, c) for c in covs]
+        delta = RNG.standard_normal((1, d))
+        vals = [spec.log_density(delta, spec.init(), base)[0]
+                for spec in (cls(d) for cls in CLASSES.values())]
         assert np.ptp(vals) < 1e-12
 
-    def test_nonfinite_input_rejected(self):
-        cov = ga.Covariance.isotropic(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ga.log_density(np.array([np.nan]), np.zeros(1), cov)
-        with pytest.raises(ValueError):
-            ga.log_density(np.array([np.inf, 0.0]), np.zeros(2), cov)
-
     def test_non_positive_definite_rejected(self):
-        with pytest.raises(ValueError):
-            ga.Covariance.isotropic(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ga.Covariance.diagonal(np.array([1.0, -0.5]), 1.0)
-        with pytest.raises(ValueError):
-            ga.Covariance.full_factor(np.diag([1.0, 0.0]), 1.0)
-        with pytest.raises(ValueError):
-            ga.Covariance.kron_block(np.array([[1.0, 2.0], [2.0, 1.0]]), 2, 1.0)
-        with pytest.raises(ValueError):
-            ga.Covariance.isotropic(1.0, 0.0)   # degenerate base variance
+        # a degenerate base variance or an underflowed softplus is a named
+        # error of every kind's density and draw, not a NaN
+        deltas, mean = np.zeros((1, 2)), np.zeros((1, 2))
+        rng = np.random.default_rng(0)
+        for spec in (cls(2) for cls in CLASSES.values()):
+            for raw, base in [(spec.init(), 0.0),
+                              (np.full(spec.n_params, -800.0), 1.0)]:
+                with pytest.raises(ValueError, match="positive"):
+                    spec.log_density(deltas, raw, base)
+                with pytest.raises(ValueError, match="positive"):
+                    spec.draw(rng, raw, base, mean)
 
     def test_dimension_mismatch(self):
-        cov = ga.Covariance.diagonal(np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            ga.log_density(np.zeros(2), np.zeros(2), cov)
+        for spec in (ga.DiagonalParams(3), ga.FullFactorParams(3)):
+            with pytest.raises(ValueError):
+                spec.log_density(np.zeros((1, 2)), spec.init(), 1.0)
 
 
 class TestSampling:
     def test_identity_moments(self):
         rng = np.random.default_rng(0)
-        cov = ga.Covariance.isotropic(1.0, 1.0)
-        xs = draw(rng, cov, 10 ** 5, 3)
+        spec = ga.IsotropicParams(3)
+        xs = draw(rng, spec, spec.init(), 1.0, 10 ** 5)
         assert np.all(np.abs(xs.mean(axis=0)) < 4.0 / np.sqrt(10 ** 5))
 
     def test_diagonal_variances(self):
         rng = np.random.default_rng(1)
         base = 0.8
-        cov = ga.Covariance.diagonal(np.array([1.0, 4.0]), base)
-        xs = draw(rng, cov, 10 ** 5, 2)
+        raw = ga.softplus_inv(np.array([1.0, 4.0]))
+        xs = draw(rng, ga.DiagonalParams(2), raw, base, 10 ** 5)
         want = base * np.array([1.0, 4.0])
         assert np.all(np.abs(xs.var(axis=0) / want - 1.0) < 0.05)
 
     def test_seed_determinism(self):
-        cov = random_cov("full_factor", 4, RNG)
-        a = draw(np.random.default_rng(7), cov, 5, 4)
-        b = draw(np.random.default_rng(7), cov, 5, 4)
+        case = random_case("full_factor", 4, RNG)
+        a = draw(np.random.default_rng(7), *case, 5)
+        b = draw(np.random.default_rng(7), *case, 5)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind", ["full_factor", "kron_block"])
+    @pytest.mark.parametrize("kind", ["isotropic", "diagonal", "full_factor"])
     def test_sample_covariance_matches_structure(self, kind):
         rng = np.random.default_rng(5)
-        if kind == "kron_block":
-            b = rng.standard_normal((3, 3))
-            cov = ga.Covariance.kron_block(b @ b.T + 3 * np.eye(3), 2, 0.7)
-            d = 6
-        else:
-            cov = random_cov(kind, 4, rng)
-            d = 4
-        xs = draw(rng, cov, 4 * 10 ** 4, d)
+        spec, raw, base = random_case(kind, 4, rng)
+        xs = draw(rng, spec, raw, base, 4 * 10 ** 4)
         emp = xs.T @ xs / xs.shape[0]
-        scale = np.max(np.abs(cov.dense(d)))
-        assert np.max(np.abs(emp - cov.dense(d))) < 0.08 * scale
+        sigma = dense_sigma(kind, raw, base, 4)
+        assert np.max(np.abs(emp - sigma)) < 0.08 * np.max(np.abs(sigma))
 
     def test_entropy_consistency(self):
         # mean log-density of own samples ~ -d/2 (1 + log 2pi) - 0.5 logdet
         rng = np.random.default_rng(9)
-        cov = random_cov("full_factor", 3, rng)
-        xs = draw(rng, cov, 2 * 10 ** 4, 3)
-        lp = ga.log_density(xs, np.zeros(3), cov)
-        _, logdet = np.linalg.slogdet(cov.dense(3))
+        spec, raw, base = random_case("full_factor", 3, rng)
+        xs = draw(rng, spec, raw, base, 2 * 10 ** 4)
+        lp = spec.log_density(xs, raw, base)
+        _, logdet = np.linalg.slogdet(dense_sigma("full_factor", raw, base,
+                                                  3))
         want = -1.5 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
 
@@ -211,17 +203,19 @@ class TestRawParamGradients:
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_covariance_consistent_with_log_density(self, kind):
+        # the spec density, the step kernel's and the dense Gaussian agree
         rng = np.random.default_rng(13)
         d = 4
         spec = self.SPECS[kind](d)
         raw = spec.init() + 0.3 * rng.standard_normal(spec.n_params)
         deltas = rng.standard_normal((3, d))
         direct = spec.log_density(deltas, raw, 0.7)
-        cov = spec.covariance(raw, 0.7)
-        via_cov = ga.log_density(deltas, np.zeros(d), cov)
-        assert np.allclose(direct, via_cov, atol=1e-12)
-        kernel = StepKernel(cov, None).logpdf(deltas, 0)
-        assert np.allclose(direct, kernel, atol=1e-12)
+        dense_kind = "full_factor" if kind == "full" else kind
+        sigma = dense_sigma(dense_kind, raw, 0.7, d)
+        want = [dense_logpdf(x, np.zeros(d), sigma) for x in deltas]
+        assert np.allclose(direct, want, atol=1e-12)
+        kernel = StepKernel(spec, raw, 0.7).logpdf(deltas, 0)
+        assert np.array_equal(direct, kernel)
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_tuning_moves_every_parameter(self, kind):
@@ -235,10 +229,12 @@ class TestRawParamGradients:
         assert np.all(result.raws != self.SPECS[kind](d).init())
 
     def test_baseline_init_is_identity(self):
+        deltas = np.random.default_rng(17).standard_normal((4, 3))
+        want = [dense_logpdf(x, np.zeros(3), np.eye(3)) for x in deltas]
         for kind in self.SPECS:
             spec = self.SPECS[kind](3)
-            cov = spec.covariance(spec.init(), 1.0)
-            assert np.allclose(cov.dense(3), np.eye(3), atol=1e-12)
+            got = spec.log_density(deltas, spec.init(), 1.0)
+            assert np.allclose(got, want, atol=1e-12)
 
 
 class TestLogSumExp:

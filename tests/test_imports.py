@@ -1,8 +1,13 @@
-"""Every name a ``vtdis`` module imports at top level is used in it.
+"""Every name a ``vtdis`` module imports at top level is used in it, and
+every private helper is used somewhere in the package.
 
-Deleting code tends to leave its imports behind; this check finds them
-with the standard library alone.  ``__init__.py`` is skipped, because its
-imports are the package's re-exports, and so is ``from __future__``.
+Deleting code tends to leave its imports and helpers behind; these checks
+find them with the standard library alone.  ``__init__.py`` is skipped
+for imports, because its imports are the package's re-exports, and so is
+``from __future__``.  A private helper is a module-level function or
+class, or a method, whose name starts with one underscore and does not
+end with two (``__init__`` is not one); it counts as used when its name
+appears as a ``Name`` or an attribute anywhere in ``src/vtdis``.
 """
 
 import ast
@@ -12,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vtdis"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +50,52 @@ def test_check_finds_a_stray_import():
               "x = np.zeros(1)\n"
               "@dataclass\nclass A:\n    y: int = 0\n")
     assert unused_imports(source) == ["field", "logging"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private module-level functions and classes, and private methods."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and _private(node.name):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [n.name for n in node.body
+                      if isinstance(n, ast.FunctionDef) and _private(n.name)]
+    return found
+
+
+def referenced_names(sources) -> set[str]:
+    """Every ``Name`` and attribute name in ``sources``; a definition
+    itself is neither."""
+    refs = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+    return refs
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_orphaned_private_helper(module):
+    refs = referenced_names((SRC / m).read_text(encoding="utf-8")
+                            for m in ALL_MODULES)
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert [n for n in private_definitions(source) if n not in refs] == []
+
+
+def test_check_finds_an_orphaned_helper():
+    source = ("def _used():\n    return 1\n"
+              "def _orphan():\n    return _used()\n"
+              "class A:\n    def __init__(self):\n        self._go()\n"
+              "    def _go(self):\n        pass\n"
+              "    def _stale(self):\n        pass\n")
+    refs = referenced_names([source])
+    assert [n for n in private_definitions(source) if n not in refs] == \
+        ["_orphan", "_stale"]

@@ -42,8 +42,25 @@ CASES = [("isotropic", "ambient"), ("diagonal", "ambient"),
          ("label_diag", "subspace")]
 
 
+def baseline_proposal(dim, grid):
+    """The untuned sampler: the isotropic spec at init() on every step."""
+    spec = ga.IsotropicParams(dim)
+    return spec, np.tile(spec.init(), (grid.n_steps, 1))
+
+
 def test_cases_cover_every_tunable_kind():
     assert {kind for kind, _ in CASES} == set(tu.TUNABLE_KINDS)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full"])
+def test_ambient_kinds_rejected_on_the_subspace(kind):
+    _, model, proj, labels = subspace_problem()
+    with pytest.raises(ValueError, match="not defined on the CoM subspace"):
+        tu.make_param_spec(kind, dim=proj.subspace_dim, proj=proj)
+    with pytest.raises(ValueError, match="not defined on the CoM subspace"):
+        tu.tune(np.random.default_rng(0), model, tg.DoubleWell(), GRID, kind,
+                tu.TunerConfig(iterations=1, batch_size=2), proj=proj,
+                labels=labels)
 
 
 def make_case(kind, space, seed=0, count=24):
@@ -105,6 +122,14 @@ class TestStackedObjective:
         assert_close(lw, want[2])
         assert_close(tu.batch_log_weights(batch, spec, raws, BASES, log_pi),
                      want[2])
+
+    def test_log_weights_of_a_batch_over_one_block(self):
+        # batches beyond one block of rows (the held-out bounds) are
+        # evaluated block by block
+        batch, spec, raws, log_pi = make_case("diagonal", "ambient", seed=5,
+                                              count=2500)
+        assert_close(tu.batch_log_weights(batch, spec, raws, BASES, log_pi),
+                     loop_log_weights(batch, spec, raws, BASES, log_pi))
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_spec_step_axis_rows_are_per_step_calls(self, kind, space):
@@ -236,19 +261,19 @@ class TestGaussianOptimum:
                        / grid.ddpm_var(n))
         return np.array(out)
 
-    def log_weights(self, covs, seed):
+    def log_weights(self, proposal, seed):
         gmm, model = self.problem()
         x0, log_q, log_p = df.reverse_sample_batch(
-            np.random.default_rng(seed), model, covs, self.GRID, 4096)
+            np.random.default_rng(seed), model, proposal, self.GRID, 4096)
         return gmm.log_density(x0) + log_q - log_p
 
     def test_optimum_kernels_give_full_ess_and_log_z(self):
-        covs = [ga.Covariance.isotropic(eta, self.GRID.ddpm_var(n))
-                for n, eta in enumerate(self.eta_star(), start=1)]
-        log_w = self.log_weights(covs, seed=0)
+        optimum = (ga.IsotropicParams(self.D),
+                   ga.softplus_inv(self.eta_star())[:, None])
+        log_w = self.log_weights(optimum, seed=0)
         assert mt.reverse_ess(log_w) > 0.99
         assert abs(mt.estimate_log_Z(log_w)) < 0.01       # Z = 1
-        baseline = self.log_weights(df.baseline_covariances(self.GRID), 0)
+        baseline = self.log_weights(baseline_proposal(self.D, self.GRID), 0)
         assert mt.reverse_ess(baseline) < 0.01
 
     def test_isotropic_tuning_reaches_the_optimum(self):
