@@ -15,6 +15,7 @@ cannot be sampled exactly.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -395,8 +396,13 @@ def _pair_force_assemble(inc, diff, d, de) -> np.ndarray:
 
 @dataclass
 class McmcReport:
+    """``acceptance_rate`` is over every proposal, burn-in included;
+    ``chain_acceptance`` (n_chains,) is each chain's rate after burn-in,
+    at its frozen ``step_size`` (n_chains,)."""
+
     acceptance_rate: float
-    step_size: float
+    step_size: np.ndarray
+    chain_acceptance: np.ndarray
     warnings: list = field(default_factory=list)
 
 
@@ -410,11 +416,14 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     ``target`` needs ``dim``, ``log_density`` and ``grad_log_density``; its
     ``log_density_and_grad``, where it has one, gives both in one call per
     proposal.  Particle targets (``n_particles`` attribute) are sampled on
-    the zero-center-of-mass subspace with projected proposals.  The step size
-    is adapted toward ``target_accept`` during burn-in and frozen after.
-    Gradients are norm-clipped and energies capped inside the kernel; the
-    Metropolis ratio uses the actual (clipped) proposal densities, so the
-    chain remains exact for the capped target.
+    the zero-center-of-mass subspace with projected proposals.  Each chain
+    has its own step size, adapted on its own accepts toward
+    ``target_accept`` during burn-in and frozen after, so a chain that
+    starts on a steep wall shrinks its step until it moves; a chain that
+    still accepts nothing after burn-in is warned about.  Gradients are
+    norm-clipped and energies capped inside the kernel; the Metropolis
+    ratio uses the actual (clipped) proposal densities, so the chain
+    remains exact for the capped target.
 
     Returns ``(samples (count, dim), report)``.
     """
@@ -440,40 +449,49 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     x = project(init_scale * rng.standard_normal((n_chains, dim)))
     lp, gx = evaluate(x)
-    h = float(step_size)
+    h = np.full(n_chains, float(step_size))
     per_chain = -(-count // n_chains)
     keep: list[np.ndarray] = []
     accepts = 0
-    proposals = 0
+    chain_accepts = np.zeros(n_chains)
     total_iters = burn_in + per_chain * thin
 
     for it in range(total_iters):
+        h2 = h * h
         noise = project(rng.standard_normal((n_chains, dim)))
-        mean_fwd = x + 0.5 * h * h * gx
-        y = mean_fwd + h * noise
+        mean_fwd = x + 0.5 * h2[:, None] * gx
+        y = mean_fwd + h[:, None] * noise
         lpy, gy = evaluate(y)
-        mean_bwd = y + 0.5 * h * h * gy
-        log_q_fwd = -np.sum((y - mean_fwd) ** 2, axis=1) / (2.0 * h * h)
-        log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h * h)
+        mean_bwd = y + 0.5 * h2[:, None] * gy
+        log_q_fwd = -np.sum((y - mean_fwd) ** 2, axis=1) / (2.0 * h2)
+        log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h2)
         log_alpha = lpy - lp + log_q_bwd - log_q_fwd
         acc = np.log(rng.uniform(size=n_chains)) < log_alpha
         x[acc] = y[acc]
         lp[acc] = lpy[acc]
         gx[acc] = gy[acc]
         accepts += int(np.sum(acc))
-        proposals += n_chains
         if it < burn_in:
-            # stochastic approximation toward the target acceptance rate
-            rate = np.mean(acc)
-            h *= float(np.exp(0.05 * (rate - target_accept)))
-        elif (it - burn_in) % thin == thin - 1:
-            keep.append(x.copy())
+            # per-chain stochastic approximation toward the target rate
+            h *= np.exp(0.05 * (acc - target_accept))
+        else:
+            chain_accepts += acc
+            if (it - burn_in) % thin == thin - 1:
+                keep.append(x.copy())
 
     samples = np.concatenate(keep, axis=0)[:count]
-    rate = accepts / proposals
-    report = McmcReport(acceptance_rate=float(rate), step_size=h)
+    rate = accepts / (n_chains * total_iters)
+    report = McmcReport(
+        acceptance_rate=float(rate), step_size=h,
+        chain_acceptance=chain_accepts / (total_iters - burn_in))
     if not 0.1 <= rate <= 0.9:
         msg = f"acceptance rate {rate:.3f} outside [0.1, 0.9]"
         report.warnings.append(msg)
         logger.warning("mcmc_sample: %s", msg)
+    frozen = int(np.sum(chain_accepts == 0))
+    if frozen:
+        msg = f"{frozen} of {n_chains} chains accepted nothing after burn-in"
+        report.warnings.append(msg)
+        logger.warning("mcmc_sample: %s", msg)
+        warnings.warn(f"mcmc_sample: {msg}", RuntimeWarning, stacklevel=2)
     return samples, report

@@ -5,6 +5,7 @@ import pytest
 
 from vtdis import gaussians as ga
 from vtdis import targets as tg
+from vtdis.seeding import derive_rng
 
 
 def scalar_gmm_logpdf(x, weights, means, variances):
@@ -488,7 +489,44 @@ class TestMcmc:
         runs = [tg.mcmc_sample(np.random.default_rng(4), t, 200, n_chains=8,
                                burn_in=50, thin=2) for t in (dw, Separate())]
         assert np.array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1].step_size == runs[1][1].step_size
+        assert np.array_equal(runs[0][1].step_size, runs[1][1].step_size)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_frozen_chain_at_the_lj13_benchmark_settings(self, seed):
+        # a step size shared by all chains left 16 (seed 1) and 18 (seed 2)
+        # of these 64 chains repeating their start for the whole run
+        n_chains = 64
+        samples, report = tg.mcmc_sample(
+            derive_rng(seed, "lj13", "setup"), tg.LennardJones(), 1032,
+            n_chains=n_chains, burn_in=300, thin=5)
+        assert report.chain_acceptance.shape == (n_chains,)
+        assert np.all(report.chain_acceptance > 0)
+        assert not report.warnings
+        # rows are kept one sweep over the chains at a time
+        per_chain = samples[:n_chains * (len(samples) // n_chains)]
+        per_chain = per_chain.reshape(-1, n_chains, samples.shape[1])
+        moved = np.any(per_chain != per_chain[:1], axis=(0, 2))
+        assert np.all(moved)
+
+    def test_frozen_chain_is_warned(self):
+        class Needle:
+            dim = 1
+
+            def log_density(self, x):
+                return -1e10 * np.sum(np.atleast_2d(x) ** 2, axis=1)
+
+            def grad_log_density(self, x):
+                return -2e10 * np.atleast_2d(x)
+
+        # chains start at the tip of a needle, where a typical proposal
+        # costs 1e4 nats: without burn-in no chain can move
+        with pytest.warns(RuntimeWarning, match="accepted nothing"):
+            _, report = tg.mcmc_sample(np.random.default_rng(5), Needle(),
+                                       20, n_chains=4, burn_in=0, thin=1,
+                                       step_size=1e-3, init_scale=0.0)
+        assert np.all(report.chain_acceptance == 0)
+        assert "4 of 4 chains accepted nothing after burn-in" in \
+            report.warnings
 
     def test_acceptance_warning(self):
         class Gauss:
