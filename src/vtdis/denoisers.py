@@ -1,24 +1,23 @@
 """Denoiser backends: the x0-prediction used by the reverse sampler.
 
-Every backend answers two queries on batches of flat states:
+Every backend answers its queries on a (B, d) batch of flat states and
+returns batch-shaped results; any other shape raises ``ValueError``:
 
 * ``denoise(x, t)``    -> E[x0 | x_t = x] prediction
 * ``score(x, t)``      -> gradient of the log marginal at noise level t
 
-linked by the Tweedie identity ``denoise = x + t^2 * score``.  Backends
-additionally expose derivatives of the score for the probability-flow ODE
-likelihood.  The fused queries return the score together with its
-derivatives from one primal pass, which every tangent reuses:
+linked by the Tweedie identity ``denoise = x + t^2 * score``.  The
+derivative queries of the probability-flow ODE likelihood return the
+score together with its derivatives from one primal pass, which every
+tangent reuses:
 
 * ``score_and_jvp(x, t, v)``    -> score and its directional derivatives
   along one (B, d) tangent or a (K, B, d) stack of them
 * ``score_and_div(x, t, proj)`` -> score and its exact divergence, the
   trace on the zero-center-of-mass subspace when ``proj`` is given
 
-and the single queries return one derivative:
-
-* ``score_jvp(x, t, v)``    -> directional derivative of the score
-* ``score_div_exact(x, t)`` -> divergence (Jacobian trace) of the score
+The learned backends add ``forward_with_cache(x, t)``, the prediction and
+the cache that ``param_grad`` takes, and ``denoise_jvp(x, t, v)``.
 
 ``AnalyticGmmScore`` wraps the closed-form mixture score.  The trainable
 backends are small networks with hand-written reverse-mode gradients and
@@ -48,6 +47,7 @@ import numpy as np
 
 from . import equivariant as eq
 from . import targets as tg
+from .gaussians import as_batch
 
 MAGIC = b"VTDNOISE"
 CHECKPOINT_VERSION = 1
@@ -214,12 +214,6 @@ class _Counted:
         self.eval_count = 0
         self.jvp_count = 0
 
-    def _batch(self, x) -> np.ndarray:
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if x2.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {x2.shape[1]}")
-        return x2
-
     @staticmethod
     def _tvec(t, batch: int) -> np.ndarray:
         tv = np.broadcast_to(np.asarray(t, dtype=float), (batch,))
@@ -231,7 +225,7 @@ class _Counted:
         """Score of a (B, d) batch and its directional derivatives along
         ``v``, one (B, d) tangent or a stack (K, B, d), from one primal
         pass that every tangent reuses."""
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         vs = np.asarray(v, dtype=float)
         stack = vs.reshape(-1, *x2.shape)
         score, tangent = self._linearize(x2, t)
@@ -239,32 +233,16 @@ class _Counted:
         self.jvp_count += stack.shape[0] * x2.shape[0]
         return score, np.stack([tangent(u) for u in stack]).reshape(vs.shape)
 
-    def score_jvp(self, x, t, v):
-        """Directional derivative of the score along v."""
-        x2 = self._batch(x)
-        self.jvp_count += x2.shape[0]
-        out = self._linearize(x2, t)[1](np.atleast_2d(np.asarray(v, float)))
-        return out[0] if np.asarray(x).ndim == 1 else out
-
     def score_and_div(self, x, t, proj: eq.ComProjection | None = None):
         """Score of a (B, d) batch and its exact divergence from one primal
         pass.  With ``proj`` the divergence is the trace on the zero-CoM
         subspace, tr(P J P), the one that matches a prior normalised
         there."""
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         axes = self.dim if proj is None else proj.subspace_dim
         self.eval_count += x2.shape[0]
         self.jvp_count += axes * x2.shape[0]
         return self._score_and_div(x2, t, proj)
-
-    def score_div_exact(self, x, t):
-        """Divergence (Jacobian trace) of the score."""
-        x2 = self._batch(x)
-        # priced as the dim directional derivatives per point that the
-        # learned backends spend (see ``_div_from_jvp``)
-        self.jvp_count += self.dim * x2.shape[0]
-        out = self._score_and_div(x2, t, None)[1]
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def _score_and_div(self, x2, t, proj):
         score, tangent = self._linearize(x2, t)
@@ -280,16 +258,14 @@ class AnalyticGmmScore(_Counted):
         self.dim = gmm.dim
 
     def score(self, x, t):
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         self.eval_count += x2.shape[0]
-        out = tg.gmm_noised_score(x2, float(t), self.gmm)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return self.gmm.score(x2, float(t))
 
     def denoise(self, x, t):
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         self.eval_count += x2.shape[0]
-        out = x2 + float(t) ** 2 * tg.gmm_noised_score(x2, float(t), self.gmm)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return x2 + float(t) ** 2 * self.gmm.score(x2, float(t))
 
     def _linearize(self, x2, t):
         post = tg._gmm_posterior(x2, self.gmm, float(t))
@@ -313,28 +289,25 @@ class _Preconditioned(_Counted):
     """
 
     def forward_with_cache(self, x, t):
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         tv = self._tvec(t, x2.shape[0])
         self.eval_count += x2.shape[0]
         return self._primal(x2, tv)
 
     def denoise(self, x, t):
-        out, _ = self.forward_with_cache(np.atleast_2d(np.asarray(x, float)), t)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return self.forward_with_cache(x, t)[0]
 
     def score(self, x, t):
-        x2 = self._batch(x)
+        x2 = as_batch(x, self.dim)
         tv = self._tvec(t, x2.shape[0])
-        out = (self.denoise(x2, t) - x2) / tv[:, None] ** 2
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return (self.denoise(x2, t) - x2) / tv[:, None] ** 2
 
     def denoise_jvp(self, x, t, v):
-        """Directional derivative of denoise(x, t) along v."""
-        x2 = self._batch(x)
+        """Directional derivative of denoise(x, t) along a (B, d) tangent v."""
+        x2 = as_batch(x, self.dim)
         self.jvp_count += x2.shape[0]
         _, cache = self._primal(x2, self._tvec(t, x2.shape[0]))
-        out = self._tangent(cache, np.atleast_2d(np.asarray(v, dtype=float)))
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return self._tangent(cache, as_batch(v, self.dim))
 
     def _linearize(self, x2, t):
         # Tweedie: score = (D - x) / t^2, and its tangent (dD - v) / t^2
@@ -487,6 +460,12 @@ class TrainConfig:
     t_max: float = 1e2
     data_scale: float = 1.0
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("need at least one training iteration")
+        if self.batch_size < 1:
+            raise ValueError("need a batch of at least one sample")
+
 
 def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
               config: TrainConfig) -> np.ndarray:
@@ -500,7 +479,8 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
     data = np.asarray(data, dtype=float) * config.data_scale
     if data.size == 0:
         raise ValueError("empty training set")
-    particles = getattr(model, "n_particles", None)
+    proj = (eq.ComProjection(model.n_particles, model.spatial_dim)
+            if hasattr(model, "n_particles") else None)
     opt = Adam(model.net.params, lr=config.lr)
     losses = np.empty(config.iterations)
     bad_streak = 0
@@ -512,8 +492,8 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
         t = np.exp(np.log(config.eps)
                    + u * (np.log(config.t_max) - np.log(config.eps)))
         z = rng.standard_normal(x0.shape)
-        if particles is not None:
-            z = tg.remove_com(z, particles, model.spatial_dim)
+        if proj is not None:
+            z = eq.com_project(z, proj)
         xt = x0 + t[:, None] * z
         out, cache = model.forward_with_cache(xt, t)
         resid = out - x0
@@ -566,17 +546,20 @@ def save_checkpoint(path, model) -> None:
 
 
 def load_checkpoint(path):
+    """Inverse of ``save_checkpoint``; a file that is not one whole
+    checkpoint (bad magic or version, cut short, trailing bytes) raises
+    ``ValueError``."""
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise ValueError("not a denoiser checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = _unpack(fh, "<I")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (kind_flag,) = struct.unpack("<B", fh.read(1))
-        (sigma_data,) = struct.unpack("<d", fh.read(8))
-        a, b = struct.unpack("<II", fh.read(8))
-        (n_sizes,) = struct.unpack("<I", fh.read(4))
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
+        (kind_flag,) = _unpack(fh, "<B")
+        (sigma_data,) = _unpack(fh, "<d")
+        a, b = _unpack(fh, "<II")
+        (n_sizes,) = _unpack(fh, "<I")
+        sizes = list(_unpack(fh, f"<{n_sizes}I"))
         if kind_flag == 0:
             model = VectorDenoiser(a, sizes[1:-1], sigma_data)
         else:
@@ -584,6 +567,20 @@ def load_checkpoint(path):
         if model.net.sizes != sizes:
             raise ValueError("layer table inconsistent with architecture")
         for p in model.net.params:
-            buf = fh.read(p.size * 8)
-            p[...] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
+            p[...] = np.frombuffer(_read_exact(fh, p.size * 8),
+                                   dtype="<f8").reshape(p.shape)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the checkpoint weights")
     return model
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
+def _read_exact(fh, size: int) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"checkpoint cut short: needed {size} bytes, "
+                         f"found {len(buf)}")
+    return buf

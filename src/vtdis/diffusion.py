@@ -55,10 +55,9 @@ def ddpm_posterior(x_n, x0_hat, n: int, grid: TimeGrid):
     return mean, grid.ddpm_var(n)
 
 
-def prior_log_density(x, t_max: float, proj=None):
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _iso_logpdf(x2, t_max * t_max, proj)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
+    """log N(x; 0, t_max^2 I) per row, over the subspace with ``proj``."""
+    return _iso_logpdf(x, t_max * t_max, proj)
 
 
 class StepKernel:
@@ -74,7 +73,7 @@ class StepKernel:
         self.proj = proj
 
     def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        delta = np.atleast_2d(x - mean)
+        delta = x - mean
         if self.proj is not None:
             eq._check_on_subspace(delta, self.proj, "residual")
         return self.spec.log_density(delta, self.raw, self.base)
@@ -231,12 +230,15 @@ class ForwardBatch:
 
 def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
                       proj: eq.ComProjection | None = None) -> ForwardBatch:
-    """Noise a batch of x_0 forward and collect per-step residuals.
+    """Noise a (B, d) batch of x_0 forward and collect per-step residuals.
 
     One noise draw and one denoiser call per step; the posterior mean and
-    the residual are formed in place in ``deltas[n-1]``.
+    the residual are formed in place in ``deltas[n-1]``.  With ``proj``
+    the x_0 must lie on the zero-CoM subspace, where the kernels live.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = ga.as_batch(x0, model.dim)
+    if proj is not None:
+        eq._check_on_subspace(x0, proj, "x0")
     b, d = x0.shape
     n_steps = grid.n_steps
     deltas = np.empty((n_steps, b, d))

@@ -59,6 +59,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # numerics helpers
 # ---------------------------------------------------------------------------
 
+def as_batch(x, dim: int) -> np.ndarray:
+    """``x`` as a float (B, dim) batch of points, the one call form of
+    every target and denoiser query; any other shape raises."""
+    x2 = np.asarray(x, dtype=float)
+    if x2.ndim != 2 or x2.shape[1] != dim:
+        raise ValueError(f"expected a (B, {dim}) batch, got shape {x2.shape}")
+    return x2
+
+
 def logsumexp(values, axis=None):
     """Overflow-safe log(sum(exp(values))).
 

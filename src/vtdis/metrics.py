@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffusion as df
-from .gaussians import logsumexp
+from .gaussians import as_batch, logsumexp
 from .tuner import batch_log_weights
 
 
@@ -57,7 +57,7 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     """
     if inner < 2:
         raise ValueError("upper bound needs at least two inner samples")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = as_batch(x0, model.dim)
     b = x0.shape[0]
     spec, raws, bases = df.proposal_steps(proposal, grid)
     elbos, eubos = [], []

@@ -9,9 +9,10 @@ likelihoods:
 Integration is Heun's method (trapezoidal predictor-corrector) on the
 same grid family as the stochastic sampler, co-integrating the divergence
 in the same pass.  The divergence is either exact (analytic trace or one
-directional derivative per basis vector) or the Hutchinson probe estimate
-mean_j v_j . J v_j, which is unbiased for the instantaneous divergence
-but makes downstream importance weights biased; results carry a flag.
+directional derivative per basis vector) or the Hutchinson estimate
+mean_j v_j . J v_j over Rademacher probes v_j (independent +-1 entries),
+which is unbiased for the instantaneous divergence but makes downstream
+importance weights biased; results carry a flag.
 
 Each grid node costs one model pass: ``divergence_estimate`` returns the
 drift together with the divergence, and every probe or basis vector
@@ -40,21 +41,17 @@ from .schedule import TimeGrid
 class OdeRunConfig:
     divergence: str = "exact"          # "exact" | "hutchinson"
     probes: int = 1
-    probe_dist: str = "rademacher"     # "rademacher" | "gaussian"
 
     def __post_init__(self):
         if self.divergence not in ("exact", "hutchinson"):
             raise ValueError(f"unknown divergence mode {self.divergence!r}")
         if self.probes < 1:
             raise ValueError("need at least one probe")
-        if self.probe_dist not in ("rademacher", "gaussian"):
-            raise ValueError(f"unknown probe distribution {self.probe_dist!r}")
 
 
-def draw_probe(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
-    if dist == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    return rng.standard_normal(shape)
+def draw_probe(rng: np.random.Generator, shape) -> np.ndarray:
+    """One Rademacher probe: independent +-1 entries."""
+    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
 def divergence_estimate(model, x, t, config: OdeRunConfig,
@@ -63,19 +60,18 @@ def divergence_estimate(model, x, t, config: OdeRunConfig,
     """(drift -t s, div(-t s)) at (x, t) from one model pass, the
     divergence exact or probe-averaged; with ``proj`` it is the
     divergence on the zero-CoM subspace."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
     if config.divergence == "exact":
-        score, div = model.score_and_div(x2, t, proj)
+        score, div = model.score_and_div(x, t, proj)
         return -t * score, -t * div
     if rng is None:
         raise ValueError("hutchinson divergence needs a generator")
-    probes = np.stack([draw_probe(rng, x2.shape, config.probe_dist)
+    probes = np.stack([draw_probe(rng, np.shape(x))
                        for _ in range(config.probes)])
     if proj is not None:
         # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
         probes = eq.com_project(probes, proj)
-    score, jvps = model.score_and_jvp(x2, t, probes)
-    acc = np.zeros(x2.shape[0])
+    score, jvps = model.score_and_jvp(x, t, probes)
+    acc = np.zeros(score.shape[0])
     for v, jv in zip(probes, jvps):
         acc += np.sum(v * jv, axis=1)
     return -t * score, -t * acc / config.probes
@@ -93,7 +89,7 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
     eps -> T integral).  Every grid node costs one ``divergence_estimate``
     call, which gives the drift as well.
     """
-    x2 = np.array(np.atleast_2d(np.asarray(x, dtype=float)))
+    x2 = np.asarray(x, dtype=float)
     times = grid.times if direction == "up" else grid.times[::-1]
     if direction not in ("up", "down"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -122,12 +118,10 @@ def ode_log_likelihood(x0, model, grid: TimeGrid,
                        config: OdeRunConfig | None = None,
                        rng: np.random.Generator | None = None,
                        proj: eq.ComProjection | None = None):
-    """log p at the data end of the flow for given points x0."""
+    """log p (B,) at the data end of the flow for a (B, d) batch x0."""
     config = config or OdeRunConfig()
-    x2 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x_end, div_int = heun_integrate(x2, model, grid, config, "up", rng, proj)
-    out = prior_log_density(x_end, grid.t_max, proj) + div_int
-    return float(out[0]) if np.asarray(x0).ndim == 1 else out
+    x_end, div_int = heun_integrate(x0, model, grid, config, "up", rng, proj)
+    return prior_log_density(x_end, grid.t_max, proj) + div_int
 
 
 def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
@@ -154,7 +148,7 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     x0, div_down = heun_integrate(x_t, model, grid, config, "down", rng,
                                   proj)
     log_p0 = log_prior - div_down
-    log_w = np.asarray(target.log_density(x0), dtype=float) - log_p0
+    log_w = target.log_density(x0) - log_p0
     return {
         "samples": x0,
         "log_weights": log_w,

@@ -6,10 +6,17 @@ cluster of thirteen particles in 3-D with a harmonic centering term
 (LJ-13).  Both are evaluated on zero-center-of-mass configurations and the
 unnormalized log-density is -energy/temperature.
 
-The module also provides exact sampling for mixtures, closed-form
-noise-convolved scores (the mixture stays a mixture under Gaussian
-convolution), and a Metropolis-adjusted Langevin sampler for targets that
-cannot be sampled exactly.
+Every target answers its queries on a (B, d) batch of flat states and
+returns batch-shaped results; any other shape raises ``ValueError``:
+
+* ``log_density(x)``          -> (B,) unnormalized log-density
+* ``log_density_and_grad(x)`` -> it and its (B, d) gradient from one pass
+
+Particle targets add ``energy(x)``.  ``Gmm`` adds exact sampling,
+``sample(rng, count)``, and the closed-form noise-convolved score
+``score(x, t)`` (the mixture stays a mixture under Gaussian convolution).
+The module also provides a Metropolis-adjusted Langevin sampler for
+targets that cannot be sampled exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gaussians import LOG_2PI, logsumexp
+from . import equivariant as eq
+from .gaussians import LOG_2PI, as_batch, logsumexp
 
 logger = logging.getLogger(__name__)
 
@@ -66,29 +74,29 @@ class Gmm:
             return np.log(self.weights)
 
     def log_density(self, x):
-        return gmm_log_density(x, self)
-
-    def grad_log_density(self, x):
-        return gmm_noised_score(x, 0.0, self)
+        """log sum_k w_k N(x; mu_k, sigma_k^2 I) per row, via logsumexp."""
+        return logsumexp(_component_logpdfs(as_batch(x, self.dim), self)[3],
+                         axis=0)
 
     def log_density_and_grad(self, x):
-        """(log_density(x), grad_log_density(x)) from one pass over the
-        components."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if x2.shape[1] != self.dim:
-            raise ValueError("dimension mismatch")
-        diff, _, v, lp = _component_logpdfs(x2, self)
-        log_p = logsumexp(lp, axis=0)
+        """(log_density(x), score(x)) from one pass over the components."""
+        diff, _, v, lp = _component_logpdfs(as_batch(x, self.dim), self)
         grad = _mixture_score(diff, v, _responsibilities(lp))
-        if np.asarray(x).ndim == 1:
-            return float(log_p[0]), grad[0]
-        return log_p, grad
+        return logsumexp(lp, axis=0), grad
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return gmm_sample(rng, self, count)
+        comps = rng.choice(self.n_components, size=count, p=self.weights)
+        noise = rng.standard_normal((count, self.dim))
+        return (self.means[comps]
+                + np.sqrt(self.variances[comps])[:, None] * noise)
 
     def score(self, x, t: float = 0.0):
-        return gmm_noised_score(x, t, self)
+        """Exact score of the noise-convolved mixture p_t = pi * N(0, t^2 I).
+
+        Each component convolves to variance sigma_k^2 + t^2, so the score
+        is the responsibility-weighted sum of per-component linear scores.
+        """
+        return _gmm_posterior(as_batch(x, self.dim), self, t)[4]
 
 
 def two_mode_gmm(dim: int) -> Gmm:
@@ -167,59 +175,9 @@ def _mixture_score(diff, v, resp) -> np.ndarray:
     return -np.einsum("kb,kbd->bd", resp / v, diff)
 
 
-def gmm_log_density(x, gmm: Gmm):
-    """log sum_k w_k N(x; mu_k, sigma_k^2 I) via logsumexp."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    if x2.shape[1] != gmm.dim:
-        raise ValueError("dimension mismatch")
-    out = logsumexp(_component_logpdfs(x2, gmm)[3], axis=0)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-def gmm_sample(rng: np.random.Generator, gmm: Gmm, count: int) -> np.ndarray:
-    comps = rng.choice(gmm.n_components, size=count, p=gmm.weights)
-    noise = rng.standard_normal((count, gmm.dim))
-    return gmm.means[comps] + np.sqrt(gmm.variances[comps])[:, None] * noise
-
-
-def gmm_noised_score(x, t: float, gmm: Gmm):
-    """Exact score of the noise-convolved mixture p_t = pi * N(0, t^2 I).
-
-    Each component convolves to variance sigma_k^2 + t^2, so the score is
-    the responsibility-weighted sum of per-component linear scores.
-    """
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _gmm_posterior(x2, gmm, t)[4]
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
-def gmm_noised_score_divergence(x, t: float, gmm: Gmm):
-    """Exact divergence (Jacobian trace) of ``gmm_noised_score``."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    out = _posterior_divergence(_gmm_posterior(x2, gmm, t))
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-def gmm_noised_score_hvp(x, t: float, gmm: Gmm, vec):
-    """Hessian-vector product of log p_t, i.e. directional derivative of
-    the score along ``vec``.  Batched over rows of x and vec."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    v2 = np.atleast_2d(np.asarray(vec, dtype=float))
-    out = _posterior_hvp(_gmm_posterior(x2, gmm, t), v2)
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
 # ---------------------------------------------------------------------------
 # particle systems
 # ---------------------------------------------------------------------------
-
-def remove_com(x: np.ndarray, n_particles: int, spatial_dim: int) -> np.ndarray:
-    """Subtract the per-coordinate particle mean; works on (..., M*n)."""
-    shape = x.shape
-    conf = x.reshape(-1, n_particles, spatial_dim)
-    conf = conf - conf.mean(axis=1, keepdims=True)
-    return conf.reshape(shape)
-
 
 def pair_incidence(m: int) -> np.ndarray:
     """Signed incidence matrix (m, P) of the pairs i < j of ``m`` particles.
@@ -266,8 +224,8 @@ class _PairSystem:
 
     Subclasses give ``_energy(conf, d)`` (B,) and ``_energy_grad(x2, conf,
     diff, d)`` (B, M*n) on one pair geometry; the public densities are
-    built from them, so ``log_density_and_grad`` equals ``log_density``
-    and ``grad_log_density`` bit for bit.
+    built from them, so ``log_density_and_grad`` gives ``log_density``
+    bit for bit.
     """
 
     @property
@@ -280,30 +238,19 @@ class _PairSystem:
 
     def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x2 (B, M*n), conf (B, M, n), pair diffs, pair distances)."""
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        x2 = as_batch(x, self.dim)
         conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
         return (x2, conf) + _pair_distances(conf, self._incidence)
 
-    def energy(self, x) -> np.ndarray | float:
+    def energy(self, x) -> np.ndarray:
         _, conf, _, d = self._pairs(x)
-        e = self._energy(conf, d)
-        return float(e[0]) if np.asarray(x).ndim == 1 else e
-
-    def grad_log_density(self, x) -> np.ndarray:
-        return self._grad_log(x, *self._pairs(x))
+        return self._energy(conf, d)
 
     def log_density_and_grad(self, x):
-        """(log_density(x), grad_log_density(x)) from one pair geometry."""
+        """(log_density(x), its gradient) from one pair geometry."""
         x2, conf, diff, d = self._pairs(x)
-        e = self._energy(conf, d)
-        e = float(e[0]) if np.asarray(x).ndim == 1 else e
-        return (-np.asarray(e) / self.temperature,
-                self._grad_log(x, x2, conf, diff, d))
-
-    def _grad_log(self, x, x2, conf, diff, d) -> np.ndarray:
-        g = self._energy_grad(x2, conf, diff, d)
-        g = -g / self.temperature
-        return g.reshape(x2.shape)[0] if np.asarray(x).ndim == 1 else g.reshape(x2.shape)
+        return (-self._energy(conf, d) / self.temperature,
+                -self._energy_grad(x2, conf, diff, d) / self.temperature)
 
 
 @dataclass(frozen=True)
@@ -324,7 +271,7 @@ class DoubleWell(_PairSystem):
     name: str = "dw4"
 
     def log_density(self, x):
-        return -np.asarray(self.energy(x)) / self.temperature
+        return -self.energy(x) / self.temperature
 
     def _energy(self, conf, d) -> np.ndarray:
         delta = d - self.d0
@@ -355,7 +302,7 @@ class LennardJones(_PairSystem):
     name: str = "lj13"
 
     def log_density(self, x):
-        return -np.asarray(self.energy(x)) / self.temperature
+        return -self.energy(x) / self.temperature
 
     def _energy(self, conf, d) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
@@ -413,10 +360,10 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
                 target_accept: float = 0.574) -> tuple[np.ndarray, McmcReport]:
     """Metropolis-adjusted Langevin chains targeting exp(log_density).
 
-    ``target`` needs ``dim``, ``log_density`` and ``grad_log_density``; its
-    ``log_density_and_grad``, where it has one, gives both in one call per
-    proposal.  Particle targets (``n_particles`` attribute) are sampled on
-    the zero-center-of-mass subspace with projected proposals.  Each chain
+    ``target`` needs ``dim`` and ``log_density_and_grad``, which gives the
+    log-density and its gradient in one call per proposal.  Particle
+    targets (``n_particles`` attribute) are sampled on the
+    zero-center-of-mass subspace with projected proposals.  Each chain
     has its own step size, adapted on its own accepts toward
     ``target_accept`` during burn-in and frozen after, so a chain that
     starts on a steep wall shrinks its step until it moves; a chain that
@@ -428,21 +375,17 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     Returns ``(samples (count, dim), report)``.
     """
     dim = target.dim
-    particles = getattr(target, "n_particles", None)
+    proj = (eq.ComProjection(target.n_particles, target.spatial_dim)
+            if hasattr(target, "n_particles") else None)
 
     def project(z):
-        if particles is None:
-            return z
-        return remove_com(z, particles, target.spatial_dim)
-
-    joint = getattr(target, "log_density_and_grad", None) or (
-        lambda z: (target.log_density(z), target.grad_log_density(z)))
+        return z if proj is None else eq.com_project(z, proj)
 
     def evaluate(z):
         """Capped log-density and clipped, projected drift."""
-        lp, g = joint(z)
-        lp = np.maximum(np.asarray(lp, dtype=float), -energy_cap)
-        g = project(np.asarray(g, dtype=float))
+        lp, g = target.log_density_and_grad(z)
+        lp = np.maximum(lp, -energy_cap)
+        g = project(g)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         scale = np.minimum(1.0, grad_clip / np.maximum(norms, 1e-300))
         return lp, g * scale

@@ -29,9 +29,6 @@ isotropic and label_diag on the zero-CoM subspace of particle systems.
 Each starts at the untuned baseline, where the alpha = 2 gradient of
 every raw parameter is generically nonzero.
 
-A forward-KL objective (mean log w) is available behind a flag for
-comparison; it controls the mean of log weights rather than their tails.
-
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
 """
@@ -102,25 +99,18 @@ def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
             - np.concatenate(log_p_steps))
 
 
-def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi,
-                      objective: str = "alpha2"):
+def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi):
     """Loss value and exact gradient w.r.t. the per-step raw parameters.
 
     The gradient of the logsumexp objective is the softmax-weighted sum
-    of per-trajectory gradients of -log p_phi; the KL objective uses
-    uniform weights.  Nothing propagates into the score model.
+    of per-trajectory gradients of -log p_phi.  Nothing propagates into
+    the score model.
     """
     if batch.count == 0:
         raise ValueError("empty batch")
     lw = batch_log_weights(batch, spec, raws, bases, log_pi)
-    if objective == "alpha2":
-        loss = float(ga.logsumexp(lw) - np.log(batch.count))
-        weights = ga.softmax_from_log(lw)
-    elif objective == "kl":
-        loss = float(np.mean(lw))
-        weights = np.full(batch.count, 1.0 / batch.count)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
+    loss = float(ga.logsumexp(lw) - np.log(batch.count))
+    weights = ga.softmax_from_log(lw)
     grad = -spec.weighted_grad(batch.deltas, raws, bases, weights)
     return loss, grad, lw
 
@@ -135,7 +125,6 @@ class TunerConfig:
     batch_size: int = 512
     lr: float = 0.01
     lr_floor: float = 1e-6
-    objective: str = "alpha2"
     plateau_tol: float = 1e-4
     plateau_window: int = 200
 
@@ -168,7 +157,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
 
     Each iteration draws a fresh batch of x_0 (from ``data`` rows or from
     ``target.sample``), noises it forward, and takes one Adam step on the
-    chosen objective with a cosine learning-rate schedule.  Stops at the
+    alpha = 2 objective with a cosine learning-rate schedule.  Stops at the
     iteration budget or when the windowed loss plateaus (relative change
     below ``plateau_tol`` across ``plateau_window`` iterations).
     """
@@ -190,13 +179,11 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
         if proj is not None:
             x0 = eq.com_project(x0, proj)
         batch = forward_residuals(rng, x0, model, grid, proj)
-        log_pi = np.asarray(target.log_density(x0), dtype=float)
-        loss, grad, _ = loss_and_gradient(batch, spec, raws, bases, log_pi,
-                                          config.objective)
+        log_pi = target.log_density(x0)
+        loss, grad, _ = loss_and_gradient(batch, spec, raws, bases, log_pi)
         if not np.isfinite(loss):
             raise RuntimeError(
-                f"non-finite loss at iteration {it} "
-                f"(kind={kind}, objective={config.objective})")
+                f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
         opt.step([grad], lr=cosine_lr(it, config.iterations, config.lr,
                                       config.lr_floor))

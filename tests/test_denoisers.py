@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from vtdis import denoisers as dn
+from vtdis import equivariant as eq
 from vtdis import pfode as pf
 from vtdis import targets as tg
 from vtdis.schedule import karras_grid
+
+
+def zero_com(x, m, n):
+    """Rows of x moved onto the zero-CoM subspace of m particles in n-D."""
+    return eq.com_project(x, eq.ComProjection(m, n))
 
 
 def finite_diff_param_grads(model, x, t, d_out, h=1e-6):
@@ -45,20 +51,20 @@ class TestAnalyticBackend:
         sigma2, mu = 0.5, 0.3
         gmm = tg.single_gaussian(2, sigma2, mu)
         model = dn.AnalyticGmmScore(gmm)
-        x = np.array([1.0, -0.7])
+        x = np.array([[1.0, -0.7]])
         t = 0.9
         want = (sigma2 * x + t * t * mu) / (sigma2 + t * t)
         assert np.allclose(model.denoise(x, t), want, atol=1e-12)
 
     def test_t_zero_returns_input(self):
         model = dn.AnalyticGmmScore(tg.two_mode_gmm(2))
-        x = np.array([0.4, -0.9])
+        x = np.array([[0.4, -0.9]])
         assert np.allclose(model.denoise(x, 0.0), x, atol=1e-12)
 
     def test_large_t_prediction_bounded(self):
         gmm = tg.two_mode_gmm(4)
         model = dn.AnalyticGmmScore(gmm)
-        got = model.denoise(np.zeros(4), 1e3)
+        got = model.denoise(np.zeros((1, 4)), 1e3)
         bound = np.max(np.abs(gmm.means)) + 3 * np.sqrt(gmm.variances.max())
         assert np.all(np.abs(got) <= bound)
 
@@ -67,16 +73,17 @@ class TestAnalyticBackend:
         gmm = tg.two_mode_gmm(3)
         model = dn.AnalyticGmmScore(gmm)
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         t = 0.6
         h = 1e-5
         tr = 0.0
         for i in range(3):
             up, dn_ = x.copy(), x.copy()
-            up[i] += h
-            dn_[i] -= h
-            tr += (model.denoise(up, t)[i] - model.denoise(dn_, t)[i]) / (2 * h)
-        want = 3 + t * t * model.score_div_exact(x, t)
+            up[0, i] += h
+            dn_[0, i] -= h
+            tr += (model.denoise(up, t)[0, i]
+                   - model.denoise(dn_, t)[0, i]) / (2 * h)
+        want = 3 + t * t * model.score_and_div(x, t)[1][0]
         assert tr == pytest.approx(want, rel=1e-5)
 
 
@@ -92,10 +99,10 @@ class TestMlpMachinery:
         lambda rng: (dn.VectorDenoiser(3, [6, 5], 1.2, rng),
                      rng.standard_normal((4, 3)), np.array([0.3, 1.0, 2.0, 8.0])),
         lambda rng: (dn.RadialDenoiser(4, 2, [8, 6], 1.8, rng),
-                     tg.remove_com(rng.standard_normal((3, 8)), 4, 2),
+                     zero_com(rng.standard_normal((3, 8)), 4, 2),
                      np.array([0.5, 1.0, 4.0])),
         lambda rng: (dn.RadialDenoiser(13, 3, [5], 1.1, rng),
-                     tg.remove_com(rng.standard_normal((2, 39)), 13, 3),
+                     zero_com(rng.standard_normal((2, 39)), 13, 3),
                      np.array([0.4, 2.5])),
     ])
     def test_param_grads_match_finite_differences(self, build):
@@ -111,8 +118,8 @@ class TestMlpMachinery:
     def test_jvp_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         model = dn.RadialDenoiser(4, 2, [16], 1.5, rng)
-        x = tg.remove_com(rng.standard_normal((5, 8)), 4, 2)
-        v = tg.remove_com(rng.standard_normal((5, 8)), 4, 2)
+        x = zero_com(rng.standard_normal((5, 8)), 4, 2)
+        v = zero_com(rng.standard_normal((5, 8)), 4, 2)
         h = 1e-6
         fd = (model.denoise(x + h * v, 1.3) - model.denoise(x - h * v, 1.3)) \
             / (2 * h)
@@ -141,11 +148,12 @@ class TestMlpMachinery:
         for row in range(2):
             tr = 0.0
             for i in range(3):
-                up, dn_ = x[row].copy(), x[row].copy()
-                up[i] += h
-                dn_[i] -= h
-                tr += (model.score(up, t)[i] - model.score(dn_, t)[i]) / (2 * h)
-            assert model.score_div_exact(x, t)[row] == pytest.approx(
+                up, dn_ = x[row:row + 1].copy(), x[row:row + 1].copy()
+                up[0, i] += h
+                dn_[0, i] -= h
+                tr += (model.score(up, t)[0, i]
+                       - model.score(dn_, t)[0, i]) / (2 * h)
+            assert model.score_and_div(x, t)[1][row] == pytest.approx(
                 tr, rel=1e-4)
 
 
@@ -267,8 +275,8 @@ class TestRadialReference:
     def setup_method(self):
         rng = np.random.default_rng(16)
         self.model = dn.RadialDenoiser(13, 3, [16, 16], 1.4, rng)
-        self.x = tg.remove_com(rng.standard_normal((4, 39)), 13, 3)
-        self.v = tg.remove_com(rng.standard_normal((4, 39)), 13, 3)
+        self.x = zero_com(rng.standard_normal((4, 39)), 13, 3)
+        self.v = zero_com(rng.standard_normal((4, 39)), 13, 3)
         self.t = np.array([0.01, 0.3, 1.7, 40.0])
         self.d_out = rng.standard_normal((4, 39))
 
@@ -307,7 +315,7 @@ class TestRadialSymmetries:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         model = dn.RadialDenoiser(5, 2, [12], 1.0, rng)
-        x = tg.remove_com(rng.standard_normal((3, 10)), 5, 2)
+        x = zero_com(rng.standard_normal((3, 10)), 5, 2)
         perm = rng.permutation(5)
         xp = x.reshape(3, 5, 2)[:, perm].reshape(3, 10)
         got = model.denoise(xp, 1.0).reshape(3, 5, 2)
@@ -319,7 +327,7 @@ class TestRadialSymmetries:
         model = dn.RadialDenoiser(4, 3, [12], 1.0, rng)
         from scipy.stats import ortho_group
         r = ortho_group.rvs(3, random_state=9)
-        x = tg.remove_com(rng.standard_normal((3, 12)), 4, 3)
+        x = zero_com(rng.standard_normal((3, 12)), 4, 3)
         xr = (x.reshape(3, 4, 3) @ r.T).reshape(3, 12)
         got = model.denoise(xr, 0.8).reshape(3, 4, 3)
         want = model.denoise(x, 0.8).reshape(3, 4, 3) @ r.T
@@ -328,7 +336,7 @@ class TestRadialSymmetries:
     def test_output_zero_com(self):
         rng = np.random.default_rng(9)
         model = dn.RadialDenoiser(6, 3, [12], 1.0, rng)
-        x = tg.remove_com(rng.standard_normal((4, 18)), 6, 3)
+        x = zero_com(rng.standard_normal((4, 18)), 6, 3)
         out = model.denoise(x, 2.0).reshape(4, 6, 3)
         assert np.max(np.abs(out.mean(axis=1))) < 1e-13
 
@@ -406,8 +414,8 @@ class TestCheckpoints:
         assert back.net.sizes == model.net.sizes
         for a, b in zip(model.net.params, back.net.params):
             assert np.array_equal(a, b)
-        x = (tg.remove_com(rng.standard_normal((2, model.dim)),
-                           model.n_particles, model.spatial_dim)
+        x = (zero_com(rng.standard_normal((2, model.dim)),
+                      model.n_particles, model.spatial_dim)
              if model.kind == "radial"
              else rng.standard_normal((2, model.dim)))
         assert np.array_equal(model.denoise(x, 1.0), back.denoise(x, 1.0))
@@ -418,6 +426,26 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             dn.load_checkpoint(path)
 
+    def test_cut_or_over_long_file_rejected(self, tmp_path):
+        # a DW-4-shaped radial checkpoint cut at every field boundary of
+        # the header, the layer table and the weights, or one byte long
+        model = dn.RadialDenoiser(4, 2, [9, 7], 1.3, np.random.default_rng(17))
+        path = tmp_path / "model.bin"
+        dn.save_checkpoint(path, model)
+        whole = path.read_bytes()
+        n_sizes = len(model.net.sizes)
+        header = [0, 8, 12, 13, 21, 29, 33, 33 + 4 * n_sizes]
+        ends = np.cumsum([p.size * 8 for p in model.net.params])
+        cuts = header + list(header[-1] + ends[:-1])
+        assert header[-1] + ends[-1] == len(whole)
+        for cut in cuts:
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError):
+                dn.load_checkpoint(path)
+        path.write_bytes(whole + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            dn.load_checkpoint(path)
+
 
 class TestCounters:
     def test_eval_counting(self):
@@ -426,8 +454,8 @@ class TestCounters:
         model.denoise(x, 1.0)
         model.score(x, 1.0)
         assert model.eval_count == 14
-        model.score_jvp(x, 1.0, np.ones((7, 2)))
-        assert model.jvp_count == 7
+        model.score_and_jvp(x, 1.0, np.ones((3, 7, 2)))
+        assert model.eval_count == 21 and model.jvp_count == 21
         model.reset_counters()
         assert model.eval_count == 0 and model.jvp_count == 0
 
@@ -443,4 +471,43 @@ class TestCounters:
         assert out["metadata"]["jvp_evals"] == \
             count * gmm.dim * (2 * grid.n_steps + 1)
         with pytest.raises(ValueError):
-            model.score_div_exact(np.zeros((2, gmm.dim + 1)), 1.0)
+            model.score_and_div(np.zeros((2, gmm.dim + 1)), 1.0)
+
+
+# the batch queries of the backends, with their arguments after the
+# points, and of the targets, which take the points alone
+BACKEND_QUERIES = {"denoise": (1.0,), "score": (1.0,),
+                   "denoise_jvp": (1.0, "v"), "score_and_jvp": (1.0, "v"),
+                   "score_and_div": (1.0,), "forward_with_cache": (1.0,)}
+OWNERS = {
+    "analytic": lambda: dn.AnalyticGmmScore(tg.two_mode_gmm(4)),
+    "vector": lambda: dn.VectorDenoiser(4, [5], 1.0,
+                                        np.random.default_rng(18)),
+    "radial": lambda: dn.RadialDenoiser(2, 2, [5], 1.0,
+                                        np.random.default_rng(19)),
+    "gmm": lambda: tg.two_mode_gmm(4),
+    "dw4": tg.DoubleWell,
+    "lj13": tg.LennardJones,
+}
+ONE_POINT_CASES = [(owner, query) for owner, queries in [
+    ("analytic", ("denoise", "score", "score_and_jvp", "score_and_div")),
+    ("vector", BACKEND_QUERIES), ("radial", BACKEND_QUERIES),
+    ("gmm", ("log_density", "log_density_and_grad", "score")),
+    ("dw4", ("log_density", "log_density_and_grad", "energy")),
+    ("lj13", ("log_density", "log_density_and_grad", "energy")),
+] for query in queries]
+
+
+def ask(obj, query, x):
+    """``obj.query`` at the points x; a tangent is x itself."""
+    args = BACKEND_QUERIES[query] if isinstance(obj, dn._Counted) else ()
+    return getattr(obj, query)(x, *[x if a == "v" else a for a in args])
+
+
+@pytest.mark.parametrize("owner,query", ONE_POINT_CASES)
+def test_one_point_is_rejected(owner, query):
+    obj = OWNERS[owner]()
+    point = np.linspace(-1.0, 1.0, obj.dim)
+    with pytest.raises(ValueError, match="batch"):
+        ask(obj, query, point)
+    ask(obj, query, point[None])      # the same point as a one-row batch

@@ -80,10 +80,24 @@ def test_recompute_rejects_wrong_covariance_count(extra):
 @pytest.mark.parametrize("extra", [2, -2])
 def test_elbo_eubo_rejects_wrong_covariance_count(extra):
     model, proposal, proj = com_case()
-    x0 = tg.remove_com(np.random.default_rng(8).standard_normal((2, 8)), 4, 2)
+    x0 = eq.com_project(np.random.default_rng(8).standard_normal((2, 8)),
+                        proj)
     wrong = wrong_count(proposal, extra)
     with pytest.raises(ValueError, match="step covariances"):
         mt.elbo_eubo(np.random.default_rng(9), x0, model, wrong, GRID,
+                     inner=2, proj=proj)
+
+
+def test_x0_off_the_subspace_is_rejected():
+    # shifting every particle by 1.0 leaves the zero-CoM subspace, where
+    # the forward kernels and the prior are normalised
+    model, proposal, proj = com_case()
+    x0 = eq.com_project(np.random.default_rng(10).standard_normal((3, 8)),
+                        proj) + 1.0
+    with pytest.raises(ValueError, match="off the zero-CoM subspace"):
+        df.forward_residuals(np.random.default_rng(11), x0, model, GRID, proj)
+    with pytest.raises(ValueError, match="off the zero-CoM subspace"):
+        mt.elbo_eubo(np.random.default_rng(11), x0, model, proposal, GRID,
                      inner=2, proj=proj)
 
 
@@ -132,7 +146,7 @@ class TestWeightFailurePaths:
         lj = tg.LennardJones()
         x0 = 1.5 * np.random.default_rng(12).standard_normal((5, lj.dim))
         x0[-1, 3:6] = x0[-1, 0:3]
-        log_pi = lj.log_density(tg.remove_com(x0, 13, 3))
+        log_pi = lj.log_density(eq.com_project(x0, eq.ComProjection(13, 3)))
         assert np.all(np.isfinite(log_pi[:-1])) and log_pi[-1] == -np.inf
         # a shift keeps the finite weights in range; it cancels in the ESS
         return log_pi - np.max(log_pi[:-1])

@@ -114,7 +114,7 @@ class TestComGaussian:
         x = eq.com_project(rng.standard_normal(8), p)
         mean = eq.com_project(rng.standard_normal(8), p)
         sigma2 = 1.7
-        got = subspace_kernel(p, sigma2).logpdf(x, mean)[0]
+        got = subspace_kernel(p, sigma2).logpdf(x[None], mean[None])[0]
         z = p.to_subspace(x - mean)
         want = (-0.5 * 6 * np.log(2 * np.pi * sigma2)
                 - 0.5 * z @ z / sigma2)
@@ -127,7 +127,7 @@ class TestComGaussian:
         x = eq.com_project(rng.standard_normal(15), p)
         mean = eq.com_project(rng.standard_normal(15), p)
         scale = 0.6
-        got = subspace_kernel(p, eta, scale).logpdf(x, mean)[0]
+        got = subspace_kernel(p, eta, scale).logpdf(x[None], mean[None])[0]
         want = dense_logpdf(p.to_subspace(x - mean),
                             block_sigma(p, np.diag(eta), scale))
         assert got == pytest.approx(want, abs=1e-10)
@@ -140,8 +140,9 @@ class TestComGaussian:
             r = ortho_group.rvs(3, random_state=trial)
             x = eq.com_project(rng.standard_normal(15), p)
             mean = eq.com_project(rng.standard_normal(15), p)
-            a = kernel.logpdf(x, mean)
-            c = kernel.logpdf(rotate(x, r, 5), rotate(mean, r, 5))
+            a = kernel.logpdf(x[None], mean[None])[0]
+            c = kernel.logpdf(rotate(x, r, 5)[None],
+                              rotate(mean, r, 5)[None])[0]
             assert abs(a - c) < 1e-10
 
     def test_exchangeable_permutation_invariance(self):
@@ -156,14 +157,17 @@ class TestComGaussian:
             x = eq.com_project(rng.standard_normal(12), p)
             mean = eq.com_project(rng.standard_normal(12), p)
             perm = rng.permutation(6)
-            assert abs(iso.logpdf(x, mean) - iso.logpdf(
-                permute(x, perm, 2), permute(mean, perm, 2))) < 1e-10
+            assert abs(iso.logpdf(x[None], mean[None])[0] - iso.logpdf(
+                permute(x, perm, 2)[None], permute(mean, perm, 2)[None])[0]) \
+                < 1e-10
             within = np.arange(6)
             for k in (0, 1):
                 members = np.flatnonzero(labels == k)
                 within[members] = rng.permutation(members)
-            assert abs(by_label.logpdf(x, mean) - by_label.logpdf(
-                permute(x, within, 2), permute(mean, within, 2))) < 1e-10
+            assert abs(by_label.logpdf(x[None], mean[None])[0]
+                       - by_label.logpdf(permute(x, within, 2)[None],
+                                         permute(mean, within, 2)[None])[0]) \
+                < 1e-10
 
     def test_off_subspace_rejected(self):
         p = eq.ComProjection(3, 2)
@@ -177,8 +181,8 @@ class TestComGaussian:
         kernel = subspace_kernel(p, 1.3)
 
         def density(z):
-            x = p.to_ambient(np.array([z]))
-            return np.exp(kernel.logpdf(x, np.zeros(2))[0])
+            x = p.to_ambient(np.array([[z]]))
+            return np.exp(kernel.logpdf(x, np.zeros((1, 2)))[0])
 
         val, err = quad(density, -15, 15)
         assert val == pytest.approx(1.0, abs=1e-8)

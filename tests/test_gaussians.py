@@ -85,7 +85,7 @@ class TestLogDensity:
             spec, raw, base = random_case(kind, d, rng)
             x = rng.standard_normal(d)
             mean = rng.standard_normal(d)
-            got = StepKernel(spec, raw, base).logpdf(x, mean)[0]
+            got = StepKernel(spec, raw, base).logpdf(x[None], mean[None])[0]
             want = dense_logpdf(x, mean, dense_sigma(kind, raw, base, d))
             assert got == pytest.approx(want, abs=1e-10)
 

@@ -1,5 +1,6 @@
-"""Every name a ``vtdis`` module imports at top level is used in it, and
-every private helper is used somewhere in the package.
+"""Every name a ``vtdis`` module imports at top level is used in it,
+every private helper is used somewhere in the package, and every call the
+benchmark's tracer wraps is defined where the tracer looks it up.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  ``__init__.py`` is skipped
@@ -11,11 +12,14 @@ appears as a ``Name`` or an attribute anywhere in ``src/vtdis``.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "vtdis"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vtdis"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
@@ -99,3 +103,17 @@ def test_check_finds_an_orphaned_helper():
     refs = referenced_names([source])
     assert [n for n in private_definitions(source) if n not in refs] == \
         ["_orphan", "_stale"]
+
+
+def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
+    # the tracer replaces ``owner.__dict__[attr]``; a name that moved to a
+    # base class or another module would no longer be found there
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [(name, attr) for name, owner, attr, _ in tracing.SPANS
+               if attr not in vars(owner)]
+    assert tracing.SPANS and missing == []
+

@@ -29,8 +29,7 @@ BACKENDS = {
 CONFIGS = {
     "exact": pf.OdeRunConfig(divergence="exact"),
     "hutch1": pf.OdeRunConfig(divergence="hutchinson", probes=1),
-    "hutch2": pf.OdeRunConfig(divergence="hutchinson", probes=2,
-                              probe_dist="gaussian"),
+    "hutch2": pf.OdeRunConfig(divergence="hutchinson", probes=2),
 }
 
 
@@ -40,9 +39,14 @@ def points(count, seed=0):
     return eq.com_project(x, PROJ)
 
 
+def score_jvp(model, x, t, v):
+    """Directional derivative of the score along one (B, d) tangent."""
+    return model.score_and_jvp(x, t, v)[1]
+
+
 def dense_jacobian(model, x, t):
     """(B, d, d) score Jacobian, one ``score_jvp`` per axis."""
-    return np.stack([model.score_jvp(x, t, np.broadcast_to(e, x.shape))
+    return np.stack([score_jvp(model, x, t, np.broadcast_to(e, x.shape))
                      for e in np.eye(x.shape[1])], axis=2)
 
 
@@ -54,23 +58,23 @@ def dense_jacobian(model, x, t):
 def reference_divergence(model, x, t, config, rng, proj):
     if config.divergence == "exact":
         if proj is None and isinstance(model, dn.AnalyticGmmScore):
-            return -t * tg.gmm_noised_score_divergence(x, t, model.gmm)
+            return -t * model.score_and_div(x, t)[1]
         div = np.zeros(x.shape[0])
         if proj is None:
             for i, axis in enumerate(np.eye(DIM)):
-                div += model.score_jvp(x, t,
-                                       np.broadcast_to(axis, x.shape))[:, i]
+                div += score_jvp(model, x, t,
+                                 np.broadcast_to(axis, x.shape))[:, i]
         else:
             for u in BASIS:
-                div += np.sum(u * model.score_jvp(
-                    x, t, np.broadcast_to(u, x.shape)), axis=1)
+                div += np.sum(u * score_jvp(
+                    model, x, t, np.broadcast_to(u, x.shape)), axis=1)
         return -t * div
     acc = np.zeros(x.shape[0])
     for _ in range(config.probes):
-        v = pf.draw_probe(rng, x.shape, config.probe_dist)
+        v = pf.draw_probe(rng, x.shape)
         if proj is not None:
             v = eq.com_project(v, proj)
-        acc += np.sum(v * model.score_jvp(x, t, v), axis=1)
+        acc += np.sum(v * score_jvp(model, x, t, v), axis=1)
     return -t * acc / config.probes
 
 
@@ -151,7 +155,7 @@ def test_exact_divergence_matches_dense_jacobian_trace(backend, t, with_proj):
         got = model.score_and_div(x, t, PROJ)[1]
     else:
         want = np.trace(jac, axis1=1, axis2=2)
-        got = model.score_div_exact(x, t)
+        got = model.score_and_div(x, t)[1]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(jac)) * DIM
 
 
@@ -195,7 +199,7 @@ def test_radial_ambient_trace_exceeds_subspace_by_com_skip_term(t):
     model = BACKENDS["radial"]()
     x = points(2, seed=2)
     c_skip = dn.precond_coeffs(t, model.sigma_data)[0]
-    gap = model.score_div_exact(x, t) - model.score_and_div(x, t, PROJ)[1]
+    gap = model.score_and_div(x, t)[1] - model.score_and_div(x, t, PROJ)[1]
     assert np.allclose(gap, SPATIAL * (c_skip - 1.0) / t ** 2,
                        rtol=1e-9, atol=0.0)
 
@@ -205,13 +209,13 @@ def test_radial_ambient_trace_exceeds_subspace_by_com_skip_term(t):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("with_proj", [False, True])
-@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("dist", ["rademacher"])
 @pytest.mark.parametrize("backend", ["gmm", "radial"])
 def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
     model = BACKENDS[backend]()
     proj = PROJ if with_proj else None
     x, t = points(3, seed=4), 0.7
-    cfg = pf.OdeRunConfig(divergence="hutchinson", probe_dist=dist)
+    cfg = pf.OdeRunConfig(divergence="hutchinson")
     rng = np.random.default_rng(5)
     draws = np.stack([pf.divergence_estimate(model, x, t, cfg, rng, proj)[1]
                       for _ in range(1000)])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from vtdis import denoisers as dn
+from vtdis import equivariant as eq
 from vtdis import gaussians as ga
 from vtdis import targets as tg
 from vtdis.seeding import derive_rng
@@ -19,7 +21,7 @@ def scalar_gmm_logpdf(x, weights, means, variances):
 class TestGmmDensity:
     def test_two_mode_benchmark_value(self):
         gmm = tg.two_mode_gmm(1)
-        got = tg.gmm_log_density(np.array([1.0]), gmm)
+        got = gmm.log_density(np.array([[1.0]]))[0]
         want = scalar_gmm_logpdf(1.0, [2 / 3, 1 / 3], [1.0, -2.0], [0.15, 0.15])
         assert got == pytest.approx(want, abs=1e-12)
         # the far component is negligible: value is log(2/3) + peak height
@@ -28,10 +30,10 @@ class TestGmmDensity:
 
     def test_single_component_is_gaussian(self):
         gmm = tg.single_gaussian(3, variance=0.7, mean=0.2)
-        x = np.array([0.1, -0.4, 0.9])
+        x = np.array([[0.1, -0.4, 0.9]])
         want = (-1.5 * math.log(2 * math.pi * 0.7)
                 - 0.5 * np.sum((x - 0.2) ** 2) / 0.7)
-        assert tg.gmm_log_density(x, gmm) == pytest.approx(want, abs=1e-12)
+        assert gmm.log_density(x)[0] == pytest.approx(want, abs=1e-12)
 
     def test_symmetric_mixture_is_even(self):
         gmm = tg.Gmm(weights=np.array([0.5, 0.5]),
@@ -39,26 +41,13 @@ class TestGmmDensity:
                      variances=np.array([0.3, 0.3]))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x = rng.standard_normal(2)
-            assert tg.gmm_log_density(x, gmm) == pytest.approx(
-                tg.gmm_log_density(-x, gmm), rel=1e-12)
+            x = rng.standard_normal((1, 2))
+            assert gmm.log_density(x)[0] == pytest.approx(
+                gmm.log_density(-x)[0], rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            tg.gmm_log_density(np.zeros(3), tg.two_mode_gmm(2))
-
-    def test_float_only_for_one_point(self):
-        # a one-row batch keeps its batch axis, as the particle targets do
-        gmm = tg.two_mode_gmm(3)
-        x = np.array([0.3, -0.2, 1.1])
-        assert type(gmm.log_density(x)) is float
-        lp, g = gmm.log_density_and_grad(x)
-        assert type(lp) is float and g.shape == (3,)
-        batch = x[None, :]
-        assert gmm.log_density(batch).shape == (1,)
-        lp, g = gmm.log_density_and_grad(batch)
-        assert lp.shape == (1,) and g.shape == (1, 3)
-        assert lp[0] == gmm.log_density(x)
+            tg.two_mode_gmm(2).log_density(np.zeros((1, 3)))
 
 
 class TestGmmSampling:
@@ -66,59 +55,69 @@ class TestGmmSampling:
         gmm = tg.Gmm(weights=np.array([1.0, 0.0]),
                      means=np.array([[5.0], [-5.0]]),
                      variances=np.array([0.01, 0.01]))
-        xs = tg.gmm_sample(np.random.default_rng(0), gmm, 500)
+        xs = gmm.sample(np.random.default_rng(0), 500)
         assert np.all(xs > 0)
 
     def test_component_proportions(self):
         gmm = tg.two_mode_gmm(1)
-        xs = tg.gmm_sample(np.random.default_rng(1), gmm, 10 ** 5)
+        xs = gmm.sample(np.random.default_rng(1), 10 ** 5)
         frac_right = np.mean(xs[:, 0] > -0.5)
         assert abs(frac_right - 2 / 3) < 0.01
 
     def test_mean_matches_mixture_mean(self):
         gmm = tg.two_mode_gmm(3)   # mixture mean is exactly zero
-        xs = tg.gmm_sample(np.random.default_rng(2), gmm, 10 ** 5)
+        xs = gmm.sample(np.random.default_rng(2), 10 ** 5)
         assert np.all(np.abs(xs.mean(axis=0)) < 0.02)
 
 
 class TestNoisedScore:
     def test_single_gaussian_linear_score(self):
         gmm = tg.single_gaussian(2, variance=0.5, mean=0.3)
-        x = np.array([1.0, -2.0])
+        x = np.array([[1.0, -2.0]])
         t = 0.7
         want = -(x - 0.3) / (0.5 + t * t)
-        assert np.allclose(tg.gmm_noised_score(x, t, gmm), want, atol=1e-12)
+        assert np.allclose(gmm.score(x, t), want, atol=1e-12)
 
     def test_matches_density_gradient_at_t0(self):
         gmm = tg.two_mode_gmm(2)
         rng = np.random.default_rng(3)
         h = 1e-5
         for _ in range(10):
-            x = rng.standard_normal(2) * 1.5
-            s = tg.gmm_noised_score(x, 0.0, gmm)
+            x = rng.standard_normal((1, 2)) * 1.5
+            s = gmm.score(x, 0.0)
             for i in range(2):
-                up, dn = x.copy(), x.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (tg.gmm_log_density(up, gmm)
-                      - tg.gmm_log_density(dn, gmm)) / (2 * h)
-                assert s[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+                up, dn_ = x.copy(), x.copy()
+                up[0, i] += h
+                dn_[0, i] -= h
+                fd = (gmm.log_density(up)[0] - gmm.log_density(dn_)[0]) \
+                    / (2 * h)
+                assert s[0, i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_prior_dominance_at_large_t(self):
         gmm = tg.two_mode_gmm(2)
-        x = np.array([0.8, -1.1])
+        x = np.array([[0.8, -1.1]])
         t = 1e3
-        s = tg.gmm_noised_score(x, t, gmm)
+        s = gmm.score(x, t)
         assert np.allclose(s, -x / t ** 2, atol=5.0 / t ** 4)
+
+
+def score_divergence(gmm, x, t):
+    """Closed-form divergence of the convolved mixture score (B,)."""
+    return dn.AnalyticGmmScore(gmm).score_and_div(x, t)[1]
+
+
+def score_hvp(gmm, x, t, vec):
+    """Hessian of log p_t times ``vec`` (B, d)."""
+    return dn.AnalyticGmmScore(gmm).score_and_jvp(x, t, vec)[1]
 
 
 class TestScoreDivergence:
     def test_single_gaussian_constant(self):
         gmm = tg.single_gaussian(4, variance=0.6)
-        x = np.random.default_rng(4).standard_normal(4)
+        x = np.random.default_rng(4).standard_normal((1, 4))
         t = 1.3
         want = -4 / (0.6 + t * t)
-        assert tg.gmm_noised_score_divergence(x, t, gmm) == pytest.approx(
+        assert score_divergence(gmm, x, t)[0] == pytest.approx(
             want, rel=1e-12)
 
     def test_matches_finite_difference_trace(self):
@@ -126,16 +125,16 @@ class TestScoreDivergence:
         rng = np.random.default_rng(5)
         h = 1e-5
         for _ in range(5):
-            x = rng.standard_normal(3)
+            x = rng.standard_normal((1, 3))
             t = rng.uniform(0.05, 2.0)
             tr = 0.0
             for i in range(3):
-                up, dn = x.copy(), x.copy()
-                up[i] += h
-                dn[i] -= h
-                tr += (tg.gmm_noised_score(up, t, gmm)[i]
-                       - tg.gmm_noised_score(dn, t, gmm)[i]) / (2 * h)
-            got = tg.gmm_noised_score_divergence(x, t, gmm)
+                up, dn_ = x.copy(), x.copy()
+                up[0, i] += h
+                dn_[0, i] -= h
+                tr += (gmm.score(up, t)[0, i]
+                       - gmm.score(dn_, t)[0, i]) / (2 * h)
+            got = score_divergence(gmm, x, t)[0]
             assert got == pytest.approx(tr, rel=1e-4)
 
     def test_matches_rademacher_probe_average(self):
@@ -143,28 +142,25 @@ class TestScoreDivergence:
         # independent of the closed-form hessian
         gmm = tg.two_mode_gmm(3)
         rng = np.random.default_rng(6)
-        x = np.array([0.4, -0.2, 0.9])
+        x = np.array([[0.4, -0.2, 0.9]])
         t = 0.4
         n_probes = 10 ** 5
         v = rng.integers(0, 2, size=(n_probes, 3)) * 2.0 - 1.0
         h = 1e-5
-        jv = (tg.gmm_noised_score(x + h * v, t, gmm)
-              - tg.gmm_noised_score(x - h * v, t, gmm)) / (2 * h)
+        jv = (gmm.score(x + h * v, t) - gmm.score(x - h * v, t)) / (2 * h)
         probe_mean = np.mean(np.sum(v * jv, axis=1))
-        got = tg.gmm_noised_score_divergence(x, t, gmm)
+        got = score_divergence(gmm, x, t)[0]
         assert got == pytest.approx(probe_mean, rel=0.01)
 
     def test_hvp_matches_finite_difference(self):
         gmm = tg.two_mode_gmm(2)
         rng = np.random.default_rng(7)
-        x = rng.standard_normal(2)
-        v = rng.standard_normal(2)
+        x = rng.standard_normal((1, 2))
+        v = rng.standard_normal((1, 2))
         t = 0.6
         h = 1e-6
-        fd = (tg.gmm_noised_score(x + h * v, t, gmm)
-              - tg.gmm_noised_score(x - h * v, t, gmm)) / (2 * h)
-        assert np.allclose(tg.gmm_noised_score_hvp(x, t, gmm, v), fd,
-                           atol=1e-6)
+        fd = (gmm.score(x + h * v, t) - gmm.score(x - h * v, t)) / (2 * h)
+        assert np.allclose(score_hvp(gmm, x, t, v), fd, atol=1e-6)
 
 
 def logsumexp_gmm_reference(x, t, gmm, vec):
@@ -205,9 +201,8 @@ class TestGmmResponsibilityPass:
         vec = rng.standard_normal((40, 3))
         score, div, hvp = logsumexp_gmm_reference(x, t, gmm, vec)
         rel = 1e-12
-        got = [tg.gmm_noised_score(x, t, gmm),
-               tg.gmm_noised_score_divergence(x, t, gmm),
-               tg.gmm_noised_score_hvp(x, t, gmm, vec)]
+        got = [gmm.score(x, t), score_divergence(gmm, x, t),
+               score_hvp(gmm, x, t, vec)]
         for g, want in zip(got, (score, div, hvp)):
             assert np.max(np.abs(g - want)) <= rel * np.max(np.abs(want))
 
@@ -222,9 +217,9 @@ class TestGmmResponsibilityPass:
         vec = rng.standard_normal((8, 3))
         t = 0.05
         score, _, hvp = logsumexp_gmm_reference(x, t, gmm, vec)
-        got_score = tg.gmm_noised_score(x, t, gmm)
-        got_div = tg.gmm_noised_score_divergence(x, t, gmm)
-        got_hvp = tg.gmm_noised_score_hvp(x, t, gmm, vec)
+        got_score = gmm.score(x, t)
+        got_div = score_divergence(gmm, x, t)
+        got_hvp = score_hvp(gmm, x, t, vec)
         for g in (got_score, got_div, got_hvp):
             assert np.all(np.isfinite(g))
         assert np.max(np.abs(got_score - score)) <= 1e-12 * np.max(
@@ -238,15 +233,11 @@ class TestGmmResponsibilityPass:
     def test_log_density_and_grad_bit_for_bit(self):
         for gmm in (tg.two_mode_gmm(3), ZERO_WEIGHT_GMM):
             x = np.random.default_rng(15).standard_normal((20, 3))
-            for arg in (x, x[3]):
+            for arg in (x, x[3:4]):
                 lp, g = gmm.log_density_and_grad(arg)
-                want_lp = gmm.log_density(arg)
-                want_g = gmm.grad_log_density(arg)
-                assert type(lp) is type(want_lp)
-                assert np.array_equal(lp, want_lp)
-                assert np.array_equal(g, want_g)
-            assert np.array_equal(gmm.grad_log_density(x),
-                                  tg.gmm_noised_score(x, 0.0, gmm))
+                assert lp.shape == (len(arg),) and g.shape == arg.shape
+                assert np.array_equal(lp, gmm.log_density(arg))
+                assert np.array_equal(g, gmm.score(arg))
 
 
 def pair_loop_energy_and_grad(target, x, skip=lambda i, j: False):
@@ -295,7 +286,7 @@ def lattice_configs(target, count, rng):
                      axis=-1).reshape(-1, n)[:m].astype(float)
     spacing = 1.1 * getattr(target, "r_m", 1.0)
     x = spacing * sites[None] + 0.15 * rng.standard_normal((count, m, n))
-    return tg.remove_com(x.reshape(count, m * n), m, n)
+    return eq.com_project(x.reshape(count, m * n), eq.ComProjection(m, n))
 
 
 class TestParticleEnergies:
@@ -307,26 +298,28 @@ class TestParticleEnergies:
         verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                          dtype=float)
         verts *= d0 / np.linalg.norm(verts[0] - verts[1])
-        assert dw.energy(verts.reshape(-1)) == pytest.approx(0.0, abs=1e-12)
+        assert dw.energy(verts.reshape(1, -1))[0] == pytest.approx(0.0,
+                                                                   abs=1e-12)
 
     def test_pair_term_vanishes_at_d0(self):
         dw = tg.DoubleWell(n_particles=2, spatial_dim=2)
-        x = np.array([0.0, 0.0, dw.d0, 0.0])
-        assert dw.energy(x) == pytest.approx(0.0, abs=1e-12)
+        x = np.array([[0.0, 0.0, dw.d0, 0.0]])
+        assert dw.energy(x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_lj_pair_minimum(self):
         lj = tg.LennardJones(n_particles=2, spatial_dim=3, c_osc=0.0)
-        x = np.zeros(6)
-        x[3] = lj.r_m
-        assert lj.energy(x) == pytest.approx(-lj.eps_lj, abs=1e-12)
+        x = np.zeros((1, 6))
+        x[0, 3] = lj.r_m
+        assert lj.energy(x)[0] == pytest.approx(-lj.eps_lj, abs=1e-12)
 
     def test_translation_invariance_exact(self):
         rng = np.random.default_rng(8)
         for target in (tg.DoubleWell(), tg.LennardJones()):
-            x = rng.standard_normal(target.dim) * 2
+            x = rng.standard_normal((1, target.dim)) * 2
             shift = np.tile(rng.standard_normal(target.spatial_dim),
                             target.n_particles)
-            assert target.energy(x + shift) == target.energy(x)
+            assert np.array_equal(target.energy(x + shift),
+                                  target.energy(x))
 
     def test_rotation_and_permutation_invariance(self):
         from scipy.stats import ortho_group
@@ -336,15 +329,15 @@ class TestParticleEnergies:
             x = rng.standard_normal((m, n)) * 2
             r = ortho_group.rvs(n, random_state=10)
             perm = rng.permutation(m)
-            e0 = target.energy(x.reshape(-1))
-            assert target.energy((x @ r.T).reshape(-1)) == pytest.approx(
-                e0, abs=1e-10)
-            assert target.energy(x[perm].reshape(-1)) == pytest.approx(
-                e0, abs=1e-10)
+            e0 = target.energy(x.reshape(1, -1))[0]
+            assert target.energy((x @ r.T).reshape(1, -1))[0] == \
+                pytest.approx(e0, abs=1e-10)
+            assert target.energy(x[perm].reshape(1, -1))[0] == \
+                pytest.approx(e0, abs=1e-10)
 
     def test_lj_coincident_particles_diverge(self):
         lj = tg.LennardJones(n_particles=2, spatial_dim=3)
-        assert lj.energy(np.zeros(6)) == np.inf
+        assert lj.energy(np.zeros((1, 6)))[0] == np.inf
         # LJ-13: only the batch row holding the coincident pair diverges
         lj13 = tg.LennardJones()
         x = lattice_configs(lj13, 3, np.random.default_rng(12))
@@ -358,16 +351,16 @@ class TestParticleEnergies:
         tg.DoubleWell(n_particles=2, spatial_dim=2)], ids=["lj2", "dw2"])
     def test_coincident_pair_gradient_is_finite(self, target):
         # runs under filterwarnings = error: no RuntimeWarning either
-        g = target.grad_log_density(np.zeros(target.dim))
+        g = target.log_density_and_grad(np.zeros((1, target.dim)))[1]
         assert np.all(np.isfinite(g))
-        assert np.array_equal(g, np.zeros(target.dim))
+        assert np.array_equal(g, np.zeros((1, target.dim)))
 
     def test_lj13_coincident_row_leaves_other_rows(self):
         lj13 = tg.LennardJones()
         x = lattice_configs(lj13, 3, np.random.default_rng(12))
-        clean = lj13.grad_log_density(x)
+        clean = lj13.log_density_and_grad(x)[1]
         x.reshape(3, 13, 3)[1, 7] = x.reshape(3, 13, 3)[1, 4]
-        g = lj13.grad_log_density(x)
+        g = lj13.log_density_and_grad(x)[1]
         assert np.all(np.isfinite(g))
         assert np.array_equal(g[[0, 2]], clean[[0, 2]])
         assert not np.array_equal(g[1], clean[1])
@@ -380,12 +373,13 @@ class TestParticleEnergies:
                              ids=["dw4", "lj13"])
     def test_log_density_and_grad_bit_for_bit(self, target):
         x = lattice_configs(target, 5, np.random.default_rng(16))
-        for arg in (x, x[2]):
-            lp, g = target.log_density_and_grad(arg)
-            want_lp = target.log_density(arg)
-            assert type(lp) is type(want_lp)
-            assert np.array_equal(lp, want_lp)
-            assert np.array_equal(g, target.grad_log_density(arg))
+        lp, g = target.log_density_and_grad(x)
+        assert np.array_equal(lp, target.log_density(x))
+        # a one-row batch gives that row of the full batch
+        lp_row, g_row = target.log_density_and_grad(x[2:3])
+        assert lp_row.shape == (1,) and g_row.shape == (1, target.dim)
+        assert np.array_equal(lp_row, lp[2:3])
+        assert np.array_equal(g_row, g[2:3])
 
     @pytest.mark.parametrize("target", [tg.DoubleWell(), tg.LennardJones()],
                              ids=["dw4", "lj13"])
@@ -395,7 +389,7 @@ class TestParticleEnergies:
         rel = 1e-12
         x = lattice_configs(target, 4, np.random.default_rng(11))
         energies = target.energy(x)
-        grads = target.grad_log_density(x)
+        grads = target.log_density_and_grad(x)[1]
         for row in range(x.shape[0]):
             e, g = pair_loop_energy_and_grad(target, x[row])
             assert energies[row] == pytest.approx(e, rel=rel)
@@ -405,14 +399,15 @@ class TestParticleEnergies:
         rng = np.random.default_rng(10)
         h = 1e-6
         for target in (tg.DoubleWell(), tg.LennardJones()):
-            x = rng.standard_normal(target.dim) * 2
-            g = target.grad_log_density(x)
+            x = rng.standard_normal((1, target.dim)) * 2
+            g = target.log_density_and_grad(x)[1]
             for i in rng.choice(target.dim, size=4, replace=False):
-                up, dn = x.copy(), x.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (target.log_density(up) - target.log_density(dn)) / (2 * h)
-                assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+                up, dn_ = x.copy(), x.copy()
+                up[0, i] += h
+                dn_[0, i] -= h
+                fd = (target.log_density(up)[0]
+                      - target.log_density(dn_)[0]) / (2 * h)
+                assert g[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
 class TestMcmc:
@@ -421,11 +416,8 @@ class TestMcmc:
             dim = 3
             var = 2.5
 
-            def log_density(self, x):
-                return -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1) / self.var
-
-            def grad_log_density(self, x):
-                return -np.atleast_2d(x) / self.var
+            def log_density_and_grad(self, x):
+                return -0.5 * np.sum(x ** 2, axis=1) / self.var, -x / self.var
 
         samples, report = tg.mcmc_sample(np.random.default_rng(0), Gauss(),
                                          20000, n_chains=32, burn_in=500,
@@ -466,30 +458,14 @@ class TestMcmc:
 
             def log_density_and_grad(self, x):
                 Joint.calls += 1
-                x2 = np.atleast_2d(x)
-                return -0.5 * np.sum(x2 ** 2, axis=1), -x2
+                return -0.5 * np.sum(x ** 2, axis=1), -x
 
             def log_density(self, x):
                 raise AssertionError("separate density call")
 
-            grad_log_density = log_density
-
         tg.mcmc_sample(np.random.default_rng(3), Joint(), 40, n_chains=4,
                        burn_in=10, thin=2)
         assert Joint.calls == 1 + 10 + 10 * 2
-
-    def test_joint_call_reproduces_separate_calls(self):
-        dw = tg.DoubleWell()
-
-        class Separate:
-            dim, n_particles, spatial_dim = dw.dim, 4, 2
-            log_density = staticmethod(dw.log_density)
-            grad_log_density = staticmethod(dw.grad_log_density)
-
-        runs = [tg.mcmc_sample(np.random.default_rng(4), t, 200, n_chains=8,
-                               burn_in=50, thin=2) for t in (dw, Separate())]
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert np.array_equal(runs[0][1].step_size, runs[1][1].step_size)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_frozen_chain_at_the_lj13_benchmark_settings(self, seed):
@@ -512,11 +488,8 @@ class TestMcmc:
         class Needle:
             dim = 1
 
-            def log_density(self, x):
-                return -1e10 * np.sum(np.atleast_2d(x) ** 2, axis=1)
-
-            def grad_log_density(self, x):
-                return -2e10 * np.atleast_2d(x)
+            def log_density_and_grad(self, x):
+                return -1e10 * np.sum(x ** 2, axis=1), -2e10 * x
 
         # chains start at the tip of a needle, where a typical proposal
         # costs 1e4 nats: without burn-in no chain can move
@@ -532,11 +505,8 @@ class TestMcmc:
         class Gauss:
             dim = 1
 
-            def log_density(self, x):
-                return -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1)
-
-            def grad_log_density(self, x):
-                return -np.atleast_2d(x)
+            def log_density_and_grad(self, x):
+                return -0.5 * np.sum(x ** 2, axis=1), -x
 
         # frozen microscopic step: acceptance ~ 1 triggers the range check
         _, report = tg.mcmc_sample(np.random.default_rng(2), Gauss(), 200,

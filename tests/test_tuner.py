@@ -88,14 +88,10 @@ def loop_log_weights(batch, spec, raws, bases, log_pi):
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
-def loop_loss_and_gradient(batch, spec, raws, bases, log_pi, objective):
+def loop_loss_and_gradient(batch, spec, raws, bases, log_pi):
     lw = loop_log_weights(batch, spec, raws, bases, log_pi)
-    if objective == "alpha2":
-        loss = ga.logsumexp(lw) - np.log(batch.count)
-        weights = ga.softmax_from_log(lw)
-    else:
-        loss = np.mean(lw)
-        weights = np.full(batch.count, 1.0 / batch.count)
+    loss = ga.logsumexp(lw) - np.log(batch.count)
+    weights = ga.softmax_from_log(lw)
     grad = np.stack([-spec.weighted_grad(batch.deltas[n], raws[n], bases[n],
                                          weights)
                      for n in range(batch.n_steps)])
@@ -110,13 +106,12 @@ def assert_close(got, want, rel=REL):
 
 class TestStackedObjective:
     @pytest.mark.parametrize("kind,space", CASES)
-    @pytest.mark.parametrize("objective", ["alpha2", "kl"])
+    @pytest.mark.parametrize("objective", ["alpha2"])
     def test_matches_per_step_loop(self, kind, space, objective):
         batch, spec, raws, log_pi = make_case(kind, space)
         loss, grad, lw = tu.loss_and_gradient(batch, spec, raws, BASES,
-                                              log_pi, objective)
-        want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi,
-                                      objective)
+                                              log_pi)
+        want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi)
         assert_close(loss, want[0])
         assert_close(grad, want[1])
         assert_close(lw, want[2])
@@ -156,21 +151,19 @@ class TestStackedObjective:
             spec.log_density(batch.deltas[2], raws[2], BASES[2])
 
     @pytest.mark.parametrize("kind,space", CASES)
-    @pytest.mark.parametrize("objective", ["alpha2", "kl"])
+    @pytest.mark.parametrize("objective", ["alpha2"])
     def test_gradient_matches_finite_differences(self, kind, space,
                                                  objective):
         batch, spec, raws, log_pi = make_case(kind, space, seed=2, count=12)
-        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES, log_pi,
-                                          objective)
+        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES, log_pi)
         h = 1e-6
         for idx in np.ndindex(*raws.shape):
             up, dn_ = raws.copy(), raws.copy()
             up[idx] += h
             dn_[idx] -= h
-            fd = (tu.loss_and_gradient(batch, spec, up, BASES, log_pi,
-                                       objective)[0]
-                  - tu.loss_and_gradient(batch, spec, dn_, BASES, log_pi,
-                                         objective)[0]) / (2 * h)
+            fd = (tu.loss_and_gradient(batch, spec, up, BASES, log_pi)[0]
+                  - tu.loss_and_gradient(batch, spec, dn_, BASES,
+                                         log_pi)[0]) / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -235,8 +228,9 @@ def test_tune_replays_bit_for_bit(space):
 @pytest.mark.parametrize("field,value", [("iterations", 0),
                                          ("batch_size", 0)])
 def test_config_rejects_an_empty_budget(field, value):
-    with pytest.raises(ValueError):
-        tu.TunerConfig(**{field: value})
+    for config in (tu.TunerConfig, dn.TrainConfig):
+        with pytest.raises(ValueError):
+            config(**{field: value})
 
 
 class TestGaussianOptimum:
