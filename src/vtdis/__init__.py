@@ -7,13 +7,12 @@ likelihood baseline for comparison.
 """
 
 from .gaussians import logsumexp
-from .schedule import TimeGrid, geometric_grid, karras_grid
+from .schedule import TimeGrid, karras_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid",
-    "geometric_grid",
     "karras_grid",
     "logsumexp",
     "__version__",

@@ -11,8 +11,8 @@ derivative queries of the probability-flow ODE likelihood return the
 score together with its derivatives from one primal pass, which every
 tangent reuses:
 
-* ``score_and_jvp(x, t, v)``    -> score and its directional derivatives
-  along one (B, d) tangent or a (K, B, d) stack of them
+* ``score_and_jvp(x, t, v)``    -> score and its directional derivative
+  along one (B, d) tangent
 * ``score_and_div(x, t, proj)`` -> score and its exact divergence, the
   trace on the zero-center-of-mass subspace when ``proj`` is given
 
@@ -89,16 +89,14 @@ class Mlp:
     the activations a ``forward`` pass cached, and ``jvp`` is the two.
     """
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator | None = None,
-                 init_scale: float = 1.0):
+    def __init__(self, sizes: list[int], rng: np.random.Generator | None = None):
         self.sizes = list(sizes)
         self.params: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             if rng is None:
                 w = np.zeros((fan_out, fan_in))
             else:
-                w = rng.standard_normal((fan_out, fan_in)) \
-                    * init_scale / np.sqrt(fan_in)
+                w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
             self.params.append(w)
             self.params.append(np.zeros(fan_out))
 
@@ -164,13 +162,14 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter arrays."""
+    """Adam with bias correction over a list of parameter arrays, at the
+    usual moment decay rates and denominator guard."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -178,18 +177,22 @@ class Adam:
     def step(self, grads: list[np.ndarray], lr: float | None = None) -> None:
         self.t += 1
         lr = self.lr if lr is None else lr
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-def cosine_lr(iteration: int, total: int, lr0: float, floor: float) -> float:
+# the learning rate that the cosine schedules of training and tuning end at
+LR_FLOOR = 1e-6
+
+
+def cosine_lr(iteration: int, total: int, lr0: float) -> float:
     frac = min(iteration / max(total - 1, 1), 1.0)
-    return floor + 0.5 * (lr0 - floor) * (1.0 + np.cos(np.pi * frac))
+    return LR_FLOOR + 0.5 * (lr0 - LR_FLOOR) * (1.0 + np.cos(np.pi * frac))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +225,17 @@ class _Counted:
         return tv
 
     def score_and_jvp(self, x, t, v):
-        """Score of a (B, d) batch and its directional derivatives along
-        ``v``, one (B, d) tangent or a stack (K, B, d), from one primal
-        pass that every tangent reuses."""
+        """Score of a (B, d) batch and its directional derivative along
+        the (B, d) tangent ``v``, from one primal pass."""
         x2 = as_batch(x, self.dim)
-        vs = np.asarray(v, dtype=float)
-        stack = vs.reshape(-1, *x2.shape)
+        v2 = as_batch(v, self.dim)
+        if v2.shape != x2.shape:
+            raise ValueError(f"tangent shape {v2.shape} is not the batch "
+                             f"shape {x2.shape}")
         score, tangent = self._linearize(x2, t)
         self.eval_count += x2.shape[0]
-        self.jvp_count += stack.shape[0] * x2.shape[0]
-        return score, np.stack([tangent(u) for u in stack]).reshape(vs.shape)
+        self.jvp_count += x2.shape[0]
+        return score, tangent(v2)
 
     def score_and_div(self, x, t, proj: eq.ComProjection | None = None):
         """Score of a (B, d) batch and its exact divergence from one primal
@@ -455,10 +459,8 @@ class TrainConfig:
     iterations: int = 8000
     batch_size: int = 256
     lr: float = 1e-3
-    lr_floor: float = 1e-6
     eps: float = 1e-3
     t_max: float = 1e2
-    data_scale: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -476,7 +478,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
     weighting.  Returns the per-iteration loss curve.  Aborts if the loss
     exceeds 10x the initial loss for 100 consecutive iterations.
     """
-    data = np.asarray(data, dtype=float) * config.data_scale
+    data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("empty training set")
     proj = (eq.ComProjection(model.n_particles, model.spatial_dim)
@@ -512,8 +514,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
             bad_streak = 0
         d_out = 2.0 * lam[:, None] * resid / config.batch_size
         grads = model.param_grad(cache, d_out)
-        opt.step(grads, lr=cosine_lr(it, config.iterations, config.lr,
-                                     config.lr_floor))
+        opt.step(grads, lr=cosine_lr(it, config.iterations, config.lr))
     return losses
 
 

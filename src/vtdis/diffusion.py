@@ -62,8 +62,10 @@ def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
 
 class StepKernel:
     """Sampling and density of one reverse step's proposal: ``spec`` at
-    raw parameters ``raw`` and base variance ``base``.  With a projection
-    the residuals are checked to lie on the zero-CoM subspace."""
+    raw parameters ``raw`` and base variance ``base``.  Both take a (B, d)
+    batch of means, and ``logpdf`` points of the same shape; any other
+    shape raises ``ValueError``.  With a projection the residuals are
+    checked to lie on the zero-CoM subspace."""
 
     def __init__(self, spec, raw: np.ndarray, base: float,
                  proj: eq.ComProjection | None = None):
@@ -73,6 +75,10 @@ class StepKernel:
         self.proj = proj
 
     def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        mean = _mean_batch(mean)
+        if np.shape(x) != mean.shape:
+            raise ValueError(f"points of shape {np.shape(x)} for means of "
+                             f"shape {mean.shape}")
         delta = x - mean
         if self.proj is not None:
             eq._check_on_subspace(delta, self.proj, "residual")
@@ -82,7 +88,17 @@ class StepKernel:
                ) -> np.ndarray:
         """One draw per row of ``mean``, all rows from one block of
         standard normals of ``rng``."""
-        return self.spec.draw(rng, self.raw, self.base, mean, self.proj)
+        return self.spec.draw(rng, self.raw, self.base, _mean_batch(mean),
+                              self.proj)
+
+
+def _mean_batch(mean) -> np.ndarray:
+    """``mean`` as a float (B, d) batch; any other shape raises."""
+    m = np.asarray(mean, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected a (B, d) batch of means, got shape "
+                         f"{m.shape}")
+    return m
 
 
 def proposal_steps(proposal, grid: TimeGrid):

@@ -1,26 +1,27 @@
-"""Probability-flow ODE sampling and likelihood baseline.
+"""Probability-flow ODE sampling baseline with importance weights.
 
 The deterministic flow dx/dt = -t s(x, t) shares the diffusion's
-marginals, and the instantaneous change of variables gives exact
-likelihoods:
+marginals, and the instantaneous change of variables gives the density
+of its samples:
 
-    log p_eps(x(eps)) = log p_T(x(T)) + int_eps^T div(-t s(x(t), t)) dt.
+    log p_eps(x(eps)) = log p_T(x(T)) - int_T^eps div(-t s(x(t), t)) dt.
 
-Integration is Heun's method (trapezoidal predictor-corrector) on the
-same grid family as the stochastic sampler, co-integrating the divergence
-in the same pass.  The divergence is either exact (analytic trace or one
-directional derivative per basis vector) or the Hutchinson estimate
-mean_j v_j . J v_j over Rademacher probes v_j (independent +-1 entries),
-which is unbiased for the instantaneous divergence but makes downstream
-importance weights biased; results carry a flag.
+``ode_is_weights`` draws x(T) from the N(0, T^2 I) prior and integrates
+from T down to eps with Heun's method (trapezoidal predictor-corrector)
+on the same grid as the stochastic sampler, co-integrating the
+divergence in the same pass.  The divergence is either exact (analytic
+trace or one directional derivative per basis vector) or the Hutchinson
+estimate v . J v with one Rademacher probe v (independent +-1 entries)
+per point and node, which is unbiased for the instantaneous divergence
+but makes the importance weights biased.
 
 Each grid node costs one model pass: ``divergence_estimate`` returns the
-drift together with the divergence, and every probe or basis vector
+drift together with the divergence, and the probe or every basis vector
 reuses that pass through the backend's fused queries.  With a
 zero-center-of-mass projection the prior is normalised on the subspace,
-so the divergence is taken there as well, tr(P J P): Hutchinson probes
-are projected, which keeps the estimate unbiased, and the exact trace
-takes one tangent pass per vector of an orthonormal basis of the
+so the divergence is taken there as well, tr(P J P): the Hutchinson
+probe is projected, which keeps the estimate unbiased, and the exact
+trace takes one tangent pass per vector of an orthonormal basis of the
 subspace, (M-1) n of them.  The ambient trace would exceed it by the
 Jacobian's trace along the center-of-mass directions, a constant offset
 in log p0.
@@ -40,13 +41,10 @@ from .schedule import TimeGrid
 @dataclass(frozen=True)
 class OdeRunConfig:
     divergence: str = "exact"          # "exact" | "hutchinson"
-    probes: int = 1
 
     def __post_init__(self):
         if self.divergence not in ("exact", "hutchinson"):
             raise ValueError(f"unknown divergence mode {self.divergence!r}")
-        if self.probes < 1:
-            raise ValueError("need at least one probe")
 
 
 def draw_probe(rng: np.random.Generator, shape) -> np.ndarray:
@@ -58,41 +56,33 @@ def divergence_estimate(model, x, t, config: OdeRunConfig,
                         rng: np.random.Generator | None = None,
                         proj: eq.ComProjection | None = None):
     """(drift -t s, div(-t s)) at (x, t) from one model pass, the
-    divergence exact or probe-averaged; with ``proj`` it is the
+    divergence exact or from one probe per row; with ``proj`` it is the
     divergence on the zero-CoM subspace."""
     if config.divergence == "exact":
         score, div = model.score_and_div(x, t, proj)
         return -t * score, -t * div
     if rng is None:
         raise ValueError("hutchinson divergence needs a generator")
-    probes = np.stack([draw_probe(rng, np.shape(x))
-                       for _ in range(config.probes)])
+    v = draw_probe(rng, np.shape(x))
     if proj is not None:
         # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
-        probes = eq.com_project(probes, proj)
-    score, jvps = model.score_and_jvp(x, t, probes)
-    acc = np.zeros(score.shape[0])
-    for v, jv in zip(probes, jvps):
-        acc += np.sum(v * jv, axis=1)
-    return -t * score, -t * acc / config.probes
+        v = eq.com_project(v, proj)
+    score, jv = model.score_and_jvp(x, t, v)
+    return -t * score, -t * np.sum(v * jv, axis=1)
 
 
 def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
-                   direction: str = "up",
                    rng: np.random.Generator | None = None,
                    proj: eq.ComProjection | None = None):
-    """Integrate the flow across the grid, accumulating int div dt.
+    """Integrate the flow from x at T down to eps, accumulating int div dt.
 
-    ``direction`` "up" runs eps -> T, "down" runs T -> eps.  Returns the
-    terminal state and the divergence integral along the traversal (the
-    sign of dt is included, so the "down" integral is the negative of the
-    eps -> T integral).  Every grid node costs one ``divergence_estimate``
-    call, which gives the drift as well.
+    Returns the state at eps and the divergence integral along the
+    traversal, int_T^eps (the sign of dt is included, so it is the
+    negative of the eps -> T integral).  Every grid node costs one
+    ``divergence_estimate`` call, which gives the drift as well.
     """
     x2 = np.asarray(x, dtype=float)
-    times = grid.times if direction == "up" else grid.times[::-1]
-    if direction not in ("up", "down"):
-        raise ValueError(f"unknown direction {direction!r}")
+    times = grid.times[::-1]
     div_int = np.zeros(x2.shape[0])
     f_cur, g_cur = divergence_estimate(model, x2, float(times[0]), config,
                                        rng, proj)
@@ -114,16 +104,6 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
     return x2, div_int
 
 
-def ode_log_likelihood(x0, model, grid: TimeGrid,
-                       config: OdeRunConfig | None = None,
-                       rng: np.random.Generator | None = None,
-                       proj: eq.ComProjection | None = None):
-    """log p (B,) at the data end of the flow for a (B, d) batch x0."""
-    config = config or OdeRunConfig()
-    x_end, div_int = heun_integrate(x0, model, grid, config, "up", rng, proj)
-    return prior_log_density(x_end, grid.t_max, proj) + div_int
-
-
 def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
                    config: OdeRunConfig, count: int,
                    proj: eq.ComProjection | None = None) -> dict:
@@ -133,9 +113,7 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     divergence.  Returns a dict with ``samples`` (count, dim),
     ``log_weights`` (count,), their ``reverse_ess`` and ``metadata``:
     ``score_evals`` and ``jvp_evals``, the model's evaluation and
-    directional-derivative rows spent on this call (the cost proxy), and
-    ``biased_weights``, true when a stochastic (Hutchinson) divergence
-    estimate makes the weights biased.
+    directional-derivative rows spent on this call (the cost proxy).
     """
     from .metrics import reverse_ess  # local import avoids a cycle
 
@@ -145,8 +123,7 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
         z = eq.com_project(z, proj)
     x_t = grid.t_max * z
     log_prior = prior_log_density(x_t, grid.t_max, proj)
-    x0, div_down = heun_integrate(x_t, model, grid, config, "down", rng,
-                                  proj)
+    x0, div_down = heun_integrate(x_t, model, grid, config, rng, proj)
     log_p0 = log_prior - div_down
     log_w = target.log_density(x0) - log_p0
     return {
@@ -156,6 +133,5 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
         "metadata": {
             "score_evals": model.eval_count - evals0,
             "jvp_evals": model.jvp_count - jvps0,
-            "biased_weights": config.divergence == "hutchinson",
         },
     }

@@ -1,8 +1,9 @@
 """Time discretizations of the noise interval [eps, T].
 
-Grids are strictly increasing, t_0 = eps > 0 through t_N = T, following
-the variance-exploding convention where the marginal noise scale at time
-t is t itself.  Per-step derived constants:
+``karras_grid`` builds the one grid family the samplers use.  Grids are
+strictly increasing, t_0 = eps > 0 through t_N = T, following the
+variance-exploding convention where the marginal noise scale at time t
+is t itself.  Per-step derived constants:
 
 * ``forward_var(n)  = t_n^2 - t_{n-1}^2``   (forward transition variance)
 * ``ddpm_var(n)     = t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2``
@@ -71,22 +72,16 @@ class TimeGrid:
         return d
 
 
-def geometric_grid(n_steps: int, eps: float, t_max: float) -> TimeGrid:
-    """t_n = eps * (T/eps)^(n/N): constant ratio between consecutive times."""
-    _validate(n_steps, eps, t_max)
-    n = np.arange(n_steps + 1, dtype=float)
-    t = eps * (t_max / eps) ** (n / n_steps)
-    t[0], t[-1] = eps, t_max
-    return TimeGrid(t, kind="geometric")
-
-
 def karras_grid(n_steps: int, eps: float, t_max: float, rho: float) -> TimeGrid:
     """Power-interpolated grid, t_n = (eps^(1/rho) + (n/N)(T^(1/rho) - eps^(1/rho)))^rho.
 
     rho = 1 gives linear spacing; rho -> infinity approaches the geometric
-    grid.  Endpoints are exact for any rho.
+    grid t_n = eps (T/eps)^(n/N).  Endpoints are exact for any rho.
     """
-    _validate(n_steps, eps, t_max)
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    if not (0 < eps < t_max):
+        raise ValueError("require 0 < eps < t_max")
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive")
     u = np.arange(n_steps + 1, dtype=float) / n_steps
@@ -95,10 +90,3 @@ def karras_grid(n_steps: int, eps: float, t_max: float, rho: float) -> TimeGrid:
     t = np.exp(rho * np.log(a + u * (b - a)))
     t[0], t[-1] = eps, t_max
     return TimeGrid(t, kind="karras", rho=float(rho))
-
-
-def _validate(n_steps: int, eps: float, t_max: float) -> None:
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if not (0 < eps < t_max):
-        raise ValueError("require 0 < eps < t_max")

@@ -15,13 +15,15 @@ returns batch-shaped results; any other shape raises ``ValueError``:
 Particle targets add ``energy(x)``.  ``Gmm`` adds exact sampling,
 ``sample(rng, count)``, and the closed-form noise-convolved score
 ``score(x, t)`` (the mixture stays a mixture under Gaussian convolution).
-The module also provides a Metropolis-adjusted Langevin sampler for
-targets that cannot be sampled exactly.
+The module also provides a Metropolis-adjusted Langevin sampler,
+``mcmc_sample``, for targets that cannot be sampled exactly.  Its caller
+sets the chain count, burn-in and thinning, and the ``MALA_*`` constants
+fix the rest.  Each problem it detects is reported once, in
+``McmcReport.warnings`` and as a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,8 +32,6 @@ import numpy as np
 
 from . import equivariant as eq
 from .gaussians import LOG_2PI, as_batch, logsumexp
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,15 @@ def _pair_force_assemble(inc, diff, d, de) -> np.ndarray:
 # MCMC sampling
 # ---------------------------------------------------------------------------
 
+# initial step size of every chain, scale of the random start, gradient-norm
+# clip, energy cap, and the acceptance rate the burn-in adaptation aims at
+MALA_STEP_SIZE = 0.1
+MALA_INIT_SCALE = 2.0
+MALA_GRAD_CLIP = 1.0e3
+MALA_ENERGY_CAP = 1.0e6
+MALA_TARGET_ACCEPT = 0.574
+
+
 @dataclass
 class McmcReport:
     """``acceptance_rate`` is over every proposal, burn-in included;
@@ -354,10 +363,8 @@ class McmcReport:
 
 
 def mcmc_sample(rng: np.random.Generator, target, count: int, *,
-                n_chains: int = 64, burn_in: int = 2000, thin: int = 10,
-                step_size: float = 0.1, init_scale: float = 2.0,
-                grad_clip: float = 1.0e3, energy_cap: float = 1.0e6,
-                target_accept: float = 0.574) -> tuple[np.ndarray, McmcReport]:
+                n_chains: int = 64, burn_in: int = 2000, thin: int = 10
+                ) -> tuple[np.ndarray, McmcReport]:
     """Metropolis-adjusted Langevin chains targeting exp(log_density).
 
     ``target`` needs ``dim`` and ``log_density_and_grad``, which gives the
@@ -365,9 +372,10 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     targets (``n_particles`` attribute) are sampled on the
     zero-center-of-mass subspace with projected proposals.  Each chain
     has its own step size, adapted on its own accepts toward
-    ``target_accept`` during burn-in and frozen after, so a chain that
-    starts on a steep wall shrinks its step until it moves; a chain that
-    still accepts nothing after burn-in is warned about.  Gradients are
+    ``MALA_TARGET_ACCEPT`` during burn-in and frozen after, so a chain
+    that starts on a steep wall shrinks its step until it moves; a chain
+    that still accepts nothing after burn-in is warned about, and so is an
+    overall acceptance rate outside [0.1, 0.9].  Gradients are
     norm-clipped and energies capped inside the kernel; the Metropolis
     ratio uses the actual (clipped) proposal densities, so the chain
     remains exact for the capped target.
@@ -384,15 +392,15 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     def evaluate(z):
         """Capped log-density and clipped, projected drift."""
         lp, g = target.log_density_and_grad(z)
-        lp = np.maximum(lp, -energy_cap)
+        lp = np.maximum(lp, -MALA_ENERGY_CAP)
         g = project(g)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-        scale = np.minimum(1.0, grad_clip / np.maximum(norms, 1e-300))
+        scale = np.minimum(1.0, MALA_GRAD_CLIP / np.maximum(norms, 1e-300))
         return lp, g * scale
 
-    x = project(init_scale * rng.standard_normal((n_chains, dim)))
+    x = project(MALA_INIT_SCALE * rng.standard_normal((n_chains, dim)))
     lp, gx = evaluate(x)
-    h = np.full(n_chains, float(step_size))
+    h = np.full(n_chains, MALA_STEP_SIZE)
     per_chain = -(-count // n_chains)
     keep: list[np.ndarray] = []
     accepts = 0
@@ -416,7 +424,7 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
         accepts += int(np.sum(acc))
         if it < burn_in:
             # per-chain stochastic approximation toward the target rate
-            h *= np.exp(0.05 * (acc - target_accept))
+            h *= np.exp(0.05 * (acc - MALA_TARGET_ACCEPT))
         else:
             chain_accepts += acc
             if (it - burn_in) % thin == thin - 1:
@@ -428,13 +436,12 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
         acceptance_rate=float(rate), step_size=h,
         chain_acceptance=chain_accepts / (total_iters - burn_in))
     if not 0.1 <= rate <= 0.9:
-        msg = f"acceptance rate {rate:.3f} outside [0.1, 0.9]"
-        report.warnings.append(msg)
-        logger.warning("mcmc_sample: %s", msg)
+        report.warnings.append(
+            f"acceptance rate {rate:.3f} outside [0.1, 0.9]")
     frozen = int(np.sum(chain_accepts == 0))
     if frozen:
-        msg = f"{frozen} of {n_chains} chains accepted nothing after burn-in"
-        report.warnings.append(msg)
-        logger.warning("mcmc_sample: %s", msg)
+        report.warnings.append(
+            f"{frozen} of {n_chains} chains accepted nothing after burn-in")
+    for msg in report.warnings:
         warnings.warn(f"mcmc_sample: {msg}", RuntimeWarning, stacklevel=2)
     return samples, report

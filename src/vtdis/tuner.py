@@ -124,7 +124,6 @@ class TunerConfig:
     iterations: int = 5000
     batch_size: int = 512
     lr: float = 0.01
-    lr_floor: float = 1e-6
     plateau_tol: float = 1e-4
     plateau_window: int = 200
 
@@ -185,8 +184,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
-        opt.step([grad], lr=cosine_lr(it, config.iterations, config.lr,
-                                      config.lr_floor))
+        opt.step([grad], lr=cosine_lr(it, config.iterations, config.lr))
         if not np.all(np.isfinite(raws)):
             raise RuntimeError(f"non-finite parameters at iteration {it}")
         if it + 1 >= config.plateau_window and half > 0:

@@ -454,8 +454,8 @@ class TestCounters:
         model.denoise(x, 1.0)
         model.score(x, 1.0)
         assert model.eval_count == 14
-        model.score_and_jvp(x, 1.0, np.ones((3, 7, 2)))
-        assert model.eval_count == 21 and model.jvp_count == 21
+        model.score_and_jvp(x, 1.0, np.ones((7, 2)))
+        assert model.eval_count == 21 and model.jvp_count == 7
         model.reset_counters()
         assert model.eval_count == 0 and model.jvp_count == 0
 

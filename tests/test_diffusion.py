@@ -101,6 +101,32 @@ def test_x0_off_the_subspace_is_rejected():
                      inner=2, proj=proj)
 
 
+def step_kernel(kind):
+    """A kernel of ``kind`` on three coordinates; label_diag on three
+    particles on a line, whose zero-CoM subspace the zero mean lies on."""
+    proj = eq.ComProjection(3, 1) if kind == "label_diag" else None
+    spec = tu.make_param_spec(kind, dim=3, proj=proj, labels=[0, 1, 1])
+    return df.StepKernel(spec, spec.init(), 0.5, proj)
+
+
+@pytest.mark.parametrize("method", ["logpdf", "sample"])
+@pytest.mark.parametrize("kind", tu.TUNABLE_KINDS)
+def test_step_kernel_takes_only_batches(kind, method):
+    kernel = step_kernel(kind)
+    rng = np.random.default_rng(13)
+    point = np.zeros(3)
+    if method == "logpdf":
+        with pytest.raises(ValueError, match="batch"):
+            kernel.logpdf(point, point)
+        with pytest.raises(ValueError, match="shape"):
+            kernel.logpdf(np.zeros((2, 3)), point[None])
+        assert kernel.logpdf(point[None], point[None]).shape == (1,)
+    else:
+        with pytest.raises(ValueError, match="batch"):
+            kernel.sample(rng, point)
+        assert kernel.sample(rng, point[None]).shape == (1, 3)
+
+
 class TestUnbiasedWeights:
     """E_p[w] = Z for any proposal whose draws and densities agree: on the
     normalised two-mode GMM (Z = 1) the mean of w = exp(log w) must lie

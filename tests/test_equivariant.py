@@ -171,9 +171,9 @@ class TestComGaussian:
 
     def test_off_subspace_rejected(self):
         p = eq.ComProjection(3, 2)
-        x = np.ones(6)   # com = (1, 1)
-        with pytest.raises(ValueError):
-            subspace_kernel(p, 1.0).logpdf(x, np.zeros(6))
+        x = np.ones((1, 6))   # com = (1, 1)
+        with pytest.raises(ValueError, match="off the zero-CoM"):
+            subspace_kernel(p, 1.0).logpdf(x, np.zeros((1, 6)))
 
     def test_normalizes_on_subspace(self):
         # M = 2, n = 1: one effective coordinate, integrate by quadrature
@@ -232,7 +232,7 @@ class TestComSampling:
         eta = rng.uniform(0.5, 2.0, 3)
         kernel = subspace_kernel(p, eta)
         s = kernel.sample(rng, np.zeros((2 * 10 ** 4, 6)))
-        lp = kernel.logpdf(s, np.zeros(6))
+        lp = kernel.logpdf(s, np.zeros_like(s))
         _, logdet = np.linalg.slogdet(block_sigma(p, np.diag(eta)))
         want = -0.5 * 4 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
@@ -248,7 +248,8 @@ class TestBlockBuilders:
         x = eq.com_project(rng.standard_normal((3, 8)), p)
         sig = block_sigma(p, np.diag([2.0, 3.0, 3.0, 2.0]), 0.9)
         want = [dense_logpdf(p.to_subspace(row), sig) for row in x]
-        assert np.allclose(kernel.logpdf(x, 0), want, atol=1e-10)
+        assert np.allclose(kernel.logpdf(x, np.zeros_like(x)), want,
+                           atol=1e-10)
 
     def test_label_validation(self):
         p = eq.ComProjection(2, 2)
@@ -297,7 +298,8 @@ class TestSubspaceParams:
             raw = spec.init() + 0.2 * rng.standard_normal(spec.n_params)
             deltas = eq.com_project(rng.standard_normal((4, 12)), proj)
             direct = spec.log_density(deltas, raw, 0.8)
-            kernel = StepKernel(spec, raw, 0.8, proj).logpdf(deltas, 0)
+            kernel = StepKernel(spec, raw, 0.8, proj).logpdf(
+                deltas, np.zeros_like(deltas))
             assert np.array_equal(direct, kernel)
             etas = ga.softplus(raw)
             b = (etas[0] * np.eye(4) if kind == "isotropic"

@@ -214,7 +214,8 @@ class TestRawParamGradients:
         sigma = dense_sigma(dense_kind, raw, 0.7, d)
         want = [dense_logpdf(x, np.zeros(d), sigma) for x in deltas]
         assert np.allclose(direct, want, atol=1e-12)
-        kernel = StepKernel(spec, raw, 0.7).logpdf(deltas, 0)
+        kernel = StepKernel(spec, raw, 0.7).logpdf(deltas,
+                                                   np.zeros_like(deltas))
         assert np.array_equal(direct, kernel)
 
     @pytest.mark.parametrize("kind", list(SPECS))

@@ -1,6 +1,7 @@
 """Every name a ``vtdis`` module imports at top level is used in it,
-every private helper is used somewhere in the package, and every call the
-benchmark's tracer wraps is defined where the tracer looks it up.
+every private helper is used somewhere in the package, every call the
+benchmark's tracer wraps is defined where the tracer looks it up, and
+every option of the pipeline's configured calls is one the pipeline sets.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  ``__init__.py`` is skipped
@@ -12,11 +13,18 @@ appears as a ``Name`` or an attribute anywhere in ``src/vtdis``.
 """
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from vtdis import denoisers as dn
+from vtdis import pfode as pf
+from vtdis import targets as tg
+from vtdis import tuner as tu
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vtdis"
@@ -117,3 +125,38 @@ def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
                if attr not in vars(owner)]
     assert tracing.SPANS and missing == []
 
+
+
+def keywords_passed(source: str, names) -> dict[str, set[str]]:
+    """The keywords passed to each callee in ``names``, called by name or
+    as a module attribute, anywhere in ``source``."""
+    passed = {name: set() for name in names}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in passed:
+                passed[name].update(k.arg for k in node.keywords if k.arg)
+    return passed
+
+
+def test_every_option_is_set_by_the_pipeline():
+    # the benchmark's pipeline in bench/workloads.py is the one caller of
+    # these four; an option it leaves at its default belongs in a constant.
+    # plateau_tol is the exception: the pipeline turns the plateau stop off
+    # through plateau_window, and deleting that stop changes the benchmark
+    options = {
+        "TrainConfig": [f.name for f in dataclasses.fields(dn.TrainConfig)],
+        "TunerConfig": [f.name for f in dataclasses.fields(tu.TunerConfig)],
+        "OdeRunConfig": [f.name for f in dataclasses.fields(pf.OdeRunConfig)],
+        "mcmc_sample": [
+            p.name for p in inspect.signature(tg.mcmc_sample).parameters
+            .values() if p.kind is inspect.Parameter.KEYWORD_ONLY],
+    }
+    passed = keywords_passed(
+        (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"),
+        options)
+    unset = {(callee, name) for callee, names in options.items()
+             for name in names if name not in passed[callee]}
+    assert unset <= {("TunerConfig", "plateau_tol")}

@@ -1,5 +1,5 @@
-"""Probability-flow ODE: oracles for the likelihood and the divergence,
-and the fused one-pass-per-node path against separate calls."""
+"""Probability-flow ODE: oracles for the flow and the divergence, and the
+fused one-pass-per-node path against separate calls."""
 
 import numpy as np
 import pytest
@@ -28,8 +28,7 @@ BACKENDS = {
 }
 CONFIGS = {
     "exact": pf.OdeRunConfig(divergence="exact"),
-    "hutch1": pf.OdeRunConfig(divergence="hutchinson", probes=1),
-    "hutch2": pf.OdeRunConfig(divergence="hutchinson", probes=2),
+    "hutch1": pf.OdeRunConfig(divergence="hutchinson"),
 }
 
 
@@ -69,17 +68,14 @@ def reference_divergence(model, x, t, config, rng, proj):
                 div += np.sum(u * score_jvp(
                     model, x, t, np.broadcast_to(u, x.shape)), axis=1)
         return -t * div
-    acc = np.zeros(x.shape[0])
-    for _ in range(config.probes):
-        v = pf.draw_probe(rng, x.shape)
-        if proj is not None:
-            v = eq.com_project(v, proj)
-        acc += np.sum(v * score_jvp(model, x, t, v), axis=1)
-    return -t * acc / config.probes
+    v = pf.draw_probe(rng, x.shape)
+    if proj is not None:
+        v = eq.com_project(v, proj)
+    return -t * np.sum(v * score_jvp(model, x, t, v), axis=1)
 
 
-def reference_heun(x, model, grid, config, direction, rng, proj):
-    times = grid.times if direction == "up" else grid.times[::-1]
+def reference_heun(x, model, grid, config, rng, proj):
+    times = grid.times[::-1]
 
     def node(y, t):
         return (-t * model.score(y, t),
@@ -108,10 +104,10 @@ def test_fused_heun_matches_separate_calls_bit_for_bit(backend, config,
     cfg = CONFIGS[config]
     proj = PROJ if with_proj else None
     x = GRID.t_max * points(5)
-    got = pf.heun_integrate(x, model, GRID, cfg, "down",
-                            np.random.default_rng(3), proj)
-    want = reference_heun(x, model, GRID, cfg, "down",
-                          np.random.default_rng(3), proj)
+    got = pf.heun_integrate(x, model, GRID, cfg, np.random.default_rng(3),
+                            proj)
+    want = reference_heun(x, model, GRID, cfg, np.random.default_rng(3),
+                          proj)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -124,11 +120,11 @@ def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
     model = BACKENDS[backend]()
     cfg = CONFIGS[config]
     count = 5
-    pf.heun_integrate(points(count), model, GRID, cfg, "up",
+    pf.heun_integrate(GRID.t_max * points(count), model, GRID, cfg,
                       np.random.default_rng(3), PROJ if with_proj else None)
     nodes = count * (2 * GRID.n_steps + 1)
     if cfg.divergence == "hutchinson":
-        per_point = cfg.probes
+        per_point = 1
     else:
         # one tangent pass per dimension of the space the trace is on
         per_point = PROJ.subspace_dim if with_proj else DIM
@@ -231,25 +227,26 @@ def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_likelihood_converges_to_analytic_density():
-    # For N(mu, var I) the flow is linear, x(t) - mu = (x - mu) r(t) with
-    # r(t)^2 = (var + t^2) / (var + eps^2), so the change of variables is
-    # log p_eps(x) plus the closed-form mismatch between the N(0, T^2 I)
-    # prior and the true p_T.  Heun is second order: the error falls about
-    # fourfold per doubling of the grid.
+    # For N(mu, var I) the flow is linear: from T down to eps,
+    # x(eps) - mu = (x(T) - mu) sqrt((var + eps^2) / (var + T^2)), and the
+    # divergence of the drift is d t / (var + t^2), whose integral along
+    # the traversal is -(d/2) log((var + T^2) / (var + eps^2)).  These two
+    # give log p_eps(x(eps)) from log p_T(x(T)).  Heun is second order:
+    # both errors fall about fourfold per doubling of the grid.
     d, var, mu = 3, 0.8, 0.5
     model = dn.AnalyticGmmScore(tg.single_gaussian(d, var, mu))
-    x = np.random.default_rng(0).standard_normal((4, d))
-    errors = []
+    x_t = 10.0 * np.random.default_rng(0).standard_normal((4, d))
+    state_errors, div_errors = [], []
     for n in (4, 8, 16, 32, 64):
         grid = karras_grid(n, 1e-3, 10.0, 7.0)
         eps, big_t = grid.eps, grid.t_max
-        x_end = mu + (x - mu) * np.sqrt((var + big_t ** 2)
-                                        / (var + eps ** 2))
-        prior = tg.single_gaussian(d, big_t ** 2)
-        p_end = tg.single_gaussian(d, var + big_t ** 2, mu)
-        want = (tg.single_gaussian(d, var + eps ** 2, mu).log_density(x)
-                + prior.log_density(x_end) - p_end.log_density(x_end))
-        got = pf.ode_log_likelihood(x, model, grid)
-        errors.append(np.max(np.abs(got - want)))
-    assert all(b < a / 2.5 for a, b in zip(errors, errors[1:]))
-    assert errors[-1] < 0.02
+        x_eps, div_down = pf.heun_integrate(x_t, model, grid,
+                                            CONFIGS["exact"])
+        want_x = mu + (x_t - mu) * np.sqrt((var + eps ** 2)
+                                           / (var + big_t ** 2))
+        want_div = -0.5 * d * np.log((var + big_t ** 2) / (var + eps ** 2))
+        state_errors.append(np.max(np.abs(x_eps - want_x)))
+        div_errors.append(np.max(np.abs(div_down - want_div)))
+    for errors in (state_errors, div_errors):
+        assert all(b < a / 2.5 for a, b in zip(errors, errors[1:]))
+        assert errors[-1] < 0.02

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vtdis.schedule import TimeGrid, geometric_grid, karras_grid
+from vtdis.schedule import TimeGrid, karras_grid
 
 
 def test_karras_rho_one_is_linear():
@@ -11,10 +11,15 @@ def test_karras_rho_one_is_linear():
     assert np.allclose(g.times, [1.0, 2.0, 3.0], atol=1e-12)
 
 
+def geometric_times(n_steps, eps, t_max):
+    """t_n = eps (T/eps)^(n/N): constant ratio between consecutive times."""
+    return eps * (t_max / eps) ** (np.arange(n_steps + 1) / n_steps)
+
+
 def test_karras_large_rho_approaches_geometric():
     k = karras_grid(24, 1e-3, 100.0, rho=1e6)
-    g = geometric_grid(24, 1e-3, 100.0)
-    assert np.max(np.abs(k.times / g.times - 1.0)) < 1e-3
+    g = geometric_times(24, 1e-3, 100.0)
+    assert np.max(np.abs(k.times / g - 1.0)) < 1e-3
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0, 7.0, 100.0])
@@ -24,28 +29,11 @@ def test_karras_endpoints_exact(rho):
     assert np.all(np.diff(g.times) > 0)
 
 
-def test_geometric_constant_ratio():
-    g = geometric_grid(4, 0.01, 100.0)
-    ratios = g.times[1:] / g.times[:-1]
-    assert np.allclose(ratios, 10.0, rtol=1e-12)
-
-
-def test_geometric_single_step():
-    g = geometric_grid(1, 0.5, 2.0)
-    assert np.allclose(g.times, [0.5, 2.0])
-
-
-def test_geometric_log_spacing_arithmetic():
-    g = geometric_grid(9, 1e-3, 50.0)
-    diffs = np.diff(np.log(g.times))
-    assert np.allclose(diffs, diffs[0], atol=1e-12)
-
-
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        geometric_grid(4, 2.0, 1.0)
+        karras_grid(4, 2.0, 1.0, rho=7.0)
     with pytest.raises(ValueError):
-        geometric_grid(0, 0.1, 1.0)
+        karras_grid(0, 0.1, 1.0, rho=7.0)
     with pytest.raises(ValueError):
         karras_grid(4, 0.1, 1.0, rho=-1.0)
     with pytest.raises(ValueError):
@@ -55,7 +43,7 @@ def test_invalid_inputs():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: geometric_grid(20, 1e-3, 100.0),
+    lambda: TimeGrid(geometric_times(20, 1e-3, 100.0)),
     lambda: karras_grid(20, 1e-3, 100.0, rho=7.0),
 ])
 def test_derived_variances(make):
@@ -77,7 +65,7 @@ def test_posterior_variance_value():
 
 
 def test_step_index_bounds():
-    g = geometric_grid(5, 0.1, 10.0)
+    g = karras_grid(5, 0.1, 10.0, rho=7.0)
     with pytest.raises(ValueError):
         g.forward_var(0)
     with pytest.raises(ValueError):

@@ -463,8 +463,11 @@ class TestMcmc:
             def log_density(self, x):
                 raise AssertionError("separate density call")
 
-        tg.mcmc_sample(np.random.default_rng(3), Joint(), 40, n_chains=4,
-                       burn_in=10, thin=2)
+        # all 120 proposals on this Gaussian are accepted at the initial
+        # step size, a rate that the range check reports
+        with pytest.warns(RuntimeWarning, match="acceptance rate 1.000"):
+            tg.mcmc_sample(np.random.default_rng(3), Joint(), 40,
+                           n_chains=4, burn_in=10, thin=2)
         assert Joint.calls == 1 + 10 + 10 * 2
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -484,7 +487,7 @@ class TestMcmc:
         moved = np.any(per_chain != per_chain[:1], axis=(0, 2))
         assert np.all(moved)
 
-    def test_frozen_chain_is_warned(self):
+    def test_frozen_chain_is_warned(self, monkeypatch):
         class Needle:
             dim = 1
 
@@ -493,15 +496,20 @@ class TestMcmc:
 
         # chains start at the tip of a needle, where a typical proposal
         # costs 1e4 nats: without burn-in no chain can move
-        with pytest.warns(RuntimeWarning, match="accepted nothing"):
+        monkeypatch.setattr(tg, "MALA_STEP_SIZE", 1e-3)
+        monkeypatch.setattr(tg, "MALA_INIT_SCALE", 0.0)
+        with pytest.warns(RuntimeWarning) as caught:
             _, report = tg.mcmc_sample(np.random.default_rng(5), Needle(),
-                                       20, n_chains=4, burn_in=0, thin=1,
-                                       step_size=1e-3, init_scale=0.0)
+                                       20, n_chains=4, burn_in=0, thin=1)
         assert np.all(report.chain_acceptance == 0)
-        assert "4 of 4 chains accepted nothing after burn-in" in \
-            report.warnings
+        assert report.warnings == [
+            "acceptance rate 0.000 outside [0.1, 0.9]",
+            "4 of 4 chains accepted nothing after burn-in"]
+        # each problem is raised once, with the message the report keeps
+        assert [str(w.message) for w in caught] == \
+            [f"mcmc_sample: {msg}" for msg in report.warnings]
 
-    def test_acceptance_warning(self):
+    def test_acceptance_warning(self, monkeypatch):
         class Gauss:
             dim = 1
 
@@ -509,7 +517,10 @@ class TestMcmc:
                 return -0.5 * np.sum(x ** 2, axis=1), -x
 
         # frozen microscopic step: acceptance ~ 1 triggers the range check
-        _, report = tg.mcmc_sample(np.random.default_rng(2), Gauss(), 200,
-                                   n_chains=8, burn_in=0, thin=1,
-                                   step_size=1e-6)
+        monkeypatch.setattr(tg, "MALA_STEP_SIZE", 1e-6)
+        with pytest.warns(RuntimeWarning, match="acceptance rate") as caught:
+            _, report = tg.mcmc_sample(np.random.default_rng(2), Gauss(),
+                                       200, n_chains=8, burn_in=0, thin=1)
         assert report.warnings
+        assert [str(w.message) for w in caught] == \
+            [f"mcmc_sample: {msg}" for msg in report.warnings]
