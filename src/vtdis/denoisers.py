@@ -27,7 +27,8 @@ network F only ever sees unit-scale inputs and outputs.  The particle
 backend pushes pair distances through a shared radial network and emits
 a combination of difference vectors, which makes it rotation-, reflection-
 and permutation-equivariant by construction, with exactly zero center of
-mass output.
+mass output; it gathers and scatters through ``equivariant.PairGeometry``,
+and training draws its noise with ``equivariant.normals``.
 
 All backends count work by what a query returns: ``eval_count`` gains
 one per batch row for each denoiser or score output, ``jvp_count`` one
@@ -163,20 +164,19 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 
 class Adam:
     """Adam with bias correction over a list of parameter arrays, at the
-    usual moment decay rates and denominator guard."""
+    usual moment decay rates and denominator guard; every step takes its
+    learning rate from the caller's schedule."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3):
+    def __init__(self, params: list[np.ndarray]):
         self.params = params
-        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads: list[np.ndarray], lr: float | None = None) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
-        lr = self.lr if lr is None else lr
         b1, b2 = self.BETA1, self.BETA2
         for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
@@ -380,32 +380,17 @@ class RadialDenoiser(_Preconditioned):
         self.dim = n_particles * spatial_dim
         self.sigma_data = float(sigma_data)
         self.net = Mlp([3] + list(hidden) + [1], rng)
-        # signed incidence matrix (M, P): every pair gather (inc.T @ conf)
-        # and per-particle scatter-add (inc @ contrib) is one matmul
-        self._incidence = tg.pair_incidence(n_particles)
-
-    def _gather(self, per_particle: np.ndarray) -> np.ndarray:
-        """Flat (B, M*n) -> pair differences (B, P, n), x_i - x_j."""
-        b = per_particle.shape[0]
-        return np.matmul(self._incidence.T,
-                         per_particle.reshape(b, self.n_particles,
-                                              self.spatial_dim))
+        self.pair_geometry = eq.PairGeometry(n_particles, spatial_dim)
 
     def _geometry(self, x2, tv):
         _, _, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
-        diff = self._gather(c_in[:, None] * x2)              # (B, P, n)
-        dist = np.sqrt(tg._spatial_dot(diff, diff))          # (B, P)
+        diff = self.pair_geometry.diffs(c_in[:, None] * x2)   # (B, P, n)
+        dist = np.sqrt(eq.spatial_dot(diff, diff))            # (B, P)
         n_pairs = dist.shape[1]
         feats = np.stack([dist.reshape(-1),
                           1.0 / (dist.reshape(-1) + self.INV_OFFSET),
                           np.repeat(c_noise, n_pairs)], axis=1)
         return diff, dist, feats
-
-    def _assemble(self, contrib):
-        """sum_p +-contrib_p (B, P, n) into per-particle vectors, flat
-        (B, M*n)."""
-        out = np.matmul(self._incidence, contrib)
-        return out.reshape(out.shape[0], self.dim)
 
     def _primal(self, x2, tv):
         b = x2.shape[0]
@@ -413,25 +398,27 @@ class RadialDenoiser(_Preconditioned):
         diff, dist, feats = self._geometry(x2, tv)
         g_flat, net_cache = self.net.forward(feats)
         g = g_flat.reshape(b, -1)
-        raw = self._assemble(g[:, :, None] * diff)
+        raw = self.pair_geometry.scatter(g[:, :, None] * diff)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
         return out, (net_cache, diff, dist, g, c_skip, c_out, c_in)
 
     def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
         net_cache, diff, _, _, _, c_out, _ = cache
-        dg = tg._spatial_dot(self._gather(c_out[:, None] * d_out), diff)
+        dg = eq.spatial_dot(self.pair_geometry.diffs(c_out[:, None] * d_out),
+                            diff)
         return self.net.backward(net_cache, dg.reshape(-1, 1))
 
     def _tangent(self, cache, v2):
         net_cache, diff, dist, g, c_skip, c_out, c_in = cache
-        wdiff = self._gather(c_in[:, None] * v2)
+        wdiff = self.pair_geometry.diffs(c_in[:, None] * v2)
         safe = np.maximum(dist, 1e-300)
-        ddist = tg._spatial_dot(diff, wdiff) / safe
+        ddist = eq.spatial_dot(diff, wdiff) / safe
         dinv = -ddist / (dist + self.INV_OFFSET) ** 2
         tangent = np.stack([ddist.reshape(-1), dinv.reshape(-1),
                             np.zeros(ddist.size)], axis=1)
         dg = self.net.tangent(net_cache, tangent).reshape(g.shape)
-        d_raw = self._assemble(dg[:, :, None] * diff + g[:, :, None] * wdiff)
+        d_raw = self.pair_geometry.scatter(dg[:, :, None] * diff
+                                           + g[:, :, None] * wdiff)
         return c_skip[:, None] * v2 + c_out[:, None] * d_raw
 
 
@@ -483,7 +470,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
         raise ValueError("empty training set")
     proj = (eq.ComProjection(model.n_particles, model.spatial_dim)
             if hasattr(model, "n_particles") else None)
-    opt = Adam(model.net.params, lr=config.lr)
+    opt = Adam(model.net.params)
     losses = np.empty(config.iterations)
     bad_streak = 0
     initial = None
@@ -493,10 +480,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
         u = rng.uniform(size=config.batch_size)
         t = np.exp(np.log(config.eps)
                    + u * (np.log(config.t_max) - np.log(config.eps)))
-        z = rng.standard_normal(x0.shape)
-        if proj is not None:
-            z = eq.com_project(z, proj)
-        xt = x0 + t[:, None] * z
+        xt = x0 + t[:, None] * eq.normals(rng, x0.shape, proj)
         out, cache = model.forward_with_cache(xt, t)
         resid = out - x0
         lam = dsm_weight(t, model.sigma_data)
@@ -514,7 +498,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
             bad_streak = 0
         d_out = 2.0 * lam[:, None] * resid / config.batch_size
         grads = model.param_grad(cache, d_out)
-        opt.step(grads, lr=cosine_lr(it, config.iterations, config.lr))
+        opt.step(grads, cosine_lr(it, config.iterations, config.lr))
     return losses
 
 

@@ -11,9 +11,11 @@ from the step's proposal Gaussian, whose natural scale is the posterior
 variance t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2.  A proposal is the pair
 ``(spec, raws)`` of ``vtdis.gaussians`` (tuned, or the isotropic spec at
 ``init()`` for the baseline); ``StepKernel`` is step n of it, the spec at
-``raws[n - 1]`` and base variance ``grid.ddpm_var(n)``.  The terminal
-prior is N(0, T^2 I) regardless of the forward marginal; the mismatch is
-part of what the trajectory importance weight corrects.
+``raws[n - 1]`` and base variance ``grid.ddpm_vars[n - 1]``.  Every step
+reads its coefficients from the grid's per-step arrays (``forward_vars``,
+``ddpm_vars``, ``mean_ratios``).  The terminal prior is N(0, T^2 I)
+regardless of the forward marginal; the mismatch is part of what the
+trajectory importance weight corrects.
 
 Log weights follow the target-over-proposal convention
 
@@ -21,7 +23,8 @@ Log weights follow the target-over-proposal convention
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
-``ComProjection`` and every kernel lives on the subspace.
+``ComProjection`` and every kernel lives on the subspace, with every
+noise draw from ``vtdis.equivariant.normals``.
 """
 
 from __future__ import annotations
@@ -43,16 +46,6 @@ def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
     """log N(delta; 0, var I) per row, over the subspace with ``proj``."""
     d = delta.shape[-1] if proj is None else proj.subspace_dim
     return ga._scaled_log_density(delta, var, d)
-
-
-def ddpm_posterior(x_n, x0_hat, n: int, grid: TimeGrid):
-    """Posterior mean and base variance of x_{n-1} given (x_n, x0_hat)."""
-    if n < 1:
-        raise ValueError("posterior undefined at n = 0")
-    r = grid.mean_ratio(n)
-    mean = r * np.asarray(x_n, dtype=float) \
-        + (1.0 - r) * np.asarray(x0_hat, dtype=float)
-    return mean, grid.ddpm_var(n)
 
 
 def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
@@ -103,13 +96,13 @@ def _mean_batch(mean) -> np.ndarray:
 
 def proposal_steps(proposal, grid: TimeGrid):
     """``(spec, raws, bases)`` of a proposal ``(spec, raws)`` on ``grid``:
-    step n uses ``raws[n-1]`` and the posterior variance ``bases[n-1]``."""
+    step n uses ``raws[n-1]`` and the posterior variance
+    ``bases[n-1] = grid.ddpm_vars[n-1]``."""
     spec, raws = proposal
     if len(raws) != grid.n_steps:
         raise ValueError(
             f"need {grid.n_steps} step covariances, got {len(raws)}")
-    bases = np.array([grid.ddpm_var(n) for n in range(1, grid.n_steps + 1)])
-    return spec, raws, bases
+    return spec, raws, grid.ddpm_vars
 
 
 def _step_kernels(proposal, grid: TimeGrid,
@@ -174,10 +167,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
     kernels = _step_kernels(proposal, grid, proj)
     t_max = grid.t_max
 
-    z = rng.standard_normal((count, model.dim))
-    if proj is not None:
-        z = eq.com_project(z, proj)
-    x = t_max * z
+    x = t_max * eq.normals(rng, (count, model.dim), proj)
     log_p = prior_log_density(x, t_max, proj)
     log_q = np.zeros(count)
     if states is not None:
@@ -188,10 +178,11 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
         x0_hat = model.denoise(x, t_n)
         if np.isnan(x0_hat).any():
             raise FloatingPointError(f"denoiser produced NaN at step {n}")
-        mean, _ = ddpm_posterior(x, x0_hat, n, grid)
+        r = grid.mean_ratios[n - 1]
+        mean = r * x + (1.0 - r) * x0_hat
         x_prev = kernels[n - 1].sample(rng, mean)
         log_p += kernels[n - 1].logpdf(x_prev, mean)
-        log_q += _iso_logpdf(x - x_prev, grid.forward_var(n), proj)
+        log_q += _iso_logpdf(x - x_prev, grid.forward_vars[n - 1], proj)
         x = x_prev
         if states is not None:
             states[n - 1] = x
@@ -211,9 +202,11 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
     for n in range(1, grid.n_steps + 1):
         x_n = traj.states[n][None, :]
         x_prev = traj.states[n - 1][None, :]
-        log_q += float(_iso_logpdf(x_n - x_prev, grid.forward_var(n), proj)[0])
+        log_q += float(_iso_logpdf(x_n - x_prev, grid.forward_vars[n - 1],
+                                   proj)[0])
         x0_hat = model.denoise(x_n, grid.times[n])
-        mean, _ = ddpm_posterior(x_n, x0_hat, n, grid)
+        r = grid.mean_ratios[n - 1]
+        mean = r * x_n + (1.0 - r) * x0_hat
         log_p += float(kernels[n - 1].logpdf(x_prev, mean)[0])
     return log_q, log_p
 
@@ -262,15 +255,12 @@ def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
     log_q = np.zeros(b)
     x = x0
     for n in range(1, n_steps + 1):
-        var = grid.forward_var(n)
-        z = rng.standard_normal((b, d))
-        if proj is not None:
-            z = eq.com_project(z, proj)
-        x_next = x + np.sqrt(var) * z
+        var = grid.forward_vars[n - 1]
+        x_next = x + np.sqrt(var) * eq.normals(rng, (b, d), proj)
         log_q += _iso_logpdf(np.subtract(x_next, x, out=scratch), var, proj)
         x0_hat = model.denoise(x_next, grid.times[n])
-        # residual x - (r x_next + (1 - r) x0_hat), the ddpm_posterior mean
-        r = grid.mean_ratio(n)
+        # residual x - (r x_next + (1 - r) x0_hat), the posterior mean
+        r = grid.mean_ratios[n - 1]
         delta = deltas[n - 1]
         np.multiply(x_next, r, out=delta)
         delta += np.multiply(x0_hat, 1.0 - r, out=scratch)

@@ -18,6 +18,11 @@ labels; its density, draw and gradient work in the coordinates
 ``to_subspace`` with the block ``reduced_block(B)`` = V B V^T.  (An
 exchangeable block (b - a) I + a 11^T is not a family of its own:
 V 1 = 0 makes V B V^T = (b - a) I, the isotropic kernel.)
+
+Every particle module draws its subspace noise with ``normals`` and takes
+its pair layout from ``PairGeometry``: pair differences (``diffs``) and
+per-particle sums over pairs (``scatter``), reduced over the spatial
+axis by ``spatial_dot``.
 """
 
 from __future__ import annotations
@@ -98,6 +103,14 @@ def com_project(x: np.ndarray, proj: ComProjection) -> np.ndarray:
     return conf.reshape(x.shape)
 
 
+def normals(rng: np.random.Generator, shape, proj: ComProjection | None
+            ) -> np.ndarray:
+    """A block of standard normals of ``shape``, projected onto the zero-CoM
+    subspace of ``proj`` when given."""
+    z = rng.standard_normal(shape)
+    return z if proj is None else com_project(z, proj)
+
+
 def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"non-finite {what}")
@@ -105,6 +118,49 @@ def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
     if worst > COM_TOLERANCE:
         raise ValueError(
             f"{what} is off the zero-CoM subspace (|com| = {worst:.3e})")
+
+
+class PairGeometry:
+    """The pairs i < j of M particles in n dimensions, in
+    ``np.triu_indices(M, k=1)`` order.  Column p of the signed incidence
+    matrix (M, P) holds +1 at the pair's particle i and -1 at j, so each
+    gather and scatter is one matmul and ``scatter`` is the adjoint of
+    ``diffs``."""
+
+    def __init__(self, n_particles: int, spatial_dim: int):
+        self.n_particles = n_particles
+        self.spatial_dim = spatial_dim
+        ii, jj = np.triu_indices(n_particles, k=1)
+        cols = np.arange(ii.shape[0])
+        self.incidence = np.zeros((n_particles, ii.shape[0]))
+        self.incidence[ii, cols] = 1.0
+        self.incidence[jj, cols] = -1.0
+
+    def diffs(self, x: np.ndarray) -> np.ndarray:
+        """Flat (B, M*n) -> pair differences x_i - x_j (B, P, n)."""
+        conf = x.reshape(x.shape[0], self.n_particles, self.spatial_dim)
+        return np.matmul(self.incidence.T, conf)
+
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """Per-pair vectors (B, P, n) -> flat (B, M*n): +c_p added to
+        particle i and -c_p to particle j of each pair p."""
+        out = np.matmul(self.incidence, c)
+        return out.reshape(out.shape[0], -1)
+
+
+def spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] * b[..., k] over the short spatial axis.
+
+    Adds the same terms in the same order as ``np.sum(a * b, axis=-1)``,
+    one strided column at a time, which avoids numpy's per-row cost of
+    reducing a length-n axis; the sums are bit-equal, except that a sum
+    of negative zeros stays -0.0 here.
+    """
+    prod = a * b
+    out = prod[..., 0].copy()
+    for k in range(1, prod.shape[-1]):
+        out += prod[..., k]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,18 @@ every step.  Isotropic and diagonal do this in closed form; the others
 map their per-step algebra over the axis (``_map_steps``).  Each rejects
 variances that are not positive and finite (softplus underflows to 0
 below -745) with a ``ValueError``.  ``draw`` takes the zero-CoM
-projection of a particle system: the isotropic draw projects its normals
-with it, label_diag always draws on its own subspace, and diagonal and
-full are ambient only (``make_param_spec`` rejects them on the subspace).
+projection of a particle system: the isotropic draw takes its normals
+from ``vtdis.equivariant.normals``, label_diag always draws on its own
+subspace, and diagonal and full are ambient only (``make_param_spec``
+rejects them on the subspace).
 
 A proposal over a time grid is the pair ``(spec, raws)``: one raw row per
 reverse step, step n using ``raws[n - 1]`` and the base variance
-``grid.ddpm_var(n)``.  ``vtdis.tuner.tune`` returns one, the baseline is
-the isotropic spec at ``init()``, ``vtdis.diffusion.StepKernel`` wraps
-one step of it, and ``vtdis.tuner.make_param_spec`` is the one place
-that maps a kind name to its class.
+``grid.ddpm_vars[n - 1]``.  ``vtdis.tuner.tune`` returns one, the
+baseline is the isotropic spec at ``init()``,
+``vtdis.diffusion.StepKernel`` wraps one step of it, and
+``vtdis.tuner.make_param_spec`` is the one place that maps a kind name
+to its class.
 
 Densities avoid dense d x d work wherever the structure allows: isotropic
 and diagonal are O(d), the full factor takes one triangular solve.  The
@@ -69,24 +71,24 @@ def as_batch(x, dim: int) -> np.ndarray:
 
 
 def logsumexp(values, axis=None):
-    """Overflow-safe log(sum(exp(values))).
+    """Overflow-safe log(sum(exp(values))) over ``axis`` (all axes when
+    None, giving a float).
 
-    An all ``-inf`` input returns ``-inf`` rather than raising; NaN inputs
-    are rejected.
+    Whatever the axis, a NaN or ``+inf`` input raises ``ValueError``, and
+    a slice that is all ``-inf`` (a sum of zero weights) gives ``-inf``
+    without a warning.
     """
     v = np.asarray(values, dtype=float)
     if np.isnan(v).any():
         raise ValueError("logsumexp: NaN in input")
-    vmax = np.max(v, axis=axis, keepdims=True) if axis is not None else np.max(v)
-    if axis is None:
-        if not np.isfinite(vmax):
-            if vmax == -np.inf:
-                return -np.inf
-            raise ValueError("logsumexp: +inf in input")
-        return float(vmax + np.log(np.sum(np.exp(v - vmax))))
-    vmax = np.where(np.isfinite(vmax), vmax, 0.0)
-    out = np.squeeze(vmax, axis=axis) + np.log(np.sum(np.exp(v - vmax), axis=axis))
-    return out
+    vmax = np.max(v, axis=axis, keepdims=True)
+    if np.any(vmax == np.inf):
+        raise ValueError("logsumexp: +inf in input")
+    shift = np.where(np.isfinite(vmax), vmax, 0.0)
+    with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
+        out = shift + np.log(np.sum(np.exp(v - shift), axis=axis,
+                                    keepdims=True))
+    return out.item() if axis is None else np.squeeze(out, axis)
 
 
 def softmax_from_log(log_values: np.ndarray) -> np.ndarray:
@@ -194,10 +196,8 @@ class IsotropicParams:
     def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
         """One draw per row of ``mean`` from one block of ambient normals,
         projected onto the zero-CoM subspace of ``proj`` when given."""
-        z = rng.standard_normal(mean.shape)
-        if proj is not None:
-            from .equivariant import com_project  # local import avoids a cycle
-            z = com_project(z, proj)
+        from .equivariant import normals  # equivariant imports this module
+        z = normals(rng, mean.shape, proj)
         return mean + np.sqrt(_spec_variances(base, softplus(raw[0]))) * z
 
 

@@ -6,7 +6,9 @@ space so that shifting every log weight by a constant (an unnormalized
 target) changes nothing.
 
 Weights are unnormalized, w = pi/p, on samples drawn from the proposal p;
-the reverse ESS fraction is (sum w)^2 / (N sum w^2), in [0, 1].
+the reverse ESS fraction is (sum w)^2 / (N sum w^2), in [0, 1].  Both
+weight estimators raise ``ValueError`` on an empty array, a NaN or a
++inf log weight; a -inf one is a zero weight that still counts in N.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from .gaussians import as_batch, logsumexp
 from .tuner import batch_log_weights
 
 
+def _nonempty(log_weights) -> np.ndarray:
+    lw = np.asarray(log_weights, dtype=float)
+    if lw.size == 0:
+        raise ValueError("no log weights to estimate from")
+    return lw
+
+
 def reverse_ess(log_weights) -> float:
     """Weight-concentration ESS fraction for proposal-drawn samples."""
-    lw = np.asarray(log_weights, dtype=float)
+    lw = _nonempty(log_weights)
     n = lw.shape[0]
     num = 2.0 * logsumexp(lw)
     den = logsumexp(2.0 * lw)
@@ -31,7 +40,7 @@ def reverse_ess(log_weights) -> float:
 
 def estimate_log_Z(log_weights) -> float:
     """log of the mean unnormalized weight, from proposal-drawn samples."""
-    lw = np.asarray(log_weights, dtype=float)
+    lw = _nonempty(log_weights)
     return float(logsumexp(lw) - np.log(lw.shape[0]))
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import equivariant as eq
 from .diffusion import prior_log_density
+from .metrics import reverse_ess
 from .schedule import TimeGrid
 
 
@@ -115,13 +116,8 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     ``score_evals`` and ``jvp_evals``, the model's evaluation and
     directional-derivative rows spent on this call (the cost proxy).
     """
-    from .metrics import reverse_ess  # local import avoids a cycle
-
     evals0, jvps0 = model.eval_count, model.jvp_count
-    z = rng.standard_normal((count, model.dim))
-    if proj is not None:
-        z = eq.com_project(z, proj)
-    x_t = grid.t_max * z
+    x_t = grid.t_max * eq.normals(rng, (count, model.dim), proj)
     log_prior = prior_log_density(x_t, grid.t_max, proj)
     x0, div_down = heun_integrate(x_t, model, grid, config, rng, proj)
     log_p0 = log_prior - div_down

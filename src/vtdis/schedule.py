@@ -3,11 +3,14 @@
 ``karras_grid`` builds the one grid family the samplers use.  Grids are
 strictly increasing, t_0 = eps > 0 through t_N = T, following the
 variance-exploding convention where the marginal noise scale at time t
-is t itself.  Per-step derived constants:
+is t itself.  A ``TimeGrid`` computes its per-step constants once, as
+read-only (N,) arrays with step n at index n - 1:
 
-* ``forward_var(n)  = t_n^2 - t_{n-1}^2``   (forward transition variance)
-* ``ddpm_var(n)     = t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2``
+* ``forward_vars[n-1] = t_n^2 - t_{n-1}^2``   (forward transition variance)
+* ``ddpm_vars[n-1]    = t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2``
   (the Bayes-posterior variance used by the reverse sampler)
+* ``mean_ratios[n-1]  = t_{n-1}^2 / t_n^2``   (the weight of x_n in the
+  posterior mean)
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ class TimeGrid:
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
+        tp, tn = t[:-1], t[1:]
+        for name, value in (
+                ("forward_vars", tn ** 2 - tp ** 2),
+                ("ddpm_vars", tp * tp * (tn * tn - tp * tp) / (tn * tn)),
+                ("mean_ratios", tp ** 2 / tn ** 2)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_steps(self) -> int:
@@ -44,25 +54,6 @@ class TimeGrid:
     @property
     def t_max(self) -> float:
         return float(self.times[-1])
-
-    def forward_var(self, n: int) -> float:
-        """Variance of the forward kernel q(x_n | x_{n-1}), n in 1..N."""
-        if not 1 <= n <= self.n_steps:
-            raise ValueError(f"step index {n} outside 1..{self.n_steps}")
-        return float(self.times[n] ** 2 - self.times[n - 1] ** 2)
-
-    def ddpm_var(self, n: int) -> float:
-        """Reverse-posterior base variance at step n, n in 1..N."""
-        if not 1 <= n <= self.n_steps:
-            raise ValueError(f"step index {n} outside 1..{self.n_steps}")
-        tp, tn = self.times[n - 1], self.times[n]
-        return float(tp * tp * (tn * tn - tp * tp) / (tn * tn))
-
-    def mean_ratio(self, n: int) -> float:
-        """t_{n-1}^2 / t_n^2, the weight of x_n in the posterior mean."""
-        if not 1 <= n <= self.n_steps:
-            raise ValueError(f"step index {n} outside 1..{self.n_steps}")
-        return float(self.times[n - 1] ** 2 / self.times[n] ** 2)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "steps": self.n_steps,

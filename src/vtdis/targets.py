@@ -4,7 +4,8 @@ Particle targets follow the standard many-body benchmarks: a double-well
 pair potential on four particles in the plane (DW-4) and a Lennard-Jones
 cluster of thirteen particles in 3-D with a harmonic centering term
 (LJ-13).  Both are evaluated on zero-center-of-mass configurations and the
-unnormalized log-density is -energy/temperature.
+unnormalized log-density is -energy/temperature.  Both gather and
+scatter over their pairs through one ``vtdis.equivariant.PairGeometry``.
 
 Every target answers its queries on a (B, d) batch of flat states and
 returns batch-shaped results; any other shape raises ``ValueError``:
@@ -179,68 +180,31 @@ def _mixture_score(diff, v, resp) -> np.ndarray:
 # particle systems
 # ---------------------------------------------------------------------------
 
-def pair_incidence(m: int) -> np.ndarray:
-    """Signed incidence matrix (m, P) of the pairs i < j of ``m`` particles.
-
-    Pairs follow ``np.triu_indices(m, k=1)`` order; column p holds +1 at
-    its leading particle i and -1 at its trailing particle j.  Gathers and
-    scatters over pairs are then single matmuls on (B, m, n) batches:
-    ``inc.T @ conf`` gives the pair differences x_i - x_j, and ``inc @ c``
-    adds +c_p to particle i and -c_p to particle j.
-    """
-    ii, jj = np.triu_indices(m, k=1)
-    cols = np.arange(ii.shape[0])
-    inc = np.zeros((m, ii.shape[0]))
-    inc[ii, cols] = 1.0
-    inc[jj, cols] = -1.0
-    return inc
-
-
-def _spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[..., k] * b[..., k] over the short spatial axis.
-
-    Adds the same terms in the same order as ``np.sum(a * b, axis=-1)``,
-    one strided column at a time, which avoids numpy's per-row cost of
-    reducing a length-n axis.
-    """
-    prod = a * b
-    out = prod[..., 0].copy()
-    for k in range(1, prod.shape[-1]):
-        out += prod[..., k]
-    return out
-
-
-def _pair_distances(conf: np.ndarray, inc: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """conf (B, M, n) -> (diffs (B, P, n), dists (B, P)) over the pairs of
-    the incidence matrix ``inc = pair_incidence(M)``; one matmul gathers
-    every pair difference."""
-    diff = np.matmul(inc.T, conf)
-    return diff, np.sqrt(_spatial_dot(diff, diff))
-
-
 class _PairSystem:
     """Pair geometry shared by the particle targets.
 
     Subclasses give ``_energy(conf, d)`` (B,) and ``_energy_grad(x2, conf,
     diff, d)`` (B, M*n) on one pair geometry; the public densities are
     built from them, so ``log_density_and_grad`` gives ``log_density``
-    bit for bit.
+    bit for bit.  The log-density is -energy / ``temperature``.
     """
+
+    temperature = 1.0
 
     @property
     def dim(self) -> int:
         return self.n_particles * self.spatial_dim
 
     @cached_property
-    def _incidence(self) -> np.ndarray:
-        return pair_incidence(self.n_particles)
+    def pair_geometry(self) -> eq.PairGeometry:
+        return eq.PairGeometry(self.n_particles, self.spatial_dim)
 
     def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x2 (B, M*n), conf (B, M, n), pair diffs, pair distances)."""
         x2 = as_batch(x, self.dim)
         conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        return (x2, conf) + _pair_distances(conf, self._incidence)
+        diff = self.pair_geometry.diffs(x2)
+        return x2, conf, diff, np.sqrt(eq.spatial_dot(diff, diff))
 
     def energy(self, x) -> np.ndarray:
         _, conf, _, d = self._pairs(x)
@@ -263,12 +227,10 @@ class DoubleWell(_PairSystem):
 
     n_particles: int = 4
     spatial_dim: int = 2
-    a: float = 0.0
-    b: float = -4.0
-    c: float = 0.9
     d0: float = 4.0
-    temperature: float = 1.0
-    name: str = "dw4"
+    a = 0.0
+    b = -4.0
+    c = 0.9
 
     def log_density(self, x):
         return -self.energy(x) / self.temperature
@@ -281,7 +243,7 @@ class DoubleWell(_PairSystem):
     def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
         delta = d - self.d0
         de = self.a + 2.0 * self.b * delta + 4.0 * self.c * delta ** 3
-        return _pair_force_assemble(self._incidence, diff, d, de)
+        return _pair_force_assemble(self.pair_geometry, diff, d, de)
 
 
 @dataclass(frozen=True)
@@ -295,11 +257,9 @@ class LennardJones(_PairSystem):
 
     n_particles: int = 13
     spatial_dim: int = 3
-    eps_lj: float = 1.0
-    r_m: float = 1.0
     c_osc: float = 0.5
-    temperature: float = 1.0
-    name: str = "lj13"
+    eps_lj = 1.0
+    r_m = 1.0
 
     def log_density(self, x):
         return -self.energy(x) / self.temperature
@@ -318,23 +278,23 @@ class LennardJones(_PairSystem):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self.r_m / d
             de = self.eps_lj * 12.0 * (inv ** 6 - inv ** 12) / d
-        g = _pair_force_assemble(self._incidence, diff, d, de)
+        g = _pair_force_assemble(self.pair_geometry, diff, d, de)
         centered = conf - conf.mean(axis=1, keepdims=True)
         return g + self.c_osc * centered.reshape(x2.shape)
 
 
-def _pair_force_assemble(inc, diff, d, de) -> np.ndarray:
+def _pair_force_assemble(geometry: eq.PairGeometry, diff, d, de
+                         ) -> np.ndarray:
     """dE/dx from per-pair radial derivatives de = dE/dd, flattened (B, M*n).
 
     ``diff`` and ``d`` are the pair differences and distances of
-    ``_pair_distances`` over the same incidence matrix ``inc``.  A pair at
-    zero distance has no direction and contributes nothing, whatever its
+    ``_PairSystem._pairs`` over the same ``geometry``.  A pair at zero
+    distance has no direction and contributes nothing, whatever its
     ``de`` (the denoiser's ``safe`` guard does the same).
     """
     contrib = diff / np.maximum(d, 1e-300)[:, :, None]   # unit vectors
     contrib *= np.where(d > 0.0, de, 0.0)[:, :, None]
-    g = np.matmul(inc, contrib)
-    return g.reshape(g.shape[0], -1)
+    return geometry.scatter(contrib)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +369,7 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     for it in range(total_iters):
         h2 = h * h
-        noise = project(rng.standard_normal((n_chains, dim)))
+        noise = eq.normals(rng, (n_chains, dim), proj)
         mean_fwd = x + 0.5 * h2[:, None] * gx
         y = mean_fwd + h[:, None] * noise
         lpy, gy = evaluate(y)

@@ -47,6 +47,9 @@ from .schedule import TimeGrid
 
 TUNABLE_KINDS = ("isotropic", "diagonal", "full", "label_diag")
 
+# relative change of the windowed mean loss below which tuning stops
+PLATEAU_TOL = 1e-4
+
 
 def make_param_spec(kind: str, *, dim: int | None = None,
                     proj: eq.ComProjection | None = None,
@@ -124,7 +127,6 @@ class TunerConfig:
     iterations: int = 5000
     batch_size: int = 512
     lr: float = 0.01
-    plateau_tol: float = 1e-4
     plateau_window: int = 200
 
     def __post_init__(self):
@@ -158,15 +160,13 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     ``target.sample``), noises it forward, and takes one Adam step on the
     alpha = 2 objective with a cosine learning-rate schedule.  Stops at the
     iteration budget or when the windowed loss plateaus (relative change
-    below ``plateau_tol`` across ``plateau_window`` iterations).
+    below ``PLATEAU_TOL`` across ``plateau_window`` iterations).
     """
     config = config or TunerConfig()
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim=dim, proj=proj, labels=labels)
-    n_steps = grid.n_steps
-    raws = np.tile(spec.init(), (n_steps, 1))
-    bases = np.array([grid.ddpm_var(n) for n in range(1, n_steps + 1)])
-    opt = Adam([raws], lr=config.lr)
+    raws = np.tile(spec.init(), (grid.n_steps, 1))
+    opt = Adam([raws])
     losses = []
     half = config.plateau_window // 2
 
@@ -179,18 +179,19 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
             x0 = eq.com_project(x0, proj)
         batch = forward_residuals(rng, x0, model, grid, proj)
         log_pi = target.log_density(x0)
-        loss, grad, _ = loss_and_gradient(batch, spec, raws, bases, log_pi)
+        loss, grad, _ = loss_and_gradient(batch, spec, raws, grid.ddpm_vars,
+                                          log_pi)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
-        opt.step([grad], lr=cosine_lr(it, config.iterations, config.lr))
+        opt.step([grad], cosine_lr(it, config.iterations, config.lr))
         if not np.all(np.isfinite(raws)):
             raise RuntimeError(f"non-finite parameters at iteration {it}")
         if it + 1 >= config.plateau_window and half > 0:
             recent = np.mean(losses[-half:])
             previous = np.mean(losses[-2 * half:-half])
-            if abs(recent - previous) < config.plateau_tol * max(
+            if abs(recent - previous) < PLATEAU_TOL * max(
                     1.0, abs(previous)):
                 break
 

@@ -194,3 +194,8 @@ class TestWeightFailurePaths:
             mt.reverse_ess(lw)
         with pytest.raises(ValueError):
             mt.estimate_log_Z(lw)
+
+    @pytest.mark.parametrize("estimator", [mt.reverse_ess, mt.estimate_log_Z])
+    def test_empty_log_weights_raise(self, estimator):
+        with pytest.raises(ValueError, match="no log weights"):
+            estimator(np.array([]))

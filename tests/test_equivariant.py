@@ -99,6 +99,58 @@ class TestComProject:
         b = eq.com_project(permute(x, perm, 3), p)
         assert np.allclose(a, b, atol=1e-14)
 
+    @pytest.mark.parametrize("proj", [None, eq.ComProjection(4, 2)],
+                             ids=["ambient", "subspace"])
+    def test_normals_project_the_same_draws(self, proj):
+        got = eq.normals(np.random.default_rng(3), (5, 8), proj)
+        want = np.random.default_rng(3).standard_normal((5, 8))
+        if proj is not None:
+            want = eq.com_project(want, proj)
+        assert np.array_equal(got, want)
+
+
+class TestPairGeometry:
+    SHAPES = [(2, 1), (4, 2), (13, 3)]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_diffs_match_a_pair_loop(self, m, n):
+        # the incidence entries are +-1 and 0, so the matmul is exact
+        x = np.random.default_rng(m).standard_normal((3, m * n))
+        conf = x.reshape(3, m, n)
+        want = np.stack([conf[:, i] - conf[:, j]
+                         for i in range(m) for j in range(i + 1, m)], axis=1)
+        assert np.array_equal(eq.PairGeometry(m, n).diffs(x), want)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_pair_order_is_triu_indices(self, m, n):
+        inc = eq.PairGeometry(m, n).incidence
+        ii, jj = np.triu_indices(m, k=1)
+        assert inc.shape == (m, ii.shape[0])
+        assert np.array_equal(np.argmax(inc, axis=0), ii)
+        assert np.array_equal(np.argmin(inc, axis=0), jj)
+        assert np.all(inc.max(axis=0) == 1.0)
+        assert np.all(inc.min(axis=0) == -1.0)
+        assert np.count_nonzero(inc) == 2 * ii.shape[0]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_scatter_is_the_adjoint_of_diffs(self, m, n):
+        geo = eq.PairGeometry(m, n)
+        rng = np.random.default_rng(10 + m)
+        x = rng.standard_normal((4, m * n))
+        c = rng.standard_normal((4, m * (m - 1) // 2, n))
+        assert geo.scatter(c).shape == x.shape
+        assert np.sum(geo.diffs(x) * c) == pytest.approx(
+            np.sum(x * geo.scatter(c)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spatial_dot_is_bit_equal_to_a_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((7, 78, n)) * 10.0 ** rng.uniform(
+            -8, 8, (7, 78, n))
+        b = rng.standard_normal((7, 78, n))
+        want = np.sum(a * b, axis=-1)
+        assert eq.spatial_dot(a, b).tobytes() == want.tobytes()
+
 
 def dense_logpdf(z, sigma):
     """log N(z; 0, sigma) for one vector, by a dense solve."""

@@ -256,6 +256,18 @@ class TestLogSumExp:
         with pytest.raises(ValueError):
             ga.logsumexp(np.array([np.nan, 1.0]))
 
+    def test_plus_inf_rejected_along_an_axis(self):
+        with pytest.raises(ValueError, match=r"\+inf"):
+            ga.logsumexp(np.array([[0.0, 1.0], [np.inf, 0.0]]), axis=1)
+
+    def test_all_minus_inf_slice_along_an_axis(self):
+        # -inf for the empty slice, and no divide-by-zero warning (tier-1
+        # turns warnings into errors)
+        got = ga.logsumexp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]),
+                           axis=1)
+        assert got[0] == -np.inf
+        assert got[1] == ga.logsumexp(np.array([0.0, 0.0]))
+
     @given(st.lists(st.floats(-500, 500), min_size=1, max_size=30),
            st.floats(-800, 800))
     @settings(max_examples=60, deadline=None)

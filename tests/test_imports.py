@@ -1,7 +1,9 @@
 """Every name a ``vtdis`` module imports at top level is used in it,
 every private helper is used somewhere in the package, every call the
-benchmark's tracer wraps is defined where the tracer looks it up, and
-every option of the pipeline's configured calls is one the pipeline sets.
+benchmark's tracer wraps is defined where the tracer looks it up, every
+option of the pipeline's configured calls is one the pipeline sets, and
+no function imports inside its body except where two modules import each
+other.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  ``__init__.py`` is skipped
@@ -143,9 +145,7 @@ def keywords_passed(source: str, names) -> dict[str, set[str]]:
 
 def test_every_option_is_set_by_the_pipeline():
     # the benchmark's pipeline in bench/workloads.py is the one caller of
-    # these four; an option it leaves at its default belongs in a constant.
-    # plateau_tol is the exception: the pipeline turns the plateau stop off
-    # through plateau_window, and deleting that stop changes the benchmark
+    # these four; an option it leaves at its default belongs in a constant
     options = {
         "TrainConfig": [f.name for f in dataclasses.fields(dn.TrainConfig)],
         "TunerConfig": [f.name for f in dataclasses.fields(tu.TunerConfig)],
@@ -159,4 +159,44 @@ def test_every_option_is_set_by_the_pipeline():
         options)
     unset = {(callee, name) for callee, names in options.items()
              for name in names if name not in passed[callee]}
-    assert unset <= {("TunerConfig", "plateau_tol")}
+    assert unset == set()
+
+
+# (module, qualified function): the one import cycle of the package,
+# gaussians <-> equivariant, is broken inside this function
+IMPORT_CYCLE_BREAKS = {("gaussians.py", "IsotropicParams.draw")}
+
+
+def function_imports(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, qualified function) of every function whose body holds an
+    import statement, nested functions included."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(isinstance(n, (ast.Import, ast.ImportFrom))
+                       for n in ast.walk(child)):
+                    found.add((module, name))
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_import_inside_a_function():
+    found = set().union(*(
+        function_imports((SRC / m).read_text(encoding="utf-8"), m)
+        for m in ALL_MODULES))
+    assert found == IMPORT_CYCLE_BREAKS
+
+
+def test_check_finds_an_import_in_a_method():
+    source = ("import numpy as np\n"
+              "def f():\n    return np.zeros(1)\n"
+              "class A:\n    def g(self):\n"
+              "        from os import path\n        return path\n")
+    assert function_imports(source, "m.py") == {("m.py", "A.g")}

@@ -48,25 +48,40 @@ def test_invalid_inputs():
 ])
 def test_derived_variances(make):
     g = make()
-    for n in range(1, g.n_steps + 1):
-        fv, dv = g.forward_var(n), g.ddpm_var(n)
-        assert fv > 0 and dv > 0
-        assert dv < fv   # the posterior shrinks the forward kernel
-    total = math.fsum(g.forward_var(n) for n in range(1, g.n_steps + 1))
+    fv, dv = g.forward_vars, g.ddpm_vars
+    assert fv.shape == dv.shape == g.mean_ratios.shape == (g.n_steps,)
+    assert np.all(fv > 0) and np.all(dv > 0)
+    assert np.all(dv < fv)   # the posterior shrinks the forward kernel
+    total = math.fsum(fv)
     want = g.t_max ** 2 - g.eps ** 2
     assert abs(total - want) < 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid(np.array([0.5, 1.0, 1.5, 4.0])),
+    lambda: karras_grid(16, 1e-3, 80.0, rho=7.0),
+])
+def test_step_arrays_match_the_closed_forms(make):
+    # step n sits at index n - 1, each value from the scalar formula
+    g = make()
+    t = [float(v) for v in g.times]
+    for n in range(1, g.n_steps + 1):
+        tp, tn = t[n - 1], t[n]
+        assert g.forward_vars[n - 1] == tn ** 2 - tp ** 2
+        assert g.ddpm_vars[n - 1] == tp * tp * (tn * tn - tp * tp) / (tn * tn)
+        assert g.mean_ratios[n - 1] == tp ** 2 / tn ** 2
 
 
 def test_posterior_variance_value():
     # t_{n-1} = 1, t_n = 2: 1 * 3 / 4
     g = TimeGrid(np.array([1.0, 2.0]))
-    assert g.ddpm_var(1) == pytest.approx(0.75, abs=1e-15)
-    assert g.forward_var(1) == pytest.approx(3.0, abs=1e-15)
+    assert g.ddpm_vars[0] == pytest.approx(0.75, abs=1e-15)
+    assert g.forward_vars[0] == pytest.approx(3.0, abs=1e-15)
+    assert g.mean_ratios[0] == 0.25
 
 
-def test_step_index_bounds():
+def test_step_arrays_are_read_only():
     g = karras_grid(5, 0.1, 10.0, rho=7.0)
-    with pytest.raises(ValueError):
-        g.forward_var(0)
-    with pytest.raises(ValueError):
-        g.ddpm_var(6)
+    for values in (g.forward_vars, g.ddpm_vars, g.mean_ratios):
+        with pytest.raises(ValueError):
+            values[0] = 1.0

@@ -11,7 +11,7 @@ from vtdis import tuner as tu
 from vtdis.schedule import karras_grid
 
 GRID = karras_grid(5, 1e-3, 10.0, 7.0)
-BASES = np.array([GRID.ddpm_var(n) for n in range(1, GRID.n_steps + 1)])
+BASES = GRID.ddpm_vars
 # float64 rounding of a sum over at most a few hundred terms, with margin
 REL = 1e-12
 
@@ -175,7 +175,7 @@ def loop_forward_residuals(rng, x0, model, grid, proj):
     log_q = np.zeros(x0.shape[0])
     x = x0
     for n in range(1, grid.n_steps + 1):
-        var = grid.forward_var(n)
+        var = grid.forward_vars[n - 1]
         z = rng.standard_normal(x0.shape)
         if proj is not None:
             z = eq.com_project(z, proj)
@@ -183,9 +183,8 @@ def loop_forward_residuals(rng, x0, model, grid, proj):
         step = x_next - x
         log_q += (-0.5 * d * np.log(2 * np.pi * var)
                   - 0.5 * np.sum(step * step, axis=1) / var)
-        mean, _ = df.ddpm_posterior(x_next, model.denoise(x_next,
-                                                          grid.times[n]),
-                                    n, grid)
+        r = grid.mean_ratios[n - 1]
+        mean = r * x_next + (1.0 - r) * model.denoise(x_next, grid.times[n])
         deltas[n - 1] = x - mean
         x = x_next
     t2 = grid.t_max ** 2
@@ -250,9 +249,9 @@ class TestGaussianOptimum:
         grid, s2 = self.GRID, self.S2
         out = []
         for n in range(1, grid.n_steps + 1):
-            t2, r = grid.times[n] ** 2, grid.mean_ratio(n)
+            t2, r = grid.times[n] ** 2, grid.mean_ratios[n - 1]
             out.append(1.0 + (1.0 - r) ** 2 * (s2 * t2 / (s2 + t2))
-                       / grid.ddpm_var(n))
+                       / grid.ddpm_vars[n - 1])
         return np.array(out)
 
     def log_weights(self, proposal, seed):
@@ -295,7 +294,7 @@ def plateau_reached(losses, window, tol):
 def test_plateau_stop_ends_the_run_at_the_first_flat_window(window):
     gmm = tg.single_gaussian(3)
     config = tu.TunerConfig(iterations=1000, batch_size=64, lr=0.05,
-                            plateau_tol=1e-3, plateau_window=window)
+                            plateau_window=window)
     result = tu.tune(np.random.default_rng(0), dn.AnalyticGmmScore(gmm), gmm,
                      karras_grid(8, 1e-3, 10.0, 7.0), "isotropic", config)
     losses = result.loss_curve
@@ -305,6 +304,6 @@ def test_plateau_stop_ends_the_run_at_the_first_flat_window(window):
     else:
         # stopped early, at the first iteration whose windows are flat
         flat = [k for k in range(window, len(losses) + 1)
-                if plateau_reached(losses[:k], window, config.plateau_tol)]
+                if plateau_reached(losses[:k], window, tu.PLATEAU_TOL)]
         assert result.iterations < config.iterations
         assert flat[0] == result.iterations
