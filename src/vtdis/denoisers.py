@@ -532,8 +532,8 @@ def save_checkpoint(path, model) -> None:
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``; a file that is not one whole
-    checkpoint (bad magic or version, cut short, trailing bytes) raises
-    ``ValueError``."""
+    checkpoint (bad magic, version or backend flag, cut short, trailing
+    bytes) raises ``ValueError``."""
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise ValueError("not a denoiser checkpoint")
@@ -541,6 +541,8 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (kind_flag,) = _unpack(fh, "<B")
+        if kind_flag not in (0, 1):
+            raise ValueError(f"unknown denoiser backend flag {kind_flag}")
         (sigma_data,) = _unpack(fh, "<d")
         a, b = _unpack(fh, "<II")
         (n_sizes,) = _unpack(fh, "<I")

@@ -9,15 +9,11 @@ direction and P P^T = I, the resulting kernels are exactly invariant under
 simultaneous rotation/reflection of all particles, and under particle
 permutations whenever S B S^T = B.
 
-Two kinds are defined on the subspace.  The isotropic one is
+One tunable kind is defined on the subspace: the isotropic one,
 ``vtdis.gaussians.IsotropicParams`` normalised over the (M-1)n subspace
-dimensions, its draws projected by ``com_project``.  The label-based one
-is ``LabelDiagParams`` here: B = diag(eta_{L_i}) with one variance per
-particle class, so that B depends on (i, j) only through the class
-labels; its density, draw and gradient work in the coordinates
-``to_subspace`` with the block ``reduced_block(B)`` = V B V^T.  (An
-exchangeable block (b - a) I + a 11^T is not a family of its own:
-V 1 = 0 makes V B V^T = (b - a) I, the isotropic kernel.)
+dimensions, its draws projected by ``com_project``.  An exchangeable
+block (b - a) I + a 11^T is not a family of its own: V 1 = 0 makes
+V B V^T = (b - a) I, the isotropic kernel.
 
 Every particle module draws its subspace noise with ``normals`` and takes
 its pair layout from ``PairGeometry``: pair differences (``diffs``) and
@@ -28,10 +24,6 @@ axis by ``spatial_dot``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
-from .gaussians import (LOG_2PI, _map_steps, _spec_variances, sigmoid,
-                        softplus, softplus_inv)
 
 COM_TOLERANCE = 1e-6
 
@@ -82,10 +74,6 @@ class ComProjection:
                                                 self.spatial_dim)
         x = np.einsum("km,...kn->...mn", self.V, zc)
         return x.reshape(*z.shape[:-1], self.ambient_dim)
-
-    def reduced_block(self, B: np.ndarray) -> np.ndarray:
-        """V B V^T, the particle-block covariance seen on the subspace."""
-        return self.V @ np.asarray(B, dtype=float) @ self.V.T
 
     def com_norm(self, x: np.ndarray) -> np.ndarray:
         conf = np.asarray(x, dtype=float).reshape(*x.shape[:-1],
@@ -161,75 +149,3 @@ def spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, prod.shape[-1]):
         out += prod[..., k]
     return out
-
-
-# ---------------------------------------------------------------------------
-# label-constrained particle block (the spec interface of vtdis.gaussians,
-# including the optional leading step axis)
-# ---------------------------------------------------------------------------
-
-class LabelDiagParams:
-    """Per-class variances: B = diag(softplus(z)_{L_i}); K raw parameters."""
-
-    def __init__(self, labels, proj: ComProjection):
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape != (proj.n_particles,):
-            raise ValueError("one label per particle")
-        self.labels = labels
-        self.n_classes = int(labels.max()) + 1
-        self.n_params = self.n_classes
-        self.proj = proj
-        # indicator (M, K): column sums over class members
-        self._E = np.zeros((proj.n_particles, self.n_classes))
-        self._E[np.arange(proj.n_particles), labels] = 1.0
-
-    def init(self) -> np.ndarray:
-        return np.full(self.n_classes, float(softplus_inv(1.0)))
-
-    def _reduced_block(self, raw, base) -> np.ndarray:
-        """V diag(eta_{L_i}) V^T, the block on the subspace; base * eta is
-        checked positive and finite."""
-        etas = softplus(raw)
-        _spec_variances(base, etas)
-        return self.proj.reduced_block(np.diag(etas[self.labels]))
-
-    def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _map_steps(self._step_log_density, deltas, raw, base)
-
-    def _step_log_density(self, deltas, raw, base) -> np.ndarray:
-        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
-        ch = cho_factor(self._reduced_block(raw, base), lower=True)
-        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
-        BiZ = np.einsum("ij,bjn->bin", cho_solve(ch, np.eye(m1)), Z)
-        q = np.einsum("bin,bin->b", Z, BiZ) / base
-        logdet = m1 * n * np.log(base) + 2.0 * n * np.sum(
-            np.log(np.diag(ch[0])))
-        return -0.5 * (m1 * n * LOG_2PI + logdet) - 0.5 * q
-
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        return _map_steps(self._step_weighted_grad, deltas, raw, base,
-                          weights)
-
-    def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        # sum_b w_b d log N(delta_b) / dB on the subspace, mapped back to
-        # the (M, M) block; each class gathers its diagonal entries
-        ch = cho_factor(self._reduced_block(raw, base), lower=True)
-        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
-        Bi = cho_solve(ch, np.eye(m1))
-        Z = self.proj.to_subspace(deltas).reshape(deltas.shape[0], m1, n)
-        S = np.einsum("b,bin,bjn->ij", weights, Z, Z)
-        Gt = -0.5 * n * np.sum(weights) * Bi + 0.5 * (Bi @ S @ Bi) / base
-        G = self.proj.V.T @ Gt @ self.proj.V
-        per_class = self._E.T @ np.diag(G)
-        return per_class * sigmoid(raw)
-
-    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
-        """One draw per row of ``mean`` from one block of subspace normals,
-        mapped by the Cholesky factor of the reduced block and P^T; the
-        kernel is always on its own subspace, whatever ``proj``."""
-        m1, n = self.proj.n_particles - 1, self.proj.spatial_dim
-        z = rng.standard_normal((mean.shape[0], m1 * n))
-        chol = np.linalg.cholesky(self._reduced_block(raw, base))
-        corr = np.sqrt(base) * np.einsum("ij,bjn->bin", chol,
-                                         z.reshape(-1, m1, n))
-        return mean + self.proj.to_ambient(corr.reshape(z.shape[0], m1 * n))

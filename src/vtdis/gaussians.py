@@ -9,11 +9,8 @@ parameters (positivity through a softplus):
 
 * ``IsotropicParams``    C = eta I
 * ``DiagonalParams``     C = diag(etas)
-* ``FullFactorParams``   C = L L^T, L lower-triangular, positive diagonal
-* ``vtdis.equivariant.LabelDiagParams``  per-class particle variances on
-  the zero-center-of-mass subspace
 
-Every class has the same duck-typed interface:
+Both classes have the same duck-typed interface:
 
     n_params                              -> int
     init()                                -> raw vector at C = I, the
@@ -22,17 +19,15 @@ Every class has the same duck-typed interface:
     weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
     draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
 
-``log_density`` and ``weighted_grad`` broadcast over an optional leading
-step axis: deltas (N, B, d), raw (N, p) and base (N,) give (N, B) and
-(N, p), step n using raw[n] and base[n], with the weights (B,) shared by
-every step.  Isotropic and diagonal do this in closed form; the others
-map their per-step algebra over the axis (``_map_steps``).  Each rejects
-variances that are not positive and finite (softplus underflows to 0
-below -745) with a ``ValueError``.  ``draw`` takes the zero-CoM
-projection of a particle system: the isotropic draw takes its normals
-from ``vtdis.equivariant.normals``, label_diag always draws on its own
-subspace, and diagonal and full are ambient only (``make_param_spec``
-rejects them on the subspace).
+``log_density`` and ``weighted_grad`` broadcast in closed form over an
+optional leading step axis: deltas (N, B, d), raw (N, p) and base (N,)
+give (N, B) and (N, p), step n using raw[n] and base[n], with the
+weights (B,) shared by every step.  Each rejects variances that are not
+positive and finite (softplus underflows to 0 below -745) with a
+``ValueError``.  ``draw`` takes the zero-CoM projection of a particle
+system: the isotropic draw takes its normals from
+``vtdis.equivariant.normals``, and diagonal is ambient only
+(``make_param_spec`` rejects it on the subspace).
 
 A proposal over a time grid is the pair ``(spec, raws)``: one raw row per
 reverse step, step n using ``raws[n - 1]`` and the base variance
@@ -42,8 +37,7 @@ baseline is the isotropic spec at ``init()``,
 ``vtdis.tuner.make_param_spec`` is the one place that maps a kind name
 to its class.
 
-Densities avoid dense d x d work wherever the structure allows: isotropic
-and diagonal are O(d), the full factor takes one triangular solve.  The
+Densities and gradients are O(d) per row, with no dense d x d work.  The
 gradients are standard Gaussian calculus,
 d/dSigma log N = 1/2 (Sigma^-1 dd^T Sigma^-1 - Sigma^-1), chained through
 the structure and the softplus.
@@ -52,7 +46,8 @@ the structure and the softplus.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+
+from .equivariant import normals
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -151,18 +146,8 @@ def _spec_variances(base, etas) -> np.ndarray:
     return v
 
 
-def _map_steps(step_fn, deltas, raw, base, *rest) -> np.ndarray:
-    """Apply a per-step spec method over an optional leading step axis:
-    ``raw`` (p,) is one step, ``raw`` (N, p) pairs with ``deltas[n]`` and
-    ``base[n]``; trailing arguments are shared by every step."""
-    if np.ndim(raw) == 1:
-        return step_fn(deltas, raw, base, *rest)
-    return np.stack([step_fn(deltas[n], raw[n], base[n], *rest)
-                     for n in range(len(raw))])
-
-
 # ---------------------------------------------------------------------------
-# one class per covariance kind (LabelDiagParams is in vtdis.equivariant)
+# one class per covariance kind
 # ---------------------------------------------------------------------------
 
 class IsotropicParams:
@@ -196,7 +181,6 @@ class IsotropicParams:
     def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
         """One draw per row of ``mean`` from one block of ambient normals,
         projected onto the zero-CoM subspace of ``proj`` when given."""
-        from .equivariant import normals  # equivariant imports this module
         z = normals(rng, mean.shape, proj)
         return mean + np.sqrt(_spec_variances(base, softplus(raw[0]))) * z
 
@@ -227,60 +211,3 @@ class DiagonalParams:
         """One draw per row of ``mean``; ambient only."""
         z = rng.standard_normal(mean.shape)
         return mean + np.sqrt(_spec_variances(base, softplus(raw))) * z
-
-
-class FullFactorParams:
-    """Packed lower-triangular factor; softplus on the diagonal.
-
-    Raw layout is row-major over the lower triangle:
-    (0,0), (1,0), (1,1), (2,0), ...
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.n_params = dim * (dim + 1) // 2
-        self._rows, self._cols = np.tril_indices(dim)
-        self._diag_mask = self._rows == self._cols
-
-    def init(self) -> np.ndarray:
-        raw = np.zeros(self.n_params)
-        raw[self._diag_mask] = float(softplus_inv(1.0))
-        return raw
-
-    def _factor(self, raw, base) -> np.ndarray:
-        """L, with base * diag(L) checked positive and finite."""
-        L = np.zeros((self.dim, self.dim))
-        vals = np.array(raw, dtype=float, copy=True)
-        vals[self._diag_mask] = softplus(vals[self._diag_mask])
-        L[self._rows, self._cols] = vals
-        _spec_variances(base, np.diag(L))
-        return L
-
-    def log_density(self, deltas, raw, base) -> np.ndarray:
-        return _map_steps(self._step_log_density, deltas, raw, base)
-
-    def _step_log_density(self, deltas, raw, base) -> np.ndarray:
-        L = self._factor(raw, base)
-        u = solve_triangular(L, deltas.T, lower=True).T
-        q = np.sum(u * u, axis=1) / base
-        logdet = self.dim * np.log(base) + 2.0 * np.sum(np.log(np.diag(L)))
-        return -0.5 * (self.dim * LOG_2PI + logdet) - 0.5 * q
-
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        return _map_steps(self._step_weighted_grad, deltas, raw, base,
-                          weights)
-
-    def _step_weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
-        L = self._factor(raw, base)
-        U = solve_triangular(L, deltas.T, lower=True).T        # u_b = L^-1 d_b
-        S = (U * weights[:, None]).T @ U                       # sum w u u^T
-        G = solve_triangular(L, S, lower=True, trans="T") / base
-        G -= np.sum(weights) * np.diag(1.0 / np.diag(L))
-        g = G[self._rows, self._cols]
-        g[self._diag_mask] *= sigmoid(np.asarray(raw)[self._diag_mask])
-        return g
-
-    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
-        """One draw per row of ``mean``; ambient only."""
-        z = rng.standard_normal(mean.shape)
-        return mean + np.sqrt(base) * (z @ self._factor(raw, base).T)

@@ -24,10 +24,10 @@ result is the proposal ``(spec, raws)`` that the samplers and the bound
 metrics take, and ``batch_log_weights`` is the one log-weight function of
 a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
 
-``TUNABLE_KINDS`` are isotropic, diagonal and full on vector data, and
-isotropic and label_diag on the zero-CoM subspace of particle systems.
-Each starts at the untuned baseline, where the alpha = 2 gradient of
-every raw parameter is generically nonzero.
+``TUNABLE_KINDS`` are isotropic and diagonal on vector data, and
+isotropic alone on the zero-CoM subspace of particle systems.  Each
+starts at the untuned baseline, where the alpha = 2 gradient of every raw
+parameter is generically nonzero.
 
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
@@ -45,40 +45,28 @@ from .denoisers import Adam, cosine_lr
 from .diffusion import ForwardBatch, forward_residuals
 from .schedule import TimeGrid
 
-TUNABLE_KINDS = ("isotropic", "diagonal", "full", "label_diag")
+TUNABLE_KINDS = ("isotropic", "diagonal")
 
 # relative change of the windowed mean loss below which tuning stops
 PLATEAU_TOL = 1e-4
 
 
-def make_param_spec(kind: str, *, dim: int | None = None,
-                    proj: eq.ComProjection | None = None,
-                    labels=None):
+def make_param_spec(kind: str, dim: int,
+                    proj: eq.ComProjection | None = None):
     """The spec class of a covariance kind, built for the problem's space.
 
-    Vector-space kinds need ``dim`` (for particle systems run with an
-    isotropic proposal, the subspace dimension); ``label_diag`` needs the
-    projection and per-particle labels.  Diagonal and full are not defined
-    on the zero-CoM subspace: their draws would leave it.
+    ``dim`` is the dimension the kernel normalises over: the ambient one,
+    or the subspace dimension for particle systems.  Diagonal is not
+    defined on the zero-CoM subspace: its draws would leave it.
     """
-    if proj is not None and kind in ("diagonal", "full"):
-        raise ValueError(f"{kind} covariance is not defined on the CoM "
-                         "subspace; use isotropic or label_diag")
+    if proj is not None and kind == "diagonal":
+        raise ValueError("diagonal covariance is not defined on the CoM "
+                         "subspace; use isotropic")
     if kind == "isotropic":
-        return ga.IsotropicParams(_need(dim, "dim"))
+        return ga.IsotropicParams(dim)
     if kind == "diagonal":
-        return ga.DiagonalParams(_need(dim, "dim"))
-    if kind == "full":
-        return ga.FullFactorParams(_need(dim, "dim"))
-    if kind == "label_diag":
-        return eq.LabelDiagParams(_need(labels, "labels"), _need(proj, "proj"))
+        return ga.DiagonalParams(dim)
     raise ValueError(f"unknown covariance kind {kind!r}")
-
-
-def _need(value, name):
-    if value is None:
-        raise ValueError(f"{name} is required for this covariance kind")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,7 @@ class TuneResult:
 
 def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
          config: TunerConfig | None = None, *, data: np.ndarray | None = None,
-         proj: eq.ComProjection | None = None, labels=None) -> TuneResult:
+         proj: eq.ComProjection | None = None) -> TuneResult:
     """Optimize per-step covariances against a frozen score model.
 
     Each iteration draws a fresh batch of x_0 (from ``data`` rows or from
@@ -164,7 +152,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     """
     config = config or TunerConfig()
     dim = proj.subspace_dim if proj is not None else model.dim
-    spec = make_param_spec(kind, dim=dim, proj=proj, labels=labels)
+    spec = make_param_spec(kind, dim, proj)
     raws = np.tile(spec.init(), (grid.n_steps, 1))
     opt = Adam([raws])
     losses = []

@@ -428,7 +428,8 @@ class TestCheckpoints:
 
     def test_cut_or_over_long_file_rejected(self, tmp_path):
         # a DW-4-shaped radial checkpoint cut at every field boundary of
-        # the header, the layer table and the weights, or one byte long
+        # the header, the layer table and the weights, one byte long, or
+        # with an unknown backend flag
         model = dn.RadialDenoiser(4, 2, [9, 7], 1.3, np.random.default_rng(17))
         path = tmp_path / "model.bin"
         dn.save_checkpoint(path, model)
@@ -444,6 +445,10 @@ class TestCheckpoints:
                 dn.load_checkpoint(path)
         path.write_bytes(whole + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            dn.load_checkpoint(path)
+        # byte 12 is the backend flag: 0 vector, 1 radial, nothing else
+        path.write_bytes(whole[:12] + b"\x07" + whole[13:])
+        with pytest.raises(ValueError, match="backend flag 7"):
             dn.load_checkpoint(path)
 
 

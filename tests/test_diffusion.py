@@ -101,18 +101,25 @@ def test_x0_off_the_subspace_is_rejected():
                      inner=2, proj=proj)
 
 
-def step_kernel(kind):
-    """A kernel of ``kind`` on three coordinates; label_diag on three
-    particles on a line, whose zero-CoM subspace the zero mean lies on."""
-    proj = eq.ComProjection(3, 1) if kind == "label_diag" else None
-    spec = tu.make_param_spec(kind, dim=3, proj=proj, labels=[0, 1, 1])
+def step_kernel(kind, space):
+    """A kernel of ``kind`` on three coordinates: ambient, or on the
+    zero-CoM subspace of three particles on a line, where the zero mean
+    lies."""
+    if space == "ambient":
+        spec, proj = tu.make_param_spec(kind, 3), None
+    else:
+        proj = eq.ComProjection(3, 1)
+        spec = tu.make_param_spec(kind, proj.subspace_dim, proj)
     return df.StepKernel(spec, spec.init(), 0.5, proj)
 
 
 @pytest.mark.parametrize("method", ["logpdf", "sample"])
-@pytest.mark.parametrize("kind", tu.TUNABLE_KINDS)
-def test_step_kernel_takes_only_batches(kind, method):
-    kernel = step_kernel(kind)
+@pytest.mark.parametrize("kind,space", [("isotropic", "ambient"),
+                                        ("diagonal", "ambient"),
+                                        ("isotropic", "subspace")],
+                         ids=["isotropic", "diagonal", "subspace"])
+def test_step_kernel_takes_only_batches(kind, space, method):
+    kernel = step_kernel(kind, space)
     rng = np.random.default_rng(13)
     point = np.zeros(3)
     if method == "logpdf":

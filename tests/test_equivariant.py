@@ -12,11 +12,6 @@ from vtdis.diffusion import StepKernel
 from vtdis.schedule import karras_grid
 
 
-def random_spd(m, rng):
-    a = rng.standard_normal((m, m))
-    return a @ a.T + m * np.eye(m)
-
-
 def rotate(x, r_spatial, m):
     n = r_spatial.shape[0]
     return (x.reshape(m, n) @ r_spatial.T).reshape(-1)
@@ -26,17 +21,11 @@ def permute(x, perm, n):
     return x.reshape(-1, n)[perm].reshape(-1)
 
 
-def subspace_kernel(p, eta, scale=1.0, labels=None):
-    """The step kernel on the subspace of ``p``: isotropic with variance
-    ``scale * eta`` for a scalar ``eta``, else label_diag with class
-    variances ``eta`` (one class per particle unless ``labels``)."""
-    if np.ndim(eta) == 0:
-        spec = ga.IsotropicParams(p.subspace_dim)
-        return StepKernel(spec, ga.softplus_inv(np.array([eta])), scale, p)
-    labels = np.arange(p.n_particles) if labels is None else labels
-    spec = eq.LabelDiagParams(labels, p)
-    return StepKernel(spec, ga.softplus_inv(np.asarray(eta, dtype=float)),
-                      scale, p)
+def subspace_kernel(p, eta, scale=1.0):
+    """The isotropic step kernel on the subspace of ``p``, with variance
+    ``scale * eta``."""
+    spec = ga.IsotropicParams(p.subspace_dim)
+    return StepKernel(spec, ga.softplus_inv(np.array([eta])), scale, p)
 
 
 def block_sigma(p, b, scale=1.0):
@@ -44,9 +33,9 @@ def block_sigma(p, b, scale=1.0):
     return scale * np.kron(p.V @ b @ p.V.T, np.eye(p.spatial_dim))
 
 
-def com_draw(rng, eta, p, count, scale=1.0, labels=None):
+def com_draw(rng, eta, p, count, scale=1.0):
     """``count`` batched draws on the subspace through the sampling kernel."""
-    return subspace_kernel(p, eta, scale, labels).sample(
+    return subspace_kernel(p, eta, scale).sample(
         rng, np.zeros((count, p.ambient_dim)))
 
 
@@ -173,21 +162,24 @@ class TestComGaussian:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_block_matches_reduced_dense(self):
+        # an exchangeable block (b - a) I + a 11^T is the isotropic kernel
+        # with eta = b - a, because V 1 = 0
         rng = np.random.default_rng(3)
         p = eq.ComProjection(5, 3)
-        eta = rng.uniform(0.5, 2.0, 5)
+        a, b = 0.8, 2.1
         x = eq.com_project(rng.standard_normal(15), p)
         mean = eq.com_project(rng.standard_normal(15), p)
         scale = 0.6
-        got = subspace_kernel(p, eta, scale).logpdf(x[None], mean[None])[0]
+        got = subspace_kernel(p, b - a, scale).logpdf(x[None], mean[None])[0]
+        block = (b - a) * np.eye(5) + a * np.ones((5, 5))
         want = dense_logpdf(p.to_subspace(x - mean),
-                            block_sigma(p, np.diag(eta), scale))
+                            block_sigma(p, block, scale))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_rotation_reflection_invariance(self):
         rng = np.random.default_rng(4)
         p = eq.ComProjection(5, 3)
-        kernel = subspace_kernel(p, rng.uniform(0.5, 2.0, 5))
+        kernel = subspace_kernel(p, rng.uniform(0.5, 2.0))
         for trial in range(50):
             r = ortho_group.rvs(3, random_state=trial)
             x = eq.com_project(rng.standard_normal(15), p)
@@ -198,27 +190,16 @@ class TestComGaussian:
             assert abs(a - c) < 1e-10
 
     def test_exchangeable_permutation_invariance(self):
-        # isotropic (the exchangeable block) under any permutation;
-        # label_diag under permutations within each class
+        # isotropic (the exchangeable block) under any permutation
         rng = np.random.default_rng(5)
         p = eq.ComProjection(6, 2)
-        labels = np.array([0, 1, 0, 1, 1, 0])
         iso = subspace_kernel(p, 1.5)
-        by_label = subspace_kernel(p, np.array([0.7, 1.9]), labels=labels)
         for _ in range(50):
             x = eq.com_project(rng.standard_normal(12), p)
             mean = eq.com_project(rng.standard_normal(12), p)
             perm = rng.permutation(6)
             assert abs(iso.logpdf(x[None], mean[None])[0] - iso.logpdf(
                 permute(x, perm, 2)[None], permute(mean, perm, 2)[None])[0]) \
-                < 1e-10
-            within = np.arange(6)
-            for k in (0, 1):
-                members = np.flatnonzero(labels == k)
-                within[members] = rng.permutation(members)
-            assert abs(by_label.logpdf(x[None], mean[None])[0]
-                       - by_label.logpdf(permute(x, within, 2)[None],
-                                         permute(mean, within, 2)[None])[0]) \
                 < 1e-10
 
     def test_off_subspace_rejected(self):
@@ -244,7 +225,7 @@ class TestComSampling:
     def test_zero_com_exact(self):
         p = eq.ComProjection(5, 3)
         rng = np.random.default_rng(6)
-        s = com_draw(rng, rng.uniform(0.5, 2.0, 5), p, 1000)
+        s = com_draw(rng, rng.uniform(0.5, 2.0), p, 1000)
         assert np.max(p.com_norm(s)) < 1e-12
 
     def test_seed_determinism(self):
@@ -254,23 +235,21 @@ class TestComSampling:
         assert np.array_equal(a, b)
 
     def test_empirical_covariance(self):
+        # scale * eta * I on the subspace coordinates P x
         rng = np.random.default_rng(7)
         p = eq.ComProjection(4, 3)
-        labels = np.array([0, 1, 0, 1])
-        eta = np.array([1.5, 0.7])
-        s = com_draw(rng, eta, p, 10 ** 5, scale=2.0, labels=labels)
-        z = p.to_subspace(s).reshape(-1, 3, 3)
-        emp = np.einsum("bin,bjn->ij", z, z) / (s.shape[0] * 3)
-        want = 2.0 * p.V @ np.diag(eta[labels]) @ p.V.T
+        eta = 1.5
+        s = com_draw(rng, eta, p, 10 ** 5, scale=2.0)
+        emp = np.cov(p.to_subspace(s), rowvar=False, bias=True)
+        want = 2.0 * eta * np.eye(p.subspace_dim)
         assert np.max(np.abs(emp - want)) < 0.05 * np.max(np.abs(want))
 
     def test_isotropic_matches_ambient_subtract_com_in_distribution(self):
-        # the projected draw (identity block, subspace normals mapped by
-        # P^T) and the isotropic subtract-CoM draw agree in law: compare
-        # 1-D projections through a KS test
+        # subspace normals mapped by P^T and the isotropic subtract-CoM
+        # draw agree in law: compare 1-D projections through a KS test
         p = eq.ComProjection(4, 2)
         rng = np.random.default_rng(8)
-        direct = com_draw(rng, np.ones(4), p, 4000)
+        direct = p.to_ambient(rng.standard_normal((4000, p.subspace_dim)))
         shortcut = com_draw(rng, 1.0, p, 4000)
         u = rng.standard_normal(8)
         a = direct @ u
@@ -281,45 +260,18 @@ class TestComSampling:
         # average log-density of own draws ~ differential entropy
         rng = np.random.default_rng(10)
         p = eq.ComProjection(3, 2)
-        eta = rng.uniform(0.5, 2.0, 3)
+        eta = rng.uniform(0.5, 2.0)
         kernel = subspace_kernel(p, eta)
         s = kernel.sample(rng, np.zeros((2 * 10 ** 4, 6)))
         lp = kernel.logpdf(s, np.zeros_like(s))
-        _, logdet = np.linalg.slogdet(block_sigma(p, np.diag(eta)))
+        _, logdet = np.linalg.slogdet(block_sigma(p, eta * np.eye(3)))
         want = -0.5 * 4 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
-
-
-class TestBlockBuilders:
-    def test_label_diag(self):
-        # B = diag(eta_{L_i}): class variances spread over their members
-        rng = np.random.default_rng(11)
-        p = eq.ComProjection(4, 2)
-        labels = np.array([0, 1, 1, 0])
-        kernel = subspace_kernel(p, np.array([2.0, 3.0]), 0.9, labels)
-        x = eq.com_project(rng.standard_normal((3, 8)), p)
-        sig = block_sigma(p, np.diag([2.0, 3.0, 3.0, 2.0]), 0.9)
-        want = [dense_logpdf(p.to_subspace(row), sig) for row in x]
-        assert np.allclose(kernel.logpdf(x, np.zeros_like(x)), want,
-                           atol=1e-10)
-
-    def test_label_validation(self):
-        p = eq.ComProjection(2, 2)
-        with pytest.raises(ValueError, match="one label per particle"):
-            eq.LabelDiagParams(np.array([0, 1, 1]), p)
-        spec = eq.LabelDiagParams(np.array([0, 1]), p)
-        with pytest.raises(ValueError, match="positive"):
-            spec.draw(np.random.default_rng(0), np.array([0.0, -800.0]),
-                      1.0, np.zeros((1, 4)))
-
-
-LABELS = np.array([0, 0, 1, 1])
 
 
 class TestSubspaceParams:
     SPECS = {
         "isotropic": lambda proj: ga.IsotropicParams(proj.subspace_dim),
-        "label_diag": lambda proj: eq.LabelDiagParams(LABELS, proj),
     }
 
     @pytest.mark.parametrize("kind", list(SPECS))
@@ -341,35 +293,20 @@ class TestSubspaceParams:
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_density_matches_com_gaussian(self):
-        # every spec's density is the sampling kernel's density, and the
+        # the spec's density is the sampling kernel's density, and the
         # dense projected Gaussian's
         rng = np.random.default_rng(14)
         proj = eq.ComProjection(4, 3)
-        for kind, make in self.SPECS.items():
-            spec = make(proj)
-            raw = spec.init() + 0.2 * rng.standard_normal(spec.n_params)
-            deltas = eq.com_project(rng.standard_normal((4, 12)), proj)
-            direct = spec.log_density(deltas, raw, 0.8)
-            kernel = StepKernel(spec, raw, 0.8, proj).logpdf(
-                deltas, np.zeros_like(deltas))
-            assert np.array_equal(direct, kernel)
-            etas = ga.softplus(raw)
-            b = (etas[0] * np.eye(4) if kind == "isotropic"
-                 else np.diag(etas[LABELS]))
-            sig = block_sigma(proj, b, 0.8)
-            want = [dense_logpdf(proj.to_subspace(x), sig) for x in deltas]
-            assert np.allclose(direct, want, atol=1e-10)
-
-    def test_baseline_init(self):
-        # label_diag at init() is the isotropic baseline on the subspace
-        proj = eq.ComProjection(5, 2)
-        deltas = eq.com_project(
-            np.random.default_rng(15).standard_normal((3, 10)), proj)
-        spec = eq.LabelDiagParams(np.array([0, 1, 0, 1, 1]), proj)
-        iso = ga.IsotropicParams(proj.subspace_dim)
-        assert np.allclose(spec.log_density(deltas, spec.init(), 0.6),
-                           iso.log_density(deltas, iso.init(), 0.6),
-                           atol=1e-12)
+        spec = self.SPECS["isotropic"](proj)
+        raw = spec.init() + 0.2 * rng.standard_normal(spec.n_params)
+        deltas = eq.com_project(rng.standard_normal((4, 12)), proj)
+        direct = spec.log_density(deltas, raw, 0.8)
+        kernel = StepKernel(spec, raw, 0.8, proj).logpdf(
+            deltas, np.zeros_like(deltas))
+        assert np.array_equal(direct, kernel)
+        sig = block_sigma(proj, ga.softplus(raw[0]) * np.eye(4), 0.8)
+        want = [dense_logpdf(proj.to_subspace(x), sig) for x in deltas]
+        assert np.allclose(direct, want, atol=1e-10)
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_tuning_moves_every_parameter(self, kind):
@@ -385,5 +322,5 @@ class TestSubspaceParams:
         result = tu.tune(rng, model, target, karras_grid(4, 1e-3, 10.0, 7.0),
                          kind, tu.TunerConfig(iterations=3, batch_size=16,
                                               lr=0.05),
-                         data=data, proj=proj, labels=LABELS)
+                         data=data, proj=proj)
         assert np.all(result.raws != self.SPECS[kind](proj).init())

@@ -23,8 +23,7 @@ def dense_logpdf(x, mean, sigma):
                    + delta @ np.linalg.solve(sigma, delta))
 
 
-CLASSES = {"isotropic": ga.IsotropicParams, "diagonal": ga.DiagonalParams,
-           "full_factor": ga.FullFactorParams}
+CLASSES = {"isotropic": ga.IsotropicParams, "diagonal": ga.DiagonalParams}
 
 
 def dense_sigma(kind, raw, base, d):
@@ -32,25 +31,14 @@ def dense_sigma(kind, raw, base, d):
     layout rather than through the spec."""
     if kind == "isotropic":
         return base * float(ga.softplus(raw[0])) * np.eye(d)
-    if kind == "diagonal":
-        return base * np.diag(ga.softplus(raw))
-    L = np.zeros((d, d))
-    L[np.tril_indices(d)] = raw             # row-major lower triangle
-    L[np.diag_indices(d)] = ga.softplus(np.diag(L))
-    return base * (L @ L.T)
+    return base * np.diag(ga.softplus(raw))
 
 
 def random_case(kind, d, rng):
     """(spec, raw, base) with variances well away from zero."""
     spec = CLASSES[kind](d)
     base = rng.uniform(0.2, 2.0)
-    if kind == "isotropic":
-        return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, 1)), base
-    if kind == "diagonal":
-        return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, d)), base
-    L = np.tril(rng.standard_normal((d, d)))
-    L[np.diag_indices(d)] = ga.softplus_inv(np.abs(np.diag(L)) + d + 1)
-    return spec, L[np.tril_indices(d)], base
+    return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, spec.n_params)), base
 
 
 def seed_of(*key):
@@ -77,7 +65,7 @@ class TestLogDensity:
         want = -np.log(2 * np.pi) - 0.5 * np.log(4.0) - 0.5
         assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["isotropic", "diagonal", "full_factor"])
+    @pytest.mark.parametrize("kind", list(CLASSES))
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_matches_dense_reference(self, kind, d):
         rng = np.random.default_rng(seed_of(kind, d))
@@ -110,9 +98,9 @@ class TestLogDensity:
                     spec.draw(rng, raw, base, mean)
 
     def test_dimension_mismatch(self):
-        for spec in (ga.DiagonalParams(3), ga.FullFactorParams(3)):
-            with pytest.raises(ValueError):
-                spec.log_density(np.zeros((1, 2)), spec.init(), 1.0)
+        spec = ga.DiagonalParams(3)
+        with pytest.raises(ValueError):
+            spec.log_density(np.zeros((1, 2)), spec.init(), 1.0)
 
 
 class TestSampling:
@@ -131,12 +119,12 @@ class TestSampling:
         assert np.all(np.abs(xs.var(axis=0) / want - 1.0) < 0.05)
 
     def test_seed_determinism(self):
-        case = random_case("full_factor", 4, RNG)
+        case = random_case("diagonal", 4, RNG)
         a = draw(np.random.default_rng(7), *case, 5)
         b = draw(np.random.default_rng(7), *case, 5)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind", ["isotropic", "diagonal", "full_factor"])
+    @pytest.mark.parametrize("kind", list(CLASSES))
     def test_sample_covariance_matches_structure(self, kind):
         rng = np.random.default_rng(5)
         spec, raw, base = random_case(kind, 4, rng)
@@ -148,27 +136,20 @@ class TestSampling:
     def test_entropy_consistency(self):
         # mean log-density of own samples ~ -d/2 (1 + log 2pi) - 0.5 logdet
         rng = np.random.default_rng(9)
-        spec, raw, base = random_case("full_factor", 3, rng)
+        spec, raw, base = random_case("diagonal", 3, rng)
         xs = draw(rng, spec, raw, base, 2 * 10 ** 4)
         lp = spec.log_density(xs, raw, base)
-        _, logdet = np.linalg.slogdet(dense_sigma("full_factor", raw, base,
-                                                  3))
+        _, logdet = np.linalg.slogdet(dense_sigma("diagonal", raw, base, 3))
         want = -1.5 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
 
 
 class TestRawParamGradients:
-    SPECS = {
-        "isotropic": lambda d: ga.IsotropicParams(d),
-        "diagonal": lambda d: ga.DiagonalParams(d),
-        "full": lambda d: ga.FullFactorParams(d),
-    }
-
-    @pytest.mark.parametrize("kind", list(SPECS))
+    @pytest.mark.parametrize("kind", list(CLASSES))
     def test_gradient_matches_finite_differences(self, kind):
         rng = np.random.default_rng(seed_of(kind))
         d, batch = 5, 6
-        spec = self.SPECS[kind](d)
+        spec = CLASSES[kind](d)
         for trial in range(5):
             raw = spec.init() + 0.4 * rng.standard_normal(spec.n_params)
             deltas = rng.standard_normal((batch, d))
@@ -201,24 +182,23 @@ class TestRawParamGradients:
         gi = ga.IsotropicParams(1).weighted_grad(x, raw, 0.9, np.ones(1))
         assert gd[0] == pytest.approx(gi[0], rel=1e-12)
 
-    @pytest.mark.parametrize("kind", list(SPECS))
+    @pytest.mark.parametrize("kind", list(CLASSES))
     def test_covariance_consistent_with_log_density(self, kind):
         # the spec density, the step kernel's and the dense Gaussian agree
         rng = np.random.default_rng(13)
         d = 4
-        spec = self.SPECS[kind](d)
+        spec = CLASSES[kind](d)
         raw = spec.init() + 0.3 * rng.standard_normal(spec.n_params)
         deltas = rng.standard_normal((3, d))
         direct = spec.log_density(deltas, raw, 0.7)
-        dense_kind = "full_factor" if kind == "full" else kind
-        sigma = dense_sigma(dense_kind, raw, 0.7, d)
+        sigma = dense_sigma(kind, raw, 0.7, d)
         want = [dense_logpdf(x, np.zeros(d), sigma) for x in deltas]
         assert np.allclose(direct, want, atol=1e-12)
         kernel = StepKernel(spec, raw, 0.7).logpdf(deltas,
                                                    np.zeros_like(deltas))
         assert np.array_equal(direct, kernel)
 
-    @pytest.mark.parametrize("kind", list(SPECS))
+    @pytest.mark.parametrize("kind", list(CLASSES))
     def test_tuning_moves_every_parameter(self, kind):
         # a kind whose baseline is a stationary point of the objective
         # would leave some raw parameter exactly at init()
@@ -227,13 +207,13 @@ class TestRawParamGradients:
         result = tu.tune(np.random.default_rng(21), AnalyticGmmScore(gmm),
                          gmm, karras_grid(4, 1e-3, 10.0, 7.0), kind,
                          tu.TunerConfig(iterations=3, batch_size=32, lr=0.05))
-        assert np.all(result.raws != self.SPECS[kind](d).init())
+        assert np.all(result.raws != CLASSES[kind](d).init())
 
     def test_baseline_init_is_identity(self):
         deltas = np.random.default_rng(17).standard_normal((4, 3))
         want = [dense_logpdf(x, np.zeros(3), np.eye(3)) for x in deltas]
-        for kind in self.SPECS:
-            spec = self.SPECS[kind](3)
+        for cls in CLASSES.values():
+            spec = cls(3)
             got = spec.log_density(deltas, spec.init(), 1.0)
             assert np.allclose(got, want, atol=1e-12)
 

@@ -1,12 +1,14 @@
 """Every name a ``vtdis`` module imports at top level is used in it,
 every private helper is used somewhere in the package, every call the
 benchmark's tracer wraps is defined where the tracer looks it up, every
-option of the pipeline's configured calls is one the pipeline sets, and
-no function imports inside its body except where two modules import each
-other.
+option of the pipeline's configured calls is one the pipeline sets, no
+function imports inside its body, and the package imports nothing at
+runtime but the standard library, numpy and itself.
 
 Deleting code tends to leave its imports and helpers behind; these checks
-find them with the standard library alone.  ``__init__.py`` is skipped
+find them with the standard library alone.  The runtime import check
+keeps an undeclared dependency (scipy is a test dependency only) from
+creeping back into ``src/vtdis``.  ``__init__.py`` is skipped
 for imports, because its imports are the package's re-exports, and so is
 ``from __future__``.  A private helper is a module-level function or
 class, or a method, whose name starts with one underscore and does not
@@ -162,11 +164,6 @@ def test_every_option_is_set_by_the_pipeline():
     assert unset == set()
 
 
-# (module, qualified function): the one import cycle of the package,
-# gaussians <-> equivariant, is broken inside this function
-IMPORT_CYCLE_BREAKS = {("gaussians.py", "IsotropicParams.draw")}
-
-
 def function_imports(source: str, module: str) -> set[tuple[str, str]]:
     """(module, qualified function) of every function whose body holds an
     import statement, nested functions included."""
@@ -191,7 +188,7 @@ def test_no_import_inside_a_function():
     found = set().union(*(
         function_imports((SRC / m).read_text(encoding="utf-8"), m)
         for m in ALL_MODULES))
-    assert found == IMPORT_CYCLE_BREAKS
+    assert found == set()
 
 
 def test_check_finds_an_import_in_a_method():
@@ -200,3 +197,32 @@ def test_check_finds_an_import_in_a_method():
               "class A:\n    def g(self):\n"
               "        from os import path\n        return path\n")
     assert function_imports(source, "m.py") == {("m.py", "A.g")}
+
+
+def top_level_packages(source: str) -> set[str]:
+    """The top-level package of every import statement, at any depth; a
+    relative import counts as ``vtdis``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("vtdis" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_runtime_imports_are_stdlib_numpy_or_vtdis():
+    found = set().union(*(
+        top_level_packages((SRC / m).read_text(encoding="utf-8"))
+        for m in ALL_MODULES))
+    assert found - sys.stdlib_module_names <= {"numpy", "vtdis"}
+
+
+def test_check_finds_a_third_party_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "try:\n    from scipy.linalg import solve\n"
+              "except ImportError:\n    solve = None\n"
+              "from . import gaussians\n")
+    found = top_level_packages(source)
+    assert found - sys.stdlib_module_names == {"numpy", "scipy", "vtdis"}

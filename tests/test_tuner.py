@@ -18,7 +18,7 @@ REL = 1e-12
 
 def ambient_problem():
     gmm = tg.two_mode_gmm(3)
-    return gmm, dn.AnalyticGmmScore(gmm), None, None
+    return gmm, dn.AnalyticGmmScore(gmm), None
 
 
 def subspace_problem():
@@ -26,7 +26,7 @@ def subspace_problem():
     model = dn.RadialDenoiser(target.n_particles, target.spatial_dim, [8],
                               1.0, np.random.default_rng(2))
     proj = eq.ComProjection(target.n_particles, target.spatial_dim)
-    return target, model, proj, np.array([0, 1, 0, 1])
+    return target, model, proj
 
 
 def draw_x0(target, proj, count, rng):
@@ -38,8 +38,7 @@ def draw_x0(target, proj, count, rng):
 
 # every TUNABLE_KINDS entry, on each space where it is defined
 CASES = [("isotropic", "ambient"), ("diagonal", "ambient"),
-         ("full", "ambient"), ("isotropic", "subspace"),
-         ("label_diag", "subspace")]
+         ("isotropic", "subspace")]
 
 
 def baseline_proposal(dim, grid):
@@ -52,26 +51,24 @@ def test_cases_cover_every_tunable_kind():
     assert {kind for kind, _ in CASES} == set(tu.TUNABLE_KINDS)
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "full"])
+@pytest.mark.parametrize("kind", ["diagonal"])
 def test_ambient_kinds_rejected_on_the_subspace(kind):
-    _, model, proj, labels = subspace_problem()
+    _, model, proj = subspace_problem()
     with pytest.raises(ValueError, match="not defined on the CoM subspace"):
-        tu.make_param_spec(kind, dim=proj.subspace_dim, proj=proj)
+        tu.make_param_spec(kind, proj.subspace_dim, proj)
     with pytest.raises(ValueError, match="not defined on the CoM subspace"):
         tu.tune(np.random.default_rng(0), model, tg.DoubleWell(), GRID, kind,
-                tu.TunerConfig(iterations=1, batch_size=2), proj=proj,
-                labels=labels)
+                tu.TunerConfig(iterations=1, batch_size=2), proj=proj)
 
 
 def make_case(kind, space, seed=0, count=24):
     rng = np.random.default_rng(seed)
     if space == "ambient":
-        target, model, proj, labels = ambient_problem()
-        spec = tu.make_param_spec(kind, dim=model.dim)
+        target, model, proj = ambient_problem()
+        spec = tu.make_param_spec(kind, model.dim)
     else:
-        target, model, proj, labels = subspace_problem()
-        spec = tu.make_param_spec(kind, dim=proj.subspace_dim, proj=proj,
-                                  labels=labels)
+        target, model, proj = subspace_problem()
+        spec = tu.make_param_spec(kind, proj.subspace_dim, proj)
     x0 = draw_x0(target, proj, count, rng)
     batch = df.forward_residuals(rng, x0, model, GRID, proj)
     log_pi = np.asarray(target.log_density(x0), dtype=float)
@@ -196,7 +193,7 @@ def loop_forward_residuals(rng, x0, model, grid, proj):
 @pytest.mark.parametrize("space", ["ambient", "subspace"])
 def test_forward_residuals_match_step_loop(space):
     problem = ambient_problem if space == "ambient" else subspace_problem
-    target, model, proj, _ = problem()
+    target, model, proj = problem()
     x0 = draw_x0(target, proj, 16, np.random.default_rng(4))
     batch = df.forward_residuals(np.random.default_rng(5), x0, model, GRID,
                                  proj)
@@ -210,12 +207,12 @@ def test_forward_residuals_match_step_loop(space):
 @pytest.mark.parametrize("space", ["ambient", "subspace"])
 def test_tune_replays_bit_for_bit(space):
     problem = ambient_problem if space == "ambient" else subspace_problem
-    target, model, proj, labels = problem()
-    kind = "diagonal" if space == "ambient" else "label_diag"
+    target, model, proj = problem()
+    kind = "diagonal" if space == "ambient" else "isotropic"
     config = tu.TunerConfig(iterations=6, batch_size=16, lr=0.1)
     data = draw_x0(target, proj, 64, np.random.default_rng(6))
     runs = [tu.tune(np.random.default_rng(7), model, target, GRID, kind,
-                    config, data=data, proj=proj, labels=labels)
+                    config, data=data, proj=proj)
             for _ in range(2)]
     assert np.array_equal(runs[0].raws, runs[1].raws)
     assert np.array_equal(runs[0].loss_curve, runs[1].loss_curve)
