@@ -27,8 +27,8 @@ network F only ever sees unit-scale inputs and outputs.  The particle
 backend pushes pair distances through a shared radial network and emits
 a combination of difference vectors, which makes it rotation-, reflection-
 and permutation-equivariant by construction, with exactly zero center of
-mass output; it gathers and scatters through ``equivariant.PairGeometry``,
-and training draws its noise with ``equivariant.normals``.
+mass output; it keeps its pairs in one ``equivariant.ComProjection``,
+``proj``, and training draws its noise there with ``equivariant.normals``.
 
 All backends count work by what a query returns: ``eval_count`` gains
 one per batch row for each denoiser or score output, ``jvp_count`` one
@@ -224,14 +224,19 @@ class _Counted:
             raise ValueError("noise level t must be positive")
         return tv
 
-    def score_and_jvp(self, x, t, v):
-        """Score of a (B, d) batch and its directional derivative along
-        the (B, d) tangent ``v``, from one primal pass."""
+    def _batch_and_tangent(self, x, v):
+        """The points and a tangent as (B, d) batches of one shape."""
         x2 = as_batch(x, self.dim)
         v2 = as_batch(v, self.dim)
         if v2.shape != x2.shape:
             raise ValueError(f"tangent shape {v2.shape} is not the batch "
                              f"shape {x2.shape}")
+        return x2, v2
+
+    def score_and_jvp(self, x, t, v):
+        """Score of a (B, d) batch and its directional derivative along
+        the (B, d) tangent ``v``, from one primal pass."""
+        x2, v2 = self._batch_and_tangent(x, v)
         score, tangent = self._linearize(x2, t)
         self.eval_count += x2.shape[0]
         self.jvp_count += x2.shape[0]
@@ -308,10 +313,10 @@ class _Preconditioned(_Counted):
 
     def denoise_jvp(self, x, t, v):
         """Directional derivative of denoise(x, t) along a (B, d) tangent v."""
-        x2 = as_batch(x, self.dim)
+        x2, v2 = self._batch_and_tangent(x, v)
         self.jvp_count += x2.shape[0]
         _, cache = self._primal(x2, self._tvec(t, x2.shape[0]))
-        return self._tangent(cache, as_batch(v, self.dim))
+        return self._tangent(cache, v2)
 
     def _linearize(self, x2, t):
         # Tweedie: score = (D - x) / t^2, and its tangent (dD - v) / t^2
@@ -380,12 +385,11 @@ class RadialDenoiser(_Preconditioned):
         self.dim = n_particles * spatial_dim
         self.sigma_data = float(sigma_data)
         self.net = Mlp([3] + list(hidden) + [1], rng)
-        self.pair_geometry = eq.PairGeometry(n_particles, spatial_dim)
+        self.proj = eq.ComProjection(n_particles, spatial_dim)
 
     def _geometry(self, x2, tv):
         _, _, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
-        diff = self.pair_geometry.diffs(c_in[:, None] * x2)   # (B, P, n)
-        dist = np.sqrt(eq.spatial_dot(diff, diff))            # (B, P)
+        diff, dist = self.proj.pairs(c_in[:, None] * x2)  # (B, P, n), (B, P)
         n_pairs = dist.shape[1]
         feats = np.stack([dist.reshape(-1),
                           1.0 / (dist.reshape(-1) + self.INV_OFFSET),
@@ -398,27 +402,26 @@ class RadialDenoiser(_Preconditioned):
         diff, dist, feats = self._geometry(x2, tv)
         g_flat, net_cache = self.net.forward(feats)
         g = g_flat.reshape(b, -1)
-        raw = self.pair_geometry.scatter(g[:, :, None] * diff)
+        raw = self.proj.scatter(g[:, :, None] * diff)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
         return out, (net_cache, diff, dist, g, c_skip, c_out, c_in)
 
     def param_grad(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
         net_cache, diff, _, _, _, c_out, _ = cache
-        dg = eq.spatial_dot(self.pair_geometry.diffs(c_out[:, None] * d_out),
-                            diff)
+        dg = eq.spatial_dot(self.proj.diffs(c_out[:, None] * d_out), diff)
         return self.net.backward(net_cache, dg.reshape(-1, 1))
 
     def _tangent(self, cache, v2):
         net_cache, diff, dist, g, c_skip, c_out, c_in = cache
-        wdiff = self.pair_geometry.diffs(c_in[:, None] * v2)
+        wdiff = self.proj.diffs(c_in[:, None] * v2)
         safe = np.maximum(dist, 1e-300)
         ddist = eq.spatial_dot(diff, wdiff) / safe
         dinv = -ddist / (dist + self.INV_OFFSET) ** 2
         tangent = np.stack([ddist.reshape(-1), dinv.reshape(-1),
                             np.zeros(ddist.size)], axis=1)
         dg = self.net.tangent(net_cache, tangent).reshape(g.shape)
-        d_raw = self.pair_geometry.scatter(dg[:, :, None] * diff
-                                           + g[:, :, None] * wdiff)
+        d_raw = self.proj.scatter(dg[:, :, None] * diff
+                                  + g[:, :, None] * wdiff)
         return c_skip[:, None] * v2 + c_out[:, None] * d_raw
 
 
@@ -462,14 +465,14 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
 
     Noise levels are drawn log-uniformly on [eps, t_max]; the per-sample
     loss is lambda(t) ||D(x0 + t z, t) - x0||^2 with the inverse c_out^2
-    weighting.  Returns the per-iteration loss curve.  Aborts if the loss
+    weighting.  A model with a ``proj`` draws its noise on that zero-CoM
+    subspace.  Returns the per-iteration loss curve.  Aborts if the loss
     exceeds 10x the initial loss for 100 consecutive iterations.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("empty training set")
-    proj = (eq.ComProjection(model.n_particles, model.spatial_dim)
-            if hasattr(model, "n_particles") else None)
+    proj = getattr(model, "proj", None)
     opt = Adam(model.net.params)
     losses = np.empty(config.iterations)
     bad_streak = 0

@@ -15,10 +15,9 @@ dimensions, its draws projected by ``com_project``.  An exchangeable
 block (b - a) I + a 11^T is not a family of its own: V 1 = 0 makes
 V B V^T = (b - a) I, the isotropic kernel.
 
-Every particle module draws its subspace noise with ``normals`` and takes
-its pair layout from ``PairGeometry``: pair differences (``diffs``) and
-per-particle sums over pairs (``scatter``), reduced over the spatial
-axis by ``spatial_dot``.
+The one ``ComProjection`` of a particle system also owns its pairs and
+the (..., M n) -> (..., M, n) reshape (``configs``).  Particle modules
+draw subspace noise with ``normals`` and reduce with ``spatial_dot``.
 """
 
 from __future__ import annotations
@@ -29,11 +28,14 @@ COM_TOLERANCE = 1e-6
 
 
 class ComProjection:
-    """Orthonormal basis of the zero-CoM subspace.
+    """Orthonormal basis of the zero-CoM subspace, and the pairs.
 
     ``V`` has shape (M-1, M) with rows orthonormal and orthogonal to the
     all-ones vector, obtained from a QR factorization of the centering
-    projector I - 11^T/M with signs fixed for determinism.
+    projector I - 11^T/M with signs fixed for determinism.  The pairs
+    i < j are in ``np.triu_indices(M, k=1)`` order; column p of the
+    signed incidence matrix (M, P) holds +1 at particle i and -1 at j, so
+    ``diffs`` and its adjoint ``scatter`` are one matmul each.
     """
 
     def __init__(self, n_particles: int, spatial_dim: int):
@@ -50,6 +52,11 @@ class ComProjection:
         signs[signs == 0] = 1.0
         q = q * signs[None, :]
         self.V = q[:, : m - 1].T.copy()
+        ii, jj = np.triu_indices(m, k=1)
+        cols = np.arange(ii.shape[0])
+        self.incidence = np.zeros((m, ii.shape[0]))
+        self.incidence[ii, cols] = 1.0
+        self.incidence[jj, cols] = -1.0
 
     @property
     def ambient_dim(self) -> int:
@@ -59,12 +66,14 @@ class ComProjection:
     def subspace_dim(self) -> int:
         return (self.n_particles - 1) * self.spatial_dim
 
+    def configs(self, x) -> np.ndarray:
+        """Flat (..., M*n) -> float particle coordinates (..., M, n)."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape(*x.shape[:-1], self.n_particles, self.spatial_dim)
+
     def to_subspace(self, x: np.ndarray) -> np.ndarray:
         """(..., M*n) -> (..., (M-1)*n), the coordinates P x."""
-        conf = np.asarray(x, dtype=float).reshape(*x.shape[:-1],
-                                                  self.n_particles,
-                                                  self.spatial_dim)
-        z = np.einsum("km,...mn->...kn", self.V, conf)
+        z = np.einsum("km,...mn->...kn", self.V, self.configs(x))
         return z.reshape(*x.shape[:-1], self.subspace_dim)
 
     def to_ambient(self, z: np.ndarray) -> np.ndarray:
@@ -76,19 +85,28 @@ class ComProjection:
         return x.reshape(*z.shape[:-1], self.ambient_dim)
 
     def com_norm(self, x: np.ndarray) -> np.ndarray:
-        conf = np.asarray(x, dtype=float).reshape(*x.shape[:-1],
-                                                  self.n_particles,
-                                                  self.spatial_dim)
-        return np.linalg.norm(conf.mean(axis=-2), axis=-1)
+        return np.linalg.norm(self.configs(x).mean(axis=-2), axis=-1)
+
+    def diffs(self, x: np.ndarray) -> np.ndarray:
+        """Flat (..., M*n) -> pair differences x_i - x_j (..., P, n)."""
+        return np.matmul(self.incidence.T, self.configs(x))
+
+    def pairs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (..., M*n) -> (``diffs`` (..., P, n), distances (..., P))."""
+        diff = self.diffs(x)
+        return diff, np.sqrt(spatial_dot(diff, diff))
+
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """Per-pair vectors (B, P, n) -> flat (B, M*n): +c_p added to
+        particle i and -c_p to particle j of each pair p."""
+        out = np.matmul(self.incidence, c)
+        return out.reshape(out.shape[0], -1)
 
 
 def com_project(x: np.ndarray, proj: ComProjection) -> np.ndarray:
     """Subtract the per-coordinate center of mass (idempotent)."""
-    conf = np.asarray(x, dtype=float).reshape(*x.shape[:-1],
-                                              proj.n_particles,
-                                              proj.spatial_dim)
-    conf = conf - conf.mean(axis=-2, keepdims=True)
-    return conf.reshape(x.shape)
+    conf = proj.configs(x)
+    return (conf - conf.mean(axis=-2, keepdims=True)).reshape(x.shape)
 
 
 def normals(rng: np.random.Generator, shape, proj: ComProjection | None
@@ -106,34 +124,6 @@ def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
     if worst > COM_TOLERANCE:
         raise ValueError(
             f"{what} is off the zero-CoM subspace (|com| = {worst:.3e})")
-
-
-class PairGeometry:
-    """The pairs i < j of M particles in n dimensions, in
-    ``np.triu_indices(M, k=1)`` order.  Column p of the signed incidence
-    matrix (M, P) holds +1 at the pair's particle i and -1 at j, so each
-    gather and scatter is one matmul and ``scatter`` is the adjoint of
-    ``diffs``."""
-
-    def __init__(self, n_particles: int, spatial_dim: int):
-        self.n_particles = n_particles
-        self.spatial_dim = spatial_dim
-        ii, jj = np.triu_indices(n_particles, k=1)
-        cols = np.arange(ii.shape[0])
-        self.incidence = np.zeros((n_particles, ii.shape[0]))
-        self.incidence[ii, cols] = 1.0
-        self.incidence[jj, cols] = -1.0
-
-    def diffs(self, x: np.ndarray) -> np.ndarray:
-        """Flat (B, M*n) -> pair differences x_i - x_j (B, P, n)."""
-        conf = x.reshape(x.shape[0], self.n_particles, self.spatial_dim)
-        return np.matmul(self.incidence.T, conf)
-
-    def scatter(self, c: np.ndarray) -> np.ndarray:
-        """Per-pair vectors (B, P, n) -> flat (B, M*n): +c_p added to
-        particle i and -c_p to particle j of each pair p."""
-        out = np.matmul(self.incidence, c)
-        return out.reshape(out.shape[0], -1)
 
 
 def spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

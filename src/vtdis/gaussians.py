@@ -86,12 +86,12 @@ def logsumexp(values, axis=None):
     return out.item() if axis is None else np.squeeze(out, axis)
 
 
-def softmax_from_log(log_values: np.ndarray) -> np.ndarray:
-    """Normalized weights exp(v) / sum exp(v), overflow-safe."""
+def softmax_from_log(log_values: np.ndarray, axis=None) -> np.ndarray:
+    """Normalized weights exp(v) / sum exp(v) over ``axis`` (all axes
+    when None), shifted by the maximum there to stay overflow-safe."""
     v = np.asarray(log_values, dtype=float)
-    m = np.max(v)
-    w = np.exp(v - m)
-    return w / np.sum(w)
+    w = np.exp(v - np.max(v, axis=axis, keepdims=True))
+    return w / np.sum(w, axis=axis, keepdims=True)
 
 
 def softplus(z):

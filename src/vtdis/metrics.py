@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffusion as df
-from .gaussians import as_batch, logsumexp
+from .gaussians import as_batch, logsumexp, softmax_from_log
 from .tuner import batch_log_weights
 
 
@@ -66,6 +66,8 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     """
     if inner < 2:
         raise ValueError("upper bound needs at least two inner samples")
+    if repeats < 1:
+        raise ValueError(f"elbo_eubo needs repeats >= 1, got {repeats}")
     x0 = as_batch(x0, model.dim)
     b = x0.shape[0]
     spec, raws, bases = df.proposal_steps(proposal, grid)
@@ -75,9 +77,7 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
         batch = df.forward_residuals(rng, tiled, model, grid, proj)
         r = -batch_log_weights(batch, spec, raws, bases, 0.0).reshape(b, inner)
         elbo_b = np.mean(r, axis=1)
-        shifted = np.exp(r - np.max(r, axis=1, keepdims=True))
-        u = shifted / np.sum(shifted, axis=1, keepdims=True)
-        eubo_b = np.sum(u * r, axis=1)
+        eubo_b = np.sum(softmax_from_log(r, axis=1) * r, axis=1)
         elbos.append(float(np.mean(elbo_b)))
         eubos.append(float(np.mean(eubo_b)))
     return {"elbo": float(np.mean(elbos)), "eubo": float(np.mean(eubos))}

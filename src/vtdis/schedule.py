@@ -30,6 +30,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.shape[0] < 2:
             raise ValueError("grid needs at least two time points")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if t[0] <= 0:
             raise ValueError("eps must be positive")
         if np.any(np.diff(t) <= 0):

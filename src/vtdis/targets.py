@@ -4,8 +4,8 @@ Particle targets follow the standard many-body benchmarks: a double-well
 pair potential on four particles in the plane (DW-4) and a Lennard-Jones
 cluster of thirteen particles in 3-D with a harmonic centering term
 (LJ-13).  Both are evaluated on zero-center-of-mass configurations and the
-unnormalized log-density is -energy/temperature.  Both gather and
-scatter over their pairs through one ``vtdis.equivariant.PairGeometry``.
+unnormalized log-density is -energy/temperature.  Each keeps its pairs
+and zero-CoM subspace in one ``vtdis.equivariant.ComProjection``, ``proj``.
 
 Every target answers its queries on a (B, d) batch of flat states and
 returns batch-shaped results; any other shape raises ``ValueError``:
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import equivariant as eq
-from .gaussians import LOG_2PI, as_batch, logsumexp
+from .gaussians import LOG_2PI, as_batch, logsumexp, softmax_from_log
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ class Gmm:
     def log_density_and_grad(self, x):
         """(log_density(x), score(x)) from one pass over the components."""
         diff, _, v, lp = _component_logpdfs(as_batch(x, self.dim), self)
-        grad = _mixture_score(diff, v, _responsibilities(lp))
+        grad = _mixture_score(diff, v, softmax_from_log(lp, axis=0))
         return logsumexp(lp, axis=0), grad
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -135,19 +135,11 @@ def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
     return diff, sq, v, lp
 
 
-def _responsibilities(lp: np.ndarray) -> np.ndarray:
-    """Softmax over the components (axis 0) of their log densities,
-    shifted by the per-point maximum."""
-    r = np.exp(lp - np.max(lp, axis=0))
-    r /= np.sum(r, axis=0)
-    return r
-
-
 def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float):
     """One responsibility pass: (diff, sq, v, resp, sbar), all that the
     score ``sbar``, its divergence and its Hessian-vector product need."""
     diff, sq, v, lp = _component_logpdfs(x, gmm, t)
-    resp = _responsibilities(lp)
+    resp = softmax_from_log(lp, axis=0)
     return diff, sq, v, resp, _mixture_score(diff, v, resp)
 
 
@@ -196,15 +188,13 @@ class _PairSystem:
         return self.n_particles * self.spatial_dim
 
     @cached_property
-    def pair_geometry(self) -> eq.PairGeometry:
-        return eq.PairGeometry(self.n_particles, self.spatial_dim)
+    def proj(self) -> eq.ComProjection:
+        return eq.ComProjection(self.n_particles, self.spatial_dim)
 
     def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x2 (B, M*n), conf (B, M, n), pair diffs, pair distances)."""
         x2 = as_batch(x, self.dim)
-        conf = x2.reshape(x2.shape[0], self.n_particles, self.spatial_dim)
-        diff = self.pair_geometry.diffs(x2)
-        return x2, conf, diff, np.sqrt(eq.spatial_dot(diff, diff))
+        return (x2, self.proj.configs(x2)) + self.proj.pairs(x2)
 
     def energy(self, x) -> np.ndarray:
         _, conf, _, d = self._pairs(x)
@@ -243,7 +233,7 @@ class DoubleWell(_PairSystem):
     def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
         delta = d - self.d0
         de = self.a + 2.0 * self.b * delta + 4.0 * self.c * delta ** 3
-        return _pair_force_assemble(self.pair_geometry, diff, d, de)
+        return _pair_force_assemble(self.proj, diff, d, de)
 
 
 @dataclass(frozen=True)
@@ -278,23 +268,23 @@ class LennardJones(_PairSystem):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self.r_m / d
             de = self.eps_lj * 12.0 * (inv ** 6 - inv ** 12) / d
-        g = _pair_force_assemble(self.pair_geometry, diff, d, de)
+        g = _pair_force_assemble(self.proj, diff, d, de)
         centered = conf - conf.mean(axis=1, keepdims=True)
         return g + self.c_osc * centered.reshape(x2.shape)
 
 
-def _pair_force_assemble(geometry: eq.PairGeometry, diff, d, de
+def _pair_force_assemble(proj: eq.ComProjection, diff, d, de
                          ) -> np.ndarray:
     """dE/dx from per-pair radial derivatives de = dE/dd, flattened (B, M*n).
 
     ``diff`` and ``d`` are the pair differences and distances of
-    ``_PairSystem._pairs`` over the same ``geometry``.  A pair at zero
+    ``_PairSystem._pairs`` over the same ``proj``.  A pair at zero
     distance has no direction and contributes nothing, whatever its
     ``de`` (the denoiser's ``safe`` guard does the same).
     """
     contrib = diff / np.maximum(d, 1e-300)[:, :, None]   # unit vectors
     contrib *= np.where(d > 0.0, de, 0.0)[:, :, None]
-    return geometry.scatter(contrib)
+    return proj.scatter(contrib)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +319,28 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     ``target`` needs ``dim`` and ``log_density_and_grad``, which gives the
     log-density and its gradient in one call per proposal.  Particle
-    targets (``n_particles`` attribute) are sampled on the
-    zero-center-of-mass subspace with projected proposals.  Each chain
-    has its own step size, adapted on its own accepts toward
-    ``MALA_TARGET_ACCEPT`` during burn-in and frozen after, so a chain
-    that starts on a steep wall shrinks its step until it moves; a chain
-    that still accepts nothing after burn-in is warned about, and so is an
-    overall acceptance rate outside [0.1, 0.9].  Gradients are
+    targets (a ``proj`` attribute) are sampled on its zero-center-of-mass
+    subspace with projected proposals.  Each chain has its own step size,
+    adapted on its own accepts toward ``MALA_TARGET_ACCEPT`` during
+    burn-in and frozen after, so a chain that starts on a steep wall
+    shrinks its step until it moves; a chain that still accepts nothing
+    after burn-in is warned about, and so is an overall acceptance rate
+    outside [0.1, 0.9].  Gradients are
     norm-clipped and energies capped inside the kernel; the Metropolis
     ratio uses the actual (clipped) proposal densities, so the chain
     remains exact for the capped target.
 
-    Returns ``(samples (count, dim), report)``.
+    Returns ``(samples (count, dim), report)``; a ``count``,
+    ``n_chains`` or ``thin`` below 1, or a negative ``burn_in``, raises
+    ``ValueError``.
     """
+    for name, value, least in (("count", count, 1), ("n_chains", n_chains, 1),
+                               ("thin", thin, 1), ("burn_in", burn_in, 0)):
+        if value < least:
+            raise ValueError(
+                f"mcmc_sample needs {name} >= {least}, got {value}")
     dim = target.dim
-    proj = (eq.ComProjection(target.n_particles, target.spatial_dim)
-            if hasattr(target, "n_particles") else None)
+    proj = getattr(target, "proj", None)
 
     def project(z):
         return z if proj is None else eq.com_project(z, proj)

@@ -509,6 +509,18 @@ def ask(obj, query, x):
     return getattr(obj, query)(x, *[x if a == "v" else a for a in args])
 
 
+@pytest.mark.parametrize("query", ["denoise_jvp", "score_and_jvp"])
+@pytest.mark.parametrize("owner", ["vector", "radial"])
+def test_tangent_of_another_shape_is_rejected(owner, query):
+    # a (1, d) tangent once broadcast to every row of the radial
+    # backend's batch, and the vector backend failed in np.concatenate
+    obj = OWNERS[owner]()
+    x = np.random.default_rng(20).standard_normal((4, obj.dim))
+    with pytest.raises(ValueError, match="tangent shape"):
+        getattr(obj, query)(x, 1.0, x[:1])
+    getattr(obj, query)(x, 1.0, x)
+
+
 @pytest.mark.parametrize("owner,query", ONE_POINT_CASES)
 def test_one_point_is_rejected(owner, query):
     obj = OWNERS[owner]()

@@ -88,6 +88,16 @@ def test_elbo_eubo_rejects_wrong_covariance_count(extra):
                      inner=2, proj=proj)
 
 
+def test_elbo_eubo_needs_a_repeat():
+    # with none, the bounds were NaN means of empty lists
+    model, proposal, proj = com_case()
+    x0 = eq.com_project(np.random.default_rng(8).standard_normal((2, 8)),
+                        proj)
+    with pytest.raises(ValueError, match="repeats >= 1, got 0"):
+        mt.elbo_eubo(np.random.default_rng(9), x0, model, proposal, GRID,
+                     inner=2, proj=proj, repeats=0)
+
+
 def test_x0_off_the_subspace_is_rejected():
     # shifting every particle by 1.0 leaves the zero-CoM subspace, where
     # the forward kernels and the prior are normalised

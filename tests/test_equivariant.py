@@ -99,6 +99,8 @@ class TestComProject:
 
 
 class TestPairGeometry:
+    """The pair layout that a ``ComProjection`` owns."""
+
     SHAPES = [(2, 1), (4, 2), (13, 3)]
 
     @pytest.mark.parametrize("m,n", SHAPES)
@@ -108,11 +110,13 @@ class TestPairGeometry:
         conf = x.reshape(3, m, n)
         want = np.stack([conf[:, i] - conf[:, j]
                          for i in range(m) for j in range(i + 1, m)], axis=1)
-        assert np.array_equal(eq.PairGeometry(m, n).diffs(x), want)
+        diff, dist = eq.ComProjection(m, n).pairs(x)
+        assert np.array_equal(diff, want)
+        assert np.array_equal(dist, np.sqrt(np.sum(want * want, axis=-1)))
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_pair_order_is_triu_indices(self, m, n):
-        inc = eq.PairGeometry(m, n).incidence
+        inc = eq.ComProjection(m, n).incidence
         ii, jj = np.triu_indices(m, k=1)
         assert inc.shape == (m, ii.shape[0])
         assert np.array_equal(np.argmax(inc, axis=0), ii)
@@ -123,7 +127,7 @@ class TestPairGeometry:
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_scatter_is_the_adjoint_of_diffs(self, m, n):
-        geo = eq.PairGeometry(m, n)
+        geo = eq.ComProjection(m, n)
         rng = np.random.default_rng(10 + m)
         x = rng.standard_normal((4, m * n))
         c = rng.standard_normal((4, m * (m - 1) // 2, n))

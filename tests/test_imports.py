@@ -2,8 +2,9 @@
 every private helper is used somewhere in the package, every call the
 benchmark's tracer wraps is defined where the tracer looks it up, every
 option of the pipeline's configured calls is one the pipeline sets, no
-function imports inside its body, and the package imports nothing at
-runtime but the standard library, numpy and itself.
+function imports inside its body, the package imports nothing at
+runtime but the standard library, numpy and itself, and each particle
+system builds its ``ComProjection`` in one place.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
@@ -131,15 +132,20 @@ def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
 
 
 
+def callee(call: ast.Call) -> str | None:
+    """The name a call is made by, alone or as a module attribute."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
 def keywords_passed(source: str, names) -> dict[str, set[str]]:
     """The keywords passed to each callee in ``names``, called by name or
     as a module attribute, anywhere in ``source``."""
     passed = {name: set() for name in names}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) \
-                else getattr(func, "id", None)
+            name = callee(node)
             if name in passed:
                 passed[name].update(k.arg for k in node.keywords if k.arg)
     return passed
@@ -226,3 +232,43 @@ def test_check_finds_a_third_party_import():
               "from . import gaussians\n")
     found = top_level_packages(source)
     assert found - sys.stdlib_module_names == {"numpy", "scipy", "vtdis"}
+
+
+def call_sites(source: str, name: str) -> set[str]:
+    """The qualified name of the innermost function or class around each
+    call of ``name`` (by name or as a module attribute), or ``<module>``
+    for a call at top level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and callee(child) == name:
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_com_projection_per_particle_system():
+    # a particle target and the radial backend each own one; every other
+    # caller takes theirs (``getattr(..., "proj", None)``) or its argument
+    found = {(m, scope) for m in ALL_MODULES
+             for scope in call_sites((SRC / m).read_text(encoding="utf-8"),
+                                     "ComProjection")}
+    assert found == {("targets.py", "_PairSystem.proj"),
+                     ("denoisers.py", "RadialDenoiser.__init__")}
+
+
+def test_check_finds_every_call_site():
+    source = ("import numpy as np\nfrom m import C\n"
+              "X = np.C(1)\n"
+              "def f():\n    return C(2)\n"
+              "class A:\n    y = C(4)\n    def g(self):\n"
+              "        def h():\n            return np.C(3)\n"
+              "        return h\n")
+    assert call_sites(source, "C") == {"<module>", "f", "A", "A.g.h"}

@@ -40,6 +40,11 @@ def test_invalid_inputs():
         TimeGrid(np.array([0.0, 1.0]))       # eps must be positive
     with pytest.raises(ValueError):
         TimeGrid(np.array([1.0, 1.0, 2.0]))  # strict monotonicity
+    # NaN passes every comparison above, and an infinite t_max gives
+    # NaN step variances with a RuntimeWarning
+    for times in ([np.nan, 1.0], [0.1, np.nan], [0.1, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array(times))
 
 
 @pytest.mark.parametrize("make", [

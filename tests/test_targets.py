@@ -509,6 +509,21 @@ class TestMcmc:
         assert [str(w.message) for w in caught] == \
             [f"mcmc_sample: {msg}" for msg in report.warnings]
 
+    @pytest.mark.parametrize("option,value,least", [
+        ("count", 0, 1), ("n_chains", 0, 1), ("thin", 0, 1),
+        ("burn_in", -1, 0)], ids=["count", "n_chains", "thin", "burn_in"])
+    def test_count_options_out_of_range_are_rejected_by_name(
+            self, option, value, least):
+        # at 0, thin and count failed inside np.concatenate and n_chains
+        # in a reshape; burn_in = -1 returned 4 of the 8 rows asked for
+        options = {"count": 8, "n_chains": 4, "burn_in": 2, "thin": 1}
+        options[option] = value
+        count = options.pop("count")
+        with pytest.raises(ValueError,
+                           match=f"{option} >= {least}, got {value}"):
+            tg.mcmc_sample(np.random.default_rng(0), tg.DoubleWell(), count,
+                           **options)
+
     def test_acceptance_warning(self, monkeypatch):
         class Gauss:
             dim = 1

@@ -304,3 +304,30 @@ def test_plateau_stop_ends_the_run_at_the_first_flat_window(window):
                 if plateau_reached(losses[:k], window, tu.PLATEAU_TOL)]
         assert result.iterations < config.iterations
         assert flat[0] == result.iterations
+
+
+def test_weights_remove_the_mode_bias_of_a_learned_score():
+    # a small network trained briefly on the two-mode GMM under-weights
+    # the heavier mode (weight 2/3, mean +1): the reverse draws alone put
+    # P(mode 1) far below 2/3, and the tuned VT-DIS weights put it back.
+    # Seeds 0-11 gave -5.6 to -13.2 SE unweighted, -1.9 to +2.0 weighted.
+    rng = np.random.default_rng(0)
+    gmm = tg.two_mode_gmm(10)
+    grid = karras_grid(32, 1e-3, 10.0, 7.0)
+    data = gmm.sample(rng, 20000)
+    model = dn.VectorDenoiser(gmm.dim, [64, 64],
+                              dn.estimate_sigma_data(data), rng)
+    dn.train_dsm(rng, data, model, dn.TrainConfig(
+        iterations=1000, batch_size=256, lr=3e-3, eps=grid.eps,
+        t_max=grid.t_max))
+    result = tu.tune(rng, model, gmm, grid, "isotropic",
+                     tu.TunerConfig(iterations=100, batch_size=128, lr=0.05))
+    x0, log_q, log_p = df.reverse_sample_batch(
+        rng, model, result.covariances(), grid, 8192)
+    in_mode_1 = (x0.mean(axis=1) > -0.5).astype(float)
+    p = np.mean(in_mode_1)
+    assert p < 2 / 3 - 4 * np.sqrt(p * (1 - p) / x0.shape[0])
+    w = ga.softmax_from_log(gmm.log_density(x0) + log_q - log_p)
+    p_w = np.sum(w * in_mode_1)
+    se_w = np.sqrt(np.sum(w * w * (in_mode_1 - p_w) ** 2))
+    assert abs(p_w - 2 / 3) < 4 * se_w
