@@ -220,8 +220,8 @@ class _Counted:
     @staticmethod
     def _tvec(t, batch: int) -> np.ndarray:
         tv = np.broadcast_to(np.asarray(t, dtype=float), (batch,))
-        if np.any(tv <= 0):
-            raise ValueError("noise level t must be positive")
+        if not np.all(np.isfinite(tv) & (tv > 0)):
+            raise ValueError("noise level t must be finite and > 0")
         return tv
 
     def _batch_and_tangent(self, x, v):
@@ -248,10 +248,11 @@ class _Counted:
         subspace, tr(P J P), the one that matches a prior normalised
         there."""
         x2 = as_batch(x, self.dim)
+        out = self._score_and_div(x2, t, proj)
         axes = self.dim if proj is None else proj.subspace_dim
         self.eval_count += x2.shape[0]
         self.jvp_count += axes * x2.shape[0]
-        return self._score_and_div(x2, t, proj)
+        return out
 
     def _score_and_div(self, x2, t, proj):
         score, tangent = self._linearize(x2, t)
@@ -259,25 +260,35 @@ class _Counted:
 
 
 class AnalyticGmmScore(_Counted):
-    """Exact score/denoiser for a Gaussian-mixture target."""
+    """Exact score/denoiser for a Gaussian-mixture target, at one noise
+    level t >= 0 per query (t = 0 is the target itself)."""
 
     def __init__(self, gmm: tg.Gmm):
         super().__init__()
         self.gmm = gmm
         self.dim = gmm.dim
 
+    @staticmethod
+    def _noise_level(t) -> float:
+        if np.ndim(t) != 0 or not 0 <= float(t) < np.inf:
+            raise ValueError(f"noise level t must be one finite value >= 0, "
+                             f"got {t!r}")
+        return float(t)
+
     def score(self, x, t):
+        t = self._noise_level(t)
         x2 = as_batch(x, self.dim)
         self.eval_count += x2.shape[0]
-        return self.gmm.score(x2, float(t))
+        return self.gmm.score(x2, t)
 
     def denoise(self, x, t):
+        t = self._noise_level(t)
         x2 = as_batch(x, self.dim)
         self.eval_count += x2.shape[0]
-        return x2 + float(t) ** 2 * self.gmm.score(x2, float(t))
+        return x2 + t ** 2 * self.gmm.score(x2, t)
 
     def _linearize(self, x2, t):
-        post = tg._gmm_posterior(x2, self.gmm, float(t))
+        post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
         return post[4], lambda v: tg._posterior_hvp(post, v)
 
     def _score_and_div(self, x2, t, proj):
@@ -285,7 +296,7 @@ class AnalyticGmmScore(_Counted):
         # HVP per basis vector of the subspace
         if proj is not None:
             return super()._score_and_div(x2, t, proj)
-        post = tg._gmm_posterior(x2, self.gmm, float(t))
+        post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
         return post[4], tg._posterior_divergence(post)
 
 
@@ -294,8 +305,16 @@ class _Preconditioned(_Counted):
 
     A subclass supplies ``_primal(x2, tv)`` -> (D(x), cache), one network
     pass whose cache serves both ``param_grad`` and ``_tangent(cache, v)``,
-    the directional derivative of D along v.
+    the directional derivative of D along v.  ``sigma_data``, the data
+    scale of the preconditioning, must be positive and finite.
     """
+
+    def __init__(self, sigma_data: float):
+        super().__init__()
+        if not (np.isfinite(sigma_data) and sigma_data > 0):
+            raise ValueError(f"sigma_data must be finite and > 0, got "
+                             f"{sigma_data}")
+        self.sigma_data = float(sigma_data)
 
     def forward_with_cache(self, x, t):
         x2 = as_batch(x, self.dim)
@@ -333,9 +352,8 @@ class VectorDenoiser(_Preconditioned):
 
     def __init__(self, dim: int, hidden: list[int], sigma_data: float,
                  rng: np.random.Generator | None = None):
-        super().__init__()
+        super().__init__(sigma_data)
         self.dim = dim
-        self.sigma_data = float(sigma_data)
         self.net = Mlp([dim + 1] + list(hidden) + [dim], rng)
 
     def _primal(self, x2, tv):
@@ -379,29 +397,21 @@ class RadialDenoiser(_Preconditioned):
 
     def __init__(self, n_particles: int, spatial_dim: int, hidden: list[int],
                  sigma_data: float, rng: np.random.Generator | None = None):
-        super().__init__()
+        super().__init__(sigma_data)
         self.n_particles = n_particles
         self.spatial_dim = spatial_dim
         self.dim = n_particles * spatial_dim
-        self.sigma_data = float(sigma_data)
         self.net = Mlp([3] + list(hidden) + [1], rng)
         self.proj = eq.ComProjection(n_particles, spatial_dim)
 
-    def _geometry(self, x2, tv):
-        _, _, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
+    def _primal(self, x2, tv):
+        c_skip, c_out, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
         diff, dist = self.proj.pairs(c_in[:, None] * x2)  # (B, P, n), (B, P)
-        n_pairs = dist.shape[1]
         feats = np.stack([dist.reshape(-1),
                           1.0 / (dist.reshape(-1) + self.INV_OFFSET),
-                          np.repeat(c_noise, n_pairs)], axis=1)
-        return diff, dist, feats
-
-    def _primal(self, x2, tv):
-        b = x2.shape[0]
-        c_skip, c_out, c_in, _ = precond_coeffs(tv, self.sigma_data)
-        diff, dist, feats = self._geometry(x2, tv)
+                          np.repeat(c_noise, dist.shape[1])], axis=1)
         g_flat, net_cache = self.net.forward(feats)
-        g = g_flat.reshape(b, -1)
+        g = g_flat.reshape(dist.shape)
         raw = self.proj.scatter(g[:, :, None] * diff)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
         return out, (net_cache, diff, dist, g, c_skip, c_out, c_in)
@@ -457,6 +467,11 @@ class TrainConfig:
             raise ValueError("need at least one training iteration")
         if self.batch_size < 1:
             raise ValueError("need a batch of at least one sample")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 < self.eps < self.t_max < np.inf:
+            raise ValueError(f"need 0 < eps < t_max < inf, got eps="
+                             f"{self.eps}, t_max={self.t_max}")
 
 
 def train_dsm(rng: np.random.Generator, data: np.ndarray, model,

@@ -22,6 +22,11 @@ Log weights follow the target-over-proposal convention
     log w = log pi(x_0) + sum_n log q(x_n | x_{n-1})
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
+The reverse sampler scores its draws as it makes them; any other path,
+fresh forward ones (``forward_residuals``) and a stored reverse one
+(``recompute_log_densities``), is scored by one residual pass over its
+stacked (N+1, B, d) states.
+
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
 ``ComProjection`` and every kernel lives on the subspace, with every
 noise draw from ``vtdis.equivariant.normals``.
@@ -105,14 +110,6 @@ def proposal_steps(proposal, grid: TimeGrid):
     return spec, raws, grid.ddpm_vars
 
 
-def _step_kernels(proposal, grid: TimeGrid,
-                  proj: eq.ComProjection | None) -> list[StepKernel]:
-    """One kernel per reverse step of ``grid``."""
-    spec, raws, bases = proposal_steps(proposal, grid)
-    return [StepKernel(spec, raw, base, proj)
-            for raw, base in zip(raws, bases)]
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -144,6 +141,9 @@ def reverse_sample_batch(rng: np.random.Generator, model, proposal,
     densities; states other than x_0 are not kept.  All trajectories draw
     from the one generator ``rng``, one block of normals per step.
     """
+    if count < 1:
+        raise ValueError(f"reverse_sample_batch needs count >= 1, got "
+                         f"{count}")
     return _reverse_steps(rng, model, proposal, grid, count, proj)
 
 
@@ -164,7 +164,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
     n_steps = grid.n_steps
-    kernels = _step_kernels(proposal, grid, proj)
+    spec, raws, bases = proposal_steps(proposal, grid)
     t_max = grid.t_max
 
     x = t_max * eq.normals(rng, (count, model.dim), proj)
@@ -180,8 +180,9 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
             raise FloatingPointError(f"denoiser produced NaN at step {n}")
         r = grid.mean_ratios[n - 1]
         mean = r * x + (1.0 - r) * x0_hat
-        x_prev = kernels[n - 1].sample(rng, mean)
-        log_p += kernels[n - 1].logpdf(x_prev, mean)
+        kernel = StepKernel(spec, raws[n - 1], bases[n - 1], proj)
+        x_prev = kernel.sample(rng, mean)
+        log_p += kernel.logpdf(x_prev, mean)
         log_q += _iso_logpdf(x - x_prev, grid.forward_vars[n - 1], proj)
         x = x_prev
         if states is not None:
@@ -193,22 +194,20 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
 def recompute_log_densities(traj: Trajectory, model, proposal,
                             proj: eq.ComProjection | None = None
                             ) -> tuple[float, float]:
-    """Joint log-densities recomputed from stored states (cache check)."""
+    """Joint log-densities of a stored trajectory (the cache check),
+    scored by the residual pass of ``forward_residuals`` and one stacked
+    ``spec.log_density``; with ``proj`` a residual off the zero-CoM
+    subspace raises ``ValueError``."""
     grid = traj.grid
-    kernels = _step_kernels(proposal, grid, proj)
-    log_q = 0.0
-    log_p = float(prior_log_density(traj.states[-1][None, :], grid.t_max,
-                                    proj)[0])
-    for n in range(1, grid.n_steps + 1):
-        x_n = traj.states[n][None, :]
-        x_prev = traj.states[n - 1][None, :]
-        log_q += float(_iso_logpdf(x_n - x_prev, grid.forward_vars[n - 1],
-                                   proj)[0])
-        x0_hat = model.denoise(x_n, grid.times[n])
-        r = grid.mean_ratios[n - 1]
-        mean = r * x_n + (1.0 - r) * x0_hat
-        log_p += float(kernels[n - 1].logpdf(x_prev, mean)[0])
-    return log_q, log_p
+    spec, raws, bases = proposal_steps(proposal, grid)
+    path = traj.states[:, None, :].copy()
+    log_q = _residual_pass(path, model, grid, proj)
+    deltas = path[:-1]
+    if proj is not None:
+        eq._check_on_subspace(deltas, proj, "residual")
+    log_p = (prior_log_density(path[-1], grid.t_max, proj)
+             + np.sum(spec.log_density(deltas, raws, bases), axis=0))
+    return float(log_q[0]), float(log_p[0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,32 +238,32 @@ class ForwardBatch:
 
 def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
                       proj: eq.ComProjection | None = None) -> ForwardBatch:
-    """Noise a (B, d) batch of x_0 forward and collect per-step residuals.
-
-    One noise draw and one denoiser call per step; the posterior mean and
-    the residual are formed in place in ``deltas[n-1]``.  With ``proj``
-    the x_0 must lie on the zero-CoM subspace, where the kernels live.
+    """Noise a (B, d) batch of x_0 forward and collect per-step residuals:
+    one noise draw per step fills the (N+1, B, d) path, then the residual
+    pass makes one denoiser call per step.  With ``proj`` the x_0 must lie
+    on the zero-CoM subspace, where the kernels live.
     """
     x0 = ga.as_batch(x0, model.dim)
     if proj is not None:
         eq._check_on_subspace(x0, proj, "x0")
-    b, d = x0.shape
-    n_steps = grid.n_steps
-    deltas = np.empty((n_steps, b, d))
-    scratch = np.empty((b, d))
-    log_q = np.zeros(b)
-    x = x0
-    for n in range(1, n_steps + 1):
-        var = grid.forward_vars[n - 1]
-        x_next = x + np.sqrt(var) * eq.normals(rng, (b, d), proj)
-        log_q += _iso_logpdf(np.subtract(x_next, x, out=scratch), var, proj)
-        x0_hat = model.denoise(x_next, grid.times[n])
-        # residual x - (r x_next + (1 - r) x0_hat), the posterior mean
+    path = np.empty((grid.n_steps + 1,) + x0.shape)
+    path[0] = x0
+    for n, var in enumerate(grid.forward_vars, start=1):
+        path[n] = path[n - 1] + np.sqrt(var) * eq.normals(rng, x0.shape, proj)
+    log_q = _residual_pass(path, model, grid, proj)
+    return ForwardBatch(path[:-1], log_q,
+                        prior_log_density(path[-1], grid.t_max, proj))
+
+
+def _residual_pass(path: np.ndarray, model, grid: TimeGrid, proj
+                   ) -> np.ndarray:
+    """log q(x_{1:N} | x_0) (B,) of a (N+1, B, d) path.  Once step n has
+    scored x_n - x_{n-1}, it writes its residual x_{n-1} - mean(x_n) over
+    x_{n-1}, so ``path[:N]`` ends as the residuals."""
+    log_q = np.zeros(path.shape[1])
+    for n in range(1, grid.n_steps + 1):
+        x, x_next = path[n - 1], path[n]
+        log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
         r = grid.mean_ratios[n - 1]
-        delta = deltas[n - 1]
-        np.multiply(x_next, r, out=delta)
-        delta += np.multiply(x0_hat, 1.0 - r, out=scratch)
-        np.subtract(x, delta, out=delta)
-        x = x_next
-    log_prior = prior_log_density(x, grid.t_max, proj)
-    return ForwardBatch(deltas=deltas, log_q_cond=log_q, log_prior=log_prior)
+        x -= r * x_next + (1.0 - r) * model.denoise(x_next, grid.times[n])
+    return log_q

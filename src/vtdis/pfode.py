@@ -116,6 +116,8 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     ``score_evals`` and ``jvp_evals``, the model's evaluation and
     directional-derivative rows spent on this call (the cost proxy).
     """
+    if count < 1:
+        raise ValueError(f"ode_is_weights needs count >= 1, got {count}")
     evals0, jvps0 = model.eval_count, model.jvp_count
     x_t = grid.t_max * eq.normals(rng, (count, model.dim), proj)
     log_prior = prior_log_density(x_t, grid.t_max, proj)

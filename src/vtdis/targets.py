@@ -81,9 +81,8 @@ class Gmm:
 
     def log_density_and_grad(self, x):
         """(log_density(x), score(x)) from one pass over the components."""
-        diff, _, v, lp = _component_logpdfs(as_batch(x, self.dim), self)
-        grad = _mixture_score(diff, v, softmax_from_log(lp, axis=0))
-        return logsumexp(lp, axis=0), grad
+        post = _gmm_posterior(as_batch(x, self.dim), self, 0.0)
+        return logsumexp(post[5], axis=0), post[4]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
@@ -136,18 +135,19 @@ def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
 
 
 def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float):
-    """One responsibility pass: (diff, sq, v, resp, sbar), all that the
-    score ``sbar``, its divergence and its Hessian-vector product need."""
+    """One responsibility pass: (diff, sq, v, resp, sbar, lp), all that the
+    score sbar = -sum_k r_k (x - mu_k) / v_k, its divergence, its HVP and
+    the log-density (logsumexp of the component terms ``lp``) need."""
     diff, sq, v, lp = _component_logpdfs(x, gmm, t)
     resp = softmax_from_log(lp, axis=0)
-    return diff, sq, v, resp, _mixture_score(diff, v, resp)
+    return diff, sq, v, resp, -np.einsum("kb,kbd->bd", resp / v, diff), lp
 
 
 def _posterior_divergence(post) -> np.ndarray:
     """Trace of the Hessian of log p_t (B,) from a ``_gmm_posterior``
     pass, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
     sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2."""
-    diff, sq, v, resp, sbar = post
+    diff, sq, v, resp, sbar, _ = post
     return (np.sum(resp * (sq / (v * v) - diff.shape[2] / v), axis=0)
             - np.einsum("bd,bd->b", sbar, sbar))
 
@@ -156,16 +156,11 @@ def _posterior_hvp(post, vec: np.ndarray) -> np.ndarray:
     """Hessian of log p_t times ``vec`` (B, d) from a ``_gmm_posterior``
     pass: H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T, where
     (s_k . vec) s_k = ((x - mu_k) . vec) (x - mu_k) / v_k^2."""
-    diff, _, v, resp, sbar = post
+    diff, _, v, resp, sbar, _ = post
     dv = np.einsum("kbd,bd->kb", diff, vec)
     return (np.einsum("kb,kbd->bd", resp * dv / (v * v), diff)
             - np.sum(resp / v, axis=0)[:, None] * vec
             - sbar * np.einsum("bd,bd->b", sbar, vec)[:, None])
-
-
-def _mixture_score(diff, v, resp) -> np.ndarray:
-    """sum_k r_k s_k (B, d), component scores s_k = -(x - mu_k) / v_k."""
-    return -np.einsum("kb,kbd->bd", resp / v, diff)
 
 
 # ---------------------------------------------------------------------------

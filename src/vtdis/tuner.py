@@ -122,6 +122,8 @@ class TunerConfig:
             raise ValueError("need at least one tuning iteration")
         if self.batch_size < 1:
             raise ValueError("need a batch of at least one trajectory")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass

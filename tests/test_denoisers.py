@@ -61,6 +61,18 @@ class TestAnalyticBackend:
         x = np.array([[0.4, -0.9]])
         assert np.allclose(model.denoise(x, 0.0), x, atol=1e-12)
 
+    @pytest.mark.parametrize("query", ["denoise", "score", "score_and_div",
+                                       "score_and_jvp"])
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, [0.5, 0.5]])
+    def test_noise_level_out_of_range_is_rejected_by_name(self, query, t):
+        # a negative t answered as for |t|, and a (B,) t failed in float()
+        model = dn.AnalyticGmmScore(tg.two_mode_gmm(2))
+        x = np.array([[0.4, -0.9], [1.0, 0.2]])
+        args = (x,) if query == "score_and_jvp" else ()
+        with pytest.raises(ValueError, match="noise level t"):
+            getattr(model, query)(x, t, *args)
+        assert model.eval_count == 0
+
     def test_large_t_prediction_bounded(self):
         gmm = tg.two_mode_gmm(4)
         model = dn.AnalyticGmmScore(gmm)
@@ -391,6 +403,19 @@ class TestTraining:
         with pytest.raises((RuntimeError, FloatingPointError)):
             dn.train_dsm(rng, data, model, cfg)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("iterations", 0, "iteration"), ("batch_size", 0, "batch"),
+        ("lr", -1.0, "lr"), ("lr", np.nan, "lr"), ("lr", np.inf, "lr"),
+        ("eps", 0.0, "eps"), ("eps", -1e-3, "eps"), ("eps", np.nan, "eps"),
+        ("eps", 1e2, "eps"), ("eps", 1e3, "eps"), ("t_max", np.inf, "t_max"),
+    ])
+    def test_config_values_out_of_range_are_rejected_by_name(
+            self, field, value, match):
+        # eps = 0 divided by zero, eps < 0 took a log of it, and eps above
+        # t_max or a negative lr trained on without a word
+        with pytest.raises(ValueError, match=match):
+            dn.TrainConfig(**{field: value})
+
     def test_empty_data_rejected(self):
         model = dn.VectorDenoiser(2, [8], 1.0)
         with pytest.raises(ValueError):
@@ -507,6 +532,36 @@ def ask(obj, query, x):
     """``obj.query`` at the points x; a tangent is x itself."""
     args = BACKEND_QUERIES[query] if isinstance(obj, dn._Counted) else ()
     return getattr(obj, query)(x, *[x if a == "v" else a for a in args])
+
+
+LEARNED = {
+    "vector": lambda s: dn.VectorDenoiser(4, [5], s),
+    "radial": lambda s: dn.RadialDenoiser(2, 2, [5], s),
+}
+
+
+@pytest.mark.parametrize("sigma_data", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("backend", list(LEARNED))
+def test_sigma_data_must_be_positive_and_finite(backend, sigma_data):
+    with pytest.raises(ValueError, match="sigma_data"):
+        LEARNED[backend](sigma_data)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("backend", list(LEARNED))
+def test_learned_noise_level_must_be_positive_and_finite(backend, t):
+    # t = inf gave NaN predictions, and t = nan failed inside the network
+    model = LEARNED[backend](1.0)
+    with pytest.raises(ValueError, match="noise level t"):
+        model.denoise(np.zeros((2, model.dim)), t)
+
+
+def test_constant_data_gives_no_sigma_data():
+    # its spread is 0, and a model built on it denoised everything to 0
+    sigma = dn.estimate_sigma_data(np.ones((16, 4)))
+    assert sigma == 0.0
+    with pytest.raises(ValueError, match="sigma_data"):
+        LEARNED["vector"](sigma)
 
 
 @pytest.mark.parametrize("query", ["denoise_jvp", "score_and_jvp"])

@@ -111,6 +111,26 @@ def test_x0_off_the_subspace_is_rejected():
                      inner=2, proj=proj)
 
 
+def test_stored_state_off_the_subspace_is_rejected():
+    # x_0 shifted by 1.0 puts the residual of step 1 off the zero-CoM
+    # subspace; scored without a check it gives finite, wrong densities
+    model, proposal, proj = com_case()
+    traj = df.reverse_sample_trajectory(np.random.default_rng(12), model,
+                                        proposal, GRID, proj)
+    traj.states[0] += 1.0
+    with pytest.raises(ValueError, match="off the zero-CoM subspace"):
+        df.recompute_log_densities(traj, model, proposal, proj)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_reverse_sampler_needs_a_trajectory(count):
+    # count=0 returned empty arrays and -1 failed in numpy
+    model, proposal, proj = ambient_case()
+    with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+        df.reverse_sample_batch(np.random.default_rng(13), model, proposal,
+                                GRID, count, proj)
+
+
 def step_kernel(kind, space):
     """A kernel of ``kind`` on three coordinates: ambient, or on the
     zero-CoM subspace of three particles on a line, where the zero mean

@@ -3,8 +3,10 @@ every private helper is used somewhere in the package, every call the
 benchmark's tracer wraps is defined where the tracer looks it up, every
 option of the pipeline's configured calls is one the pipeline sets, no
 function imports inside its body, the package imports nothing at
-runtime but the standard library, numpy and itself, and each particle
-system builds its ``ComProjection`` in one place.
+runtime but the standard library, numpy and itself, each particle
+system builds its ``ComProjection`` in one place, each learned backend
+computes its preconditioning once per pass, and one residual pass scores
+every path but the reverse sampler's draws.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
@@ -254,14 +256,36 @@ def call_sites(source: str, name: str) -> set[str]:
     return found
 
 
+def package_call_sites(name: str) -> set[tuple[str, str]]:
+    """(module, scope) of every call of ``name`` in ``src/vtdis``."""
+    return {(m, scope) for m in ALL_MODULES
+            for scope in call_sites((SRC / m).read_text(encoding="utf-8"),
+                                    name)}
+
+
 def test_one_com_projection_per_particle_system():
     # a particle target and the radial backend each own one; every other
     # caller takes theirs (``getattr(..., "proj", None)``) or its argument
-    found = {(m, scope) for m in ALL_MODULES
-             for scope in call_sites((SRC / m).read_text(encoding="utf-8"),
-                                     "ComProjection")}
-    assert found == {("targets.py", "_PairSystem.proj"),
-                     ("denoisers.py", "RadialDenoiser.__init__")}
+    assert package_call_sites("ComProjection") == {
+        ("targets.py", "_PairSystem.proj"),
+        ("denoisers.py", "RadialDenoiser.__init__")}
+
+
+def test_one_preconditioning_per_network_pass():
+    # each learned backend's one primal pass computes its coefficients
+    # once and hands them to the tangent and gradient passes in the cache
+    assert package_call_sites("precond_coeffs") == {
+        ("denoisers.py", "VectorDenoiser._primal"),
+        ("denoisers.py", "RadialDenoiser._primal")}
+
+
+def test_one_residual_pass_scores_every_path_but_the_reverse_draws():
+    # forward batches and stored trajectories share ``_residual_pass``;
+    # only the reverse sampler scores its own forward increments
+    assert package_call_sites("_iso_logpdf") == {
+        ("diffusion.py", "prior_log_density"),
+        ("diffusion.py", "_reverse_steps"),
+        ("diffusion.py", "_residual_pass")}
 
 
 def test_check_finds_every_call_site():

@@ -226,6 +226,15 @@ def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
 # likelihood oracle
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_ode_weights_need_a_sample(count):
+    # count=0 failed only in the ESS, with "no log weights"
+    model = BACKENDS["gmm"]()
+    with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+        pf.ode_is_weights(np.random.default_rng(0), model,
+                          tg.two_mode_gmm(DIM), GRID, CONFIGS["exact"], count)
+
+
 def test_gaussian_likelihood_converges_to_analytic_density():
     # For N(mu, var I) the flow is linear: from T down to eps,
     # x(eps) - mu = (x(T) - mu) sqrt((var + eps^2) / (var + T^2)), and the

@@ -222,7 +222,8 @@ def test_tune_replays_bit_for_bit(space):
 
 
 @pytest.mark.parametrize("field,value", [("iterations", 0),
-                                         ("batch_size", 0)])
+                                         ("batch_size", 0), ("lr", -1.0),
+                                         ("lr", np.nan)])
 def test_config_rejects_an_empty_budget(field, value):
     for config in (tu.TunerConfig, dn.TrainConfig):
         with pytest.raises(ValueError):
