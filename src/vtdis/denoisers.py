@@ -48,7 +48,7 @@ import numpy as np
 
 from . import equivariant as eq
 from . import targets as tg
-from .gaussians import as_batch
+from .gaussians import as_batch, require_count
 
 MAGIC = b"VTDNOISE"
 CHECKPOINT_VERSION = 1
@@ -463,10 +463,8 @@ class TrainConfig:
     t_max: float = 1e2
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one training iteration")
-        if self.batch_size < 1:
-            raise ValueError("need a batch of at least one sample")
+        require_count("iterations", self.iterations)
+        require_count("batch_size", self.batch_size)
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 < self.eps < self.t_max < np.inf:

@@ -15,6 +15,8 @@ Both classes have the same duck-typed interface:
     n_params                              -> int
     init()                                -> raw vector at C = I, the
                                              untuned baseline
+    moment_match(deltas, bases)           -> (N, p) raws of the moment
+                                             match, the tuner's start
     log_density(deltas, raw, base)        -> log N(delta; 0, Sigma) per row
     weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
     draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
@@ -22,7 +24,12 @@ Both classes have the same duck-typed interface:
 ``log_density`` and ``weighted_grad`` broadcast in closed form over an
 optional leading step axis: deltas (N, B, d), raw (N, p) and base (N,)
 give (N, B) and (N, p), step n using raw[n] and base[n], with the
-weights (B,) shared by every step.  Each rejects variances that are not
+weights (B,) shared by every step.  ``moment_match`` takes residuals
+(N, B, d) and base variances (N,) and returns the raws whose variances
+are the residuals' second moments, the Analytic-DPM / SN-DPM moment
+match (Bao et al., 2022): the zero of ``weighted_grad`` under uniform
+weights, so the maximum of the average log-density over the rows.  Each
+of ``log_density`` and ``weighted_grad`` rejects variances that are not
 positive and finite (softplus underflows to 0 below -745) with a
 ``ValueError``.  ``draw`` takes the zero-CoM projection of a particle
 system: the isotropic draw takes its normals from
@@ -45,6 +52,8 @@ the structure and the softplus.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .equivariant import normals
@@ -63,6 +72,16 @@ def as_batch(x, dim: int) -> np.ndarray:
     if x2.ndim != 2 or x2.shape[1] != dim:
         raise ValueError(f"expected a (B, {dim}) batch, got shape {x2.shape}")
     return x2
+
+
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool)
+    of at least ``minimum``: a count such as a step or iteration number,
+    which a float would truncate or reject much later."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 def logsumexp(values, axis=None):
@@ -164,6 +183,12 @@ class IsotropicParams:
     def init(self) -> np.ndarray:
         return np.array([float(softplus_inv(1.0))])
 
+    def moment_match(self, deltas, bases) -> np.ndarray:
+        """eta_n = sum ||delta||^2 / (rows * dim * base_n)."""
+        q = np.einsum("nbd,nbd->n", deltas, deltas)
+        eta = q / (deltas.shape[1] * self.dim * np.asarray(bases, dtype=float))
+        return softplus_inv(eta)[:, None]
+
     def log_density(self, deltas, raw, base) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
         return _scaled_log_density(
@@ -194,6 +219,11 @@ class DiagonalParams:
 
     def init(self) -> np.ndarray:
         return np.full(self.dim, float(softplus_inv(1.0)))
+
+    def moment_match(self, deltas, bases) -> np.ndarray:
+        """eta_nk = mean delta_k^2 / base_n over the rows."""
+        second = np.mean(deltas * deltas, axis=1)
+        return softplus_inv(second / np.asarray(bases, dtype=float)[:, None])
 
     def log_density(self, deltas, raw, base) -> np.ndarray:
         base = np.asarray(base, dtype=float)[..., None]

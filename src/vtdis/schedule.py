@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussians import require_count
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -71,10 +73,9 @@ def karras_grid(n_steps: int, eps: float, t_max: float, rho: float) -> TimeGrid:
     rho = 1 gives linear spacing; rho -> infinity approaches the geometric
     grid t_n = eps (T/eps)^(n/N).  Endpoints are exact for any rho.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    if not (0 < eps < t_max):
-        raise ValueError("require 0 < eps < t_max")
+    require_count("n_steps", n_steps)
+    if not (0 < eps < t_max < np.inf):
+        raise ValueError("require 0 < eps < t_max < inf")
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive")
     u = np.arange(n_steps + 1, dtype=float) / n_steps

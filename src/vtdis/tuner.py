@@ -13,11 +13,16 @@ always drawn from the forward process; only the Gaussian covariance terms
 depend on phi, so denoiser predictions are computed once per batch and
 the gradient is assembled from the analytic per-structure formulas.
 
-One iteration is one ``forward_residuals`` batch (one denoiser call per
-step) followed by one stacked ``spec.log_density`` and one stacked
-``spec.weighted_grad`` call over all N steps: residuals (N, B, dim), raw
-parameters (N, p) and base variances (N,) in, (N, B) log-densities and
-(N, p) gradients out.  The spec is the one class of its covariance kind
+Tuning draws one pool of forward batches before any step: at most
+``POOL_BATCHES`` ``forward_residuals`` calls of ``batch_size`` rows (one
+denoiser call per step each), never more than one per iteration.  It
+starts from the moment match of the whole pool (``spec.moment_match``),
+and then iteration ``it`` takes one Adam step on the alpha = 2 objective
+of pool batch ``it mod P``.  A step is one stacked
+``spec.log_density`` and one stacked ``spec.weighted_grad`` call over
+all N steps: residuals (N, B, dim), raw parameters (N, p) and base
+variances (N,) in, (N, B) log-densities and (N, p) gradients out, and no
+denoiser call.  The spec is the one class of its covariance kind
 (``vtdis.gaussians``), and ``make_param_spec`` is the only place that
 maps a kind name to a class; nothing else branches on the kind.  The
 result is the proposal ``(spec, raws)`` that the samplers and the bound
@@ -25,9 +30,7 @@ metrics take, and ``batch_log_weights`` is the one log-weight function of
 a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
 
 ``TUNABLE_KINDS`` are isotropic and diagonal on vector data, and
-isotropic alone on the zero-CoM subspace of particle systems.  Each
-starts at the untuned baseline, where the alpha = 2 gradient of every raw
-parameter is generically nonzero.
+isotropic alone on the zero-CoM subspace of particle systems.
 
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
@@ -49,6 +52,8 @@ TUNABLE_KINDS = ("isotropic", "diagonal")
 
 # relative change of the windowed mean loss below which tuning stops
 PLATEAU_TOL = 1e-4
+# forward batches in the tuning pool, at most one per iteration
+POOL_BATCHES = 8
 
 
 def make_param_spec(kind: str, dim: int,
@@ -118,17 +123,19 @@ class TunerConfig:
     plateau_window: int = 200
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("need at least one tuning iteration")
-        if self.batch_size < 1:
-            raise ValueError("need a batch of at least one trajectory")
+        ga.require_count("iterations", self.iterations)
+        ga.require_count("batch_size", self.batch_size)
+        # two halves of at least one iteration each
+        ga.require_count("plateau_window", self.plateau_window, 2)
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
 class TuneResult:
-    """Tuned raw parameters; ``iterations`` below the configured budget
+    """Tuned raw parameters, reached from the pool's moment match by
+    ``iterations`` Adam steps (one loss each in ``loss_curve``), each on
+    one batch of the pool; ``iterations`` below the configured budget
     means the plateau stop ended the run."""
 
     raws: np.ndarray            # (N, n_params)
@@ -146,31 +153,40 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
          proj: eq.ComProjection | None = None) -> TuneResult:
     """Optimize per-step covariances against a frozen score model.
 
-    Each iteration draws a fresh batch of x_0 (from ``data`` rows or from
-    ``target.sample``), noises it forward, and takes one Adam step on the
-    alpha = 2 objective with a cosine learning-rate schedule.  Stops at the
-    iteration budget or when the windowed loss plateaus (relative change
-    below ``PLATEAU_TOL`` across ``plateau_window`` iterations).
+    First draws the pool: ``P = min(iterations, POOL_BATCHES)`` batches
+    of ``batch_size`` x_0 (from ``data`` rows or from ``target.sample``),
+    each noised forward by one ``forward_residuals`` call and scored by
+    ``target.log_density``; this is all the denoiser work, N * P *
+    ``batch_size`` evaluations.  Starts from the moment match over the
+    whole pool, then takes one Adam step on the alpha = 2 objective of
+    pool batch ``it mod P`` per iteration, with a cosine learning-rate
+    schedule.  Stops at the iteration budget or when the windowed loss
+    plateaus (relative change below ``PLATEAU_TOL`` across
+    ``plateau_window`` iterations).
     """
     config = config or TunerConfig()
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim, proj)
-    raws = np.tile(spec.init(), (grid.n_steps, 1))
-    opt = Adam([raws])
-    losses = []
-    half = config.plateau_window // 2
-
-    for it in range(config.iterations):
+    bases = grid.ddpm_vars
+    pool = []
+    for _ in range(min(config.iterations, POOL_BATCHES)):
         if data is not None:
             x0 = data[rng.integers(0, data.shape[0], size=config.batch_size)]
         else:
             x0 = target.sample(rng, config.batch_size)
         if proj is not None:
             x0 = eq.com_project(x0, proj)
-        batch = forward_residuals(rng, x0, model, grid, proj)
-        log_pi = target.log_density(x0)
-        loss, grad, _ = loss_and_gradient(batch, spec, raws, grid.ddpm_vars,
-                                          log_pi)
+        pool.append((forward_residuals(rng, x0, model, grid, proj),
+                     target.log_density(x0)))
+    raws = spec.moment_match(
+        np.concatenate([batch.deltas for batch, _ in pool], axis=1), bases)
+    opt = Adam([raws])
+    losses = []
+    half = config.plateau_window // 2
+
+    for it in range(config.iterations):
+        batch, log_pi = pool[it % len(pool)]
+        loss, grad, _ = loss_and_gradient(batch, spec, raws, bases, log_pi)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")
@@ -178,7 +194,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
         opt.step([grad], cosine_lr(it, config.iterations, config.lr))
         if not np.all(np.isfinite(raws)):
             raise RuntimeError(f"non-finite parameters at iteration {it}")
-        if it + 1 >= config.plateau_window and half > 0:
+        if it + 1 >= config.plateau_window:
             recent = np.mean(losses[-half:])
             previous = np.mean(losses[-2 * half:-half])
             if abs(recent - previous) < PLATEAU_TOL * max(

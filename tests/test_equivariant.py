@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,7 @@ from vtdis import equivariant as eq
 from vtdis import gaussians as ga
 from vtdis import targets as tg
 from vtdis import tuner as tu
-from vtdis.diffusion import StepKernel
+from vtdis.diffusion import StepKernel, forward_residuals
 from vtdis.schedule import karras_grid
 
 
@@ -314,8 +316,9 @@ class TestSubspaceParams:
 
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_tuning_moves_every_parameter(self, kind):
-        # a kind whose baseline is a stationary point of the objective
-        # would leave some raw parameter exactly at init()
+        # a kind whose start is a stationary point of the objective would
+        # leave some raw parameter exactly at the pool's moment match;
+        # the pool is replayed from the same seed: 3 batches of 16
         rng = np.random.default_rng(22)
         target = tg.DoubleWell()
         proj = eq.ComProjection(target.n_particles, target.spatial_dim)
@@ -323,8 +326,18 @@ class TestSubspaceParams:
                                   [8], 1.0, rng)
         data = eq.com_project(2.0 * rng.standard_normal((64, target.dim)),
                               proj)
-        result = tu.tune(rng, model, target, karras_grid(4, 1e-3, 10.0, 7.0),
-                         kind, tu.TunerConfig(iterations=3, batch_size=16,
-                                              lr=0.05),
+        grid = karras_grid(4, 1e-3, 10.0, 7.0)
+        replay = copy.deepcopy(rng)
+        result = tu.tune(rng, model, target, grid, kind,
+                         tu.TunerConfig(iterations=3, batch_size=16,
+                                        lr=0.05),
                          data=data, proj=proj)
-        assert np.all(result.raws != self.SPECS[kind](proj).init())
+        deltas = [forward_residuals(
+            replay, eq.com_project(data[replay.integers(0, 64, size=16)],
+                                   proj), model, grid, proj).deltas
+            for _ in range(3)]
+        spec = self.SPECS[kind](proj)
+        start = spec.moment_match(np.concatenate(deltas, axis=1),
+                                  grid.ddpm_vars)
+        assert np.all(result.raws != start)
+        assert np.all(start != spec.init())

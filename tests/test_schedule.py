@@ -36,6 +36,10 @@ def test_invalid_inputs():
         karras_grid(0, 0.1, 1.0, rho=7.0)
     with pytest.raises(ValueError):
         karras_grid(4, 0.1, 1.0, rho=-1.0)
+    with pytest.raises(ValueError, match="n_steps"):
+        karras_grid(2.5, 0.1, 1.0, rho=7.0)     # not a 3-step grid
+    with pytest.raises(ValueError, match="inf"):
+        karras_grid(4, 1e-3, np.inf, rho=7.0)   # not a NaN warning
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 1.0]))       # eps must be positive
     with pytest.raises(ValueError):

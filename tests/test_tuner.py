@@ -223,11 +223,46 @@ def test_tune_replays_bit_for_bit(space):
 
 @pytest.mark.parametrize("field,value", [("iterations", 0),
                                          ("batch_size", 0), ("lr", -1.0),
-                                         ("lr", np.nan)])
+                                         ("lr", np.nan), ("iterations", 2.5),
+                                         ("batch_size", 2.5)])
 def test_config_rejects_an_empty_budget(field, value):
     for config in (tu.TunerConfig, dn.TrainConfig):
         with pytest.raises(ValueError):
             config(**{field: value})
+
+
+@pytest.mark.parametrize("window", [0, 1, -5, 2.5])
+def test_config_rejects_a_window_without_two_halves(window):
+    # half = window // 2 would be 0 (or not a count), and the stop would
+    # silently never fire
+    with pytest.raises(ValueError, match="plateau_window"):
+        tu.TunerConfig(plateau_window=window)
+
+
+@pytest.mark.parametrize("kind,space", CASES)
+def test_moment_match_is_the_uniform_weight_stationary_point(kind, space):
+    batch, spec, _, _ = make_case(kind, space, seed=8, count=40)
+    raws = spec.moment_match(batch.deltas, BASES)
+    assert raws.shape == (GRID.n_steps, spec.n_params)
+    uniform = np.full(batch.count, 1.0 / batch.count)
+    grad = spec.weighted_grad(batch.deltas, raws, BASES, uniform)
+    # the gradient is a difference of two terms; with no residual only
+    # the second is left, and it sets the scale of the cancellation
+    scale = np.abs(spec.weighted_grad(np.zeros_like(batch.deltas), raws,
+                                      BASES, uniform))
+    assert np.all(np.abs(grad) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("iterations", [3, 300])
+def test_tune_draws_one_pool_of_forward_batches(iterations):
+    # all the denoiser work is the pool, drawn once before the first step
+    target, model, _ = ambient_problem()
+    config = tu.TunerConfig(iterations=iterations, batch_size=8, lr=0.05)
+    result = tu.tune(np.random.default_rng(9), model, target, GRID,
+                     "isotropic", config)
+    assert result.iterations == iterations
+    assert model.eval_count == (GRID.n_steps * config.batch_size
+                                * min(iterations, tu.POOL_BATCHES))
 
 
 class TestGaussianOptimum:
@@ -266,6 +301,19 @@ class TestGaussianOptimum:
         assert abs(mt.estimate_log_Z(log_w)) < 0.01       # Z = 1
         baseline = self.log_weights(baseline_proposal(self.D, self.GRID), 0)
         assert mt.reverse_ess(baseline) < 0.01
+
+    def test_moment_match_is_the_optimum(self):
+        # with the exact score each residual is N(0, base_n eta*_n I), so
+        # eta_n is eta*_n times a chi^2_(B d) / (B d) draw
+        gmm, model = self.problem()
+        count = 4096
+        rng = np.random.default_rng(10)
+        batch = df.forward_residuals(rng, gmm.sample(rng, count), model,
+                                     self.GRID)
+        eta = ga.softplus(ga.IsotropicParams(self.D).moment_match(
+            batch.deltas, self.GRID.ddpm_vars)[:, 0])
+        rel_se = np.sqrt(2.0 / (count * self.D))
+        assert np.all(np.abs(eta / self.eta_star() - 1.0) < 4 * rel_se)
 
     def test_isotropic_tuning_reaches_the_optimum(self):
         gmm, model = self.problem()
