@@ -3,14 +3,15 @@
 Every backend answers its queries on a (B, d) batch of flat states and
 returns batch-shaped results; any other shape raises ``ValueError``:
 
-* ``denoise(x, t)``    -> E[x0 | x_t = x] prediction
-* ``score(x, t)``      -> gradient of the log marginal at noise level t
+* ``denoise(x, t)``    -> E[x0 | x_t = x] prediction, one per backend
 
-linked by the Tweedie identity ``denoise = x + t^2 * score``.  The
-derivative queries of the probability-flow ODE likelihood return the
-score together with its derivatives from one primal pass, which every
-tangent reuses:
+linked by the Tweedie identity ``denoise = x + t^2 * score``.  The score
+queries are written once, in ``_Counted``, on the backend's one primal
+pass ``_linearize``, which every tangent of the derivative queries of
+the probability-flow ODE likelihood reuses:
 
+* ``score(x, t)``               -> gradient of the log marginal at noise
+  level t
 * ``score_and_jvp(x, t, v)``    -> score and its directional derivative
   along one (B, d) tangent
 * ``score_and_div(x, t, proj)`` -> score and its exact divergence, the
@@ -233,6 +234,13 @@ class _Counted:
                              f"shape {x2.shape}")
         return x2, v2
 
+    def score(self, x, t):
+        """Score of a (B, d) batch, from the primal pass alone."""
+        x2 = as_batch(x, self.dim)
+        score = self._linearize(x2, t)[0]
+        self.eval_count += x2.shape[0]
+        return score
+
     def score_and_jvp(self, x, t, v):
         """Score of a (B, d) batch and its directional derivative along
         the (B, d) tangent ``v``, from one primal pass."""
@@ -274,12 +282,6 @@ class AnalyticGmmScore(_Counted):
             raise ValueError(f"noise level t must be one finite value >= 0, "
                              f"got {t!r}")
         return float(t)
-
-    def score(self, x, t):
-        t = self._noise_level(t)
-        x2 = as_batch(x, self.dim)
-        self.eval_count += x2.shape[0]
-        return self.gmm.score(x2, t)
 
     def denoise(self, x, t):
         t = self._noise_level(t)
@@ -324,11 +326,6 @@ class _Preconditioned(_Counted):
 
     def denoise(self, x, t):
         return self.forward_with_cache(x, t)[0]
-
-    def score(self, x, t):
-        x2 = as_batch(x, self.dim)
-        tv = self._tvec(t, x2.shape[0])
-        return (self.denoise(x2, t) - x2) / tv[:, None] ** 2
 
     def denoise_jvp(self, x, t, v):
         """Directional derivative of denoise(x, t) along a (B, d) tangent v."""

@@ -127,10 +127,6 @@ class Trajectory:
     log_q_cond: float
     log_p_joint: float
 
-    @property
-    def x0(self) -> np.ndarray:
-        return self.states[0]
-
 
 def reverse_sample_batch(rng: np.random.Generator, model, proposal,
                          grid: TimeGrid, count: int,
@@ -141,9 +137,7 @@ def reverse_sample_batch(rng: np.random.Generator, model, proposal,
     densities; states other than x_0 are not kept.  All trajectories draw
     from the one generator ``rng``, one block of normals per step.
     """
-    if count < 1:
-        raise ValueError(f"reverse_sample_batch needs count >= 1, got "
-                         f"{count}")
+    ga.require_count("count", count)
     return _reverse_steps(rng, model, proposal, grid, count, proj)
 
 
@@ -226,10 +220,6 @@ class ForwardBatch:
     deltas: np.ndarray       # (N, B, dim)
     log_q_cond: np.ndarray   # (B,)
     log_prior: np.ndarray    # (B,)
-
-    @property
-    def n_steps(self) -> int:
-        return self.deltas.shape[0]
 
     @property
     def count(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffusion as df
-from .gaussians import as_batch, logsumexp, softmax_from_log
+from .gaussians import as_batch, logsumexp, require_count, softmax_from_log
 from .tuner import batch_log_weights
 
 
@@ -64,10 +64,9 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     Returns ``{"elbo", "eubo"}``, each the mean over ``repeats``
     independent repetitions of the batch means.
     """
-    if inner < 2:
-        raise ValueError("upper bound needs at least two inner samples")
-    if repeats < 1:
-        raise ValueError(f"elbo_eubo needs repeats >= 1, got {repeats}")
+    # the upper bound needs two inner samples to reweight
+    require_count("inner", inner, 2)
+    require_count("repeats", repeats)
     x0 = as_batch(x0, model.dim)
     b = x0.shape[0]
     spec, raws, bases = df.proposal_steps(proposal, grid)

@@ -15,14 +15,14 @@ estimate v . J v with one Rademacher probe v (independent +-1 entries)
 per point and node, which is unbiased for the instantaneous divergence
 but makes the importance weights biased.
 
-Each grid node costs one model pass: ``divergence_estimate`` returns the
-drift together with the divergence, and the probe or every basis vector
-reuses that pass through the backend's fused queries.  With a
-zero-center-of-mass projection the prior is normalised on the subspace,
-so the divergence is taken there as well, tr(P J P): the Hutchinson
-probe is projected, which keeps the estimate unbiased, and the exact
-trace takes one tangent pass per vector of an orthonormal basis of the
-subspace, (M-1) n of them.  The ambient trace would exceed it by the
+Each Heun step costs two model passes, 2N per trajectory on an N-step
+grid: ``divergence_estimate`` returns the drift together with the
+divergence, and the probe or every basis vector reuses that pass through
+the backend's fused queries.  With a zero-center-of-mass projection the
+prior is normalised on the subspace, so the divergence is taken there as
+well, tr(P J P): the Hutchinson probe is projected, which keeps the
+estimate unbiased, and the exact trace takes one tangent pass per vector
+of an orthonormal basis of the subspace, (M-1) n of them.  The ambient trace would exceed it by the
 Jacobian's trace along the center-of-mass directions, a constant offset
 in log p0.
 """
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import equivariant as eq
 from .diffusion import prior_log_density
+from .gaussians import require_count
 from .metrics import reverse_ess
 from .schedule import TimeGrid
 
@@ -54,16 +55,14 @@ def draw_probe(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def divergence_estimate(model, x, t, config: OdeRunConfig,
-                        rng: np.random.Generator | None = None,
+                        rng: np.random.Generator,
                         proj: eq.ComProjection | None = None):
     """(drift -t s, div(-t s)) at (x, t) from one model pass, the
-    divergence exact or from one probe per row; with ``proj`` it is the
-    divergence on the zero-CoM subspace."""
+    divergence exact or from one probe per row drawn from ``rng``; with
+    ``proj`` it is the divergence on the zero-CoM subspace."""
     if config.divergence == "exact":
         score, div = model.score_and_div(x, t, proj)
         return -t * score, -t * div
-    if rng is None:
-        raise ValueError("hutchinson divergence needs a generator")
     v = draw_probe(rng, np.shape(x))
     if proj is not None:
         # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
@@ -73,23 +72,24 @@ def divergence_estimate(model, x, t, config: OdeRunConfig,
 
 
 def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
-                   rng: np.random.Generator | None = None,
+                   rng: np.random.Generator,
                    proj: eq.ComProjection | None = None):
     """Integrate the flow from x at T down to eps, accumulating int div dt.
 
     Returns the state at eps and the divergence integral along the
     traversal, int_T^eps (the sign of dt is included, so it is the
-    negative of the eps -> T integral).  Every grid node costs one
-    ``divergence_estimate`` call, which gives the drift as well.
+    negative of the eps -> T integral).  Each step is Heun's: one
+    ``divergence_estimate`` call, which gives the drift as well, at its
+    start and one at the predictor, so N steps cost 2N model passes.
     """
     x2 = np.asarray(x, dtype=float)
     times = grid.times[::-1]
     div_int = np.zeros(x2.shape[0])
-    f_cur, g_cur = divergence_estimate(model, x2, float(times[0]), config,
-                                       rng, proj)
     for i in range(len(times) - 1):
         t_cur, t_next = float(times[i]), float(times[i + 1])
         h = t_next - t_cur
+        f_cur, g_cur = divergence_estimate(model, x2, t_cur, config, rng,
+                                           proj)
         x_pred = x2 + h * f_cur
         if np.isnan(x_pred).any():
             raise FloatingPointError(f"NaN state at grid node {i}")
@@ -97,9 +97,6 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
                                              rng, proj)
         x2 = x2 + 0.5 * h * (f_cur + f_next)
         div_int += 0.5 * h * (g_cur + g_next)
-        # corrector endpoint values are reused as the next step's start
-        f_cur, g_cur = divergence_estimate(model, x2, t_next, config, rng,
-                                           proj)
     if np.isnan(x2).any():
         raise FloatingPointError("NaN terminal state")
     return x2, div_int
@@ -116,8 +113,7 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     ``score_evals`` and ``jvp_evals``, the model's evaluation and
     directional-derivative rows spent on this call (the cost proxy).
     """
-    if count < 1:
-        raise ValueError(f"ode_is_weights needs count >= 1, got {count}")
+    require_count("count", count)
     evals0, jvps0 = model.eval_count, model.jvp_count
     x_t = grid.t_max * eq.normals(rng, (count, model.dim), proj)
     log_prior = prior_log_density(x_t, grid.t_max, proj)

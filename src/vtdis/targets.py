@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from . import equivariant as eq
-from .gaussians import LOG_2PI, as_batch, logsumexp, softmax_from_log
+from .gaussians import (LOG_2PI, as_batch, logsumexp, require_count,
+                        softmax_from_log)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +300,9 @@ MALA_TARGET_ACCEPT = 0.574
 class McmcReport:
     """``acceptance_rate`` is over every proposal, burn-in included;
     ``chain_acceptance`` (n_chains,) is each chain's rate after burn-in,
-    at its frozen ``step_size`` (n_chains,)."""
+    at its frozen step size."""
 
     acceptance_rate: float
-    step_size: np.ndarray
     chain_acceptance: np.ndarray
     warnings: list = field(default_factory=list)
 
@@ -326,14 +326,12 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     remains exact for the capped target.
 
     Returns ``(samples (count, dim), report)``; a ``count``,
-    ``n_chains`` or ``thin`` below 1, or a negative ``burn_in``, raises
-    ``ValueError``.
+    ``n_chains`` or ``thin`` that is not an integer >= 1, or a
+    ``burn_in`` that is not one >= 0, raises ``ValueError``.
     """
     for name, value, least in (("count", count, 1), ("n_chains", n_chains, 1),
                                ("thin", thin, 1), ("burn_in", burn_in, 0)):
-        if value < least:
-            raise ValueError(
-                f"mcmc_sample needs {name} >= {least}, got {value}")
+        require_count(name, value, least)
     dim = target.dim
     proj = getattr(target, "proj", None)
 
@@ -383,9 +381,7 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     samples = np.concatenate(keep, axis=0)[:count]
     rate = accepts / (n_chains * total_iters)
-    report = McmcReport(
-        acceptance_rate=float(rate), step_size=h,
-        chain_acceptance=chain_accepts / (total_iters - burn_in))
+    report = McmcReport(float(rate), chain_accepts / (total_iters - burn_in))
     if not 0.1 <= rate <= 0.9:
         report.warnings.append(
             f"acceptance rate {rate:.3f} outside [0.1, 0.9]")

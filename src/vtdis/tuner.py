@@ -23,11 +23,12 @@ of pool batch ``it mod P``.  A step is one stacked
 all N steps: residuals (N, B, dim), raw parameters (N, p) and base
 variances (N,) in, (N, B) log-densities and (N, p) gradients out, and no
 denoiser call.  The spec is the one class of its covariance kind
-(``vtdis.gaussians``), and ``make_param_spec`` is the only place that
-maps a kind name to a class; nothing else branches on the kind.  The
-result is the proposal ``(spec, raws)`` that the samplers and the bound
-metrics take, and ``batch_log_weights`` is the one log-weight function of
-a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
+(``vtdis.gaussians``), and ``make_param_spec`` looks a kind name up in
+the one table of classes, whose keys are ``TUNABLE_KINDS``; nothing else
+branches on the kind.  The result is the proposal ``(spec, raws)`` that
+the samplers and the bound metrics take, and ``batch_log_weights`` is
+the one log-weight function of a forward batch, shared with
+``vtdis.metrics.elbo_eubo``.
 
 ``TUNABLE_KINDS`` are isotropic and diagonal on vector data, and
 isotropic alone on the zero-CoM subspace of particle systems.
@@ -48,7 +49,9 @@ from .denoisers import Adam, cosine_lr
 from .diffusion import ForwardBatch, forward_residuals
 from .schedule import TimeGrid
 
-TUNABLE_KINDS = ("isotropic", "diagonal")
+# the spec class of each tunable covariance kind
+_SPECS = {"isotropic": ga.IsotropicParams, "diagonal": ga.DiagonalParams}
+TUNABLE_KINDS = tuple(_SPECS)
 
 # relative change of the windowed mean loss below which tuning stops
 PLATEAU_TOL = 1e-4
@@ -64,14 +67,12 @@ def make_param_spec(kind: str, dim: int,
     or the subspace dimension for particle systems.  Diagonal is not
     defined on the zero-CoM subspace: its draws would leave it.
     """
+    if kind not in _SPECS:
+        raise ValueError(f"unknown covariance kind {kind!r}")
     if proj is not None and kind == "diagonal":
         raise ValueError("diagonal covariance is not defined on the CoM "
                          "subspace; use isotropic")
-    if kind == "isotropic":
-        return ga.IsotropicParams(dim)
-    if kind == "diagonal":
-        return ga.DiagonalParams(dim)
-    raise ValueError(f"unknown covariance kind {kind!r}")
+    return _SPECS[kind](dim)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,13 @@ class TuneResult:
 
 
 def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
-         config: TunerConfig | None = None, *, data: np.ndarray | None = None,
+         config: TunerConfig, *, data: np.ndarray,
          proj: eq.ComProjection | None = None) -> TuneResult:
     """Optimize per-step covariances against a frozen score model.
 
     First draws the pool: ``P = min(iterations, POOL_BATCHES)`` batches
-    of ``batch_size`` x_0 (from ``data`` rows or from ``target.sample``),
-    each noised forward by one ``forward_residuals`` call and scored by
+    of ``batch_size`` x_0, rows of ``data`` drawn with replacement, each
+    noised forward by one ``forward_residuals`` call and scored by
     ``target.log_density``; this is all the denoiser work, N * P *
     ``batch_size`` evaluations.  Starts from the moment match over the
     whole pool, then takes one Adam step on the alpha = 2 objective of
@@ -164,16 +165,12 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     plateaus (relative change below ``PLATEAU_TOL`` across
     ``plateau_window`` iterations).
     """
-    config = config or TunerConfig()
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim, proj)
     bases = grid.ddpm_vars
     pool = []
     for _ in range(min(config.iterations, POOL_BATCHES)):
-        if data is not None:
-            x0 = data[rng.integers(0, data.shape[0], size=config.batch_size)]
-        else:
-            x0 = target.sample(rng, config.batch_size)
+        x0 = data[rng.integers(0, data.shape[0], size=config.batch_size)]
         if proj is not None:
             x0 = eq.com_project(x0, proj)
         pool.append((forward_residuals(rng, x0, model, grid, proj),

@@ -490,7 +490,7 @@ class TestCounters:
         assert model.eval_count == 0 and model.jvp_count == 0
 
     def test_exact_divergence_counts_jvp_rows(self):
-        # Heun makes 1 + 2N divergence calls; the exact divergence of each
+        # Heun makes 2N divergence calls; the exact divergence of each
         # point is priced at dim directional derivatives
         gmm = tg.two_mode_gmm(3)
         model = dn.AnalyticGmmScore(gmm)
@@ -499,7 +499,7 @@ class TestCounters:
         out = pf.ode_is_weights(np.random.default_rng(0), model, gmm, grid,
                                 pf.OdeRunConfig(divergence="exact"), count)
         assert out["metadata"]["jvp_evals"] == \
-            count * gmm.dim * (2 * grid.n_steps + 1)
+            count * gmm.dim * 2 * grid.n_steps
         with pytest.raises(ValueError):
             model.score_and_div(np.zeros((2, gmm.dim + 1)), 1.0)
 

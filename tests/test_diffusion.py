@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_trajectory_matches_batch_of_one(case):
                                         proposal, GRID, proj)
     x0, log_q, log_p = df.reverse_sample_batch(np.random.default_rng(5),
                                                model, proposal, GRID, 1, proj)
-    assert np.array_equal(traj.x0, x0[0])
+    assert np.array_equal(traj.states[0], x0[0])
     assert traj.log_q_cond == log_q[0]
     assert traj.log_p_joint == log_p[0]
 
@@ -89,13 +91,19 @@ def test_elbo_eubo_rejects_wrong_covariance_count(extra):
 
 
 def test_elbo_eubo_needs_a_repeat():
-    # with none, the bounds were NaN means of empty lists
+    # with no repeat, the bounds were NaN means of empty lists; a float
+    # count failed inside numpy with a TypeError that named nothing
     model, proposal, proj = com_case()
     x0 = eq.com_project(np.random.default_rng(8).standard_normal((2, 8)),
                         proj)
-    with pytest.raises(ValueError, match="repeats >= 1, got 0"):
-        mt.elbo_eubo(np.random.default_rng(9), x0, model, proposal, GRID,
-                     inner=2, proj=proj, repeats=0)
+    for inner, repeats, message in [
+            (2, 0, "repeats must be an integer >= 1, got 0"),
+            (2, 1.5, "repeats must be an integer >= 1, got 1.5"),
+            (1, 1, "inner must be an integer >= 2, got 1"),
+            (2.5, 1, "inner must be an integer >= 2, got 2.5")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mt.elbo_eubo(np.random.default_rng(9), x0, model, proposal, GRID,
+                         inner=inner, proj=proj, repeats=repeats)
 
 
 def test_x0_off_the_subspace_is_rejected():
@@ -122,11 +130,13 @@ def test_stored_state_off_the_subspace_is_rejected():
         df.recompute_log_densities(traj, model, proposal, proj)
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, True, 2.5])
 def test_reverse_sampler_needs_a_trajectory(count):
-    # count=0 returned empty arrays and -1 failed in numpy
+    # count=0 returned empty arrays and -1 failed in numpy; True and 2.5
+    # failed inside numpy with a TypeError that named nothing
     model, proposal, proj = ambient_case()
-    with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be an integer >= 1, got {count!r}")):
         df.reverse_sample_batch(np.random.default_rng(13), model, proposal,
                                 GRID, count, proj)
 
@@ -178,7 +188,8 @@ class TestUnbiasedWeights:
         spec = ga.IsotropicParams(gmm.dim)
         tuned = tu.tune(np.random.default_rng(0), model, gmm, self.GRID,
                         "diagonal", tu.TunerConfig(iterations=50,
-                                                   batch_size=64, lr=0.1))
+                                                   batch_size=64, lr=0.1),
+                        data=gmm.sample(np.random.default_rng(1), 4096))
         assert not np.array_equal(tuned.raws, np.tile(
             tuned.spec.init(), (self.GRID.n_steps, 1)))
         return {"baseline": (spec, np.tile(spec.init(),

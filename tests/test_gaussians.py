@@ -204,11 +204,13 @@ class TestRawParamGradients:
         d = 3
         gmm = tg.two_mode_gmm(d)
         model, grid = AnalyticGmmScore(gmm), karras_grid(4, 1e-3, 10.0, 7.0)
+        data = gmm.sample(np.random.default_rng(20), 64)
         result = tu.tune(np.random.default_rng(21), model, gmm, grid, kind,
-                         tu.TunerConfig(iterations=3, batch_size=32, lr=0.05))
+                         tu.TunerConfig(iterations=3, batch_size=32, lr=0.05),
+                         data=data)
         rng = np.random.default_rng(21)
-        deltas = [forward_residuals(rng, gmm.sample(rng, 32), model,
-                                    grid).deltas for _ in range(3)]
+        deltas = [forward_residuals(rng, data[rng.integers(0, 64, size=32)],
+                                    model, grid).deltas for _ in range(3)]
         start = CLASSES[kind](d).moment_match(np.concatenate(deltas, axis=1),
                                               grid.ddpm_vars)
         assert np.all(result.raws != start)

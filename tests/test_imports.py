@@ -11,9 +11,9 @@ every path but the reverse sampler's draws.
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
 keeps an undeclared dependency (scipy is a test dependency only) from
-creeping back into ``src/vtdis``.  ``__init__.py`` is skipped
-for imports, because its imports are the package's re-exports, and so is
-``from __future__``.  A private helper is a module-level function or
+creeping back into ``src/vtdis``.  ``__init__.py`` holds only the package
+docstring and is checked like every other module; ``from __future__`` is
+skipped.  A private helper is a module-level function or
 class, or a method, whose name starts with one underscore and does not
 end with two (``__init__`` is not one); it counts as used when its name
 appears as a ``Name`` or an attribute anywhere in ``src/vtdis``.
@@ -35,8 +35,7 @@ from vtdis import tuner as tu
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vtdis"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,7 +53,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_are_found():
-    assert "tuner.py" in MODULES and "__init__.py" not in MODULES
+    assert "tuner.py" in MODULES and "__init__.py" in MODULES
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -101,10 +100,10 @@ def referenced_names(sources) -> set[str]:
     return refs
 
 
-@pytest.mark.parametrize("module", ALL_MODULES)
+@pytest.mark.parametrize("module", MODULES)
 def test_no_orphaned_private_helper(module):
     refs = referenced_names((SRC / m).read_text(encoding="utf-8")
-                            for m in ALL_MODULES)
+                            for m in MODULES)
     source = (SRC / module).read_text(encoding="utf-8")
     assert [n for n in private_definitions(source) if n not in refs] == []
 
@@ -195,7 +194,7 @@ def function_imports(source: str, module: str) -> set[tuple[str, str]]:
 def test_no_import_inside_a_function():
     found = set().union(*(
         function_imports((SRC / m).read_text(encoding="utf-8"), m)
-        for m in ALL_MODULES))
+        for m in MODULES))
     assert found == set()
 
 
@@ -222,7 +221,7 @@ def top_level_packages(source: str) -> set[str]:
 def test_runtime_imports_are_stdlib_numpy_or_vtdis():
     found = set().union(*(
         top_level_packages((SRC / m).read_text(encoding="utf-8"))
-        for m in ALL_MODULES))
+        for m in MODULES))
     assert found - sys.stdlib_module_names <= {"numpy", "vtdis"}
 
 
@@ -258,7 +257,7 @@ def call_sites(source: str, name: str) -> set[str]:
 
 def package_call_sites(name: str) -> set[tuple[str, str]]:
     """(module, scope) of every call of ``name`` in ``src/vtdis``."""
-    return {(m, scope) for m in ALL_MODULES
+    return {(m, scope) for m in MODULES
             for scope in call_sites((SRC / m).read_text(encoding="utf-8"),
                                     name)}
 

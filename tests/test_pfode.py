@@ -1,6 +1,8 @@
 """Probability-flow ODE: oracles for the flow and the divergence, and the
 fused one-pass-per-node path against separate calls."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def dense_jacobian(model, x, t):
 
 # ---------------------------------------------------------------------------
 # reference: the Heun loop with one score call and separate divergence calls
-# per node
+# at each step's start and predictor
 # ---------------------------------------------------------------------------
 
 def reference_divergence(model, x, t, config, rng, proj):
@@ -83,15 +85,14 @@ def reference_heun(x, model, grid, config, rng, proj):
 
     x2 = np.array(x, dtype=float)
     div_int = np.zeros(x2.shape[0])
-    f_cur, g_cur = node(x2, float(times[0]))
     for t_cur, t_next in zip(times[:-1], times[1:]):
         t_cur, t_next = float(t_cur), float(t_next)
         h = t_next - t_cur
+        f_cur, g_cur = node(x2, t_cur)
         x_pred = x2 + h * f_cur
         f_next, g_next = node(x_pred, t_next)
         x2 = x2 + 0.5 * h * (f_cur + f_next)
         div_int += 0.5 * h * (g_cur + g_next)
-        f_cur, g_cur = node(x2, t_next)
     return x2, div_int
 
 
@@ -122,7 +123,8 @@ def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
     count = 5
     pf.heun_integrate(GRID.t_max * points(count), model, GRID, cfg,
                       np.random.default_rng(3), PROJ if with_proj else None)
-    nodes = count * (2 * GRID.n_steps + 1)
+    # two nodes per Heun step: its start and its predictor
+    nodes = count * 2 * GRID.n_steps
     if cfg.divergence == "hutchinson":
         per_point = 1
     else:
@@ -215,7 +217,7 @@ def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
     rng = np.random.default_rng(5)
     draws = np.stack([pf.divergence_estimate(model, x, t, cfg, rng, proj)[1]
                       for _ in range(1000)])
-    exact = pf.divergence_estimate(model, x, t, CONFIGS["exact"], None,
+    exact = pf.divergence_estimate(model, x, t, CONFIGS["exact"], rng,
                                    proj)[1]
     se = np.std(draws, axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(se > 0)
@@ -226,11 +228,13 @@ def test_hutchinson_mean_matches_exact_divergence(backend, dist, with_proj):
 # likelihood oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 2.5])
 def test_ode_weights_need_a_sample(count):
-    # count=0 failed only in the ESS, with "no log weights"
+    # count=0 failed only in the ESS, with "no log weights", and 2.5
+    # inside numpy with a TypeError that named nothing
     model = BACKENDS["gmm"]()
-    with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be an integer >= 1, got {count}")):
         pf.ode_is_weights(np.random.default_rng(0), model,
                           tg.two_mode_gmm(DIM), GRID, CONFIGS["exact"], count)
 
@@ -250,7 +254,8 @@ def test_gaussian_likelihood_converges_to_analytic_density():
         grid = karras_grid(n, 1e-3, 10.0, 7.0)
         eps, big_t = grid.eps, grid.t_max
         x_eps, div_down = pf.heun_integrate(x_t, model, grid,
-                                            CONFIGS["exact"])
+                                            CONFIGS["exact"],
+                                            np.random.default_rng(1))
         want_x = mu + (x_t - mu) * np.sqrt((var + eps ** 2)
                                            / (var + big_t ** 2))
         want_div = -0.5 * d * np.log((var + big_t ** 2) / (var + eps ** 2))

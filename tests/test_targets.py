@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -511,16 +512,20 @@ class TestMcmc:
 
     @pytest.mark.parametrize("option,value,least", [
         ("count", 0, 1), ("n_chains", 0, 1), ("thin", 0, 1),
-        ("burn_in", -1, 0)], ids=["count", "n_chains", "thin", "burn_in"])
+        ("burn_in", -1, 0), ("count", 2.5, 1), ("n_chains", 2.5, 1),
+        ("thin", 2.5, 1), ("burn_in", 2.5, 0)],
+        ids=["count", "n_chains", "thin", "burn_in", "count-2.5",
+             "n_chains-2.5", "thin-2.5", "burn_in-2.5"])
     def test_count_options_out_of_range_are_rejected_by_name(
             self, option, value, least):
         # at 0, thin and count failed inside np.concatenate and n_chains
-        # in a reshape; burn_in = -1 returned 4 of the 8 rows asked for
+        # in a reshape; burn_in = -1 returned 4 of the 8 rows asked for;
+        # 2.5 failed inside numpy with a TypeError that named nothing
         options = {"count": 8, "n_chains": 4, "burn_in": 2, "thin": 1}
         options[option] = value
         count = options.pop("count")
-        with pytest.raises(ValueError,
-                           match=f"{option} >= {least}, got {value}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{option} must be an integer >= {least}, got {value}")):
             tg.mcmc_sample(np.random.default_rng(0), tg.DoubleWell(), count,
                            **options)
 
