@@ -5,20 +5,25 @@ returns batch-shaped results; any other shape raises ``ValueError``:
 
 * ``denoise(x, t)``    -> E[x0 | x_t = x] prediction, one per backend
 
-linked by the Tweedie identity ``denoise = x + t^2 * score``.  The score
-queries are written once, in ``_Counted``, on the backend's one primal
-pass ``_linearize``, which every tangent of the derivative queries of
-the probability-flow ODE likelihood reuses:
+linked by the Tweedie identity ``denoise = x + t^2 * score``, the score
+being the gradient of the log marginal at noise level t.  The score
+queries of the probability-flow ODE likelihood are written once, in
+``_Counted``, on the backend's one primal pass ``_linearize``, which
+every tangent reuses:
 
-* ``score(x, t)``               -> gradient of the log marginal at noise
-  level t
 * ``score_and_jvp(x, t, v)``    -> score and its directional derivative
   along one (B, d) tangent
 * ``score_and_div(x, t, proj)`` -> score and its exact divergence, the
   trace on the zero-center-of-mass subspace when ``proj`` is given
 
 The learned backends add ``forward_with_cache(x, t)``, the prediction and
-the cache that ``param_grad`` takes, and ``denoise_jvp(x, t, v)``.
+the cache that ``param_grad`` takes, and ``denoise_jvp(x, t, v)``.  Their
+``denoise`` runs the network on blocks of at most ``ROW_BLOCK`` network
+rows (one per point for the vector backend, one per pair and point for
+the particle backend), so that a large batch, such as the tuner's pool
+or the held-out bound's paths, keeps its activations small; the blocks
+are cut so that the result is bit for bit that of one pass.  The
+training pass and the derivative queries are not blocked.
 
 ``AnalyticGmmScore`` wraps the closed-form mixture score.  The trainable
 backends are small networks with hand-written reverse-mode gradients and
@@ -42,6 +47,7 @@ has a closed form.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -53,6 +59,9 @@ from .gaussians import as_batch, require_count
 
 MAGIC = b"VTDNOISE"
 CHECKPOINT_VERSION = 1
+
+# most network rows in one pass of a learned backend's ``denoise``
+ROW_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +243,6 @@ class _Counted:
                              f"shape {x2.shape}")
         return x2, v2
 
-    def score(self, x, t):
-        """Score of a (B, d) batch, from the primal pass alone."""
-        x2 = as_batch(x, self.dim)
-        score = self._linearize(x2, t)[0]
-        self.eval_count += x2.shape[0]
-        return score
-
     def score_and_jvp(self, x, t, v):
         """Score of a (B, d) batch and its directional derivative along
         the (B, d) tangent ``v``, from one primal pass."""
@@ -307,8 +309,9 @@ class _Preconditioned(_Counted):
 
     A subclass supplies ``_primal(x2, tv)`` -> (D(x), cache), one network
     pass whose cache serves both ``param_grad`` and ``_tangent(cache, v)``,
-    the directional derivative of D along v.  ``sigma_data``, the data
-    scale of the preconditioning, must be positive and finite.
+    the directional derivative of D along v, and ``net_rows``, the rows
+    of that pass per point.  ``sigma_data``, the data scale of the
+    preconditioning, must be positive and finite.
     """
 
     def __init__(self, sigma_data: float):
@@ -325,7 +328,28 @@ class _Preconditioned(_Counted):
         return self._primal(x2, tv)
 
     def denoise(self, x, t):
-        return self.forward_with_cache(x, t)[0]
+        """D(x, t) of a (B, d) batch, from ``_primal`` on blocks of at
+        most ``ROW_BLOCK`` network rows.
+
+        The blocks are of equal size, and each but the last is whole
+        groups of 4 network rows.  OpenBLAS computes the rows of a
+        matrix-vector product (the network's one-output layer) 4 at a
+        time and a remainder by another kernel, and a product of few
+        rows by yet another, so a block cut elsewhere, or a short last
+        block, would round some rows differently from one pass.
+        """
+        x2 = as_batch(x, self.dim)
+        tv = self._tvec(t, x2.shape[0])
+        self.eval_count += x2.shape[0]
+        group = 4 // math.gcd(self.net_rows, 4)      # points per 4 rows
+        groups = -(-x2.shape[0] // group)
+        parts = -(-groups // max(1, ROW_BLOCK // (group * self.net_rows)))
+        if parts <= 1:
+            return self._primal(x2, tv)[0]
+        cuts = group * (np.arange(1, parts) * groups // parts)
+        return np.concatenate([
+            self._primal(xb, tb)[0]
+            for xb, tb in zip(np.split(x2, cuts), np.split(tv, cuts))])
 
     def denoise_jvp(self, x, t, v):
         """Directional derivative of denoise(x, t) along a (B, d) tangent v."""
@@ -346,6 +370,7 @@ class VectorDenoiser(_Preconditioned):
     """Preconditioned dense network for unstructured vector data."""
 
     kind = "vector"
+    net_rows = 1
 
     def __init__(self, dim: int, hidden: list[int], sigma_data: float,
                  rng: np.random.Generator | None = None):
@@ -400,6 +425,7 @@ class RadialDenoiser(_Preconditioned):
         self.dim = n_particles * spatial_dim
         self.net = Mlp([3] + list(hidden) + [1], rng)
         self.proj = eq.ComProjection(n_particles, spatial_dim)
+        self.net_rows = self.proj.incidence.shape[1]
 
     def _primal(self, x2, tv):
         c_skip, c_out, c_in, c_noise = precond_coeffs(tv, self.sigma_data)

@@ -50,7 +50,8 @@ from .schedule import TimeGrid
 def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
     """log N(delta; 0, var I) per row, over the subspace with ``proj``."""
     d = delta.shape[-1] if proj is None else proj.subspace_dim
-    return ga._scaled_log_density(delta, var, d)
+    return ga._iso_log_density(np.einsum("...d,...d->...", delta, delta),
+                               var, d)
 
 
 def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
@@ -80,7 +81,8 @@ class StepKernel:
         delta = x - mean
         if self.proj is not None:
             eq._check_on_subspace(delta, self.proj, "residual")
-        return self.spec.log_density(delta, self.raw, self.base)
+        return self.spec.log_density(self.spec.stats(delta), self.raw,
+                                     self.base)
 
     def sample(self, rng: np.random.Generator, mean: np.ndarray
                ) -> np.ndarray:
@@ -190,8 +192,8 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
                             ) -> tuple[float, float]:
     """Joint log-densities of a stored trajectory (the cache check),
     scored by the residual pass of ``forward_residuals`` and one stacked
-    ``spec.log_density``; with ``proj`` a residual off the zero-CoM
-    subspace raises ``ValueError``."""
+    ``spec.log_density`` of ``spec.stats``; with ``proj`` a residual off
+    the zero-CoM subspace raises ``ValueError``."""
     grid = traj.grid
     spec, raws, bases = proposal_steps(proposal, grid)
     path = traj.states[:, None, :].copy()
@@ -200,7 +202,8 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
     if proj is not None:
         eq._check_on_subspace(deltas, proj, "residual")
     log_p = (prior_log_density(path[-1], grid.t_max, proj)
-             + np.sum(spec.log_density(deltas, raws, bases), axis=0))
+             + np.sum(spec.log_density(spec.stats(deltas), raws, bases),
+                      axis=0))
     return float(log_q[0]), float(log_p[0])
 
 

@@ -15,23 +15,33 @@ Both classes have the same duck-typed interface:
     n_params                              -> int
     init()                                -> raw vector at C = I, the
                                              untuned baseline
-    moment_match(deltas, bases)           -> (N, p) raws of the moment
+    stats(deltas)                         -> the residuals' second-moment
+                                             statistic, s below
+    moment_match(s, bases)                -> (N, p) raws of the moment
                                              match, the tuner's start
-    log_density(deltas, raw, base)        -> log N(delta; 0, Sigma) per row
-    weighted_grad(deltas, raw, base, w)   -> d/draw sum_b w_b log N(delta_b)
+    log_density(s, raw, base)             -> log N(delta; 0, Sigma) per row
+    weighted_grad(s, raw, base, w)        -> d/draw sum_b w_b log N(delta_b)
     draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
 
+A Gaussian of zero mean reads a residual only through its second
+moments, so densities, gradients and the moment match take
+``s = stats(deltas)`` in place of the residuals: ||delta||^2 per row
+(isotropic, deltas (..., B, d) -> (..., B)) or delta^2 per coordinate
+(diagonal, the shape of deltas).  A caller that evaluates one batch of
+residuals under many raw parameters (the tuner) forms it once.
 ``log_density`` and ``weighted_grad`` broadcast in closed form over an
-optional leading step axis: deltas (N, B, d), raw (N, p) and base (N,)
-give (N, B) and (N, p), step n using raw[n] and base[n], with the
-weights (B,) shared by every step.  ``moment_match`` takes residuals
-(N, B, d) and base variances (N,) and returns the raws whose variances
-are the residuals' second moments, the Analytic-DPM / SN-DPM moment
-match (Bao et al., 2022): the zero of ``weighted_grad`` under uniform
-weights, so the maximum of the average log-density over the rows.  Each
-of ``log_density`` and ``weighted_grad`` rejects variances that are not
-positive and finite (softplus underflows to 0 below -745) with a
-``ValueError``.  ``draw`` takes the zero-CoM projection of a particle
+optional leading step axis: statistics of deltas (N, B, d), raw (N, p)
+and base (N,) give (N, B) and (N, p), step n using raw[n] and base[n],
+with the weights (B,) shared by every step.  ``moment_match`` takes the
+statistics of residuals (N, B, d) and base variances (N,) and returns
+the raws whose variances are the residuals' second moments, the
+Analytic-DPM / SN-DPM moment match (Bao et al., 2022): the zero of
+``weighted_grad`` under uniform weights, so the maximum of the average
+log-density over the rows.  ``log_density`` and ``draw`` reject
+variances that are not positive and finite (softplus underflows to 0
+below -745) with a ``ValueError``; ``weighted_grad`` does not check
+again, and the tuner calls it only on raws that ``log_density`` has
+just scored.  ``draw`` takes the zero-CoM projection of a particle
 system: the isotropic draw takes its normals from
 ``vtdis.equivariant.normals``, and diagonal is ambient only
 (``make_param_spec`` rejects it on the subspace).
@@ -138,22 +148,13 @@ def sigmoid(z):
     return out
 
 
-def _scaled_log_density(delta: np.ndarray, v, dim: int) -> np.ndarray:
-    """log N(delta; 0, diag(v)) per row of ``delta`` (..., B, d) -> (..., B).
-
-    ``v`` is isotropic, one variance per leading index (shape ``(...)``),
-    or diagonal, one per coordinate (shape ``(..., d)``); ``dim`` is the
+def _iso_log_density(q, v, dim: int) -> np.ndarray:
+    """log N(delta; 0, v I) per row from q = ||delta||^2 (..., B), one
+    variance per leading index (shape ``(...)``); ``dim`` is the
     dimension the kernel normalises over.  The leading axes are the
-    optional step axis of the stacked tuner objective.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == delta.ndim - 2:
-        v = v[..., None]
-        q = np.einsum("...d,...d->...", delta, delta)
-        return -0.5 * dim * (LOG_2PI + np.log(v)) - 0.5 * q / v
-    v = v[..., None, :]
-    q = np.einsum("...d,...d->...", delta, delta / v)
-    return -0.5 * (dim * LOG_2PI + np.sum(np.log(v), axis=-1)) - 0.5 * q
+    optional step axis of the stacked tuner objective."""
+    v = np.asarray(v, dtype=float)[..., None]
+    return -0.5 * dim * (LOG_2PI + np.log(v)) - 0.5 * q / v
 
 
 def _spec_variances(base, etas) -> np.ndarray:
@@ -183,25 +184,28 @@ class IsotropicParams:
     def init(self) -> np.ndarray:
         return np.array([float(softplus_inv(1.0))])
 
-    def moment_match(self, deltas, bases) -> np.ndarray:
+    def stats(self, deltas) -> np.ndarray:
+        """||delta||^2 per row: (..., B, d) -> (..., B)."""
+        return np.einsum("...d,...d->...", deltas, deltas)
+
+    def moment_match(self, q, bases) -> np.ndarray:
         """eta_n = sum ||delta||^2 / (rows * dim * base_n)."""
-        q = np.einsum("nbd,nbd->n", deltas, deltas)
-        eta = q / (deltas.shape[1] * self.dim * np.asarray(bases, dtype=float))
+        eta = np.sum(q, axis=1) / (q.shape[1] * self.dim
+                                   * np.asarray(bases, dtype=float))
         return softplus_inv(eta)[:, None]
 
-    def log_density(self, deltas, raw, base) -> np.ndarray:
+    def log_density(self, q, raw, base) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
-        return _scaled_log_density(
-            deltas, _spec_variances(base, softplus(raw[..., 0])), self.dim)
+        return _iso_log_density(
+            q, _spec_variances(base, softplus(raw[..., 0])), self.dim)
 
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
+    def weighted_grad(self, q, raw, base, weights) -> np.ndarray:
         raw = np.asarray(raw, dtype=float)
         eta = softplus(raw[..., :1])                  # (..., 1)
         base = np.asarray(base, dtype=float)[..., None]
-        q = np.einsum("...d,...d->...", deltas, deltas)
-        g_eta = np.sum(weights * (q / (2.0 * base * eta * eta)
-                                  - self.dim / (2.0 * eta)), axis=-1)
-        return g_eta[..., None] * sigmoid(raw[..., :1])
+        g_eta = (q @ weights[:, None] / (2.0 * base * eta * eta)
+                 - self.dim * np.sum(weights) / (2.0 * eta))
+        return g_eta * sigmoid(raw[..., :1])
 
     def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
         """One draw per row of ``mean`` from one block of ambient normals,
@@ -220,20 +224,25 @@ class DiagonalParams:
     def init(self) -> np.ndarray:
         return np.full(self.dim, float(softplus_inv(1.0)))
 
-    def moment_match(self, deltas, bases) -> np.ndarray:
+    def stats(self, deltas) -> np.ndarray:
+        """delta^2 per coordinate, the shape of ``deltas``."""
+        return np.square(deltas)
+
+    def moment_match(self, sq, bases) -> np.ndarray:
         """eta_nk = mean delta_k^2 / base_n over the rows."""
-        second = np.mean(deltas * deltas, axis=1)
+        second = np.mean(sq, axis=1)
         return softplus_inv(second / np.asarray(bases, dtype=float)[:, None])
 
-    def log_density(self, deltas, raw, base) -> np.ndarray:
+    def log_density(self, sq, raw, base) -> np.ndarray:
         base = np.asarray(base, dtype=float)[..., None]
-        return _scaled_log_density(
-            deltas, _spec_variances(base, softplus(raw)), self.dim)
+        v = _spec_variances(base, softplus(raw))      # (..., d)
+        log_norm = -0.5 * (self.dim * LOG_2PI + np.sum(np.log(v), axis=-1))
+        return log_norm[..., None] - 0.5 * (sq @ (1.0 / v)[..., None])[..., 0]
 
-    def weighted_grad(self, deltas, raw, base, weights) -> np.ndarray:
+    def weighted_grad(self, sq, raw, base, weights) -> np.ndarray:
         etas = softplus(raw)
         base = np.asarray(base, dtype=float)[..., None]
-        g = (weights @ (deltas * deltas)) / (2.0 * base * etas * etas) \
+        g = (weights @ sq) / (2.0 * base * etas * etas) \
             - np.sum(weights) / (2.0 * etas)
         return g * sigmoid(raw)
 

@@ -13,22 +13,27 @@ always drawn from the forward process; only the Gaussian covariance terms
 depend on phi, so denoiser predictions are computed once per batch and
 the gradient is assembled from the analytic per-structure formulas.
 
-Tuning draws one pool of forward batches before any step: at most
-``POOL_BATCHES`` ``forward_residuals`` calls of ``batch_size`` rows (one
-denoiser call per step each), never more than one per iteration.  It
-starts from the moment match of the whole pool (``spec.moment_match``),
-and then iteration ``it`` takes one Adam step on the alpha = 2 objective
-of pool batch ``it mod P``.  A step is one stacked
-``spec.log_density`` and one stacked ``spec.weighted_grad`` call over
-all N steps: residuals (N, B, dim), raw parameters (N, p) and base
-variances (N,) in, (N, B) log-densities and (N, p) gradients out, and no
-denoiser call.  The spec is the one class of its covariance kind
-(``vtdis.gaussians``), and ``make_param_spec`` looks a kind name up in
-the one table of classes, whose keys are ``TUNABLE_KINDS``; nothing else
-branches on the kind.  The result is the proposal ``(spec, raws)`` that
-the samplers and the bound metrics take, and ``batch_log_weights`` is
-the one log-weight function of a forward batch, shared with
-``vtdis.metrics.elbo_eubo``.
+Tuning draws its whole pool in one pass before any step: ``P =
+min(iterations, POOL_BATCHES)`` batches of ``batch_size`` rows, noised
+forward by one ``forward_residuals`` call of ``P * batch_size`` rows (one
+denoiser call per step) and scored by one ``target.log_density`` call.
+Pool batch p is rows ``p * batch_size`` to ``(p + 1) * batch_size``.  A
+Gaussian step reads a fixed residual only through its second moments,
+so the pool keeps ``spec.stats`` of the residuals, one contiguous
+``StatsBatch`` per pool batch, and the residuals themselves are dropped.
+Tuning starts from the moment match of the whole pool
+(``spec.moment_match``), and then iteration ``it`` takes one Adam step on
+the alpha = 2 objective of pool batch ``it mod P``.  A step is one
+stacked ``spec.log_density`` and one stacked ``spec.weighted_grad`` call
+over all N steps: statistics (N, B) or (N, B, dim), raw parameters
+(N, p) and base variances (N,) in, (N, B) log-densities and (N, p)
+gradients out, and no denoiser call and no pass over the residuals.  The
+spec is the one class of its covariance kind (``vtdis.gaussians``), and
+``make_param_spec`` looks a kind name up in the one table of classes,
+whose keys are ``TUNABLE_KINDS``; nothing else branches on the kind.
+The result is the proposal ``(spec, raws)`` that the samplers and the
+bound metrics take, and ``batch_log_weights`` is the one log-weight
+function of a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
 
 ``TUNABLE_KINDS`` are isotropic and diagonal on vector data, and
 isotropic alone on the zero-CoM subspace of particle systems.
@@ -79,24 +84,46 @@ def make_param_spec(kind: str, dim: int,
 # objective
 # ---------------------------------------------------------------------------
 
+@dataclass
+class StatsBatch:
+    """A forward batch reduced to what an alpha = 2 step reads: the spec's
+    statistics of its residuals, and the part of log w that no covariance
+    touches."""
+
+    stats: np.ndarray    # (N, B) isotropic, (N, B, dim) diagonal
+    offset: np.ndarray   # (B,) log pi(x0) + log q(x_{1:N} | x0) - log p(x_N)
+
+    @property
+    def count(self) -> int:
+        return self.stats.shape[1]
+
+
+def stats_batch(batch: ForwardBatch, spec, log_pi) -> StatsBatch:
+    """``batch`` under ``spec`` with the target log-density ``log_pi`` of
+    its x_0."""
+    return StatsBatch(spec.stats(batch.deltas),
+                      log_pi + batch.log_q_cond - batch.log_prior)
+
+
 def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
                       bases: np.ndarray, log_pi: np.ndarray) -> np.ndarray:
     """log w per trajectory for the current raw parameters.
 
-    One stacked ``spec.log_density`` call covers every step of up to
-    ``rows`` trajectories.  A diagonal density makes one (N, rows, dim)
-    temporary, so a larger batch (the held-out bounds) goes in blocks of
-    rows; every value is the same as from one call.
+    One stacked ``spec.log_density`` call on ``spec.stats`` covers every
+    step of up to ``rows`` trajectories.  A diagonal statistic is as
+    large as the residuals, so a larger batch (the held-out bounds) goes
+    in blocks of rows and never holds a second path-sized array; every
+    value is the same as from one call.
     """
     rows = 1024
-    log_p_steps = [np.sum(spec.log_density(batch.deltas[:, i:i + rows], raws,
-                                           bases), axis=0)
-                   for i in range(0, batch.count, rows)]
+    log_p_steps = [np.sum(spec.log_density(
+        spec.stats(batch.deltas[:, i:i + rows]), raws, bases), axis=0)
+        for i in range(0, batch.count, rows)]
     return (log_pi + batch.log_q_cond - batch.log_prior
             - np.concatenate(log_p_steps))
 
 
-def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi):
+def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
     """Loss value and exact gradient w.r.t. the per-step raw parameters.
 
     The gradient of the logsumexp objective is the softmax-weighted sum
@@ -105,10 +132,11 @@ def loss_and_gradient(batch: ForwardBatch, spec, raws, bases, log_pi):
     """
     if batch.count == 0:
         raise ValueError("empty batch")
-    lw = batch_log_weights(batch, spec, raws, bases, log_pi)
+    lw = batch.offset - np.sum(spec.log_density(batch.stats, raws, bases),
+                               axis=0)
     loss = float(ga.logsumexp(lw) - np.log(batch.count))
     weights = ga.softmax_from_log(lw)
-    grad = -spec.weighted_grad(batch.deltas, raws, bases, weights)
+    grad = -spec.weighted_grad(batch.stats, raws, bases, weights)
     return loss, grad, lw
 
 
@@ -155,9 +183,9 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     """Optimize per-step covariances against a frozen score model.
 
     First draws the pool: ``P = min(iterations, POOL_BATCHES)`` batches
-    of ``batch_size`` x_0, rows of ``data`` drawn with replacement, each
-    noised forward by one ``forward_residuals`` call and scored by
-    ``target.log_density``; this is all the denoiser work, N * P *
+    of ``batch_size`` x_0, rows of ``data`` drawn with replacement, all
+    noised forward by one ``forward_residuals`` call and scored by one
+    ``target.log_density`` call; this is all the denoiser work, N * P *
     ``batch_size`` evaluations.  Starts from the moment match over the
     whole pool, then takes one Adam step on the alpha = 2 objective of
     pool batch ``it mod P`` per iteration, with a cosine learning-rate
@@ -168,22 +196,26 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim, proj)
     bases = grid.ddpm_vars
+    size = config.batch_size
+    n_batches = min(config.iterations, POOL_BATCHES)
+    x0 = data[rng.integers(0, data.shape[0], size=n_batches * size)]
+    if proj is not None:
+        x0 = eq.com_project(x0, proj)
+    whole = stats_batch(forward_residuals(rng, x0, model, grid, proj), spec,
+                        target.log_density(x0))
+    raws = spec.moment_match(whole.stats, bases)
     pool = []
-    for _ in range(min(config.iterations, POOL_BATCHES)):
-        x0 = data[rng.integers(0, data.shape[0], size=config.batch_size)]
-        if proj is not None:
-            x0 = eq.com_project(x0, proj)
-        pool.append((forward_residuals(rng, x0, model, grid, proj),
-                     target.log_density(x0)))
-    raws = spec.moment_match(
-        np.concatenate([batch.deltas for batch, _ in pool], axis=1), bases)
+    for p in range(n_batches):
+        rows = slice(p * size, (p + 1) * size)
+        pool.append(StatsBatch(np.ascontiguousarray(whole.stats[:, rows]),
+                               whole.offset[rows]))
     opt = Adam([raws])
     losses = []
     half = config.plateau_window // 2
 
     for it in range(config.iterations):
-        batch, log_pi = pool[it % len(pool)]
-        loss, grad, _ = loss_and_gradient(batch, spec, raws, bases, log_pi)
+        loss, grad, _ = loss_and_gradient(pool[it % n_batches], spec, raws,
+                                          bases)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")

@@ -13,6 +13,11 @@ def zero_com(x, m, n):
     return eq.com_project(x, eq.ComProjection(m, n))
 
 
+def score(model, x, t):
+    """The score alone, from the fused query along a zero tangent."""
+    return model.score_and_jvp(x, t, np.zeros_like(x))[0]
+
+
 def finite_diff_param_grads(model, x, t, d_out, h=1e-6):
     """Central differences through the full forward pass."""
     def total():
@@ -44,7 +49,7 @@ class TestAnalyticBackend:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 3))
         for t in [0.05, 0.8, 10.0]:
-            want = x + t * t * model.score(x, t)
+            want = x + t * t * score(model, x, t)
             assert np.allclose(model.denoise(x, t), want, atol=1e-12)
 
     def test_single_gaussian_posterior_mean(self):
@@ -61,7 +66,7 @@ class TestAnalyticBackend:
         x = np.array([[0.4, -0.9]])
         assert np.allclose(model.denoise(x, 0.0), x, atol=1e-12)
 
-    @pytest.mark.parametrize("query", ["denoise", "score", "score_and_div",
+    @pytest.mark.parametrize("query", ["denoise", "score_and_div",
                                        "score_and_jvp"])
     @pytest.mark.parametrize("t", [-0.5, np.nan, np.inf, [0.5, 0.5]])
     def test_noise_level_out_of_range_is_rejected_by_name(self, query, t):
@@ -143,7 +148,7 @@ class TestMlpMachinery:
         x = rng.standard_normal((3, 2))
         t = 1.7
         assert np.allclose(model.denoise(x, t),
-                           x + t * t * model.score(x, t), atol=1e-12)
+                           x + t * t * score(model, x, t), atol=1e-12)
 
     def test_nan_activation_reports_layer(self):
         model = dn.VectorDenoiser(2, [4], 1.0)
@@ -163,10 +168,62 @@ class TestMlpMachinery:
                 up, dn_ = x[row:row + 1].copy(), x[row:row + 1].copy()
                 up[0, i] += h
                 dn_[0, i] -= h
-                tr += (model.score(up, t)[0, i]
-                       - model.score(dn_, t)[0, i]) / (2 * h)
+                tr += (score(model, up, t)[0, i]
+                       - score(model, dn_, t)[0, i]) / (2 * h)
             assert model.score_and_div(x, t)[1][row] == pytest.approx(
                 tr, rel=1e-4)
+
+
+# learned backends at one network row per point and at 78 (LJ-13 pairs)
+BLOCKED = {
+    "vector": lambda: dn.VectorDenoiser(3, [8], 1.3,
+                                        np.random.default_rng(21)),
+    "radial": lambda: dn.RadialDenoiser(13, 3, [8], 1.3,
+                                        np.random.default_rng(22)),
+}
+
+
+def blocked_points(model, count, rng):
+    x = rng.standard_normal((count, model.dim))
+    return x if model.kind == "vector" else eq.com_project(x, model.proj)
+
+
+@pytest.mark.parametrize("backend", list(BLOCKED))
+def test_row_blocked_denoise_is_one_pass_bit_for_bit(backend):
+    # below, at and across the first block boundary, and several blocks
+    model = BLOCKED[backend]()
+    rows_of_block = []
+    forward = model.net.forward
+
+    def counted(x):
+        rows_of_block.append(x.shape[0])
+        return forward(x)
+
+    model.net.forward = counted
+    per_block = dn.ROW_BLOCK // model.net_rows
+    rng = np.random.default_rng(23)
+    for count in (per_block - 1, per_block, per_block + 1,
+                  5 * per_block + 3):
+        x = blocked_points(model, count, rng)
+        t = rng.uniform(0.01, 10.0, count)
+        model.reset_counters()
+        rows_of_block.clear()
+        got = model.denoise(x, t)
+        assert model.eval_count == count
+        assert max(rows_of_block) <= dn.ROW_BLOCK
+        assert sum(rows_of_block) == count * model.net_rows
+        assert len(rows_of_block) == -(-count // per_block)
+        assert np.array_equal(got, model.forward_with_cache(x, t)[0])
+
+
+@pytest.mark.parametrize("backend", list(BLOCKED))
+def test_nan_weight_reports_layer_in_a_blocked_batch(backend):
+    model = BLOCKED[backend]()
+    model.net.params[0][0, 0] = np.nan
+    count = 2 * dn.ROW_BLOCK // model.net_rows + 1
+    x = blocked_points(model, count, np.random.default_rng(24))
+    with pytest.raises(FloatingPointError, match="layer 0"):
+        model.denoise(x, 1.0)
 
 
 class TestMlpAliasing:
@@ -482,10 +539,10 @@ class TestCounters:
         model = dn.AnalyticGmmScore(tg.two_mode_gmm(2))
         x = np.zeros((7, 2))
         model.denoise(x, 1.0)
-        model.score(x, 1.0)
-        assert model.eval_count == 14
+        score(model, x, 1.0)
+        assert model.eval_count == 14 and model.jvp_count == 7
         model.score_and_jvp(x, 1.0, np.ones((7, 2)))
-        assert model.eval_count == 21 and model.jvp_count == 7
+        assert model.eval_count == 21 and model.jvp_count == 14
         model.reset_counters()
         assert model.eval_count == 0 and model.jvp_count == 0
 
@@ -506,7 +563,7 @@ class TestCounters:
 
 # the batch queries of the backends, with their arguments after the
 # points, and of the targets, which take the points alone
-BACKEND_QUERIES = {"denoise": (1.0,), "score": (1.0,),
+BACKEND_QUERIES = {"denoise": (1.0,),
                    "denoise_jvp": (1.0, "v"), "score_and_jvp": (1.0, "v"),
                    "score_and_div": (1.0,), "forward_with_cache": (1.0,)}
 OWNERS = {
@@ -520,7 +577,7 @@ OWNERS = {
     "lj13": tg.LennardJones,
 }
 ONE_POINT_CASES = [(owner, query) for owner, queries in [
-    ("analytic", ("denoise", "score", "score_and_jvp", "score_and_div")),
+    ("analytic", ("denoise", "score_and_jvp", "score_and_div")),
     ("vector", BACKEND_QUERIES), ("radial", BACKEND_QUERIES),
     ("gmm", ("log_density", "log_density_and_grad", "score")),
     ("dw4", ("log_density", "log_density_and_grad", "energy")),

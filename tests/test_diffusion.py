@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,3 +248,24 @@ class TestWeightFailurePaths:
     def test_empty_log_weights_raise(self, estimator):
         with pytest.raises(ValueError, match="no log weights"):
             estimator(np.array([]))
+
+
+def test_heldout_bound_holds_one_path_sized_array():
+    # the benchmark's gmm10 held-out stage: 1024 points x 8 forward paths
+    # at the diagonal kind, whose statistic is as large as its residuals.
+    # The (N+1, 8192, 10) path is the one array of its size; the
+    # statistics are formed 1024 rows at a time and must not add a second
+    gmm = tg.two_mode_gmm(10)
+    grid = karras_grid(32, 1e-3, 10.0, 7.0)
+    spec = ga.DiagonalParams(gmm.dim)
+    proposal = (spec, np.tile(spec.init(), (grid.n_steps, 1)))
+    x0 = gmm.sample(np.random.default_rng(13), 1024)
+    path_bytes = (grid.n_steps + 1) * 8192 * gmm.dim * 8
+    tracemalloc.start()
+    try:
+        mt.elbo_eubo(np.random.default_rng(14), x0, dn.AnalyticGmmScore(gmm),
+                     proposal, grid, inner=8, repeats=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path_bytes < peak < 1.5 * path_bytes

@@ -2,6 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from vtdis import gaussians as ga
 from vtdis import targets as tg
@@ -52,14 +53,16 @@ def draw(rng, spec, raw, base, count):
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
         spec = ga.IsotropicParams(1)
-        got = spec.log_density(np.zeros((1, 1)), spec.init(), 1.0)[0]
+        got = spec.log_density(spec.stats(np.zeros((1, 1))), spec.init(),
+                               1.0)[0]
         assert got == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_diagonal_two_dim(self):
         # x=(1,0), Sigma=diag(1,4): -log(2pi) - 0.5*log(4) - 0.5
         raw = ga.softplus_inv(np.array([1.0, 4.0]))
-        got = ga.DiagonalParams(2).log_density(np.array([[1.0, 0.0]]), raw,
-                                               1.0)[0]
+        spec = ga.DiagonalParams(2)
+        got = spec.log_density(spec.stats(np.array([[1.0, 0.0]])), raw,
+                               1.0)[0]
         want = -np.log(2 * np.pi) - 0.5 * np.log(4.0) - 0.5
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -78,7 +81,7 @@ class TestLogDensity:
     def test_baseline_inits_agree_across_kinds(self):
         d, base = 4, 0.73
         delta = RNG.standard_normal((1, d))
-        vals = [spec.log_density(delta, spec.init(), base)[0]
+        vals = [spec.log_density(spec.stats(delta), spec.init(), base)[0]
                 for spec in (cls(d) for cls in CLASSES.values())]
         assert np.ptp(vals) < 1e-12
 
@@ -91,14 +94,14 @@ class TestLogDensity:
             for raw, base in [(spec.init(), 0.0),
                               (np.full(spec.n_params, -800.0), 1.0)]:
                 with pytest.raises(ValueError, match="positive"):
-                    spec.log_density(deltas, raw, base)
+                    spec.log_density(spec.stats(deltas), raw, base)
                 with pytest.raises(ValueError, match="positive"):
                     spec.draw(rng, raw, base, mean)
 
     def test_dimension_mismatch(self):
         spec = ga.DiagonalParams(3)
         with pytest.raises(ValueError):
-            spec.log_density(np.zeros((1, 2)), spec.init(), 1.0)
+            spec.log_density(spec.stats(np.zeros((1, 2))), spec.init(), 1.0)
 
 
 class TestSampling:
@@ -136,7 +139,7 @@ class TestSampling:
         rng = np.random.default_rng(9)
         spec, raw, base = random_case("diagonal", 3, rng)
         xs = draw(rng, spec, raw, base, 2 * 10 ** 4)
-        lp = spec.log_density(xs, raw, base)
+        lp = spec.log_density(spec.stats(xs), raw, base)
         _, logdet = np.linalg.slogdet(dense_sigma("diagonal", raw, base, 3))
         want = -1.5 * (1 + np.log(2 * np.pi)) - 0.5 * logdet
         assert np.mean(lp) == pytest.approx(want, abs=0.05)
@@ -153,14 +156,15 @@ class TestRawParamGradients:
             deltas = rng.standard_normal((batch, d))
             weights = rng.uniform(0.1, 1.0, batch)
             base = rng.uniform(0.3, 1.5)
-            grad = spec.weighted_grad(deltas, raw, base, weights)
+            stats = spec.stats(deltas)
+            grad = spec.weighted_grad(stats, raw, base, weights)
             h = 1e-6
             for i in range(spec.n_params):
                 up, dn = raw.copy(), raw.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (weights @ spec.log_density(deltas, up, base)
-                      - weights @ spec.log_density(deltas, dn, base)) / (2 * h)
+                fd = (weights @ spec.log_density(stats, up, base)
+                      - weights @ spec.log_density(stats, dn, base)) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_isotropic_zero_delta(self):
@@ -169,15 +173,17 @@ class TestRawParamGradients:
         spec = ga.IsotropicParams(d)
         raw = spec.init()
         eta = float(ga.softplus(raw[0]))
-        g = spec.weighted_grad(np.zeros((1, d)), raw, 1.0, np.ones(1))
+        g = spec.weighted_grad(spec.stats(np.zeros((1, d))), raw, 1.0,
+                               np.ones(1))
         assert g[0] / float(ga.sigmoid(raw[0])) == pytest.approx(-d / (2 * eta))
 
     def test_diagonal_d1_reduces_to_isotropic(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 1))
         raw = np.array([0.37])
-        gd = ga.DiagonalParams(1).weighted_grad(x, raw, 0.9, np.ones(1))
-        gi = ga.IsotropicParams(1).weighted_grad(x, raw, 0.9, np.ones(1))
+        diag, iso = ga.DiagonalParams(1), ga.IsotropicParams(1)
+        gd = diag.weighted_grad(diag.stats(x), raw, 0.9, np.ones(1))
+        gi = iso.weighted_grad(iso.stats(x), raw, 0.9, np.ones(1))
         assert gd[0] == pytest.approx(gi[0], rel=1e-12)
 
     @pytest.mark.parametrize("kind", list(CLASSES))
@@ -188,7 +194,7 @@ class TestRawParamGradients:
         spec = CLASSES[kind](d)
         raw = spec.init() + 0.3 * rng.standard_normal(spec.n_params)
         deltas = rng.standard_normal((3, d))
-        direct = spec.log_density(deltas, raw, 0.7)
+        direct = spec.log_density(spec.stats(deltas), raw, 0.7)
         sigma = dense_sigma(kind, raw, 0.7, d)
         want = [dense_logpdf(x, np.zeros(d), sigma) for x in deltas]
         assert np.allclose(direct, want, atol=1e-12)
@@ -200,7 +206,8 @@ class TestRawParamGradients:
     def test_tuning_moves_every_parameter(self, kind):
         # a kind whose start is a stationary point of the objective would
         # leave some raw parameter exactly at the pool's moment match;
-        # the pool is replayed from the same seed: 3 batches of 32
+        # the pool is replayed from the same seed: 3 batches of 32 in one
+        # forward pass
         d = 3
         gmm = tg.two_mode_gmm(d)
         model, grid = AnalyticGmmScore(gmm), karras_grid(4, 1e-3, 10.0, 7.0)
@@ -209,10 +216,10 @@ class TestRawParamGradients:
                          tu.TunerConfig(iterations=3, batch_size=32, lr=0.05),
                          data=data)
         rng = np.random.default_rng(21)
-        deltas = [forward_residuals(rng, data[rng.integers(0, 64, size=32)],
-                                    model, grid).deltas for _ in range(3)]
-        start = CLASSES[kind](d).moment_match(np.concatenate(deltas, axis=1),
-                                              grid.ddpm_vars)
+        deltas = forward_residuals(rng, data[rng.integers(0, 64, size=96)],
+                                   model, grid).deltas
+        spec = CLASSES[kind](d)
+        start = spec.moment_match(spec.stats(deltas), grid.ddpm_vars)
         assert np.all(result.raws != start)
         assert np.all(start != CLASSES[kind](d).init())
 
@@ -221,8 +228,61 @@ class TestRawParamGradients:
         want = [dense_logpdf(x, np.zeros(3), np.eye(3)) for x in deltas]
         for cls in CLASSES.values():
             spec = cls(3)
-            got = spec.log_density(deltas, spec.init(), 1.0)
+            got = spec.log_density(spec.stats(deltas), spec.init(), 1.0)
             assert np.allclose(got, want, atol=1e-12)
+
+
+class TestStatistics:
+    """Densities, gradients and the moment match read the residuals only
+    through ``spec.stats``; each matches a computation from the residuals
+    themselves, over the stacked step axis."""
+
+    STEPS, ROWS, D = 3, 7, 4
+
+    def case(self, kind):
+        rng = np.random.default_rng(seed_of("stats", kind))
+        spec = CLASSES[kind](self.D)
+        deltas = rng.standard_normal((self.STEPS, self.ROWS, self.D))
+        raws = (np.tile(spec.init(), (self.STEPS, 1))
+                + 0.3 * rng.standard_normal((self.STEPS, spec.n_params)))
+        bases = rng.uniform(0.2, 2.0, self.STEPS)
+        weights = rng.uniform(0.1, 1.0, self.ROWS)
+        # per-coordinate variances, step by step
+        var = bases[:, None] * np.broadcast_to(ga.softplus(raws),
+                                               (self.STEPS, self.D))
+        return spec, deltas, raws, bases, weights, var
+
+    @pytest.mark.parametrize("kind", list(CLASSES))
+    def test_log_density_is_scipys(self, kind):
+        spec, deltas, raws, bases, _, var = self.case(kind)
+        got = spec.log_density(spec.stats(deltas), raws, bases)
+        want = np.sum(sps.norm.logpdf(deltas, scale=np.sqrt(var)[:, None]),
+                      axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", list(CLASSES))
+    def test_weighted_grad_is_the_residual_formula(self, kind):
+        # d/draw sum_b w_b log N(delta_b) with Sigma = base * softplus(raw)
+        spec, deltas, raws, bases, weights, var = self.case(kind)
+        got = spec.weighted_grad(spec.stats(deltas), raws, bases, weights)
+        # per coordinate: w . (delta^2 / (2 v) - 1/2) / eta, times sigmoid
+        per_coord = np.einsum("b,nbd->nd", weights,
+                              deltas * deltas / (2.0 * var[:, None])
+                              - 0.5)
+        if kind == "isotropic":
+            per_coord = np.sum(per_coord, axis=1, keepdims=True)
+        want = per_coord / ga.softplus(raws) * ga.sigmoid(raws)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", list(CLASSES))
+    def test_moment_match_is_the_residual_second_moment(self, kind):
+        spec, deltas, _, bases, _, _ = self.case(kind)
+        eta = ga.softplus(spec.moment_match(spec.stats(deltas), bases))
+        second = np.mean(deltas * deltas, axis=1)            # (N, d)
+        if kind == "isotropic":
+            second = np.mean(second, axis=1, keepdims=True)
+        want = second / bases[:, None]
+        assert np.max(np.abs(eta - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLogSumExp:

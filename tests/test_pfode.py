@@ -40,6 +40,11 @@ def points(count, seed=0):
     return eq.com_project(x, PROJ)
 
 
+def score(model, x, t):
+    """The score alone, from the fused query along a zero tangent."""
+    return model.score_and_jvp(x, t, np.zeros_like(x))[0]
+
+
 def score_jvp(model, x, t, v):
     """Directional derivative of the score along one (B, d) tangent."""
     return model.score_and_jvp(x, t, v)[1]
@@ -80,7 +85,7 @@ def reference_heun(x, model, grid, config, rng, proj):
     times = grid.times[::-1]
 
     def node(y, t):
-        return (-t * model.score(y, t),
+        return (-t * score(model, y, t),
                 reference_divergence(model, y, t, config, rng, proj))
 
     x2 = np.array(x, dtype=float)
@@ -183,7 +188,7 @@ def test_subspace_divergence_matches_finite_difference_trace(backend, t):
     model = BACKENDS[backend]()
     x = points(2, seed=1)
     h = 1e-5 * max(1.0, t)
-    jac = np.stack([(model.score(x + h * e, t) - model.score(x - h * e, t))
+    jac = np.stack([(score(model, x + h * e, t) - score(model, x - h * e, t))
                     / (2 * h) for e in np.eye(DIM)], axis=2)
     want = np.einsum("ij,bjk,ki->b", P_DENSE, jac, P_DENSE)
     got = model.score_and_div(x, t, PROJ)[1]

@@ -83,7 +83,8 @@ def loop_log_weights(batch, spec, raws, bases, log_pi):
     """log w with one per-step spec call per step (the unstacked form)."""
     log_p_steps = np.zeros(batch.count)
     for n in range(len(bases)):
-        log_p_steps += spec.log_density(batch.deltas[n], raws[n], bases[n])
+        log_p_steps += spec.log_density(spec.stats(batch.deltas[n]), raws[n],
+                                        bases[n])
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
@@ -91,8 +92,8 @@ def loop_loss_and_gradient(batch, spec, raws, bases, log_pi):
     lw = loop_log_weights(batch, spec, raws, bases, log_pi)
     loss = ga.logsumexp(lw) - np.log(batch.count)
     weights = ga.softmax_from_log(lw)
-    grad = np.stack([-spec.weighted_grad(batch.deltas[n], raws[n], bases[n],
-                                         weights)
+    grad = np.stack([-spec.weighted_grad(spec.stats(batch.deltas[n]),
+                                         raws[n], bases[n], weights)
                      for n in range(len(bases))])
     return loss, grad, lw
 
@@ -108,8 +109,8 @@ class TestStackedObjective:
     @pytest.mark.parametrize("objective", ["alpha2"])
     def test_matches_per_step_loop(self, kind, space, objective):
         batch, spec, raws, log_pi = make_case(kind, space)
-        loss, grad, lw = tu.loss_and_gradient(batch, spec, raws, BASES,
-                                              log_pi)
+        loss, grad, lw = tu.loss_and_gradient(
+            tu.stats_batch(batch, spec, log_pi), spec, raws, BASES)
         want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi)
         assert_close(loss, want[0])
         assert_close(grad, want[1])
@@ -129,15 +130,16 @@ class TestStackedObjective:
     def test_spec_step_axis_rows_are_per_step_calls(self, kind, space):
         batch, spec, raws, _ = make_case(kind, space, seed=1)
         weights = np.random.default_rng(3).uniform(0.1, 1.0, batch.count)
-        dens = spec.log_density(batch.deltas, raws, BASES)
-        grads = spec.weighted_grad(batch.deltas, raws, BASES, weights)
+        stats = spec.stats(batch.deltas)
+        dens = spec.log_density(stats, raws, BASES)
+        grads = spec.weighted_grad(stats, raws, BASES, weights)
         assert dens.shape == (GRID.n_steps, batch.count)
         assert grads.shape == raws.shape
         for n in range(GRID.n_steps):
-            assert_close(dens[n], spec.log_density(batch.deltas[n], raws[n],
+            assert_close(dens[n], spec.log_density(stats[n], raws[n],
                                                    BASES[n]))
             assert_close(grads[n], spec.weighted_grad(
-                batch.deltas[n], raws[n], BASES[n], weights))
+                stats[n], raws[n], BASES[n], weights))
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_underflowed_variance_is_rejected(self, kind, space):
@@ -145,24 +147,25 @@ class TestStackedObjective:
         batch, spec, raws, _ = make_case(kind, space, seed=4)
         raws[2] = -800.0
         with pytest.raises(ValueError, match="positive"):
-            spec.log_density(batch.deltas, raws, BASES)
+            spec.log_density(spec.stats(batch.deltas), raws, BASES)
         with pytest.raises(ValueError, match="positive"):
-            spec.log_density(batch.deltas[2], raws[2], BASES[2])
+            spec.log_density(spec.stats(batch.deltas[2]), raws[2], BASES[2])
 
     @pytest.mark.parametrize("kind,space", CASES)
     @pytest.mark.parametrize("objective", ["alpha2"])
     def test_gradient_matches_finite_differences(self, kind, space,
                                                  objective):
         batch, spec, raws, log_pi = make_case(kind, space, seed=2, count=12)
-        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES, log_pi)
+        batch = tu.stats_batch(batch, spec, log_pi)
+        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES)
         h = 1e-6
         for idx in np.ndindex(*raws.shape):
             up, dn_ = raws.copy(), raws.copy()
             up[idx] += h
             dn_[idx] -= h
-            fd = (tu.loss_and_gradient(batch, spec, up, BASES, log_pi)[0]
-                  - tu.loss_and_gradient(batch, spec, dn_, BASES,
-                                         log_pi)[0]) / (2 * h)
+            fd = (tu.loss_and_gradient(batch, spec, up, BASES)[0]
+                  - tu.loss_and_gradient(batch, spec, dn_, BASES)[0]) \
+                / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -244,28 +247,72 @@ def test_config_rejects_a_window_without_two_halves(window):
 @pytest.mark.parametrize("kind,space", CASES)
 def test_moment_match_is_the_uniform_weight_stationary_point(kind, space):
     batch, spec, _, _ = make_case(kind, space, seed=8, count=40)
-    raws = spec.moment_match(batch.deltas, BASES)
+    stats = spec.stats(batch.deltas)
+    raws = spec.moment_match(stats, BASES)
     assert raws.shape == (GRID.n_steps, spec.n_params)
     uniform = np.full(batch.count, 1.0 / batch.count)
-    grad = spec.weighted_grad(batch.deltas, raws, BASES, uniform)
+    grad = spec.weighted_grad(stats, raws, BASES, uniform)
     # the gradient is a difference of two terms; with no residual only
     # the second is left, and it sets the scale of the cancellation
-    scale = np.abs(spec.weighted_grad(np.zeros_like(batch.deltas), raws,
-                                      BASES, uniform))
+    scale = np.abs(spec.weighted_grad(np.zeros_like(stats), raws, BASES,
+                                      uniform))
     assert np.all(np.abs(grad) <= 1e-10 * scale)
 
 
 @pytest.mark.parametrize("iterations", [3, 300])
-def test_tune_draws_one_pool_of_forward_batches(iterations):
-    # all the denoiser work is the pool, drawn once before the first step
+def test_tune_draws_one_pool_of_forward_batches(iterations, monkeypatch):
+    # all the denoiser work is the pool, drawn by one forward pass of P * B
+    # rows before the first step; the plateau stop is off, as in the
+    # benchmark, since whether it fires within 300 steps is chance
     target, model, _ = ambient_problem()
-    config = tu.TunerConfig(iterations=iterations, batch_size=8, lr=0.05)
+    config = tu.TunerConfig(iterations=iterations, batch_size=8, lr=0.05,
+                            plateau_window=iterations + 1)
+    rows = []
+
+    def counted(rng, x0, *args):
+        rows.append(x0.shape[0])
+        return df.forward_residuals(rng, x0, *args)
+
+    monkeypatch.setattr(tu, "forward_residuals", counted)
     result = tu.tune(np.random.default_rng(9), model, target, GRID,
                      "isotropic", config,
                      data=target.sample(np.random.default_rng(8), 64))
+    pool = min(iterations, tu.POOL_BATCHES)
     assert result.iterations == iterations
-    assert model.eval_count == (GRID.n_steps * config.batch_size
-                                * min(iterations, tu.POOL_BATCHES))
+    assert rows == [pool * config.batch_size]
+    assert model.eval_count == GRID.n_steps * config.batch_size * pool
+
+
+@pytest.mark.parametrize("kind,space", CASES)
+def test_steps_run_on_one_contiguous_statistic_per_pool_batch(kind, space,
+                                                              monkeypatch):
+    # every step reads pool batch it mod P, rows p B to (p + 1) B of the
+    # one forward pass, through its statistics alone
+    problem = ambient_problem if space == "ambient" else subspace_problem
+    target, model, proj = problem()
+    data = draw_x0(target, proj, 64, np.random.default_rng(11))
+    config = tu.TunerConfig(iterations=5, batch_size=6, lr=0.05)
+    seen = []
+
+    def recorded(batch, *args):
+        seen.append(batch)
+        return loss_and_gradient(batch, *args)
+
+    loss_and_gradient = tu.loss_and_gradient
+    monkeypatch.setattr(tu, "loss_and_gradient", recorded)
+    result = tu.tune(np.random.default_rng(12), model, target, GRID, kind,
+                     config, data=data, proj=proj)
+    rng = np.random.default_rng(12)
+    x0 = data[rng.integers(0, 64, size=5 * 6)]
+    if proj is not None:
+        x0 = eq.com_project(x0, proj)
+    whole = tu.stats_batch(df.forward_residuals(rng, x0, model, GRID, proj),
+                           result.spec, target.log_density(x0))
+    assert len(seen) == 5
+    for p, batch in enumerate(seen):
+        assert batch.stats.flags.c_contiguous
+        assert np.array_equal(batch.stats, whole.stats[:, 6 * p:6 * p + 6])
+        assert np.array_equal(batch.offset, whole.offset[6 * p:6 * p + 6])
 
 
 class TestGaussianOptimum:
@@ -313,8 +360,9 @@ class TestGaussianOptimum:
         rng = np.random.default_rng(10)
         batch = df.forward_residuals(rng, gmm.sample(rng, count), model,
                                      self.GRID)
-        eta = ga.softplus(ga.IsotropicParams(self.D).moment_match(
-            batch.deltas, self.GRID.ddpm_vars)[:, 0])
+        spec = ga.IsotropicParams(self.D)
+        eta = ga.softplus(spec.moment_match(
+            spec.stats(batch.deltas), self.GRID.ddpm_vars)[:, 0])
         rel_se = np.sqrt(2.0 / (count * self.D))
         assert np.all(np.abs(eta / self.eta_star() - 1.0) < 4 * rel_se)
 
