@@ -20,9 +20,9 @@ The learned backends add ``forward_with_cache(x, t)``, the prediction and
 the cache that ``param_grad`` takes, and ``denoise_jvp(x, t, v)``.  Their
 ``denoise`` runs the network on blocks of at most ``ROW_BLOCK`` network
 rows (one per point for the vector backend, one per pair and point for
-the particle backend), so that a large batch, such as the tuner's pool
-or the held-out bound's paths, keeps its activations small; the blocks
-are cut so that the result is bit for bit that of one pass.  The
+the particle backend), so that a large batch, such as one step of the
+tuner's pool or of the held-out bound, keeps its activations small; the
+blocks are cut so that the result is bit for bit that of one pass.  The
 training pass and the derivative queries are not blocked.
 
 ``AnalyticGmmScore`` wraps the closed-form mixture score.  The trainable

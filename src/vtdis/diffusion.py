@@ -24,8 +24,8 @@ Log weights follow the target-over-proposal convention
 
 The reverse sampler scores its draws as it makes them; any other path,
 fresh forward ones (``forward_residuals``) and a stored reverse one
-(``recompute_log_densities``), is scored by one residual pass over its
-stacked (N+1, B, d) states.
+(``recompute_log_densities``), is scored step by step by one residual
+loop that hands each step's residual to a consumer: O(B d) memory.
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
 ``ComProjection`` and every kernel lives on the subspace, with every
@@ -191,72 +191,64 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
                             proj: eq.ComProjection | None = None
                             ) -> tuple[float, float]:
     """Joint log-densities of a stored trajectory (the cache check),
-    scored by the residual pass of ``forward_residuals`` and one stacked
-    ``spec.log_density`` of ``spec.stats``; with ``proj`` a residual off
-    the zero-CoM subspace raises ``ValueError``."""
-    grid = traj.grid
-    spec, raws, bases = proposal_steps(proposal, grid)
-    path = traj.states[:, None, :].copy()
-    log_q = _residual_pass(path, model, grid, proj)
-    deltas = path[:-1]
-    if proj is not None:
-        eq._check_on_subspace(deltas, proj, "residual")
-    log_p = (prior_log_density(path[-1], grid.t_max, proj)
-             + np.sum(spec.log_density(spec.stats(deltas), raws, bases),
-                      axis=0))
+    scored by the residual steps of ``forward_residuals``; with ``proj``
+    a residual off the zero-CoM subspace raises ``ValueError``."""
+    log_p, score = step_log_densities(proposal, traj.grid, 1, proj)
+    log_q, x_n = _residual_steps(traj.states[:1], traj.states[1:, None],
+                                 model, traj.grid, proj, score)
+    log_p = prior_log_density(x_n, traj.grid.t_max, proj) + log_p
     return float(log_q[0]), float(log_p[0])
 
 
-# ---------------------------------------------------------------------------
-# forward-path residual batches (shared by the tuner and the bound metrics)
-# ---------------------------------------------------------------------------
+def step_log_densities(proposal, grid: TimeGrid, rows: int, proj=None):
+    """``(total, consume)``: ``consume(n, delta)`` adds step n's proposal
+    log-density of the residuals into the (rows,) ``total``, in step
+    order; with ``proj`` a residual off the zero-CoM subspace raises."""
+    spec, raws, bases = proposal_steps(proposal, grid)
+    total = np.zeros(rows)
 
-@dataclass
-class ForwardBatch:
-    """Forward trajectories reduced to what proposal densities need.
+    def consume(n, delta):
+        if proj is not None:
+            eq._check_on_subspace(delta, proj, "residual")
+        total[:] += spec.log_density(spec.stats(delta), raws[n - 1],
+                                     bases[n - 1])
 
-    ``deltas[n-1]`` holds x_{n-1} - posterior_mean(x_n, x0_hat) for step n;
-    the denoiser predictions are baked in, so evaluating a candidate set
-    of step covariances touches no score model.
-    """
-
-    deltas: np.ndarray       # (N, B, dim)
-    log_q_cond: np.ndarray   # (B,)
-    log_prior: np.ndarray    # (B,)
-
-    @property
-    def count(self) -> int:
-        return self.deltas.shape[1]
+    return total, consume
 
 
 def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
-                      proj: eq.ComProjection | None = None) -> ForwardBatch:
-    """Noise a (B, d) batch of x_0 forward and collect per-step residuals:
-    one noise draw per step fills the (N+1, B, d) path, then the residual
-    pass makes one denoiser call per step.  With ``proj`` the x_0 must lie
-    on the zero-CoM subspace, where the kernels live.
-    """
+                      proj: eq.ComProjection | None = None, *, consume
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Noise a (B, d) batch of x_0 forward, one step at a time: step n
+    draws one block of normals for x_n, makes one denoiser call at x_n and
+    hands x_{n-1} - mean(x_n) to ``consume(n, delta)``; no path is kept.
+    Returns log q(x_{1:N} | x_0) and log p(x_N) per row.  With ``proj``
+    the x_0 must lie on the zero-CoM subspace, where the kernels live."""
     x0 = ga.as_batch(x0, model.dim)
     if proj is not None:
         eq._check_on_subspace(x0, proj, "x0")
-    path = np.empty((grid.n_steps + 1,) + x0.shape)
-    path[0] = x0
-    for n, var in enumerate(grid.forward_vars, start=1):
-        path[n] = path[n - 1] + np.sqrt(var) * eq.normals(rng, x0.shape, proj)
-    log_q = _residual_pass(path, model, grid, proj)
-    return ForwardBatch(path[:-1], log_q,
-                        prior_log_density(path[-1], grid.t_max, proj))
+
+    def noised():
+        x = x0
+        for var in grid.forward_vars:
+            x = x + np.sqrt(var) * eq.normals(rng, x0.shape, proj)
+            yield x
+
+    log_q, x_n = _residual_steps(x0, noised(), model, grid, proj, consume)
+    return log_q, prior_log_density(x_n, grid.t_max, proj)
 
 
-def _residual_pass(path: np.ndarray, model, grid: TimeGrid, proj
-                   ) -> np.ndarray:
-    """log q(x_{1:N} | x_0) (B,) of a (N+1, B, d) path.  Once step n has
-    scored x_n - x_{n-1}, it writes its residual x_{n-1} - mean(x_n) over
-    x_{n-1}, so ``path[:N]`` ends as the residuals."""
-    log_q = np.zeros(path.shape[1])
-    for n in range(1, grid.n_steps + 1):
-        x, x_next = path[n - 1], path[n]
+def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
+                    consume) -> tuple[np.ndarray, np.ndarray]:
+    """Score the path x_0, then x_1..x_N from the iterable ``states``:
+    step n adds log q(x_n | x_{n-1}) and hands x_{n-1} - mean(x_n) to
+    ``consume(n, delta)``.  Returns log q(x_{1:N} | x_0) (B,) and x_N."""
+    log_q = np.zeros(x0.shape[0])
+    x = x0
+    for n, x_next in enumerate(states, start=1):
         log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
         r = grid.mean_ratios[n - 1]
-        x -= r * x_next + (1.0 - r) * model.denoise(x_next, grid.times[n])
-    return log_q
+        consume(n, x - (r * x_next + (1.0 - r)
+                        * model.denoise(x_next, grid.times[n])))
+        x = x_next
+    return log_q, x

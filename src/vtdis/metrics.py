@@ -1,9 +1,9 @@
 """Importance-sampling quality metrics.
 
-The reverse effective sample size, the log normalizing-constant estimate
-and the variational evidence sandwich.  All weight reductions run in log
-space so that shifting every log weight by a constant (an unnormalized
-target) changes nothing.
+The reverse effective sample size, the log normalizing-constant estimate,
+and the forward-path log weights with the variational evidence sandwich
+built on them.  All weight reductions run in log space so that shifting
+every log weight by a constant (an unnormalized target) changes nothing.
 
 Weights are unnormalized, w = pi/p, on samples drawn from the proposal p;
 the reverse ESS fraction is (sum w)^2 / (N sum w^2), in [0, 1].  Both
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import diffusion as df
 from .gaussians import as_batch, logsumexp, require_count, softmax_from_log
-from .tuner import batch_log_weights
 
 
 def _nonempty(log_weights) -> np.ndarray:
@@ -48,13 +47,25 @@ def estimate_log_Z(log_weights) -> float:
 # evidence bounds
 # ---------------------------------------------------------------------------
 
+def forward_log_weights(rng: np.random.Generator, x0: np.ndarray, model,
+                        proposal, grid, proj=None) -> np.ndarray:
+    """log w - log pi(x0) of one forward path per row of ``x0`` under the
+    proposal ``(spec, raws)``, scoring each step's residuals as they are
+    streamed (O(B d) memory); with ``proj`` off-subspace ones raise."""
+    log_p, score = df.step_log_densities(
+        proposal, grid, as_batch(x0, model.dim).shape[0], proj)
+    log_q, log_prior = df.forward_residuals(rng, x0, model, grid, proj,
+                                            consume=score)
+    return log_q - log_prior - log_p
+
+
 def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
               grid, inner: int, proj=None, repeats: int = 3) -> dict:
     """Evidence sandwich for the reverse model at given data points.
 
     For each x0, draw ``inner`` forward paths and form
     R = log p(x_{0:N}) - log q(x_{1:N} | x0) = log pi(x0) - log w, with
-    log w from ``tuner.batch_log_weights`` under the proposal
+    log w from ``forward_log_weights`` under the proposal
     ``(spec, raws)``.  The lower bound is the plain average of R; the
     upper bound reweights the same draws by softmax(R), i.e. a
     self-normalized estimate under the reverse-path posterior.  The
@@ -68,13 +79,10 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     require_count("inner", inner, 2)
     require_count("repeats", repeats)
     x0 = as_batch(x0, model.dim)
-    b = x0.shape[0]
-    spec, raws, bases = df.proposal_steps(proposal, grid)
     elbos, eubos = [], []
     for _ in range(repeats):
-        tiled = np.repeat(x0, inner, axis=0)
-        batch = df.forward_residuals(rng, tiled, model, grid, proj)
-        r = -batch_log_weights(batch, spec, raws, bases, 0.0).reshape(b, inner)
+        r = -forward_log_weights(rng, np.repeat(x0, inner, axis=0), model,
+                                 proposal, grid, proj).reshape(-1, inner)
         elbo_b = np.mean(r, axis=1)
         eubo_b = np.sum(softmax_from_log(r, axis=1) * r, axis=1)
         elbos.append(float(np.mean(elbo_b)))

@@ -13,30 +13,23 @@ always drawn from the forward process; only the Gaussian covariance terms
 depend on phi, so denoiser predictions are computed once per batch and
 the gradient is assembled from the analytic per-structure formulas.
 
-Tuning draws its whole pool in one pass before any step: ``P =
-min(iterations, POOL_BATCHES)`` batches of ``batch_size`` rows, noised
-forward by one ``forward_residuals`` call of ``P * batch_size`` rows (one
-denoiser call per step) and scored by one ``target.log_density`` call.
-Pool batch p is rows ``p * batch_size`` to ``(p + 1) * batch_size``.  A
-Gaussian step reads a fixed residual only through its second moments,
-so the pool keeps ``spec.stats`` of the residuals, one contiguous
-``StatsBatch`` per pool batch, and the residuals themselves are dropped.
-Tuning starts from the moment match of the whole pool
+Tuning draws its whole pool in one forward pass before any step (see
+``tune``).  A Gaussian step reads a fixed residual only through its
+second moments, so ``stats_batch`` writes the ``spec.stats`` of each
+step's residuals, as the pass streams them, into one (N, P * batch_size
+[, dim]) array; no residual outlives its step.  Pool batch p, rows
+``p * batch_size`` to ``(p + 1) * batch_size``, is one contiguous
+``StatsBatch``.  Tuning starts from the moment match of the whole pool
 (``spec.moment_match``), and then iteration ``it`` takes one Adam step on
-the alpha = 2 objective of pool batch ``it mod P``.  A step is one
-stacked ``spec.log_density`` and one stacked ``spec.weighted_grad`` call
-over all N steps: statistics (N, B) or (N, B, dim), raw parameters
-(N, p) and base variances (N,) in, (N, B) log-densities and (N, p)
-gradients out, and no denoiser call and no pass over the residuals.  The
-spec is the one class of its covariance kind (``vtdis.gaussians``), and
-``make_param_spec`` looks a kind name up in the one table of classes,
-whose keys are ``TUNABLE_KINDS``; nothing else branches on the kind.
+the alpha = 2 objective of pool batch ``it mod P``: one stacked
+``spec.log_density`` and one stacked ``spec.weighted_grad`` call over all
+N steps, statistics (N, B[, dim]), raws (N, p) and base variances (N,)
+in, and no denoiser call.  The spec is the one class of its covariance
+kind (``vtdis.gaussians``), looked up by ``make_param_spec`` in the one
+table whose keys are ``TUNABLE_KINDS``: isotropic and diagonal on vector
+data, isotropic alone on the zero-CoM subspace of particle systems.
 The result is the proposal ``(spec, raws)`` that the samplers and the
-bound metrics take, and ``batch_log_weights`` is the one log-weight
-function of a forward batch, shared with ``vtdis.metrics.elbo_eubo``.
-
-``TUNABLE_KINDS`` are isotropic and diagonal on vector data, and
-isotropic alone on the zero-CoM subspace of particle systems.
+bound metrics take.
 
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
@@ -51,7 +44,7 @@ import numpy as np
 from . import equivariant as eq
 from . import gaussians as ga
 from .denoisers import Adam, cosine_lr
-from .diffusion import ForwardBatch, forward_residuals
+from .diffusion import forward_residuals
 from .schedule import TimeGrid
 
 # the spec class of each tunable covariance kind
@@ -98,29 +91,19 @@ class StatsBatch:
         return self.stats.shape[1]
 
 
-def stats_batch(batch: ForwardBatch, spec, log_pi) -> StatsBatch:
-    """``batch`` under ``spec`` with the target log-density ``log_pi`` of
-    its x_0."""
-    return StatsBatch(spec.stats(batch.deltas),
-                      log_pi + batch.log_q_cond - batch.log_prior)
+def stats_batch(rng, x0: np.ndarray, model, target, grid: TimeGrid, spec,
+                proj: eq.ComProjection | None = None) -> StatsBatch:
+    """The (B, d) batch ``x0`` noised forward by one ``forward_residuals``
+    call and reduced to ``spec``'s statistics, written step by step into
+    one array, with the target log-density of ``x0`` in the offset."""
+    stats = np.empty((grid.n_steps,) + spec.stats(x0).shape)  # shape per step
 
+    def keep(n, delta):
+        stats[n - 1] = spec.stats(delta)
 
-def batch_log_weights(batch: ForwardBatch, spec, raws: np.ndarray,
-                      bases: np.ndarray, log_pi: np.ndarray) -> np.ndarray:
-    """log w per trajectory for the current raw parameters.
-
-    One stacked ``spec.log_density`` call on ``spec.stats`` covers every
-    step of up to ``rows`` trajectories.  A diagonal statistic is as
-    large as the residuals, so a larger batch (the held-out bounds) goes
-    in blocks of rows and never holds a second path-sized array; every
-    value is the same as from one call.
-    """
-    rows = 1024
-    log_p_steps = [np.sum(spec.log_density(
-        spec.stats(batch.deltas[:, i:i + rows]), raws, bases), axis=0)
-        for i in range(0, batch.count, rows)]
-    return (log_pi + batch.log_q_cond - batch.log_prior
-            - np.concatenate(log_p_steps))
+    log_q, log_prior = forward_residuals(rng, x0, model, grid, proj,
+                                         consume=keep)
+    return StatsBatch(stats, target.log_density(x0) + log_q - log_prior)
 
 
 def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
@@ -184,31 +167,27 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
 
     First draws the pool: ``P = min(iterations, POOL_BATCHES)`` batches
     of ``batch_size`` x_0, rows of ``data`` drawn with replacement, all
-    noised forward by one ``forward_residuals`` call and scored by one
-    ``target.log_density`` call; this is all the denoiser work, N * P *
-    ``batch_size`` evaluations.  Starts from the moment match over the
-    whole pool, then takes one Adam step on the alpha = 2 objective of
-    pool batch ``it mod P`` per iteration, with a cosine learning-rate
-    schedule.  Stops at the iteration budget or when the windowed loss
-    plateaus (relative change below ``PLATEAU_TOL`` across
+    reduced by one ``stats_batch`` call, which is all the denoiser work:
+    N * P * ``batch_size`` evaluations.  Starts from the moment match
+    over the whole pool, then takes one Adam step on the alpha = 2
+    objective of pool batch ``it mod P`` per iteration, with a cosine
+    learning-rate schedule.  Stops at the iteration budget or when the
+    windowed loss plateaus (relative change below ``PLATEAU_TOL`` across
     ``plateau_window`` iterations).
     """
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim, proj)
     bases = grid.ddpm_vars
-    size = config.batch_size
     n_batches = min(config.iterations, POOL_BATCHES)
-    x0 = data[rng.integers(0, data.shape[0], size=n_batches * size)]
+    x0 = data[rng.integers(0, data.shape[0],
+                           size=n_batches * config.batch_size)]
     if proj is not None:
         x0 = eq.com_project(x0, proj)
-    whole = stats_batch(forward_residuals(rng, x0, model, grid, proj), spec,
-                        target.log_density(x0))
+    whole = stats_batch(rng, x0, model, target, grid, spec, proj)
     raws = spec.moment_match(whole.stats, bases)
-    pool = []
-    for p in range(n_batches):
-        rows = slice(p * size, (p + 1) * size)
-        pool.append(StatsBatch(np.ascontiguousarray(whole.stats[:, rows]),
-                               whole.offset[rows]))
+    pool = [StatsBatch(np.ascontiguousarray(stats), offset)
+            for stats, offset in zip(np.split(whole.stats, n_batches, axis=1),
+                                     np.split(whole.offset, n_batches))]
     opt = Adam([raws])
     losses = []
     half = config.plateau_window // 2

@@ -114,7 +114,8 @@ def test_x0_off_the_subspace_is_rejected():
     x0 = eq.com_project(np.random.default_rng(10).standard_normal((3, 8)),
                         proj) + 1.0
     with pytest.raises(ValueError, match="off the zero-CoM subspace"):
-        df.forward_residuals(np.random.default_rng(11), x0, model, GRID, proj)
+        df.forward_residuals(np.random.default_rng(11), x0, model, GRID, proj,
+                             consume=lambda n, delta: None)
     with pytest.raises(ValueError, match="off the zero-CoM subspace"):
         mt.elbo_eubo(np.random.default_rng(11), x0, model, proposal, GRID,
                      inner=2, proj=proj)
@@ -250,22 +251,29 @@ class TestWeightFailurePaths:
             estimator(np.array([]))
 
 
-def test_heldout_bound_holds_one_path_sized_array():
-    # the benchmark's gmm10 held-out stage: 1024 points x 8 forward paths
-    # at the diagonal kind, whose statistic is as large as its residuals.
-    # The (N+1, 8192, 10) path is the one array of its size; the
-    # statistics are formed 1024 rows at a time and must not add a second
+def heldout_peak_bytes(n_steps):
+    """``tracemalloc`` peak of the benchmark's gmm10 held-out stage, 1024
+    points x 8 forward paths at the diagonal kind, on ``n_steps`` steps."""
     gmm = tg.two_mode_gmm(10)
-    grid = karras_grid(32, 1e-3, 10.0, 7.0)
+    grid = karras_grid(n_steps, 1e-3, 10.0, 7.0)
     spec = ga.DiagonalParams(gmm.dim)
     proposal = (spec, np.tile(spec.init(), (grid.n_steps, 1)))
     x0 = gmm.sample(np.random.default_rng(13), 1024)
-    path_bytes = (grid.n_steps + 1) * 8192 * gmm.dim * 8
     tracemalloc.start()
     try:
         mt.elbo_eubo(np.random.default_rng(14), x0, dn.AnalyticGmmScore(gmm),
                      proposal, grid, inner=8, repeats=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path_bytes < peak < 1.5 * path_bytes
+
+
+def test_heldout_bound_holds_no_path():
+    # the bound is scored step by step as the paths are noised, so its
+    # memory is O(B d) whatever N is: far below the (33, 8192, 10) path,
+    # and flat from 32 to 64 steps.  A stacked path peaked at 24.5 MiB on
+    # 32 steps and 47.5 MiB on 64; streamed, both read 5.0 MiB.
+    path_bytes = 33 * 8192 * 10 * 8
+    peak = heldout_peak_bytes(32)
+    assert peak < path_bytes / 3
+    assert heldout_peak_bytes(64) < 1.1 * peak

@@ -10,7 +10,7 @@ from vtdis import equivariant as eq
 from vtdis import gaussians as ga
 from vtdis import targets as tg
 from vtdis import tuner as tu
-from vtdis.diffusion import StepKernel, forward_residuals
+from vtdis.diffusion import StepKernel
 from vtdis.schedule import karras_grid
 
 
@@ -334,10 +334,10 @@ class TestSubspaceParams:
                          tu.TunerConfig(iterations=3, batch_size=16,
                                         lr=0.05),
                          data=data, proj=proj)
-        deltas = forward_residuals(
-            replay, eq.com_project(data[replay.integers(0, 64, size=48)],
-                                   proj), model, grid, proj).deltas
         spec = self.SPECS[kind](proj)
-        start = spec.moment_match(spec.stats(deltas), grid.ddpm_vars)
+        pool = tu.stats_batch(
+            replay, eq.com_project(data[replay.integers(0, 64, size=48)],
+                                   proj), model, target, grid, spec, proj)
+        start = spec.moment_match(pool.stats, grid.ddpm_vars)
         assert np.all(result.raws != start)
         assert np.all(start != spec.init())

@@ -8,7 +8,7 @@ from vtdis import gaussians as ga
 from vtdis import targets as tg
 from vtdis import tuner as tu
 from vtdis.denoisers import AnalyticGmmScore
-from vtdis.diffusion import StepKernel, forward_residuals
+from vtdis.diffusion import StepKernel
 from vtdis.schedule import karras_grid
 
 RNG = np.random.default_rng(20240811)
@@ -216,10 +216,10 @@ class TestRawParamGradients:
                          tu.TunerConfig(iterations=3, batch_size=32, lr=0.05),
                          data=data)
         rng = np.random.default_rng(21)
-        deltas = forward_residuals(rng, data[rng.integers(0, 64, size=96)],
-                                   model, grid).deltas
         spec = CLASSES[kind](d)
-        start = spec.moment_match(spec.stats(deltas), grid.ddpm_vars)
+        pool = tu.stats_batch(rng, data[rng.integers(0, 64, size=96)],
+                              model, gmm, grid, spec)
+        start = spec.moment_match(pool.stats, grid.ddpm_vars)
         assert np.all(result.raws != start)
         assert np.all(start != CLASSES[kind](d).init())
 

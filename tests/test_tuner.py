@@ -1,3 +1,6 @@
+import copy
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,39 @@ def test_ambient_kinds_rejected_on_the_subspace(kind):
                 proj=proj)
 
 
+@dataclass
+class ForwardBatch:
+    """A forward pass with every step's residual kept, stacked (N, B, d):
+    the reference form of what the streamed pass hands out step by step."""
+
+    deltas: np.ndarray
+    log_q_cond: np.ndarray
+    log_prior: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.deltas.shape[1]
+
+
+def forward_batch(rng, x0, model, grid, proj=None):
+    deltas = []
+
+    def keep(n, delta):
+        # step n's residual comes n-th
+        assert n == len(deltas) + 1
+        deltas.append(delta)
+
+    log_q, log_prior = df.forward_residuals(rng, x0, model, grid, proj,
+                                            consume=keep)
+    assert len(deltas) == grid.n_steps
+    return ForwardBatch(np.stack(deltas), log_q, log_prior)
+
+
+def as_stats(batch, spec, log_pi):
+    return tu.StatsBatch(spec.stats(batch.deltas),
+                         log_pi + batch.log_q_cond - batch.log_prior)
+
+
 def make_case(kind, space, seed=0, count=24):
     rng = np.random.default_rng(seed)
     if space == "ambient":
@@ -72,7 +108,7 @@ def make_case(kind, space, seed=0, count=24):
         target, model, proj = subspace_problem()
         spec = tu.make_param_spec(kind, proj.subspace_dim, proj)
     x0 = draw_x0(target, proj, count, rng)
-    batch = df.forward_residuals(rng, x0, model, GRID, proj)
+    batch = forward_batch(rng, x0, model, GRID, proj)
     log_pi = np.asarray(target.log_density(x0), dtype=float)
     raws = (np.tile(spec.init(), (GRID.n_steps, 1))
             + 0.3 * rng.standard_normal((GRID.n_steps, spec.n_params)))
@@ -110,21 +146,11 @@ class TestStackedObjective:
     def test_matches_per_step_loop(self, kind, space, objective):
         batch, spec, raws, log_pi = make_case(kind, space)
         loss, grad, lw = tu.loss_and_gradient(
-            tu.stats_batch(batch, spec, log_pi), spec, raws, BASES)
+            as_stats(batch, spec, log_pi), spec, raws, BASES)
         want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi)
         assert_close(loss, want[0])
         assert_close(grad, want[1])
         assert_close(lw, want[2])
-        assert_close(tu.batch_log_weights(batch, spec, raws, BASES, log_pi),
-                     want[2])
-
-    def test_log_weights_of_a_batch_over_one_block(self):
-        # batches beyond one block of rows (the held-out bounds) are
-        # evaluated block by block
-        batch, spec, raws, log_pi = make_case("diagonal", "ambient", seed=5,
-                                              count=2500)
-        assert_close(tu.batch_log_weights(batch, spec, raws, BASES, log_pi),
-                     loop_log_weights(batch, spec, raws, BASES, log_pi))
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_spec_step_axis_rows_are_per_step_calls(self, kind, space):
@@ -156,7 +182,7 @@ class TestStackedObjective:
     def test_gradient_matches_finite_differences(self, kind, space,
                                                  objective):
         batch, spec, raws, log_pi = make_case(kind, space, seed=2, count=12)
-        batch = tu.stats_batch(batch, spec, log_pi)
+        batch = as_stats(batch, spec, log_pi)
         _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES)
         h = 1e-6
         for idx in np.ndindex(*raws.shape):
@@ -200,13 +226,43 @@ def test_forward_residuals_match_step_loop(space):
     problem = ambient_problem if space == "ambient" else subspace_problem
     target, model, proj = problem()
     x0 = draw_x0(target, proj, 16, np.random.default_rng(4))
-    batch = df.forward_residuals(np.random.default_rng(5), x0, model, GRID,
-                                 proj)
+    batch = forward_batch(np.random.default_rng(5), x0, model, GRID, proj)
     deltas, log_q, log_prior = loop_forward_residuals(
         np.random.default_rng(5), x0, model, GRID, proj)
     assert np.array_equal(batch.deltas, deltas)
     assert_close(batch.log_q_cond, log_q)
     assert_close(batch.log_prior, log_prior)
+
+
+@pytest.mark.parametrize("kind,space", [("diagonal", "ambient"),
+                                        ("isotropic", "subspace")])
+def test_elbo_eubo_is_the_bound_of_the_stacked_reference(kind, space):
+    # the streamed bound sums each step's density as its residual comes,
+    # in step order, so its log weights, and the bound, equal those of the
+    # stacked residuals scored one step at a time, bit for bit
+    _, spec, raws, _ = make_case(kind, space, seed=6)
+    problem = ambient_problem if space == "ambient" else subspace_problem
+    target, model, proj = problem()
+    inner, repeats = 4, 2
+    x0 = draw_x0(target, proj, 6, np.random.default_rng(13))
+    tiled = np.repeat(x0, inner, axis=0)
+    log_w = mt.forward_log_weights(np.random.default_rng(14), tiled, model,
+                                   (spec, raws), GRID, proj)
+    got = mt.elbo_eubo(np.random.default_rng(14), x0, model, (spec, raws),
+                       GRID, inner, proj, repeats)
+    rng = np.random.default_rng(14)
+    elbos, eubos = [], []
+    for i in range(repeats):
+        batch = forward_batch(rng, tiled, model, GRID, proj)
+        want = loop_log_weights(batch, spec, raws, BASES, 0.0)
+        if i == 0:
+            assert np.array_equal(log_w, want)
+        r = -want.reshape(-1, inner)
+        elbos.append(float(np.mean(np.mean(r, axis=1))))
+        eubos.append(float(np.mean(
+            np.sum(ga.softmax_from_log(r, axis=1) * r, axis=1))))
+    assert got == {"elbo": float(np.mean(elbos)),
+                   "eubo": float(np.mean(eubos))}
 
 
 @pytest.mark.parametrize("space", ["ambient", "subspace"])
@@ -269,9 +325,9 @@ def test_tune_draws_one_pool_of_forward_batches(iterations, monkeypatch):
                             plateau_window=iterations + 1)
     rows = []
 
-    def counted(rng, x0, *args):
+    def counted(rng, x0, *args, **kwargs):
         rows.append(x0.shape[0])
-        return df.forward_residuals(rng, x0, *args)
+        return df.forward_residuals(rng, x0, *args, **kwargs)
 
     monkeypatch.setattr(tu, "forward_residuals", counted)
     result = tu.tune(np.random.default_rng(9), model, target, GRID,
@@ -306,8 +362,7 @@ def test_steps_run_on_one_contiguous_statistic_per_pool_batch(kind, space,
     x0 = data[rng.integers(0, 64, size=5 * 6)]
     if proj is not None:
         x0 = eq.com_project(x0, proj)
-    whole = tu.stats_batch(df.forward_residuals(rng, x0, model, GRID, proj),
-                           result.spec, target.log_density(x0))
+    whole = tu.stats_batch(rng, x0, model, target, GRID, result.spec, proj)
     assert len(seen) == 5
     for p, batch in enumerate(seen):
         assert batch.stats.flags.c_contiguous
@@ -358,11 +413,11 @@ class TestGaussianOptimum:
         gmm, model = self.problem()
         count = 4096
         rng = np.random.default_rng(10)
-        batch = df.forward_residuals(rng, gmm.sample(rng, count), model,
-                                     self.GRID)
         spec = ga.IsotropicParams(self.D)
-        eta = ga.softplus(spec.moment_match(
-            spec.stats(batch.deltas), self.GRID.ddpm_vars)[:, 0])
+        pool = tu.stats_batch(rng, gmm.sample(rng, count), model, gmm,
+                              self.GRID, spec)
+        eta = ga.softplus(spec.moment_match(pool.stats,
+                                            self.GRID.ddpm_vars)[:, 0])
         rel_se = np.sqrt(2.0 / (count * self.D))
         assert np.all(np.abs(eta / self.eta_star() - 1.0) < 4 * rel_se)
 
@@ -395,7 +450,7 @@ def test_alpha2_steps_lower_the_heldout_loss_of_the_moment_match(seed):
     data = gmm.sample(np.random.default_rng(100 + seed), 20000)
     rng = np.random.default_rng(200 + seed)
     x0 = gmm.sample(rng, 8 * 1024)
-    heldout = df.forward_residuals(rng, x0, model, grid)
+    log_pi = gmm.log_density(x0)
     losses = []
     for lr in (0.0, 0.1):
         result = tu.tune(np.random.default_rng(seed), model, gmm, grid,
@@ -403,8 +458,9 @@ def test_alpha2_steps_lower_the_heldout_loss_of_the_moment_match(seed):
                          tu.TunerConfig(iterations=100, batch_size=128,
                                         lr=lr, plateau_window=101),
                          data=data)
-        log_w = tu.batch_log_weights(heldout, result.spec, result.raws,
-                                     grid.ddpm_vars, gmm.log_density(x0))
+        # the same forward paths for both: a copy of one generator
+        log_w = log_pi + mt.forward_log_weights(
+            copy.deepcopy(rng), x0, model, result.covariances(), grid)
         losses.append(ga.logsumexp(log_w) - np.log(log_w.size))
     assert losses[1] < losses[0]
 
