@@ -48,7 +48,6 @@ has a closed form.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +55,6 @@ import numpy as np
 from . import equivariant as eq
 from . import targets as tg
 from .gaussians import as_batch, require_count
-
-MAGIC = b"VTDNOISE"
-CHECKPOINT_VERSION = 1
 
 # most network rows in one pass of a learned backend's ``denoise``
 ROW_BLOCK = 2048
@@ -369,7 +365,6 @@ class _Preconditioned(_Counted):
 class VectorDenoiser(_Preconditioned):
     """Preconditioned dense network for unstructured vector data."""
 
-    kind = "vector"
     net_rows = 1
 
     def __init__(self, dim: int, hidden: list[int], sigma_data: float,
@@ -406,8 +401,6 @@ class RadialDenoiser(_Preconditioned):
     sum exactly to zero over particles, so predictions stay on the
     zero-center-of-mass subspace.
     """
-
-    kind = "radial"
 
     # offset keeping the reciprocal distance feature bounded near collision
     INV_OFFSET = 0.5
@@ -544,69 +537,3 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
 def estimate_sigma_data(data: np.ndarray) -> float:
     return float(np.std(np.asarray(data, dtype=float)))
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(path, model) -> None:
-    """Versioned binary dump; round-trips bit-exactly."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        if model.kind == "vector":
-            fh.write(struct.pack("<B", 0))
-            fh.write(struct.pack("<d", model.sigma_data))
-            fh.write(struct.pack("<II", model.dim, 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(struct.pack("<d", model.sigma_data))
-            fh.write(struct.pack("<II", model.n_particles, model.spatial_dim))
-        sizes = model.net.sizes
-        fh.write(struct.pack("<I", len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for p in model.net.params:
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``; a file that is not one whole
-    checkpoint (bad magic, version or backend flag, cut short, trailing
-    bytes) raises ``ValueError``."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValueError("not a denoiser checkpoint")
-        (version,) = _unpack(fh, "<I")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (kind_flag,) = _unpack(fh, "<B")
-        if kind_flag not in (0, 1):
-            raise ValueError(f"unknown denoiser backend flag {kind_flag}")
-        (sigma_data,) = _unpack(fh, "<d")
-        a, b = _unpack(fh, "<II")
-        (n_sizes,) = _unpack(fh, "<I")
-        sizes = list(_unpack(fh, f"<{n_sizes}I"))
-        if kind_flag == 0:
-            model = VectorDenoiser(a, sizes[1:-1], sigma_data)
-        else:
-            model = RadialDenoiser(a, b, sizes[1:-1], sigma_data)
-        if model.net.sizes != sizes:
-            raise ValueError("layer table inconsistent with architecture")
-        for p in model.net.params:
-            p[...] = np.frombuffer(_read_exact(fh, p.size * 8),
-                                   dtype="<f8").reshape(p.shape)
-        if fh.read(1):
-            raise ValueError("trailing bytes after the checkpoint weights")
-    return model
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-
-
-def _read_exact(fh, size: int) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValueError(f"checkpoint cut short: needed {size} bytes, "
-                         f"found {len(buf)}")
-    return buf

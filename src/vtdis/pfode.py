@@ -22,9 +22,9 @@ the backend's fused queries.  With a zero-center-of-mass projection the
 prior is normalised on the subspace, so the divergence is taken there as
 well, tr(P J P): the Hutchinson probe is projected, which keeps the
 estimate unbiased, and the exact trace takes one tangent pass per vector
-of an orthonormal basis of the subspace, (M-1) n of them.  The ambient trace would exceed it by the
-Jacobian's trace along the center-of-mass directions, a constant offset
-in log p0.
+of an orthonormal basis of the subspace, (M-1) n of them.  The ambient
+trace would exceed it by the Jacobian's trace along the center-of-mass
+directions, a constant offset in log p0.
 """
 
 from __future__ import annotations

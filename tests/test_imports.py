@@ -1,24 +1,30 @@
 """Every name a ``vtdis`` module imports at top level is used in it,
-every private helper is used somewhere in the package, every call the
-benchmark's tracer wraps is defined where the tracer looks it up, every
-option of the pipeline's configured calls is one the pipeline sets, no
-function imports inside its body, the package imports nothing at
-runtime but the standard library, numpy and itself, each particle
-system builds its ``ComProjection`` in one place, each learned backend
-computes its preconditioning once per pass, one residual pass scores
-every path but the reverse sampler's draws, and importing the package
-pins glibc's heap thresholds, so that a repeated training run takes no
-page faults.
+every private helper is used somewhere in the package, every public
+function, class and method is used by the package or the benchmark
+(named exemptions aside), every call the benchmark's tracer wraps is
+defined where the tracer looks it up, every option of the pipeline's
+configured calls is one the pipeline sets, no function imports inside
+its body, the package imports nothing at runtime but the standard
+library, numpy and itself, each particle system builds its
+``ComProjection`` in one place, each learned backend computes its
+preconditioning once per pass, one residual pass scores every path but
+the reverse sampler's draws, and importing the package pins glibc's heap
+thresholds, so that a repeated training run takes no page faults.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
 keeps an undeclared dependency (scipy is a test dependency only) from
 creeping back into ``src/vtdis``.  ``__init__.py`` holds the package
 docstring and the heap pin and is checked like every other module;
-``from __future__`` is skipped.  A private helper is a module-level function or
-class, or a method, whose name starts with one underscore and does not
-end with two (``__init__`` is not one); it counts as used when its name
-appears as a ``Name`` or an attribute anywhere in ``src/vtdis``.
+``from __future__`` is skipped.  A private helper is a module-level
+function or class, or a method, whose name starts with one underscore
+and does not end with two (``__init__`` is not one); it counts as used
+when its name appears as a ``Name`` or an attribute anywhere in
+``src/vtdis``.  A public name counts as used when it appears as a
+``Name``, an attribute or a whole string constant in ``src/vtdis`` or in
+``bench/`` outside its self-tests; one that only the tests use is API
+kept for them alone, and is either deleted or listed in ``TEST_ONLY``
+with its reason.
 """
 
 import ast
@@ -79,17 +85,20 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def definitions(source: str):
+    """(qualified name, name) of each module-level function and class and
+    of each method, in source order."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{n.name}", n.name) for n in node.body
+                        if isinstance(n, ast.FunctionDef))
+
+
 def private_definitions(source: str) -> list[str]:
     """Private module-level functions and classes, and private methods."""
-    found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                and _private(node.name):
-            found.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            found += [n.name for n in node.body
-                      if isinstance(n, ast.FunctionDef) and _private(n.name)]
-    return found
+    return [name for _, name in definitions(source) if _private(name)]
 
 
 def referenced_names(sources) -> set[str]:
@@ -122,6 +131,59 @@ def test_check_finds_an_orphaned_helper():
     refs = referenced_names([source])
     assert [n for n in private_definitions(source) if n not in refs] == \
         ["_orphan", "_stale"]
+
+
+# the program: the package and the benchmark, without its self-tests
+PROGRAM = [SRC / m for m in MODULES] + sorted(
+    p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+
+# public names that only the tests use, each kept for a reason
+TEST_ONLY = {
+    "ComProjection.to_subspace": "the oracle that maps zero-CoM rows to "
+                                 "subspace coordinates for dense densities",
+    "single_gaussian": "the fixture target with a closed-form optimum",
+    "VectorDenoiser": "the learned backend of the learned-score bias oracle "
+                      "and of the planned gmm10l workload",
+}
+
+
+def used_names(sources) -> set[str]:
+    """``referenced_names`` and every string constant of ``sources``; the
+    tracer names what it wraps by string."""
+    sources = list(sources)
+    return referenced_names(sources) | {
+        n.value for source in sources for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def unreferenced_public(source: str, used: set[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods, of
+    ``source`` whose name is not in ``used``."""
+    return [qual for qual, name in definitions(source)
+            if not name.startswith("_") and name not in used]
+
+
+def test_no_test_only_public_name():
+    used = used_names(p.read_text(encoding="utf-8") for p in PROGRAM)
+    found = {qual for m in MODULES for qual in unreferenced_public(
+        (SRC / m).read_text(encoding="utf-8"), used)}
+    assert found - TEST_ONLY.keys() == set()
+    # an exemption whose name the program came to use is dropped
+    assert TEST_ONLY.keys() - found == set()
+
+
+def test_check_finds_a_test_only_public_name():
+    source = ("def used():\n    return 1\n"
+              "def orphan():\n    return used()\n"
+              "def _helper():\n    pass\n"
+              "def traced():\n    pass\n"
+              "class A:\n    def __init__(self):\n        self.go()\n"
+              "    def go(self):\n        pass\n"
+              "    def stale(self):\n        pass\n"
+              "class B:\n    pass\n"
+              "SPANS = [(A, 'traced')]\n")
+    assert unreferenced_public(source, used_names([source])) == \
+        ["orphan", "A.stale", "B"]
 
 
 def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
