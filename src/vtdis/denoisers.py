@@ -123,9 +123,12 @@ class Mlp:
             a += b
             if i < self.n_layers - 1:
                 np.tanh(a, out=a)
-            if np.isnan(a).any():
-                raise FloatingPointError(f"NaN activation in layer {i}")
             cache.append(a)
+        # a NaN reaches the output through every later layer, so one scan
+        # there finds it; the first layer that holds one is named
+        if np.isnan(a).any():
+            bad = next(i for i, h in enumerate(cache[1:]) if np.isnan(h).any())
+            raise FloatingPointError(f"NaN activation in layer {bad}")
         return a, cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -144,7 +147,9 @@ class Mlp:
             grads[2 * i] = dz.T @ a_prev
             grads[2 * i + 1] = np.sum(dz, axis=0)
             if i > 0:
-                dz = dz @ w
+                # through a width-1 layer the product is a K = 1 gemm; the
+                # broadcast product makes the same single roundings
+                dz = dz * w if w.shape[0] == 1 else dz @ w
         return grads
 
     def tangent(self, cache: list, v: np.ndarray) -> np.ndarray:
@@ -185,8 +190,11 @@ class Adam:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            # in place, with the roundings of b1 * m + (1 - b1) * g
+            self.m[i] *= b1
+            self.m[i] += (1 - b1) * g
+            self.v[i] *= b2
+            self.v[i] += (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
             p -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
@@ -507,16 +515,7 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
     bad_streak = 0
     initial = None
     for it in range(config.iterations):
-        idx = rng.integers(0, data.shape[0], size=config.batch_size)
-        x0 = data[idx]
-        u = rng.uniform(size=config.batch_size)
-        t = np.exp(np.log(config.eps)
-                   + u * (np.log(config.t_max) - np.log(config.eps)))
-        xt = x0 + t[:, None] * eq.normals(rng, x0.shape, proj)
-        out, cache = model.forward_with_cache(xt, t)
-        resid = out - x0
-        lam = dsm_weight(t, model.sigma_data)
-        loss = float(np.mean(lam * np.sum(resid * resid, axis=1)))
+        loss = _dsm_step(rng, data, model, config, proj, opt, it)
         losses[it] = loss
         if initial is None:
             initial = loss
@@ -528,10 +527,28 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
                     f"loss {loss:.3e} vs initial {initial:.3e}")
         else:
             bad_streak = 0
-        d_out = 2.0 * lam[:, None] * resid / config.batch_size
-        grads = model.param_grad(cache, d_out)
-        opt.step(grads, cosine_lr(it, config.iterations, config.lr))
     return losses
+
+
+def _dsm_step(rng, data, model, config, proj, opt, it) -> float:
+    """One DSM iteration; returns its loss.  Its frame frees every work
+    array on return, and Adam updates its moments in place, so every
+    iteration starts from the same heap, and a repeated training run fits
+    in the heap of the first without page faults."""
+    idx = rng.integers(0, data.shape[0], size=config.batch_size)
+    x0 = data[idx]
+    u = rng.uniform(size=config.batch_size)
+    t = np.exp(np.log(config.eps)
+               + u * (np.log(config.t_max) - np.log(config.eps)))
+    xt = x0 + t[:, None] * eq.normals(rng, x0.shape, proj)
+    out, cache = model.forward_with_cache(xt, t)
+    resid = out - x0
+    lam = dsm_weight(t, model.sigma_data)
+    loss = float(np.mean(lam * np.sum(resid * resid, axis=1)))
+    d_out = 2.0 * lam[:, None] * resid / config.batch_size
+    grads = model.param_grad(cache, d_out)
+    opt.step(grads, cosine_lr(it, config.iterations, config.lr))
+    return loss
 
 
 def estimate_sigma_data(data: np.ndarray) -> float:

@@ -50,8 +50,8 @@ from .schedule import TimeGrid
 def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
     """log N(delta; 0, var I) per row, over the subspace with ``proj``."""
     d = delta.shape[-1] if proj is None else proj.subspace_dim
-    return ga._iso_log_density(np.einsum("...d,...d->...", delta, delta),
-                               var, d)
+    q = np.einsum("...d,...d->...", delta, delta)
+    return -0.5 * d * (ga.LOG_2PI + np.log(var)) - 0.5 * q / var
 
 
 def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:

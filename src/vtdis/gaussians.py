@@ -10,31 +10,33 @@ parameters (positivity through a softplus):
 * ``IsotropicParams``    C = eta I
 * ``DiagonalParams``     C = diag(etas)
 
-Both classes have the same duck-typed interface:
+A Gaussian of zero mean reads a residual only through its second
+moments, and both kinds are one Gaussian on columns of them.
+``stats(deltas)`` maps (..., B, d) residuals to (..., B, p) columns,
+p = n_params: ||delta||^2 as one column (isotropic) or delta^2 per
+coordinate (diagonal).  Column c has variance base_c * softplus(raw_c)
+per coordinate and counts ``mult = dim / p`` coordinates, so one
+density, one gradient, one moment match and one sampler serve both
+kinds:
 
-    n_params                              -> int
-    init()                                -> raw vector at C = I, the
+    n_params, mult                        -> int
+    init()                                -> (p,) raws at C = I, the
                                              untuned baseline
-    stats(deltas)                         -> the residuals' second-moment
-                                             statistic, s below
-    moment_match(s, bases)                -> (N, p) raws of the moment
-                                             match, the tuner's start
-    log_density(s, raw, base)             -> log N(delta; 0, Sigma) per row
+    stats(deltas)                         -> (..., B, p) columns
+    log_density(s, raw, base)             -> log N(delta; 0, Sigma) per
+                                             row of s
     weighted_grad(s, raw, base, w)        -> d/draw sum_b w_b log N(delta_b)
+    moment_match(s, base)                 -> raws whose variances are the
+                                             rows' second moments
     draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
 
-A Gaussian of zero mean reads a residual only through its second
-moments, so densities, gradients and the moment match take
-``s = stats(deltas)`` in place of the residuals: ||delta||^2 per row
-(isotropic, deltas (..., B, d) -> (..., B)) or delta^2 per coordinate
-(diagonal, the shape of deltas).  A caller that evaluates one batch of
-residuals under many raw parameters (the tuner) forms it once.
-``log_density`` and ``weighted_grad`` broadcast in closed form over an
-optional leading step axis: statistics of deltas (N, B, d), raw (N, p)
-and base (N,) give (N, B) and (N, p), step n using raw[n] and base[n],
-with the weights (B,) shared by every step.  ``moment_match`` takes the
-statistics of residuals (N, B, d) and base variances (N,) and returns
-the raws whose variances are the residuals' second moments, the
+Every column function takes s (B, C), raw (C,) and base broadcasting to
+(C,).  One step is C = p columns, a scalar base and the (B, p) stats of
+its residuals (``vtdis.diffusion.StepKernel``).  All N steps at once are
+C = N p columns, column (n - 1) p + k holding step n's statistic k: a row
+then spans every step, ``log_density`` is the sum over steps and
+``weighted_grad`` the (N p,) gradient, each one matrix-vector product (the
+tuner's form, ``vtdis.tuner``).  ``moment_match`` gives the
 Analytic-DPM / SN-DPM moment match (Bao et al., 2022): the zero of
 ``weighted_grad`` under uniform weights, so the maximum of the average
 log-density over the rows.  ``log_density`` and ``draw`` reject
@@ -42,9 +44,8 @@ variances that are not positive and finite (softplus underflows to 0
 below -745) with a ``ValueError``; ``weighted_grad`` does not check
 again, and the tuner calls it only on raws that ``log_density`` has
 just scored.  ``draw`` takes the zero-CoM projection of a particle
-system: the isotropic draw takes its normals from
-``vtdis.equivariant.normals``, and diagonal is ambient only
-(``make_param_spec`` rejects it on the subspace).
+system, its normals from ``vtdis.equivariant.normals``; diagonal is
+ambient only (``make_param_spec`` rejects it on the subspace).
 
 A proposal over a time grid is the pair ``(spec, raws)``: one raw row per
 reverse step, step n using ``raws[n - 1]`` and the base variance
@@ -54,10 +55,10 @@ baseline is the isotropic spec at ``init()``,
 ``vtdis.tuner.make_param_spec`` is the one place that maps a kind name
 to its class.
 
-Densities and gradients are O(d) per row, with no dense d x d work.  The
-gradients are standard Gaussian calculus,
-d/dSigma log N = 1/2 (Sigma^-1 dd^T Sigma^-1 - Sigma^-1), chained through
-the structure and the softplus.
+Densities and gradients are O(C) per row, with no dense d x d work.  The
+gradient is standard Gaussian calculus,
+d/dv_c sum_b w_b log N = (w @ s)_c / (2 v_c^2) - mult sum_b w_b / (2 v_c),
+chained through v_c = base_c eta_c and the softplus.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ def logsumexp(values, axis=None):
     without a warning.
     """
     v = np.asarray(values, dtype=float)
-    if np.isnan(v).any():
+    vmax = v.max(axis=axis, keepdims=True)         # NaN where a NaN is
+    if np.isnan(vmax).any():
         raise ValueError("logsumexp: NaN in input")
-    vmax = np.max(v, axis=axis, keepdims=True)
-    if np.any(vmax == np.inf):
+    if (vmax == np.inf).any():
         raise ValueError("logsumexp: +inf in input")
     shift = np.where(np.isfinite(vmax), vmax, 0.0)
     with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
-        out = shift + np.log(np.sum(np.exp(v - shift), axis=axis,
-                                    keepdims=True))
+        out = shift + np.log(np.exp(v - shift).sum(axis=axis,
+                                                   keepdims=True))
     return out.item() if axis is None else np.squeeze(out, axis)
 
 
@@ -138,115 +139,88 @@ def softplus_inv(y):
     return np.where(y > 20, y, np.log(np.expm1(np.minimum(y, 20.0))))
 
 
-def sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _iso_log_density(q, v, dim: int) -> np.ndarray:
-    """log N(delta; 0, v I) per row from q = ||delta||^2 (..., B), one
-    variance per leading index (shape ``(...)``); ``dim`` is the
-    dimension the kernel normalises over.  The leading axes are the
-    optional step axis of the stacked tuner objective."""
-    v = np.asarray(v, dtype=float)[..., None]
-    return -0.5 * dim * (LOG_2PI + np.log(v)) - 0.5 * q / v
-
-
 def _spec_variances(base, etas) -> np.ndarray:
     """base * etas, rejected unless positive and finite (softplus
     underflows to 0 below -745)."""
     v = base * etas
-    if not np.all(np.isfinite(v) & (v > 0)):
+    if not (v.min() > 0 and v.max() < np.inf):    # false for a NaN too
         raise ValueError("proposal variances must be positive and finite")
     return v
 
 
 # ---------------------------------------------------------------------------
-# one class per covariance kind
+# one class per covariance kind, both the one Gaussian on columns
 # ---------------------------------------------------------------------------
 
-class IsotropicParams:
-    """eta = softplus(z); one raw parameter.
+class _ColumnGaussian:
+    """The Gaussian of both kinds on statistic columns: column c sums the
+    squares of ``mult = dim / n_params`` coordinates of variance
+    v_c = base_c * softplus(raw_c), so with s = stats(deltas)
+
+        log N = -1/2 mult sum_c (log 2 pi + log v_c) - 1/2 s @ (1 / v).
 
     ``dim`` is the dimension the kernel normalises over: the ambient
     dimension, or the subspace dimension for zero-CoM residuals.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, n_params: int):
         self.dim = dim
-        self.n_params = 1
+        self.n_params = n_params
+        self.mult = dim // n_params
 
     def init(self) -> np.ndarray:
-        return np.array([float(softplus_inv(1.0))])
+        return np.full(self.n_params, float(softplus_inv(1.0)))
 
-    def stats(self, deltas) -> np.ndarray:
-        """||delta||^2 per row: (..., B, d) -> (..., B)."""
-        return np.einsum("...d,...d->...", deltas, deltas)
+    def moment_match(self, s, base) -> np.ndarray:
+        """eta_c = mean over rows of s_c / (mult * base_c)."""
+        return softplus_inv(np.mean(s, axis=0)
+                            / (self.mult * np.asarray(base, dtype=float)))
 
-    def moment_match(self, q, bases) -> np.ndarray:
-        """eta_n = sum ||delta||^2 / (rows * dim * base_n)."""
-        eta = np.sum(q, axis=1) / (q.shape[1] * self.dim
-                                   * np.asarray(bases, dtype=float))
-        return softplus_inv(eta)[:, None]
+    def log_density(self, s, raw, base) -> np.ndarray:
+        v = _spec_variances(base, softplus(raw))
+        log_norm = -0.5 * self.mult * (v.size * LOG_2PI + np.log(v).sum())
+        return log_norm - 0.5 * (s @ (1.0 / v))
 
-    def log_density(self, q, raw, base) -> np.ndarray:
-        raw = np.asarray(raw, dtype=float)
-        return _iso_log_density(
-            q, _spec_variances(base, softplus(raw[..., 0])), self.dim)
-
-    def weighted_grad(self, q, raw, base, weights) -> np.ndarray:
-        raw = np.asarray(raw, dtype=float)
-        eta = softplus(raw[..., :1])                  # (..., 1)
-        base = np.asarray(base, dtype=float)[..., None]
-        g_eta = (q @ weights[:, None] / (2.0 * base * eta * eta)
-                 - self.dim * np.sum(weights) / (2.0 * eta))
-        return g_eta * sigmoid(raw[..., :1])
+    def weighted_grad(self, s, raw, base, weights) -> np.ndarray:
+        """Chained through the softplus, whose slope sigmoid(raw) is
+        -expm1(-eta), accurate for every eta."""
+        eta = softplus(raw)
+        g = ((weights @ s) / (base * eta) - self.mult * weights.sum()) \
+            / (2.0 * eta)
+        return g * -np.expm1(-eta)
 
     def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
         """One draw per row of ``mean`` from one block of ambient normals,
-        projected onto the zero-CoM subspace of ``proj`` when given."""
+        projected onto the zero-CoM subspace of ``proj`` when given; the
+        ``mult`` coordinates of a column share its variance."""
         z = normals(rng, mean.shape, proj)
-        return mean + np.sqrt(_spec_variances(base, softplus(raw[0]))) * z
+        return mean + np.sqrt(_spec_variances(base, softplus(raw))) * z
 
 
-class DiagonalParams:
-    """etas_i = softplus(z_i); d raw parameters."""
+class IsotropicParams(_ColumnGaussian):
+    """eta = softplus(z); one raw parameter, one column of ||delta||^2."""
 
     def __init__(self, dim: int):
-        self.dim = dim
-        self.n_params = dim
+        super().__init__(dim, 1)
 
-    def init(self) -> np.ndarray:
-        return np.full(self.dim, float(softplus_inv(1.0)))
+    def stats(self, deltas) -> np.ndarray:
+        """||delta||^2 per row: (..., B, d) -> (..., B, 1)."""
+        return np.einsum("...d,...d->...", deltas, deltas)[..., None]
+
+    # bound here as well, where the benchmark's tracer looks them up
+    log_density = _ColumnGaussian.log_density
+    weighted_grad = _ColumnGaussian.weighted_grad
+
+
+class DiagonalParams(_ColumnGaussian):
+    """etas_i = softplus(z_i); d raw parameters, a column each."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim, dim)
 
     def stats(self, deltas) -> np.ndarray:
         """delta^2 per coordinate, the shape of ``deltas``."""
         return np.square(deltas)
 
-    def moment_match(self, sq, bases) -> np.ndarray:
-        """eta_nk = mean delta_k^2 / base_n over the rows."""
-        second = np.mean(sq, axis=1)
-        return softplus_inv(second / np.asarray(bases, dtype=float)[:, None])
-
-    def log_density(self, sq, raw, base) -> np.ndarray:
-        base = np.asarray(base, dtype=float)[..., None]
-        v = _spec_variances(base, softplus(raw))      # (..., d)
-        log_norm = -0.5 * (self.dim * LOG_2PI + np.sum(np.log(v), axis=-1))
-        return log_norm[..., None] - 0.5 * (sq @ (1.0 / v)[..., None])[..., 0]
-
-    def weighted_grad(self, sq, raw, base, weights) -> np.ndarray:
-        etas = softplus(raw)
-        base = np.asarray(base, dtype=float)[..., None]
-        g = (weights @ sq) / (2.0 * base * etas * etas) \
-            - np.sum(weights) / (2.0 * etas)
-        return g * sigmoid(raw)
-
-    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
-        """One draw per row of ``mean``; ambient only."""
-        z = rng.standard_normal(mean.shape)
-        return mean + np.sqrt(_spec_variances(base, softplus(raw))) * z
+    log_density = _ColumnGaussian.log_density
+    weighted_grad = _ColumnGaussian.weighted_grad

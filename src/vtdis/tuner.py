@@ -16,20 +16,22 @@ the gradient is assembled from the analytic per-structure formulas.
 Tuning draws its whole pool in one forward pass before any step (see
 ``tune``).  A Gaussian step reads a fixed residual only through its
 second moments, so ``stats_batch`` writes the ``spec.stats`` of each
-step's residuals, as the pass streams them, into one (N, P * batch_size
-[, dim]) array; no residual outlives its step.  Pool batch p, rows
-``p * batch_size`` to ``(p + 1) * batch_size``, is one contiguous
-``StatsBatch``.  Tuning starts from the moment match of the whole pool
+step's residuals, as the pass streams them, into one C-contiguous
+(P * batch_size, N * p) matrix S, p = ``spec.n_params``: column
+(n - 1) p + k holds step n's statistic k, and no residual outlives its
+step.  Pool batch k is the row slice ``S[k B:(k + 1) B]``, a view.  On
+these columns every step's Gaussian is one Gaussian (``vtdis.gaussians``),
+so the raws are one flat (N p,) vector while tuning, returned as (N, p).
+Tuning starts from the moment match of the whole pool
 (``spec.moment_match``), and then iteration ``it`` takes one Adam step on
-the alpha = 2 objective of pool batch ``it mod P``: one stacked
-``spec.log_density`` and one stacked ``spec.weighted_grad`` call over all
-N steps, statistics (N, B[, dim]), raws (N, p) and base variances (N,)
-in, and no denoiser call.  The spec is the one class of its covariance
-kind (``vtdis.gaussians``), looked up by ``make_param_spec`` in the one
-table whose keys are ``TUNABLE_KINDS``: isotropic and diagonal on vector
-data, isotropic alone on the zero-CoM subspace of particle systems.
-The result is the proposal ``(spec, raws)`` that the samplers and the
-bound metrics take.
+the alpha = 2 objective of pool batch ``it mod P``: log w is the offset
+minus one ``spec.log_density`` of S_k, and the gradient one
+``spec.weighted_grad``, each a matrix-vector product, with no denoiser
+call.  The spec is the one class of its covariance kind, looked up by
+``make_param_spec`` in the one table whose keys are ``TUNABLE_KINDS``:
+isotropic and diagonal on vector data, isotropic alone on the zero-CoM
+subspace of particle systems.  The result is the proposal
+``(spec, raws)`` that the samplers and the bound metrics take.
 
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
@@ -80,26 +82,28 @@ def make_param_spec(kind: str, dim: int,
 @dataclass
 class StatsBatch:
     """A forward batch reduced to what an alpha = 2 step reads: the spec's
-    statistics of its residuals, and the part of log w that no covariance
-    touches."""
+    statistics of its residuals, one row per path and one column per step
+    and parameter, and the part of log w that no covariance touches."""
 
-    stats: np.ndarray    # (N, B) isotropic, (N, B, dim) diagonal
+    stats: np.ndarray    # (B, N p): column (n - 1) p + k is step n's stat k
     offset: np.ndarray   # (B,) log pi(x0) + log q(x_{1:N} | x0) - log p(x_N)
 
     @property
     def count(self) -> int:
-        return self.stats.shape[1]
+        return self.stats.shape[0]
 
 
 def stats_batch(rng, x0: np.ndarray, model, target, grid: TimeGrid, spec,
                 proj: eq.ComProjection | None = None) -> StatsBatch:
     """The (B, d) batch ``x0`` noised forward by one ``forward_residuals``
-    call and reduced to ``spec``'s statistics, written step by step into
-    one array, with the target log-density of ``x0`` in the offset."""
-    stats = np.empty((grid.n_steps,) + spec.stats(x0).shape)  # shape per step
+    call and reduced to ``spec``'s statistics, each step's written into
+    its column block of one (B, N * p) matrix, with the target
+    log-density of ``x0`` in the offset."""
+    p = spec.n_params
+    stats = np.empty((len(x0), grid.n_steps * p))
 
     def keep(n, delta):
-        stats[n - 1] = spec.stats(delta)
+        stats[:, (n - 1) * p:n * p] = spec.stats(delta)
 
     log_q, log_prior = forward_residuals(rng, x0, model, grid, proj,
                                          consume=keep)
@@ -107,7 +111,8 @@ def stats_batch(rng, x0: np.ndarray, model, target, grid: TimeGrid, spec,
 
 
 def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
-    """Loss value and exact gradient w.r.t. the per-step raw parameters.
+    """Loss value and exact gradient w.r.t. the flat (N * p,) raws, with
+    ``bases`` the base variance of each column.
 
     The gradient of the logsumexp objective is the softmax-weighted sum
     of per-trajectory gradients of -log p_phi.  Nothing propagates into
@@ -115,10 +120,10 @@ def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
     """
     if batch.count == 0:
         raise ValueError("empty batch")
-    lw = batch.offset - np.sum(spec.log_density(batch.stats, raws, bases),
-                               axis=0)
-    loss = float(ga.logsumexp(lw) - np.log(batch.count))
-    weights = ga.softmax_from_log(lw)
+    lw = batch.offset - spec.log_density(batch.stats, raws, bases)
+    log_total = ga.logsumexp(lw)
+    weights = np.exp(lw - log_total)                  # the softmax of lw
+    loss = float(log_total - np.log(batch.count))
     grad = -spec.weighted_grad(batch.stats, raws, bases, weights)
     return loss, grad, lw
 
@@ -175,9 +180,11 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     windowed loss plateaus (relative change below ``PLATEAU_TOL`` across
     ``plateau_window`` iterations).
     """
+    if len(data) == 0:
+        raise ValueError("empty data: no x_0 to tune on")
     dim = proj.subspace_dim if proj is not None else model.dim
     spec = make_param_spec(kind, dim, proj)
-    bases = grid.ddpm_vars
+    bases = np.repeat(grid.ddpm_vars, spec.n_params)     # one per column
     n_batches = min(config.iterations, POOL_BATCHES)
     x0 = data[rng.integers(0, data.shape[0],
                            size=n_batches * config.batch_size)]
@@ -185,8 +192,8 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
         x0 = eq.com_project(x0, proj)
     whole = stats_batch(rng, x0, model, target, grid, spec, proj)
     raws = spec.moment_match(whole.stats, bases)
-    pool = [StatsBatch(np.ascontiguousarray(stats), offset)
-            for stats, offset in zip(np.split(whole.stats, n_batches, axis=1),
+    pool = [StatsBatch(stats, offset)       # row slices: views, no copies
+            for stats, offset in zip(np.split(whole.stats, n_batches),
                                      np.split(whole.offset, n_batches))]
     opt = Adam([raws])
     losses = []
@@ -200,7 +207,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
                 f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
         opt.step([grad], cosine_lr(it, config.iterations, config.lr))
-        if not np.all(np.isfinite(raws)):
+        if not np.isfinite(raws).all():
             raise RuntimeError(f"non-finite parameters at iteration {it}")
         if it + 1 >= config.plateau_window:
             recent = np.mean(losses[-half:])
@@ -209,5 +216,5 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
                     1.0, abs(previous)):
                 break
 
-    return TuneResult(raws=raws, spec=spec,
+    return TuneResult(raws=raws.reshape(grid.n_steps, -1), spec=spec,
                       loss_curve=np.asarray(losses), iterations=len(losses))

@@ -156,6 +156,31 @@ class TestMlpMachinery:
         with pytest.raises(FloatingPointError, match="layer 0"):
             model.denoise(np.ones((1, 2)), 1.0)
 
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_nan_is_named_at_the_first_layer_that_holds_one(self, layer):
+        # the pass scans its output alone, then the layers in order
+        net = dn.Mlp([3, 5, 4, 2], np.random.default_rng(7))
+        net.params[2 * layer + 1][0] = np.nan
+        with pytest.raises(FloatingPointError, match=f"layer {layer}$"):
+            net.forward(np.ones((2, 3)))
+
+    def test_width_one_backward_is_the_gemm_chain_bit_for_bit(self):
+        # through a width-1 output layer the cotangent is a broadcast
+        # product, not a K = 1 gemm; each entry is one rounded product
+        # either way
+        rng = np.random.default_rng(8)
+        net = dn.Mlp([3, 6, 5, 1], rng)
+        x, d_out = rng.standard_normal((9, 3)), rng.standard_normal((9, 1))
+        _, cache = net.forward(x)
+        got = net.backward(cache, d_out.copy())
+        dz = d_out
+        for i in range(net.n_layers - 1, -1, -1):
+            if i < net.n_layers - 1:
+                dz = dz * (1.0 - cache[i + 1] ** 2)
+            assert np.array_equal(got[2 * i], dz.T @ cache[i])
+            assert np.array_equal(got[2 * i + 1], np.sum(dz, axis=0))
+            dz = dz @ net.params[2 * i]
+
     def test_exact_divergence_from_directional_derivatives(self):
         rng = np.random.default_rng(6)
         model = dn.VectorDenoiser(3, [8], 1.0, rng)

@@ -338,6 +338,6 @@ class TestSubspaceParams:
         pool = tu.stats_batch(
             replay, eq.com_project(data[replay.integers(0, 64, size=48)],
                                    proj), model, target, grid, spec, proj)
-        start = spec.moment_match(pool.stats, grid.ddpm_vars)
+        start = spec.moment_match(pool.stats, grid.ddpm_vars)[:, None]
         assert np.all(result.raws != start)
         assert np.all(start != spec.init())

@@ -40,6 +40,11 @@ def random_case(kind, d, rng):
     return spec, ga.softplus_inv(rng.uniform(0.3, 3.0, spec.n_params)), base
 
 
+def sigmoid(z):
+    """The softplus slope, in its textbook form (for moderate z)."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def seed_of(*key):
     """A generator seed from a test key, the same under any PYTHONHASHSEED."""
     return zlib.crc32(repr(key).encode())
@@ -175,7 +180,7 @@ class TestRawParamGradients:
         eta = float(ga.softplus(raw[0]))
         g = spec.weighted_grad(spec.stats(np.zeros((1, d))), raw, 1.0,
                                np.ones(1))
-        assert g[0] / float(ga.sigmoid(raw[0])) == pytest.approx(-d / (2 * eta))
+        assert g[0] / float(sigmoid(raw[0])) == pytest.approx(-d / (2 * eta))
 
     def test_diagonal_d1_reduces_to_isotropic(self):
         rng = np.random.default_rng(11)
@@ -219,7 +224,9 @@ class TestRawParamGradients:
         spec = CLASSES[kind](d)
         pool = tu.stats_batch(rng, data[rng.integers(0, 64, size=96)],
                               model, gmm, grid, spec)
-        start = spec.moment_match(pool.stats, grid.ddpm_vars)
+        start = spec.moment_match(
+            pool.stats, np.repeat(grid.ddpm_vars, spec.n_params)
+        ).reshape(result.raws.shape)
         assert np.all(result.raws != start)
         assert np.all(start != CLASSES[kind](d).init())
 
@@ -235,7 +242,8 @@ class TestRawParamGradients:
 class TestStatistics:
     """Densities, gradients and the moment match read the residuals only
     through ``spec.stats``; each matches a computation from the residuals
-    themselves, over the stacked step axis."""
+    themselves, on a row spanning every step: statistic columns
+    (n - 1) p to n p are step n's."""
 
     STEPS, ROWS, D = 3, 7, 4
 
@@ -250,38 +258,41 @@ class TestStatistics:
         # per-coordinate variances, step by step
         var = bases[:, None] * np.broadcast_to(ga.softplus(raws),
                                                (self.STEPS, self.D))
-        return spec, deltas, raws, bases, weights, var
+        stats = np.concatenate([spec.stats(delta) for delta in deltas],
+                               axis=1)
+        return (spec, deltas, stats, raws, np.repeat(bases, spec.n_params),
+                weights, var)
 
     @pytest.mark.parametrize("kind", list(CLASSES))
     def test_log_density_is_scipys(self, kind):
-        spec, deltas, raws, bases, _, var = self.case(kind)
-        got = spec.log_density(spec.stats(deltas), raws, bases)
+        spec, deltas, stats, raws, bases, _, var = self.case(kind)
+        got = spec.log_density(stats, raws.ravel(), bases)
         want = np.sum(sps.norm.logpdf(deltas, scale=np.sqrt(var)[:, None]),
-                      axis=-1)
+                      axis=(0, 2))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", list(CLASSES))
     def test_weighted_grad_is_the_residual_formula(self, kind):
         # d/draw sum_b w_b log N(delta_b) with Sigma = base * softplus(raw)
-        spec, deltas, raws, bases, weights, var = self.case(kind)
-        got = spec.weighted_grad(spec.stats(deltas), raws, bases, weights)
+        spec, deltas, stats, raws, bases, weights, var = self.case(kind)
+        got = spec.weighted_grad(stats, raws.ravel(), bases, weights)
         # per coordinate: w . (delta^2 / (2 v) - 1/2) / eta, times sigmoid
         per_coord = np.einsum("b,nbd->nd", weights,
                               deltas * deltas / (2.0 * var[:, None])
                               - 0.5)
         if kind == "isotropic":
             per_coord = np.sum(per_coord, axis=1, keepdims=True)
-        want = per_coord / ga.softplus(raws) * ga.sigmoid(raws)
+        want = (per_coord / ga.softplus(raws) * sigmoid(raws)).ravel()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", list(CLASSES))
     def test_moment_match_is_the_residual_second_moment(self, kind):
-        spec, deltas, _, bases, _, _ = self.case(kind)
-        eta = ga.softplus(spec.moment_match(spec.stats(deltas), bases))
+        spec, deltas, stats, _, bases, _, _ = self.case(kind)
+        eta = ga.softplus(spec.moment_match(stats, bases))
         second = np.mean(deltas * deltas, axis=1)            # (N, d)
         if kind == "isotropic":
             second = np.mean(second, axis=1, keepdims=True)
-        want = second / bases[:, None]
+        want = (second / bases.reshape(self.STEPS, -1)).ravel()
         assert np.max(np.abs(eta - want)) <= 1e-12 * np.max(np.abs(want))
 
 

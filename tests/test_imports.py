@@ -186,6 +186,13 @@ def test_check_finds_a_test_only_public_name():
         ["orphan", "A.stale", "B"]
 
 
+def untraceable(spans) -> list:
+    """The ``(span, attr)`` of each span whose attribute is not in its
+    owner's own namespace, where the tracer replaces it."""
+    return [(name, attr) for name, owner, attr, _ in spans
+            if attr not in vars(owner)]
+
+
 def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
     # the tracer replaces ``owner.__dict__[attr]``; a name that moved to a
     # base class or another module would no longer be found there
@@ -194,9 +201,23 @@ def test_every_traced_name_is_in_its_owners_namespace(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    missing = [(name, attr) for name, owner, attr, _ in tracing.SPANS
-               if attr not in vars(owner)]
-    assert tracing.SPANS and missing == []
+    assert tracing.SPANS and untraceable(tracing.SPANS) == []
+
+
+def test_check_finds_a_traced_method_left_in_a_base_class():
+    class Base:
+        def log_density(self):
+            pass
+
+    class Bound(Base):
+        log_density = Base.log_density
+
+    class Inherits(Base):
+        pass
+
+    spans = [("bound", Bound, "log_density", None),
+             ("inherited", Inherits, "log_density", None)]
+    assert untraceable(spans) == [("inherited", "log_density")]
 
 
 

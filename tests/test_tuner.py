@@ -94,8 +94,19 @@ def forward_batch(rng, x0, model, grid, proj=None):
     return ForwardBatch(np.stack(deltas), log_q, log_prior)
 
 
+def columns(spec, deltas):
+    """The (B, N p) statistic matrix of stacked residuals (N, B, d), step
+    n's statistics in columns (n - 1) p to n p."""
+    return np.concatenate([spec.stats(delta) for delta in deltas], axis=1)
+
+
+def column_bases(spec):
+    """Each column's base variance: step n's, p times."""
+    return np.repeat(BASES, spec.n_params)
+
+
 def as_stats(batch, spec, log_pi):
-    return tu.StatsBatch(spec.stats(batch.deltas),
+    return tu.StatsBatch(columns(spec, batch.deltas),
                          log_pi + batch.log_q_cond - batch.log_prior)
 
 
@@ -144,28 +155,36 @@ class TestStackedObjective:
     @pytest.mark.parametrize("kind,space", CASES)
     @pytest.mark.parametrize("objective", ["alpha2"])
     def test_matches_per_step_loop(self, kind, space, objective):
+        # flat raws (N p,) in, the flat gradient out, column (n - 1) p + k
+        # of it the per-step loop's gradient [n - 1, k]
         batch, spec, raws, log_pi = make_case(kind, space)
         loss, grad, lw = tu.loss_and_gradient(
-            as_stats(batch, spec, log_pi), spec, raws, BASES)
+            as_stats(batch, spec, log_pi), spec, raws.ravel(),
+            column_bases(spec))
         want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi)
         assert_close(loss, want[0])
-        assert_close(grad, want[1])
+        assert_close(grad.reshape(raws.shape), want[1])
         assert_close(lw, want[2])
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_spec_step_axis_rows_are_per_step_calls(self, kind, space):
+        # the step axis is the column blocks: on a row that spans every
+        # step, the density is the sum of the per-step densities, and block
+        # n of the gradient is step n's call
         batch, spec, raws, _ = make_case(kind, space, seed=1)
         weights = np.random.default_rng(3).uniform(0.1, 1.0, batch.count)
-        stats = spec.stats(batch.deltas)
-        dens = spec.log_density(stats, raws, BASES)
-        grads = spec.weighted_grad(stats, raws, BASES, weights)
-        assert dens.shape == (GRID.n_steps, batch.count)
-        assert grads.shape == raws.shape
+        stats = columns(spec, batch.deltas)
+        dens = spec.log_density(stats, raws.ravel(), column_bases(spec))
+        grads = spec.weighted_grad(stats, raws.ravel(), column_bases(spec),
+                                   weights)
+        assert dens.shape == (batch.count,)
+        assert grads.shape == (raws.size,)
+        steps = [spec.stats(delta) for delta in batch.deltas]
+        assert_close(dens, sum(spec.log_density(s, raw, base)
+                               for s, raw, base in zip(steps, raws, BASES)))
         for n in range(GRID.n_steps):
-            assert_close(dens[n], spec.log_density(stats[n], raws[n],
-                                                   BASES[n]))
-            assert_close(grads[n], spec.weighted_grad(
-                stats[n], raws[n], BASES[n], weights))
+            assert_close(grads.reshape(raws.shape)[n], spec.weighted_grad(
+                steps[n], raws[n], BASES[n], weights))
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_underflowed_variance_is_rejected(self, kind, space):
@@ -173,7 +192,8 @@ class TestStackedObjective:
         batch, spec, raws, _ = make_case(kind, space, seed=4)
         raws[2] = -800.0
         with pytest.raises(ValueError, match="positive"):
-            spec.log_density(spec.stats(batch.deltas), raws, BASES)
+            spec.log_density(columns(spec, batch.deltas), raws.ravel(),
+                             column_bases(spec))
         with pytest.raises(ValueError, match="positive"):
             spec.log_density(spec.stats(batch.deltas[2]), raws[2], BASES[2])
 
@@ -183,14 +203,15 @@ class TestStackedObjective:
                                                  objective):
         batch, spec, raws, log_pi = make_case(kind, space, seed=2, count=12)
         batch = as_stats(batch, spec, log_pi)
-        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, BASES)
+        raws, bases = raws.ravel(), column_bases(spec)
+        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, bases)
         h = 1e-6
-        for idx in np.ndindex(*raws.shape):
+        for idx in range(raws.size):
             up, dn_ = raws.copy(), raws.copy()
             up[idx] += h
             dn_[idx] -= h
-            fd = (tu.loss_and_gradient(batch, spec, up, BASES)[0]
-                  - tu.loss_and_gradient(batch, spec, dn_, BASES)[0]) \
+            fd = (tu.loss_and_gradient(batch, spec, up, bases)[0]
+                  - tu.loss_and_gradient(batch, spec, dn_, bases)[0]) \
                 / (2 * h)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -292,6 +313,14 @@ def test_config_rejects_an_empty_budget(field, value):
             config(**{field: value})
 
 
+def test_tune_rejects_empty_data_by_name():
+    target, model, _ = ambient_problem()
+    with pytest.raises(ValueError, match="empty data"):
+        tu.tune(np.random.default_rng(0), model, target, GRID, "isotropic",
+                tu.TunerConfig(iterations=2, batch_size=4),
+                data=np.empty((0, model.dim)))
+
+
 @pytest.mark.parametrize("window", [0, 1, -5, 2.5])
 def test_config_rejects_a_window_without_two_halves(window):
     # half = window // 2 would be 0 (or not a count), and the stop would
@@ -303,14 +332,14 @@ def test_config_rejects_a_window_without_two_halves(window):
 @pytest.mark.parametrize("kind,space", CASES)
 def test_moment_match_is_the_uniform_weight_stationary_point(kind, space):
     batch, spec, _, _ = make_case(kind, space, seed=8, count=40)
-    stats = spec.stats(batch.deltas)
-    raws = spec.moment_match(stats, BASES)
-    assert raws.shape == (GRID.n_steps, spec.n_params)
+    stats, bases = columns(spec, batch.deltas), column_bases(spec)
+    raws = spec.moment_match(stats, bases)
+    assert raws.shape == (GRID.n_steps * spec.n_params,)
     uniform = np.full(batch.count, 1.0 / batch.count)
-    grad = spec.weighted_grad(stats, raws, BASES, uniform)
+    grad = spec.weighted_grad(stats, raws, bases, uniform)
     # the gradient is a difference of two terms; with no residual only
     # the second is left, and it sets the scale of the cancellation
-    scale = np.abs(spec.weighted_grad(np.zeros_like(stats), raws, BASES,
+    scale = np.abs(spec.weighted_grad(np.zeros_like(stats), raws, bases,
                                       uniform))
     assert np.all(np.abs(grad) <= 1e-10 * scale)
 
@@ -343,7 +372,7 @@ def test_tune_draws_one_pool_of_forward_batches(iterations, monkeypatch):
 def test_steps_run_on_one_contiguous_statistic_per_pool_batch(kind, space,
                                                               monkeypatch):
     # every step reads pool batch it mod P, rows p B to (p + 1) B of the
-    # one forward pass, through its statistics alone
+    # one forward pass's statistic matrix, through a view of it alone
     problem = ambient_problem if space == "ambient" else subspace_problem
     target, model, proj = problem()
     data = draw_x0(target, proj, 64, np.random.default_rng(11))
@@ -366,7 +395,8 @@ def test_steps_run_on_one_contiguous_statistic_per_pool_batch(kind, space,
     assert len(seen) == 5
     for p, batch in enumerate(seen):
         assert batch.stats.flags.c_contiguous
-        assert np.array_equal(batch.stats, whole.stats[:, 6 * p:6 * p + 6])
+        assert batch.stats.base is seen[0].stats.base     # no copy
+        assert np.array_equal(batch.stats, whole.stats[6 * p:6 * p + 6])
         assert np.array_equal(batch.offset, whole.offset[6 * p:6 * p + 6])
 
 
@@ -416,8 +446,7 @@ class TestGaussianOptimum:
         spec = ga.IsotropicParams(self.D)
         pool = tu.stats_batch(rng, gmm.sample(rng, count), model, gmm,
                               self.GRID, spec)
-        eta = ga.softplus(spec.moment_match(pool.stats,
-                                            self.GRID.ddpm_vars)[:, 0])
+        eta = ga.softplus(spec.moment_match(pool.stats, self.GRID.ddpm_vars))
         rel_se = np.sqrt(2.0 / (count * self.D))
         assert np.all(np.abs(eta / self.eta_star() - 1.0) < 4 * rel_se)
 
