@@ -7,13 +7,13 @@ draws ``x_{n-1}`` around the Bayes posterior mean
 
     mean = (t_{n-1}^2 / t_n^2) x_n + (1 - t_{n-1}^2 / t_n^2) x0_hat
 
-from the step's proposal Gaussian, whose natural scale is the posterior
-variance t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2.  A proposal is the pair
-``(spec, raws)`` of ``vtdis.gaussians`` (tuned, or the isotropic spec at
-``init()`` for the baseline); ``StepKernel`` is step n of it, the spec at
-``raws[n - 1]`` and base variance ``grid.ddpm_vars[n - 1]``.  Every step
-reads its coefficients from the grid's per-step arrays (``forward_vars``,
-``ddpm_vars``, ``mean_ratios``).  The terminal prior is N(0, T^2 I)
+from the step's proposal Gaussian.  A proposal is the pair
+``(spec, variances)`` of ``vtdis.gaussians``: tuned, or for the baseline
+the isotropic spec at the posterior variances
+t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2, ``grid.ddpm_vars[:, None]``.
+``StepKernel`` is step n of it, the spec at ``variances[n - 1]``.  Every
+step reads its coefficients from the grid's per-step arrays
+(``forward_vars``, ``mean_ratios``).  The terminal prior is N(0, T^2 I)
 regardless of the forward marginal; the mismatch is part of what the
 trajectory importance weight corrects.
 
@@ -61,16 +61,15 @@ def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
 
 class StepKernel:
     """Sampling and density of one reverse step's proposal: ``spec`` at
-    raw parameters ``raw`` and base variance ``base``.  Both take a (B, d)
-    batch of means, and ``logpdf`` points of the same shape; any other
-    shape raises ``ValueError``.  With a projection the residuals are
-    checked to lie on the zero-CoM subspace."""
+    the (p,) variances ``var``.  Both take a (B, d) batch of means, and
+    ``logpdf`` points of the same shape; any other shape raises
+    ``ValueError``.  With a projection the residuals are checked to lie
+    on the zero-CoM subspace."""
 
-    def __init__(self, spec, raw: np.ndarray, base: float,
+    def __init__(self, spec, var: np.ndarray,
                  proj: eq.ComProjection | None = None):
         self.spec = spec
-        self.raw = raw
-        self.base = base
+        self.var = var
         self.proj = proj
 
     def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -81,15 +80,13 @@ class StepKernel:
         delta = x - mean
         if self.proj is not None:
             eq._check_on_subspace(delta, self.proj, "residual")
-        return self.spec.log_density(self.spec.stats(delta), self.raw,
-                                     self.base)
+        return self.spec.log_density(self.spec.stats(delta), self.var)
 
     def sample(self, rng: np.random.Generator, mean: np.ndarray
                ) -> np.ndarray:
         """One draw per row of ``mean``, all rows from one block of
         standard normals of ``rng``."""
-        return self.spec.draw(rng, self.raw, self.base, _mean_batch(mean),
-                              self.proj)
+        return self.spec.draw(rng, self.var, _mean_batch(mean), self.proj)
 
 
 def _mean_batch(mean) -> np.ndarray:
@@ -102,14 +99,13 @@ def _mean_batch(mean) -> np.ndarray:
 
 
 def proposal_steps(proposal, grid: TimeGrid):
-    """``(spec, raws, bases)`` of a proposal ``(spec, raws)`` on ``grid``:
-    step n uses ``raws[n-1]`` and the posterior variance
-    ``bases[n-1] = grid.ddpm_vars[n-1]``."""
-    spec, raws = proposal
-    if len(raws) != grid.n_steps:
+    """The ``(spec, variances)`` of a proposal, checked to hold one row
+    of variances per step of ``grid``: step n uses ``variances[n-1]``."""
+    spec, variances = proposal
+    if len(variances) != grid.n_steps:
         raise ValueError(
-            f"need {grid.n_steps} step covariances, got {len(raws)}")
-    return spec, raws, grid.ddpm_vars
+            f"need {grid.n_steps} step covariances, got {len(variances)}")
+    return spec, variances
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
     n_steps = grid.n_steps
-    spec, raws, bases = proposal_steps(proposal, grid)
+    spec, variances = proposal_steps(proposal, grid)
     t_max = grid.t_max
 
     x = t_max * eq.normals(rng, (count, model.dim), proj)
@@ -176,7 +172,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
             raise FloatingPointError(f"denoiser produced NaN at step {n}")
         r = grid.mean_ratios[n - 1]
         mean = r * x + (1.0 - r) * x0_hat
-        kernel = StepKernel(spec, raws[n - 1], bases[n - 1], proj)
+        kernel = StepKernel(spec, variances[n - 1], proj)
         x_prev = kernel.sample(rng, mean)
         log_p += kernel.logpdf(x_prev, mean)
         log_q += _iso_logpdf(x - x_prev, grid.forward_vars[n - 1], proj)
@@ -204,14 +200,13 @@ def step_log_densities(proposal, grid: TimeGrid, rows: int, proj=None):
     """``(total, consume)``: ``consume(n, delta)`` adds step n's proposal
     log-density of the residuals into the (rows,) ``total``, in step
     order; with ``proj`` a residual off the zero-CoM subspace raises."""
-    spec, raws, bases = proposal_steps(proposal, grid)
+    spec, variances = proposal_steps(proposal, grid)
     total = np.zeros(rows)
 
     def consume(n, delta):
         if proj is not None:
             eq._check_on_subspace(delta, proj, "residual")
-        total[:] += spec.log_density(spec.stats(delta), raws[n - 1],
-                                     bases[n - 1])
+        total[:] += spec.log_density(spec.stats(delta), variances[n - 1])
 
     return total, consume
 

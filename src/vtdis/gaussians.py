@@ -3,62 +3,56 @@
 In VT-DIS the Gaussian of each reverse step does three jobs: it is a term
 of the alpha = 2 objective, the reverse draw, and a factor of the
 trajectory weight.  Each covariance kind is one class that does all
-three for ``Sigma = base * C(raw)``, where ``base`` is the step's fixed
-posterior variance and ``C`` a structure with unconstrained raw
-parameters (positivity through a softplus):
+three for a zero-mean Gaussian with positive variances ``v``:
 
-* ``IsotropicParams``    C = eta I
-* ``DiagonalParams``     C = diag(etas)
+* ``IsotropicParams``    Sigma = v I, one variance
+* ``DiagonalParams``     Sigma = diag(v), one variance per coordinate
 
 A Gaussian of zero mean reads a residual only through its second
 moments, and both kinds are one Gaussian on columns of them.
 ``stats(deltas)`` maps (..., B, d) residuals to (..., B, p) columns,
 p = n_params: ||delta||^2 as one column (isotropic) or delta^2 per
-coordinate (diagonal).  Column c has variance base_c * softplus(raw_c)
-per coordinate and counts ``mult = dim / p`` coordinates, so one
-density, one gradient, one moment match and one sampler serve both
-kinds:
+coordinate (diagonal).  Column c has variance v_c per coordinate and
+counts ``mult = dim / p`` coordinates, so one density, one gradient, one
+moment match and one sampler serve both kinds:
 
-    n_params, mult                        -> int
-    init()                                -> (p,) raws at C = I, the
-                                             untuned baseline
-    stats(deltas)                         -> (..., B, p) columns
-    log_density(s, raw, base)             -> log N(delta; 0, Sigma) per
-                                             row of s
-    weighted_grad(s, raw, base, w)        -> d/draw sum_b w_b log N(delta_b)
-    moment_match(s, base)                 -> raws whose variances are the
-                                             rows' second moments
-    draw(rng, raw, base, mean, proj=None) -> one sample per row of ``mean``
+    n_params, mult                  -> int
+    stats(deltas)                   -> (..., B, p) columns
+    log_density(s, v)               -> log N(delta; 0, Sigma) per row of s
+    weighted_grad(s, v, w)          -> d/dv sum_b w_b log N(delta_b)
+    moment_match(s)                 -> the variances that are the rows'
+                                       second moments
+    draw(rng, v, mean, proj=None)   -> one sample per row of ``mean``
 
-Every column function takes s (B, C), raw (C,) and base broadcasting to
-(C,).  One step is C = p columns, a scalar base and the (B, p) stats of
-its residuals (``vtdis.diffusion.StepKernel``).  All N steps at once are
-C = N p columns, column (n - 1) p + k holding step n's statistic k: a row
-then spans every step, ``log_density`` is the sum over steps and
-``weighted_grad`` the (N p,) gradient, each one matrix-vector product (the
-tuner's form, ``vtdis.tuner``).  ``moment_match`` gives the
+Every column function takes s (B, C) and v (C,).  One step is C = p
+columns and the (B, p) stats of its residuals
+(``vtdis.diffusion.StepKernel``).  All N steps at once are C = N p
+columns, column (n - 1) p + k holding step n's statistic k: a row then
+spans every step, ``log_density`` is the sum over steps and
+``weighted_grad`` the (N p,) gradient, each one matrix-vector product
+(the tuner's form, ``vtdis.tuner``).  ``moment_match`` is the
 Analytic-DPM / SN-DPM moment match (Bao et al., 2022): the zero of
 ``weighted_grad`` under uniform weights, so the maximum of the average
 log-density over the rows.  ``log_density`` and ``draw`` reject
-variances that are not positive and finite (softplus underflows to 0
-below -745) with a ``ValueError``; ``weighted_grad`` does not check
-again, and the tuner calls it only on raws that ``log_density`` has
-just scored.  ``draw`` takes the zero-CoM projection of a particle
-system, its normals from ``vtdis.equivariant.normals``; diagonal is
-ambient only (``make_param_spec`` rejects it on the subspace).
+variances that are not positive and finite with a ``ValueError``;
+``weighted_grad`` does not check again, and the tuner calls it only on
+variances that ``log_density`` has just scored.  ``draw`` takes the
+zero-CoM projection of a particle system, its normals from
+``vtdis.equivariant.normals``; diagonal is ambient only
+(``vtdis.tuner.make_param_spec`` rejects it on the subspace).
 
-A proposal over a time grid is the pair ``(spec, raws)``: one raw row per
-reverse step, step n using ``raws[n - 1]`` and the base variance
-``grid.ddpm_vars[n - 1]``.  ``vtdis.tuner.tune`` returns one, the
-baseline is the isotropic spec at ``init()``,
+A proposal over a time grid is the pair ``(spec, variances)``: one (p,)
+row of variances per reverse step, step n using ``variances[n - 1]``.
+``vtdis.tuner.tune`` returns one, the untuned baseline is the isotropic
+spec at the posterior variances ``grid.ddpm_vars[:, None]``,
 ``vtdis.diffusion.StepKernel`` wraps one step of it, and
 ``vtdis.tuner.make_param_spec`` is the one place that maps a kind name
-to its class.
+to its class.  How the variances are parametrized while tuning is the
+tuner's business alone.
 
 Densities and gradients are O(C) per row, with no dense d x d work.  The
 gradient is standard Gaussian calculus,
-d/dv_c sum_b w_b log N = (w @ s)_c / (2 v_c^2) - mult sum_b w_b / (2 v_c),
-chained through v_c = base_c eta_c and the softplus.
+d/dv_c sum_b w_b log N = (w @ s)_c / (2 v_c^2) - mult sum_b w_b / (2 v_c).
 """
 
 from __future__ import annotations
@@ -124,25 +118,9 @@ def softmax_from_log(log_values: np.ndarray, axis=None) -> np.ndarray:
     return w / np.sum(w, axis=axis, keepdims=True)
 
 
-def softplus(z):
-    """log(1 + exp(z)), stable for large |z|."""
-    z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def softplus_inv(y):
-    """Inverse of softplus; requires y > 0."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("softplus_inv requires positive input")
-    # log(expm1(y)) written to stay stable for large y
-    return np.where(y > 20, y, np.log(np.expm1(np.minimum(y, 20.0))))
-
-
-def _spec_variances(base, etas) -> np.ndarray:
-    """base * etas, rejected unless positive and finite (softplus
-    underflows to 0 below -745)."""
-    v = base * etas
+def _checked_variances(v) -> np.ndarray:
+    """``v`` as a float array, rejected unless positive and finite."""
+    v = np.asarray(v, dtype=float)
     if not (v.min() > 0 and v.max() < np.inf):    # false for a NaN too
         raise ValueError("proposal variances must be positive and finite")
     return v
@@ -154,8 +132,8 @@ def _spec_variances(base, etas) -> np.ndarray:
 
 class _ColumnGaussian:
     """The Gaussian of both kinds on statistic columns: column c sums the
-    squares of ``mult = dim / n_params`` coordinates of variance
-    v_c = base_c * softplus(raw_c), so with s = stats(deltas)
+    squares of ``mult = dim / n_params`` coordinates of variance v_c, so
+    with s = stats(deltas)
 
         log N = -1/2 mult sum_c (log 2 pi + log v_c) - 1/2 s @ (1 / v).
 
@@ -168,37 +146,28 @@ class _ColumnGaussian:
         self.n_params = n_params
         self.mult = dim // n_params
 
-    def init(self) -> np.ndarray:
-        return np.full(self.n_params, float(softplus_inv(1.0)))
+    def moment_match(self, s) -> np.ndarray:
+        """v_c = mean over rows of s_c / mult."""
+        return np.mean(s, axis=0) / self.mult
 
-    def moment_match(self, s, base) -> np.ndarray:
-        """eta_c = mean over rows of s_c / (mult * base_c)."""
-        return softplus_inv(np.mean(s, axis=0)
-                            / (self.mult * np.asarray(base, dtype=float)))
-
-    def log_density(self, s, raw, base) -> np.ndarray:
-        v = _spec_variances(base, softplus(raw))
+    def log_density(self, s, v) -> np.ndarray:
+        v = _checked_variances(v)
         log_norm = -0.5 * self.mult * (v.size * LOG_2PI + np.log(v).sum())
         return log_norm - 0.5 * (s @ (1.0 / v))
 
-    def weighted_grad(self, s, raw, base, weights) -> np.ndarray:
-        """Chained through the softplus, whose slope sigmoid(raw) is
-        -expm1(-eta), accurate for every eta."""
-        eta = softplus(raw)
-        g = ((weights @ s) / (base * eta) - self.mult * weights.sum()) \
-            / (2.0 * eta)
-        return g * -np.expm1(-eta)
+    def weighted_grad(self, s, v, weights) -> np.ndarray:
+        return ((weights @ s) / v - self.mult * weights.sum()) / (2.0 * v)
 
-    def draw(self, rng, raw, base, mean, proj=None) -> np.ndarray:
+    def draw(self, rng, v, mean, proj=None) -> np.ndarray:
         """One draw per row of ``mean`` from one block of ambient normals,
         projected onto the zero-CoM subspace of ``proj`` when given; the
         ``mult`` coordinates of a column share its variance."""
         z = normals(rng, mean.shape, proj)
-        return mean + np.sqrt(_spec_variances(base, softplus(raw))) * z
+        return mean + np.sqrt(_checked_variances(v)) * z
 
 
 class IsotropicParams(_ColumnGaussian):
-    """eta = softplus(z); one raw parameter, one column of ||delta||^2."""
+    """One variance, one column of ||delta||^2."""
 
     def __init__(self, dim: int):
         super().__init__(dim, 1)
@@ -213,7 +182,7 @@ class IsotropicParams(_ColumnGaussian):
 
 
 class DiagonalParams(_ColumnGaussian):
-    """etas_i = softplus(z_i); d raw parameters, a column each."""
+    """d variances, a column of delta_i^2 each."""
 
     def __init__(self, dim: int):
         super().__init__(dim, dim)

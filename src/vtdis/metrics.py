@@ -50,7 +50,7 @@ def estimate_log_Z(log_weights) -> float:
 def forward_log_weights(rng: np.random.Generator, x0: np.ndarray, model,
                         proposal, grid, proj=None) -> np.ndarray:
     """log w - log pi(x0) of one forward path per row of ``x0`` under the
-    proposal ``(spec, raws)``, scoring each step's residuals as they are
+    proposal ``(spec, variances)``, scoring each step's residuals as they are
     streamed (O(B d) memory); with ``proj`` off-subspace ones raise."""
     log_p, score = df.step_log_densities(
         proposal, grid, as_batch(x0, model.dim).shape[0], proj)
@@ -66,7 +66,7 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     For each x0, draw ``inner`` forward paths and form
     R = log p(x_{0:N}) - log q(x_{1:N} | x0) = log pi(x0) - log w, with
     log w from ``forward_log_weights`` under the proposal
-    ``(spec, raws)``.  The lower bound is the plain average of R; the
+    ``(spec, variances)``.  The lower bound is the plain average of R; the
     upper bound reweights the same draws by softmax(R), i.e. a
     self-normalized estimate under the reverse-path posterior.  The
     weighted average can only move mass toward larger R, so the sandwich

@@ -3,8 +3,9 @@
 ``karras_grid`` builds the one grid family the samplers use.  Grids are
 strictly increasing, t_0 = eps > 0 through t_N = T, following the
 variance-exploding convention where the marginal noise scale at time t
-is t itself.  A ``TimeGrid`` computes its per-step constants once, as
-read-only (N,) arrays with step n at index n - 1:
+is t itself.  A ``TimeGrid`` keeps a read-only copy of its times and
+computes its per-step constants once from it, as read-only (N,) arrays
+with step n at index n - 1:
 
 * ``forward_vars[n-1] = t_n^2 - t_{n-1}^2``   (forward transition variance)
 * ``ddpm_vars[n-1]    = t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2``
@@ -29,7 +30,8 @@ class TimeGrid:
     rho: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        # a copy: the per-step arrays must not go stale under the caller
+        t = np.array(self.times, dtype=float)
         if t.ndim != 1 or t.shape[0] < 2:
             raise ValueError("grid needs at least two time points")
         if not np.all(np.isfinite(t)):
@@ -38,9 +40,9 @@ class TimeGrid:
             raise ValueError("eps must be positive")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
         tp, tn = t[:-1], t[1:]
         for name, value in (
+                ("times", t),
                 ("forward_vars", tn ** 2 - tp ** 2),
                 ("ddpm_vars", tp * tp * (tn * tn - tp * tp) / (tn * tn)),
                 ("mean_ratios", tp ** 2 / tn ** 2)):

@@ -21,17 +21,19 @@ step's residuals, as the pass streams them, into one C-contiguous
 (n - 1) p + k holds step n's statistic k, and no residual outlives its
 step.  Pool batch k is the row slice ``S[k B:(k + 1) B]``, a view.  On
 these columns every step's Gaussian is one Gaussian (``vtdis.gaussians``),
-so the raws are one flat (N p,) vector while tuning, returned as (N, p).
-Tuning starts from the moment match of the whole pool
-(``spec.moment_match``), and then iteration ``it`` takes one Adam step on
-the alpha = 2 objective of pool batch ``it mod P``: log w is the offset
-minus one ``spec.log_density`` of S_k, and the gradient one
+so the (N p,) column variances are one flat vector while tuning.  The
+tuner alone parametrizes them, as v_c = base_c * softplus(raw_c) with
+base_c the posterior variance ``grid.ddpm_vars`` of its step, and Adam
+steps on the flat raws.  Tuning starts from the moment match of the whole
+pool (``spec.moment_match``), and then iteration ``it`` takes one Adam
+step on the alpha = 2 objective of pool batch ``it mod P``: log w is the
+offset minus one ``spec.log_density`` of S_k, and the gradient one
 ``spec.weighted_grad``, each a matrix-vector product, with no denoiser
 call.  The spec is the one class of its covariance kind, looked up by
 ``make_param_spec`` in the one table whose keys are ``TUNABLE_KINDS``:
 isotropic and diagonal on vector data, isotropic alone on the zero-CoM
 subspace of particle systems.  The result is the proposal
-``(spec, raws)`` that the samplers and the bound metrics take.
+``(spec, variances)`` that the samplers and the bound metrics take.
 
 The optimizer loop is sequential and all reductions are plain
 deterministic numpy sums, so a fixed seed reproduces results bit for bit.
@@ -57,6 +59,21 @@ TUNABLE_KINDS = tuple(_SPECS)
 PLATEAU_TOL = 1e-4
 # forward batches in the tuning pool, at most one per iteration
 POOL_BATCHES = 8
+
+
+def softplus(z):
+    """log(1 + exp(z)), stable for large |z|."""
+    z = np.asarray(z, dtype=float)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def softplus_inv(y):
+    """Inverse of softplus; requires y > 0."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("softplus_inv requires positive input")
+    # log(expm1(y)) written to stay stable for large y
+    return np.where(y > 20, y, np.log(np.expm1(np.minimum(y, 20.0))))
 
 
 def make_param_spec(kind: str, dim: int,
@@ -111,20 +128,25 @@ def stats_batch(rng, x0: np.ndarray, model, target, grid: TimeGrid, spec,
 
 
 def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
-    """Loss value and exact gradient w.r.t. the flat (N * p,) raws, with
-    ``bases`` the base variance of each column.
+    """Loss value and exact gradient w.r.t. the flat (N * p,) raws, the
+    column variances being ``bases * softplus(raws)``.
 
     The gradient of the logsumexp objective is the softmax-weighted sum
-    of per-trajectory gradients of -log p_phi.  Nothing propagates into
-    the score model.
+    of per-trajectory gradients of -log p_phi, chained from d/dv through
+    the softplus, whose slope sigmoid(raw) = -expm1(-softplus(raw)) is
+    accurate for every raw.  Nothing propagates into the score model.
     """
     if batch.count == 0:
         raise ValueError("empty batch")
-    lw = batch.offset - spec.log_density(batch.stats, raws, bases)
+    eta = softplus(raws)
+    v = bases * eta
+    lw = batch.offset - spec.log_density(batch.stats, v)
     log_total = ga.logsumexp(lw)
     weights = np.exp(lw - log_total)                  # the softmax of lw
     loss = float(log_total - np.log(batch.count))
-    grad = -spec.weighted_grad(batch.stats, raws, bases, weights)
+    # the loss is -log p_phi, so chain d/dv by -dv/draw
+    neg_slope = bases * np.expm1(-eta)
+    grad = spec.weighted_grad(batch.stats, v, weights) * neg_slope
     return loss, grad, lw
 
 
@@ -150,19 +172,19 @@ class TunerConfig:
 
 @dataclass
 class TuneResult:
-    """Tuned raw parameters, reached from the pool's moment match by
+    """Tuned variances, reached from the pool's moment match by
     ``iterations`` Adam steps (one loss each in ``loss_curve``), each on
     one batch of the pool; ``iterations`` below the configured budget
     means the plateau stop ended the run."""
 
-    raws: np.ndarray            # (N, n_params)
+    variances: np.ndarray       # (N, n_params)
     spec: object
     loss_curve: np.ndarray
     iterations: int
 
     def covariances(self) -> tuple:
-        """The tuned proposal ``(spec, raws)``."""
-        return self.spec, self.raws
+        """The tuned proposal ``(spec, variances)``."""
+        return self.spec, self.variances
 
 
 def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
@@ -191,7 +213,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     if proj is not None:
         x0 = eq.com_project(x0, proj)
     whole = stats_batch(rng, x0, model, target, grid, spec, proj)
-    raws = spec.moment_match(whole.stats, bases)
+    raws = softplus_inv(spec.moment_match(whole.stats) / bases)
     pool = [StatsBatch(stats, offset)       # row slices: views, no copies
             for stats, offset in zip(np.split(whole.stats, n_batches),
                                      np.split(whole.offset, n_batches))]
@@ -216,5 +238,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
                     1.0, abs(previous)):
                 break
 
-    return TuneResult(raws=raws.reshape(grid.n_steps, -1), spec=spec,
-                      loss_curve=np.asarray(losses), iterations=len(losses))
+    variances = bases * softplus(raws)
+    return TuneResult(variances=variances.reshape(grid.n_steps, -1),
+                      spec=spec, loss_curve=np.asarray(losses),
+                      iterations=len(losses))

@@ -20,7 +20,7 @@ def ambient_case():
     """Analytic GMM score with tuned-looking diagonal kernels."""
     model = dn.AnalyticGmmScore(tg.two_mode_gmm(3))
     etas = np.random.default_rng(1).uniform(0.5, 2.0, (GRID.n_steps, 3))
-    return model, (ga.DiagonalParams(3), ga.softplus_inv(etas)), None
+    return model, (ga.DiagonalParams(3), GRID.ddpm_vars[:, None] * etas), None
 
 
 def com_case():
@@ -31,7 +31,7 @@ def com_case():
     proj = eq.ComProjection(target.n_particles, target.spatial_dim)
     etas = 0.5 + 0.1 * np.arange(1, GRID.n_steps + 1)
     spec = ga.IsotropicParams(proj.subspace_dim)
-    return model, (spec, ga.softplus_inv(etas)[:, None]), proj
+    return model, (spec, (GRID.ddpm_vars * etas)[:, None]), proj
 
 
 CASES = {"ambient": ambient_case, "com": com_case}
@@ -64,10 +64,10 @@ def test_stored_densities_match_recompute(case):
 
 def wrong_count(proposal, extra):
     """The proposal with ``extra`` steps appended (> 0) or dropped (< 0)."""
-    spec, raws = proposal
+    spec, variances = proposal
     if extra > 0:
-        return spec, np.concatenate([raws, raws[:extra]])
-    return spec, raws[:extra]
+        return spec, np.concatenate([variances, variances[:extra]])
+    return spec, variances[:extra]
 
 
 @pytest.mark.parametrize("extra", [2, -2])
@@ -152,7 +152,7 @@ def step_kernel(kind, space):
     else:
         proj = eq.ComProjection(3, 1)
         spec = tu.make_param_spec(kind, proj.subspace_dim, proj)
-    return df.StepKernel(spec, spec.init(), 0.5, proj)
+    return df.StepKernel(spec, np.full(spec.n_params, 0.5), proj)
 
 
 @pytest.mark.parametrize("method", ["logpdf", "sample"])
@@ -192,10 +192,8 @@ class TestUnbiasedWeights:
                         "diagonal", tu.TunerConfig(iterations=50,
                                                    batch_size=64, lr=0.1),
                         data=gmm.sample(np.random.default_rng(1), 4096))
-        assert not np.array_equal(tuned.raws, np.tile(
-            tuned.spec.init(), (self.GRID.n_steps, 1)))
-        return {"baseline": (spec, np.tile(spec.init(),
-                                           (self.GRID.n_steps, 1))),
+        assert np.all(tuned.variances != self.GRID.ddpm_vars[:, None])
+        return {"baseline": (spec, self.GRID.ddpm_vars[:, None]),
                 "tuned": tuned.covariances()}
 
     @pytest.mark.parametrize("which", ["baseline", "tuned"])
@@ -257,7 +255,8 @@ def heldout_peak_bytes(n_steps):
     gmm = tg.two_mode_gmm(10)
     grid = karras_grid(n_steps, 1e-3, 10.0, 7.0)
     spec = ga.DiagonalParams(gmm.dim)
-    proposal = (spec, np.tile(spec.init(), (grid.n_steps, 1)))
+    proposal = (spec, np.repeat(grid.ddpm_vars[:, None], spec.n_params,
+                                axis=1))
     x0 = gmm.sample(np.random.default_rng(13), 1024)
     tracemalloc.start()
     try:

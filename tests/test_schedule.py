@@ -94,3 +94,15 @@ def test_step_arrays_are_read_only():
     for values in (g.forward_vars, g.ddpm_vars, g.mean_ratios):
         with pytest.raises(ValueError):
             values[0] = 1.0
+
+
+def test_times_are_a_read_only_copy():
+    # the per-step arrays are computed once from the times, so a grid
+    # that kept the caller's array would go stale when it changed
+    t = np.array([1.0, 2.0, 4.0])
+    g = TimeGrid(t)
+    t[1] = 1.5
+    assert list(g.times) == [1.0, 2.0, 4.0]
+    assert g.mean_ratios[0] == 0.25
+    with pytest.raises(ValueError):
+        g.times[1] = 1.5

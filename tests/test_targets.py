@@ -50,6 +50,27 @@ class TestGmmDensity:
         with pytest.raises(ValueError):
             tg.two_mode_gmm(2).log_density(np.zeros((1, 3)))
 
+    def test_parameters_are_read_only_copies(self):
+        # the log-weights are cached, so a mixture that kept the caller's
+        # arrays would go stale when they changed
+        weights = np.array([0.25, 0.75])
+        means = np.array([[0.0], [2.0]])
+        variances = np.array([0.5, 1.5])
+        gmm = tg.Gmm(weights=weights, means=means, variances=variances)
+        x = np.array([[0.3], [1.7]])
+        want = gmm.log_density(x)
+        weights[:] = [0.75, 0.25]
+        means[1] = -2.0
+        variances[0] = 4.0
+        got = gmm.log_density(x)
+        assert np.array_equal(got, want)
+        oracle = [scalar_gmm_logpdf(xi, [0.25, 0.75], [0.0, 2.0], [0.5, 1.5])
+                  for xi in x[:, 0]]
+        assert np.allclose(got, oracle, rtol=1e-12, atol=0.0)
+        for values in (gmm.weights, gmm.means, gmm.variances):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
 
 class TestGmmSampling:
     def test_degenerate_weight_selects_component(self):

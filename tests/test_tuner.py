@@ -45,9 +45,9 @@ CASES = [("isotropic", "ambient"), ("diagonal", "ambient"),
 
 
 def baseline_proposal(dim, grid):
-    """The untuned sampler: the isotropic spec at init() on every step."""
-    spec = ga.IsotropicParams(dim)
-    return spec, np.tile(spec.init(), (grid.n_steps, 1))
+    """The untuned sampler: the isotropic spec at the posterior variance
+    of every step."""
+    return ga.IsotropicParams(dim), grid.ddpm_vars[:, None]
 
 
 def test_cases_cover_every_tunable_kind():
@@ -121,27 +121,40 @@ def make_case(kind, space, seed=0, count=24):
     x0 = draw_x0(target, proj, count, rng)
     batch = forward_batch(rng, x0, model, GRID, proj)
     log_pi = np.asarray(target.log_density(x0), dtype=float)
-    raws = (np.tile(spec.init(), (GRID.n_steps, 1))
+    raws = (tu.softplus_inv(1.0)
             + 0.3 * rng.standard_normal((GRID.n_steps, spec.n_params)))
     return batch, spec, raws, log_pi
 
 
-def loop_log_weights(batch, spec, raws, bases, log_pi):
+def sigmoid(z):
+    """The softplus slope, in its textbook form (for moderate z)."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def step_variances(raws):
+    """(N, p) variances of (N, p) raws: step n's base times softplus."""
+    return BASES[:, None] * tu.softplus(raws)
+
+
+def loop_log_weights(batch, spec, variances, log_pi):
     """log w with one per-step spec call per step (the unstacked form)."""
     log_p_steps = np.zeros(batch.count)
-    for n in range(len(bases)):
-        log_p_steps += spec.log_density(spec.stats(batch.deltas[n]), raws[n],
-                                        bases[n])
+    for n, v in enumerate(variances):
+        log_p_steps += spec.log_density(spec.stats(batch.deltas[n]), v)
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
-def loop_loss_and_gradient(batch, spec, raws, bases, log_pi):
-    lw = loop_log_weights(batch, spec, raws, bases, log_pi)
+def loop_loss_and_gradient(batch, spec, raws, log_pi):
+    """The objective and its raw gradient step by step, d/dv chained by
+    dv/draw = base * sigmoid(raw)."""
+    variances = step_variances(raws)
+    lw = loop_log_weights(batch, spec, variances, log_pi)
     loss = ga.logsumexp(lw) - np.log(batch.count)
     weights = ga.softmax_from_log(lw)
-    grad = np.stack([-spec.weighted_grad(spec.stats(batch.deltas[n]),
-                                         raws[n], bases[n], weights)
-                     for n in range(len(bases))])
+    grad = np.stack([-spec.weighted_grad(spec.stats(batch.deltas[n]), v,
+                                         weights)
+                     * BASES[n] * sigmoid(raws[n])
+                     for n, v in enumerate(variances)])
     return loss, grad, lw
 
 
@@ -161,7 +174,7 @@ class TestStackedObjective:
         loss, grad, lw = tu.loss_and_gradient(
             as_stats(batch, spec, log_pi), spec, raws.ravel(),
             column_bases(spec))
-        want = loop_loss_and_gradient(batch, spec, raws, BASES, log_pi)
+        want = loop_loss_and_gradient(batch, spec, raws, log_pi)
         assert_close(loss, want[0])
         assert_close(grad.reshape(raws.shape), want[1])
         assert_close(lw, want[2])
@@ -172,30 +185,35 @@ class TestStackedObjective:
         # step, the density is the sum of the per-step densities, and block
         # n of the gradient is step n's call
         batch, spec, raws, _ = make_case(kind, space, seed=1)
+        variances = step_variances(raws)
         weights = np.random.default_rng(3).uniform(0.1, 1.0, batch.count)
         stats = columns(spec, batch.deltas)
-        dens = spec.log_density(stats, raws.ravel(), column_bases(spec))
-        grads = spec.weighted_grad(stats, raws.ravel(), column_bases(spec),
-                                   weights)
+        dens = spec.log_density(stats, variances.ravel())
+        grads = spec.weighted_grad(stats, variances.ravel(), weights)
         assert dens.shape == (batch.count,)
-        assert grads.shape == (raws.size,)
+        assert grads.shape == (variances.size,)
         steps = [spec.stats(delta) for delta in batch.deltas]
-        assert_close(dens, sum(spec.log_density(s, raw, base)
-                               for s, raw, base in zip(steps, raws, BASES)))
+        assert_close(dens, sum(spec.log_density(s, v)
+                               for s, v in zip(steps, variances)))
         for n in range(GRID.n_steps):
-            assert_close(grads.reshape(raws.shape)[n], spec.weighted_grad(
-                steps[n], raws[n], BASES[n], weights))
+            assert_close(grads.reshape(variances.shape)[n],
+                         spec.weighted_grad(steps[n], variances[n], weights))
 
     @pytest.mark.parametrize("kind,space", CASES)
     def test_underflowed_variance_is_rejected(self, kind, space):
-        # softplus(-800) is 0: a named error, stacked or per step, not NaN
-        batch, spec, raws, _ = make_case(kind, space, seed=4)
+        # softplus(-800) is 0: a named error of the objective, and of the
+        # density stacked or per step, not NaN
+        batch, spec, raws, log_pi = make_case(kind, space, seed=4)
         raws[2] = -800.0
+        variances = step_variances(raws)
+        assert np.all(variances[2] == 0.0)
         with pytest.raises(ValueError, match="positive"):
-            spec.log_density(columns(spec, batch.deltas), raws.ravel(),
-                             column_bases(spec))
+            tu.loss_and_gradient(as_stats(batch, spec, log_pi), spec,
+                                 raws.ravel(), column_bases(spec))
         with pytest.raises(ValueError, match="positive"):
-            spec.log_density(spec.stats(batch.deltas[2]), raws[2], BASES[2])
+            spec.log_density(columns(spec, batch.deltas), variances.ravel())
+        with pytest.raises(ValueError, match="positive"):
+            spec.log_density(spec.stats(batch.deltas[2]), variances[2])
 
     @pytest.mark.parametrize("kind,space", CASES)
     @pytest.mark.parametrize("objective", ["alpha2"])
@@ -262,20 +280,21 @@ def test_elbo_eubo_is_the_bound_of_the_stacked_reference(kind, space):
     # in step order, so its log weights, and the bound, equal those of the
     # stacked residuals scored one step at a time, bit for bit
     _, spec, raws, _ = make_case(kind, space, seed=6)
+    proposal = (spec, step_variances(raws))
     problem = ambient_problem if space == "ambient" else subspace_problem
     target, model, proj = problem()
     inner, repeats = 4, 2
     x0 = draw_x0(target, proj, 6, np.random.default_rng(13))
     tiled = np.repeat(x0, inner, axis=0)
     log_w = mt.forward_log_weights(np.random.default_rng(14), tiled, model,
-                                   (spec, raws), GRID, proj)
-    got = mt.elbo_eubo(np.random.default_rng(14), x0, model, (spec, raws),
+                                   proposal, GRID, proj)
+    got = mt.elbo_eubo(np.random.default_rng(14), x0, model, proposal,
                        GRID, inner, proj, repeats)
     rng = np.random.default_rng(14)
     elbos, eubos = [], []
     for i in range(repeats):
         batch = forward_batch(rng, tiled, model, GRID, proj)
-        want = loop_log_weights(batch, spec, raws, BASES, 0.0)
+        want = loop_log_weights(batch, *proposal, 0.0)
         if i == 0:
             assert np.array_equal(log_w, want)
         r = -want.reshape(-1, inner)
@@ -296,11 +315,9 @@ def test_tune_replays_bit_for_bit(space):
     runs = [tu.tune(np.random.default_rng(7), model, target, GRID, kind,
                     config, data=data, proj=proj)
             for _ in range(2)]
-    assert np.array_equal(runs[0].raws, runs[1].raws)
+    assert np.array_equal(runs[0].variances, runs[1].variances)
     assert np.array_equal(runs[0].loss_curve, runs[1].loss_curve)
-    assert not np.array_equal(runs[0].raws,
-                              np.tile(runs[0].spec.init(),
-                                      (GRID.n_steps, 1)))
+    assert np.all(runs[0].variances != GRID.ddpm_vars[:, None])
 
 
 @pytest.mark.parametrize("field,value", [("iterations", 0),
@@ -332,15 +349,14 @@ def test_config_rejects_a_window_without_two_halves(window):
 @pytest.mark.parametrize("kind,space", CASES)
 def test_moment_match_is_the_uniform_weight_stationary_point(kind, space):
     batch, spec, _, _ = make_case(kind, space, seed=8, count=40)
-    stats, bases = columns(spec, batch.deltas), column_bases(spec)
-    raws = spec.moment_match(stats, bases)
-    assert raws.shape == (GRID.n_steps * spec.n_params,)
+    stats = columns(spec, batch.deltas)
+    v = spec.moment_match(stats)
+    assert v.shape == (GRID.n_steps * spec.n_params,)
     uniform = np.full(batch.count, 1.0 / batch.count)
-    grad = spec.weighted_grad(stats, raws, bases, uniform)
+    grad = spec.weighted_grad(stats, v, uniform)
     # the gradient is a difference of two terms; with no residual only
     # the second is left, and it sets the scale of the cancellation
-    scale = np.abs(spec.weighted_grad(np.zeros_like(stats), raws, bases,
-                                      uniform))
+    scale = np.abs(spec.weighted_grad(np.zeros_like(stats), v, uniform))
     assert np.all(np.abs(grad) <= 1e-10 * scale)
 
 
@@ -430,7 +446,7 @@ class TestGaussianOptimum:
 
     def test_optimum_kernels_give_full_ess_and_log_z(self):
         optimum = (ga.IsotropicParams(self.D),
-                   ga.softplus_inv(self.eta_star())[:, None])
+                   (self.GRID.ddpm_vars * self.eta_star())[:, None])
         log_w = self.log_weights(optimum, seed=0)
         assert mt.reverse_ess(log_w) > 0.99
         assert abs(mt.estimate_log_Z(log_w)) < 0.01       # Z = 1
@@ -446,7 +462,7 @@ class TestGaussianOptimum:
         spec = ga.IsotropicParams(self.D)
         pool = tu.stats_batch(rng, gmm.sample(rng, count), model, gmm,
                               self.GRID, spec)
-        eta = ga.softplus(spec.moment_match(pool.stats, self.GRID.ddpm_vars))
+        eta = spec.moment_match(pool.stats) / self.GRID.ddpm_vars
         rel_se = np.sqrt(2.0 / (count * self.D))
         assert np.all(np.abs(eta / self.eta_star() - 1.0) < 4 * rel_se)
 
@@ -457,7 +473,7 @@ class TestGaussianOptimum:
                          tu.TunerConfig(iterations=300, batch_size=256,
                                         lr=0.05),
                          data=gmm.sample(np.random.default_rng(2), 20000))
-        eta = ga.softplus(result.raws[:, 0])
+        eta = result.variances[:, 0] / self.GRID.ddpm_vars
         err = np.abs(np.log(eta) - np.log(self.eta_star()))
         assert np.median(err) < 0.01
         assert np.max(err) < 0.1
@@ -469,7 +485,7 @@ class TestGaussianOptimum:
 def test_alpha2_steps_lower_the_heldout_loss_of_the_moment_match(seed):
     # the benchmark's gmm10 budget: diagonal, 100 steps of 128 rows at
     # lr 0.1.  At lr 0 the cosine schedule keeps every step <= 1e-6, so
-    # the raws stay at the pool's moment match; both runs draw the same
+    # the variances stay at the pool's moment match; both runs draw the same
     # pool and are scored on one fresh forward batch of 8 x 1024 rows.
     # Seeds 0-9 gave 1.09 to 9.81 nats at lr 0 and 0.90 to 5.19 at lr 0.1,
     # lower in every one.
