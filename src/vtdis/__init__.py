@@ -4,6 +4,12 @@ A variance-exploding diffusion sampler whose per-step proposal
 covariances are tuned after training to maximize the effective sample
 size of trajectory-wise importance weights, plus a probability-flow ODE
 likelihood baseline for comparison.
+
+``import vtdis`` sets glibc's mmap and trim thresholds for the whole
+process, not for this package alone (``_pin_heap_thresholds``).  A
+long-lived caller therefore keeps the memory it frees resident: 128 MiB
+RSS after freeing 100 arrays of 1 MiB below a live one.  Calling
+``ctypes.CDLL(None).malloc_trim(0)`` returns it to the system (28 MiB).
 """
 
 import ctypes

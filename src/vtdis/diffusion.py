@@ -99,12 +99,14 @@ def _mean_batch(mean) -> np.ndarray:
 
 
 def proposal_steps(proposal, grid: TimeGrid):
-    """The ``(spec, variances)`` of a proposal, checked to hold one row
-    of variances per step of ``grid``: step n uses ``variances[n-1]``."""
+    """The ``(spec, variances)`` of a proposal, checked to hold one
+    (n_params,) row of variances per step of ``grid``: step n uses
+    ``variances[n-1]``.  Any other shape raises ``ValueError``."""
     spec, variances = proposal
-    if len(variances) != grid.n_steps:
-        raise ValueError(
-            f"need {grid.n_steps} step covariances, got {len(variances)}")
+    want = (grid.n_steps, spec.n_params)
+    if np.shape(variances) != want:
+        raise ValueError(f"need step covariances of shape {want}, got "
+                         f"shape {np.shape(variances)}")
     return spec, variances
 
 

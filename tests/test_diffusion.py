@@ -91,6 +91,27 @@ def test_elbo_eubo_rejects_wrong_covariance_count(extra):
                      inner=2, proj=proj)
 
 
+@pytest.mark.parametrize("variances", ["one column", "flat", "per step"])
+@pytest.mark.parametrize("caller", ["reverse_sample_batch",
+                                    "forward_log_weights"])
+def test_wrongly_shaped_variances_are_named(caller, variances):
+    # a diagonal spec on three coordinates with one variance per step
+    # sampled every coordinate at it, while its density failed in numpy
+    # with an unnamed matmul error
+    model, (spec, good), _ = ambient_case()
+    wrong = {"one column": good[:, :1], "flat": good[:, 0],
+             "per step": good[:1]}[variances]
+    message = re.escape(f"need step covariances of shape {good.shape}, "
+                        f"got shape {wrong.shape}")
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match=message):
+        if caller == "reverse_sample_batch":
+            df.reverse_sample_batch(rng, model, (spec, wrong), GRID, 4)
+        else:
+            mt.forward_log_weights(rng, np.zeros((4, 3)), model,
+                                   (spec, wrong), GRID)
+
+
 def test_elbo_eubo_needs_a_repeat():
     # with no repeat, the bounds were NaN means of empty lists; a float
     # count failed inside numpy with a TypeError that named nothing

@@ -1,0 +1,83 @@
+"""Derived streams: exact replay, independence of distinct tag paths, the
+bit generator behind them, the normals they draw, and an end-to-end log Z
+oracle on the streams the benchmark's gmm10 sampler uses."""
+
+import numpy as np
+import pytest
+from scipy.stats import kstest
+
+from vtdis import denoisers as dn
+from vtdis import diffusion as df
+from vtdis import gaussians as ga
+from vtdis import metrics as mt
+from vtdis import targets as tg
+from vtdis.schedule import karras_grid
+from vtdis.seeding import derive_rng
+
+
+def draws(rng) -> np.ndarray:
+    """Normals, uniforms and integers, each of which a stage may draw."""
+    return np.concatenate([rng.standard_normal(64), rng.random(64),
+                           rng.integers(0, 2 ** 32, 64)])
+
+
+def test_same_seed_and_tags_replay_bit_for_bit():
+    a = draws(derive_rng(3, "gmm10", "sample", 7))
+    b = draws(derive_rng(3, "gmm10", "sample", 7))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("other", [
+    (4, "gmm10", "sample"),          # another seed
+    (3, "gmm10", "tune"),            # another tag
+    (3, "sample", "gmm10"),          # the same tags in another order
+    (3, "gmm10"),                    # a prefix of the path
+], ids=["seed", "tag", "order", "prefix"])
+def test_distinct_paths_give_distinct_streams(other):
+    base = draws(derive_rng(3, "gmm10", "sample"))
+    assert not np.any(base == draws(derive_rng(*other)))
+
+
+def test_int_and_str_tags_are_accepted():
+    for tags in [(0,), ("traj",), ("traj", 0), (2 ** 40, "x", 5)]:
+        assert np.isfinite(derive_rng(1, *tags).standard_normal())
+    assert not np.array_equal(draws(derive_rng(1, "traj", 0)),
+                              draws(derive_rng(1, "traj", 1)))
+
+
+def test_streams_are_sfc64():
+    # chosen for the speed of its normal draws; a silent revert to
+    # another bit generator changes every seeded figure
+    assert isinstance(derive_rng(0, "gmm10").bit_generator, np.random.SFC64)
+
+
+def test_derived_normals_are_standard():
+    n = 10 ** 5
+    z = derive_rng(0, "gmm10", "sample").standard_normal(n)
+    assert abs(np.mean(z)) < 5.0 / np.sqrt(n)
+    # the sample variance of n normals has standard error sqrt(2 / (n - 1))
+    assert abs(np.var(z, ddof=1) - 1.0) < 5.0 * np.sqrt(2.0 / (n - 1))
+    assert kstest(z, "norm").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gmm10_log_z_on_the_benchmark_stream(seed):
+    """|log Z-hat| <= 4 delta-method SE (Z = 1) for the untuned posterior
+    variance proposal, on the stream of the benchmark's gmm10 sample stage.
+
+    The grid ends at eps = 0.3: at the benchmark's eps = 1e-3 this proposal
+    keeps a reverse ESS near 0.001 at 2048 samples, and log Z-hat lies
+    11-40 SE low (Jensen), so the check would say nothing of the stream.
+    Here the ESS is 0.15-0.26, and normals scaled by 0.97 or 1.05 put
+    log Z-hat 5-9 SE off at each of these seeds."""
+    gmm = tg.two_mode_gmm(10)
+    grid = karras_grid(16, 0.3, 10.0, 7.0)
+    proposal = (ga.IsotropicParams(gmm.dim), grid.ddpm_vars[:, None])
+    x0, log_q, log_p = df.reverse_sample_batch(
+        derive_rng(seed, "gmm10", "sample"), dn.AnalyticGmmScore(gmm),
+        proposal, grid, 2048)
+    log_w = gmm.log_density(x0) + log_q - log_p
+    w = np.exp(log_w - np.max(log_w))
+    se = np.std(w, ddof=1) / (np.sqrt(w.size) * np.mean(w))
+    assert mt.reverse_ess(log_w) > 0.1
+    assert abs(mt.estimate_log_Z(log_w)) <= 4.0 * se
