@@ -297,7 +297,7 @@ class AnalyticGmmScore(_Counted):
 
     def _linearize(self, x2, t):
         post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
-        return post[4], lambda v: tg._posterior_hvp(post, v)
+        return post.score, lambda v: tg._posterior_hvp(post, v)
 
     def _score_and_div(self, x2, t, proj):
         # the ambient trace has a closed form; a subspace trace takes one
@@ -305,7 +305,7 @@ class AnalyticGmmScore(_Counted):
         if proj is not None:
             return super()._score_and_div(x2, t, proj)
         post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
-        return post[4], tg._posterior_divergence(post)
+        return post.score, tg._posterior_divergence(post)
 
 
 class _Preconditioned(_Counted):

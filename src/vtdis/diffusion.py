@@ -22,10 +22,16 @@ Log weights follow the target-over-proposal convention
     log w = log pi(x_0) + sum_n log q(x_n | x_{n-1})
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
-The reverse sampler scores its draws as it makes them; any other path,
-fresh forward ones (``forward_residuals``) and a stored reverse one
-(``recompute_log_densities``), is scored step by step by one residual
-loop that hands each step's residual to a consumer: O(B d) memory.
+The reverse sampler scores its draws as it makes them: each step's
+proposal term from the unit normals z that made the draw,
+x_{n-1} = mean + sqrt(v) z, as -1/2 mult sum_c log(2 pi v_c) - 1/2 |z|^2,
+and its forward term from the step increment x_n - x_{n-1}.  Any other
+path, fresh forward ones (``forward_residuals``) and a stored reverse one
+(``recompute_log_densities``), is scored from its residuals
+x_{n-1} - mean by ``StepKernel.logpdf``'s arithmetic, step by step in
+one residual loop that hands each step's residual to a consumer: O(B d)
+memory.  So recomputing a stored trajectory checks the sampler's
+densities independently.
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
 ``ComProjection`` and every kernel lives on the subspace, with every
@@ -61,13 +67,19 @@ def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
 
 class StepKernel:
     """Sampling and density of one reverse step's proposal: ``spec`` at
-    the (p,) variances ``var``.  Both take a (B, d) batch of means, and
-    ``logpdf`` points of the same shape; any other shape raises
-    ``ValueError``.  With a projection the residuals are checked to lie
-    on the zero-CoM subspace."""
+    the (p,) variances ``var``, p = ``spec.n_params``.  Both take a
+    (B, d) batch of means, and ``logpdf`` points of the same shape; any
+    other shape, of the means, the points or ``var``, raises
+    ``ValueError``.  ``logpdf`` scores given points, with a projection
+    checking their residuals to lie on the zero-CoM subspace; ``sample``
+    scores its own draws from the normals that made them."""
 
     def __init__(self, spec, var: np.ndarray,
                  proj: eq.ComProjection | None = None):
+        if np.shape(var) != (spec.n_params,):
+            raise ValueError(f"need step variances of shape "
+                             f"({spec.n_params},), got shape "
+                             f"{np.shape(var)}")
         self.spec = spec
         self.var = var
         self.proj = proj
@@ -82,10 +94,10 @@ class StepKernel:
             eq._check_on_subspace(delta, self.proj, "residual")
         return self.spec.log_density(self.spec.stats(delta), self.var)
 
-    def sample(self, rng: np.random.Generator, mean: np.ndarray
-               ) -> np.ndarray:
-        """One draw per row of ``mean``, all rows from one block of
-        standard normals of ``rng``."""
+    def sample(self, rng: np.random.Generator, mean: np.ndarray):
+        """``(x, log_density)``: one draw per row of ``mean`` and its
+        ``logpdf``, all rows from one block of standard normals of
+        ``rng``."""
         return self.spec.draw(rng, self.var, _mean_batch(mean), self.proj)
 
 
@@ -168,16 +180,18 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
         states[n_steps] = x
 
     for n in range(n_steps, 0, -1):
-        t_n = grid.times[n]
-        x0_hat = model.denoise(x, t_n)
+        x0_hat = model.denoise(x, grid.times[n])
         if np.isnan(x0_hat).any():
             raise FloatingPointError(f"denoiser produced NaN at step {n}")
         r = grid.mean_ratios[n - 1]
-        mean = r * x + (1.0 - r) * x0_hat
-        kernel = StepKernel(spec, variances[n - 1], proj)
-        x_prev = kernel.sample(rng, mean)
-        log_p += kernel.logpdf(x_prev, mean)
-        log_q += _iso_logpdf(x - x_prev, grid.forward_vars[n - 1], proj)
+        mean = (1.0 - r) * x0_hat
+        mean += r * x
+        x_prev, log_p_step = StepKernel(spec, variances[n - 1],
+                                        proj).sample(rng, mean)
+        log_p += log_p_step
+        # the step increment x_n - x_{n-1}, in the buffer of the mean
+        step = np.subtract(x, x_prev, out=mean)
+        log_q += _iso_logpdf(step, grid.forward_vars[n - 1], proj)
         x = x_prev
         if states is not None:
             states[n - 1] = x

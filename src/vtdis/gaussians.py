@@ -22,7 +22,9 @@ moment match and one sampler serve both kinds:
     weighted_grad(s, v, w)          -> d/dv sum_b w_b log N(delta_b)
     moment_match(s)                 -> the variances that are the rows'
                                        second moments
-    draw(rng, v, mean, proj=None)   -> one sample per row of ``mean``
+    draw(rng, v, mean, proj=None)   -> (one sample per row of ``mean``,
+                                        its log_density), both from the
+                                        one block of normals it draws
 
 Every column function takes s (B, C) and v (C,).  One step is C = p
 columns and the (B, p) stats of its residuals
@@ -152,18 +154,29 @@ class _ColumnGaussian:
 
     def log_density(self, s, v) -> np.ndarray:
         v = _checked_variances(v)
-        log_norm = -0.5 * self.mult * (v.size * LOG_2PI + np.log(v).sum())
-        return log_norm - 0.5 * (s @ (1.0 / v))
+        return self._log_norm(v) - 0.5 * (s @ (1.0 / v))
+
+    def _log_norm(self, v) -> float:
+        """-1/2 mult sum_c log(2 pi v_c), the density at the mean."""
+        return -0.5 * self.mult * (v.size * LOG_2PI + np.log(v).sum())
 
     def weighted_grad(self, s, v, weights) -> np.ndarray:
         return ((weights @ s) / v - self.mult * weights.sum()) / (2.0 * v)
 
-    def draw(self, rng, v, mean, proj=None) -> np.ndarray:
-        """One draw per row of ``mean`` from one block of ambient normals,
-        projected onto the zero-CoM subspace of ``proj`` when given; the
-        ``mult`` coordinates of a column share its variance."""
+    def draw(self, rng, v, mean, proj=None):
+        """``(x, log_density)``: one draw per row of ``mean`` and its
+        log-density, both from one block of ambient normals z, projected
+        onto the zero-CoM subspace of ``proj`` when given.  The ``mult``
+        coordinates of a column share its variance, x = mean + sqrt(v) z,
+        and the residual's ``stats @ (1 / v)`` is |z|^2 for both kinds,
+        so log N(x; mean, Sigma) = -1/2 mult sum_c log(2 pi v_c)
+        - 1/2 |z|^2 per row."""
+        v = _checked_variances(v)
         z = normals(rng, mean.shape, proj)
-        return mean + np.sqrt(_checked_variances(v)) * z
+        log_p = self._log_norm(v) - 0.5 * np.einsum("bd,bd->b", z, z)
+        z *= np.sqrt(v)
+        z += mean
+        return z, log_p
 
 
 class IsotropicParams(_ColumnGaussian):

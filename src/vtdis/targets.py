@@ -28,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,15 +78,20 @@ class Gmm:
         with np.errstate(divide="ignore"):    # zero weights give -inf
             return np.log(self.weights)
 
+    @cached_property
+    def _mean_norms(self) -> np.ndarray:
+        """|mu_k|^2 as a (K, 1) column."""
+        return np.einsum("kd,kd->k", self.means, self.means)[:, None]
+
     def log_density(self, x):
         """log sum_k w_k N(x; mu_k, sigma_k^2 I) per row, via logsumexp."""
-        return logsumexp(_component_logpdfs(as_batch(x, self.dim), self)[3],
+        return logsumexp(_component_logpdfs(as_batch(x, self.dim), self)[2],
                          axis=0)
 
     def log_density_and_grad(self, x):
         """(log_density(x), score(x)) from one pass over the components."""
         post = _gmm_posterior(as_batch(x, self.dim), self, 0.0)
-        return logsumexp(post[5], axis=0), post[4]
+        return logsumexp(post.lp, axis=0), post.score
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
@@ -99,7 +105,7 @@ class Gmm:
         Each component convolves to variance sigma_k^2 + t^2, so the score
         is the responsibility-weighted sum of per-component linear scores.
         """
-        return _gmm_posterior(as_batch(x, self.dim), self, t)[4]
+        return _gmm_posterior(as_batch(x, self.dim), self, t).score
 
 
 def two_mode_gmm(dim: int) -> Gmm:
@@ -123,47 +129,75 @@ def single_gaussian(dim: int, variance: float = 1.0, mean: float = 0.0) -> Gmm:
 def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
     """Component terms of the mixture convolved with N(0, t^2 I).
 
-    Returns the differences x - mu_k (K, B, d), their squared norms
-    (K, B), the convolved variances sigma_k^2 + t^2 as a (K, 1) column
-    and the (K, B) log w_k N(x; mu_k, (sigma_k^2 + t^2) I); zero weights
-    give -inf.  Components lead, so reductions over them are row-wise.
+    Returns the squared distances |x - mu_k|^2 = |x|^2 - 2 mu_k . x
+    + |mu_k|^2 (K, B), from one (K, B) product and no (K, B, d)
+    differences; the convolved variances sigma_k^2 + t^2 as a (K, 1)
+    column; and the (K, B) log w_k N(x; mu_k, (sigma_k^2 + t^2) I), where
+    zero weights give -inf.  Components lead, so reductions over them are
+    row-wise.
     """
     d = gmm.dim
     v = (gmm.variances + t * t)[:, None]
-    diff = x - gmm.means[:, None, :]
-    sq = np.einsum("kbd,kbd->kb", diff, diff)
+    sq = gmm.means @ x.T
+    sq *= -2.0
+    sq += np.einsum("bd,bd->b", x, x)
+    sq += gmm._mean_norms
     lp = (gmm._log_weights[:, None] - 0.5 * (d * LOG_2PI + d * np.log(v))
           - 0.5 * sq / v)
-    return diff, sq, v, lp
+    return sq, v, lp
 
 
-def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float):
-    """One responsibility pass: (diff, sq, v, resp, sbar, lp), all that the
-    score sbar = -sum_k r_k (x - mu_k) / v_k, its divergence, its HVP and
-    the log-density (logsumexp of the component terms ``lp``) need."""
-    diff, sq, v, lp = _component_logpdfs(x, gmm, t)
-    resp = softmax_from_log(lp, axis=0)
-    return diff, sq, v, resp, -np.einsum("kb,kbd->bd", resp / v, diff), lp
+class _Posterior(NamedTuple):
+    """One responsibility pass over a (B, d) batch: all that the score,
+    its divergence, its HVP and the log-density (logsumexp of the
+    component terms ``lp``) need, each a (K, B), (B, 1) or (B, d) array."""
+
+    x: np.ndarray       # (B, d)
+    means: np.ndarray   # (K, d)
+    sq: np.ndarray      # (K, B) |x - mu_k|^2
+    v: np.ndarray       # (K, 1) convolved variances
+    rv: np.ndarray      # (K, B) responsibilities over variances, r_k / v_k
+    prec: np.ndarray    # (B, 1) sum_k r_k / v_k
+    score: np.ndarray   # (B, d)
+    lp: np.ndarray      # (K, B)
 
 
-def _posterior_divergence(post) -> np.ndarray:
+def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float) -> _Posterior:
+    """The pass at noise level t, with the score
+    sbar = -sum_k r_k (x - mu_k) / v_k = (r / v)^T mu - (sum_k r_k / v_k) x
+    formed from (K, B) products."""
+    sq, v, lp = _component_logpdfs(x, gmm, t)
+    rv = softmax_from_log(lp, axis=0)
+    rv /= v
+    prec = rv.sum(axis=0)[:, None]
+    score = rv.T @ gmm.means
+    score -= prec * x
+    return _Posterior(x, gmm.means, sq, v, rv, prec, score, lp)
+
+
+def _posterior_divergence(post: _Posterior) -> np.ndarray:
     """Trace of the Hessian of log p_t (B,) from a ``_gmm_posterior``
     pass, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
     sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2."""
-    diff, sq, v, resp, sbar, _ = post
-    return (np.sum(resp * (sq / (v * v) - diff.shape[2] / v), axis=0)
-            - np.einsum("bd,bd->b", sbar, sbar))
+    return (np.sum(post.rv * post.sq / post.v, axis=0)
+            - post.x.shape[1] * post.prec[:, 0]
+            - np.einsum("bd,bd->b", post.score, post.score))
 
 
-def _posterior_hvp(post, vec: np.ndarray) -> np.ndarray:
+def _posterior_hvp(post: _Posterior, vec: np.ndarray) -> np.ndarray:
     """Hessian of log p_t times ``vec`` (B, d) from a ``_gmm_posterior``
-    pass: H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T, where
-    (s_k . vec) s_k = ((x - mu_k) . vec) (x - mu_k) / v_k^2."""
-    diff, _, v, resp, sbar, _ = post
-    dv = np.einsum("kbd,bd->kb", diff, vec)
-    return (np.einsum("kb,kbd->bd", resp * dv / (v * v), diff)
-            - np.sum(resp / v, axis=0)[:, None] * vec
-            - sbar * np.einsum("bd,bd->b", sbar, vec)[:, None])
+    pass: H = sum_k r_k (s_k s_k^T - I/v_k) - sbar sbar^T.  With
+    c_k = r_k (mu_k . vec - x . vec) / v_k^2 from one (K, B) product,
+    sum_k r_k (s_k . vec) s_k = c^T mu - (sum_k c_k) x."""
+    c = post.means @ vec.T
+    c -= np.einsum("bd,bd->b", post.x, vec)
+    c *= post.rv
+    c /= post.v
+    out = c.T @ post.means
+    out -= c.sum(axis=0)[:, None] * post.x
+    out -= post.prec * vec
+    out -= post.score * np.einsum("bd,bd->b", post.score, vec)[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

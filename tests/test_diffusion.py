@@ -194,7 +194,73 @@ def test_step_kernel_takes_only_batches(kind, space, method):
     else:
         with pytest.raises(ValueError, match="batch"):
             kernel.sample(rng, point)
-        assert kernel.sample(rng, point[None]).shape == (1, 3)
+        x, log_p = kernel.sample(rng, point[None])
+        assert x.shape == (1, 3) and log_p.shape == (1,)
+
+
+def test_step_kernel_names_a_wrongly_shaped_variance_row():
+    # a diagonal kernel built by hand with one variance sampled every
+    # coordinate at it, while its logpdf failed in numpy with an unnamed
+    # matmul error
+    with pytest.raises(ValueError, match=re.escape(
+            "need step variances of shape (3,), got shape (1,)")):
+        df.StepKernel(ga.DiagonalParams(3), np.array([0.5]))
+
+
+# the smallest step variance of the benchmark's grid, where a residual
+# rebuilt as x - mean loses the most digits of the normals that made it
+SMALLEST_VAR = float(karras_grid(32, 1e-3, 10.0, 7.0).ddpm_vars.min())
+
+
+@pytest.mark.parametrize("var", [SMALLEST_VAR, 1e-2, 1.0])
+@pytest.mark.parametrize("kind,space", [("isotropic", "ambient"),
+                                        ("diagonal", "ambient"),
+                                        ("isotropic", "subspace")],
+                         ids=["isotropic", "diagonal", "subspace"])
+def test_draw_density_matches_the_scorer(kind, space, var):
+    # ``sample`` scores its draws from their normals, ``logpdf`` from the
+    # residuals x - mean; diagonal is ambient only
+    base = step_kernel(kind, space)
+    rng = np.random.default_rng(15)
+    kernel = df.StepKernel(base.spec, var * rng.uniform(
+        1.0, 3.0, base.spec.n_params), base.proj)
+    mean = rng.standard_normal((1000, 3))
+    if kernel.proj is not None:
+        mean = eq.com_project(mean, kernel.proj)
+    x, log_p = kernel.sample(rng, mean)
+    want = kernel.logpdf(x, mean)
+    # relative to the two terms a density sums, its value at the mean and
+    # the quadratic, as the density itself can pass through zero
+    at_mean = kernel.logpdf(mean, mean)
+    scale = np.abs(at_mean) + np.abs(want - at_mean)
+    assert np.max(np.abs(log_p - want) / scale) <= 1e-12
+
+
+class NanAtStep:
+    """The denoiser of ``model``, but NaN in one entry at ``grid.times[n]``,
+    the noise level at which the reverse samplers call it for step n."""
+
+    def __init__(self, model, t):
+        self.model, self.dim, self.t = model, model.dim, t
+
+    def denoise(self, x, t):
+        out = np.array(self.model.denoise(x, t))
+        if t == self.t:
+            out[-1, 0] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("sampler", ["batch", "trajectory"])
+def test_a_nan_from_the_denoiser_names_its_step(sampler):
+    model, proposal, proj = ambient_case()
+    model = NanAtStep(model, GRID.times[3])
+    rng = np.random.default_rng(16)
+    with pytest.raises(FloatingPointError,
+                       match="denoiser produced NaN at step 3"):
+        if sampler == "batch":
+            df.reverse_sample_batch(rng, model, proposal, GRID, 4, proj)
+        else:
+            df.reverse_sample_trajectory(rng, model, proposal, GRID, proj)
 
 
 class TestUnbiasedWeights:

@@ -38,7 +38,7 @@ def block_sigma(p, b, scale=1.0):
 def com_draw(rng, eta, p, count, scale=1.0):
     """``count`` batched draws on the subspace through the sampling kernel."""
     return subspace_kernel(p, eta, scale).sample(
-        rng, np.zeros((count, p.ambient_dim)))
+        rng, np.zeros((count, p.ambient_dim)))[0]
 
 
 class TestProjection:
@@ -268,7 +268,7 @@ class TestComSampling:
         p = eq.ComProjection(3, 2)
         eta = rng.uniform(0.5, 2.0)
         kernel = subspace_kernel(p, eta)
-        s = kernel.sample(rng, np.zeros((2 * 10 ** 4, 6)))
+        s, _ = kernel.sample(rng, np.zeros((2 * 10 ** 4, 6)))
         lp = kernel.logpdf(s, np.zeros_like(s))
         _, logdet = np.linalg.slogdet(block_sigma(p, eta * np.eye(3)))
         want = -0.5 * 4 * (1 + np.log(2 * np.pi)) - 0.5 * logdet

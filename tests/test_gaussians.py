@@ -46,7 +46,7 @@ def seed_of(*key):
 
 def draw(rng, spec, v, count):
     """``count`` batched draws of N(0, Sigma) through the sampling kernel."""
-    return StepKernel(spec, v).sample(rng, np.zeros((count, spec.dim)))
+    return StepKernel(spec, v).sample(rng, np.zeros((count, spec.dim)))[0]
 
 
 class TestLogDensity:

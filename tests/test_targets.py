@@ -207,6 +207,16 @@ def logsumexp_gmm_reference(x, t, gmm, vec):
     return sbar, div, hvp
 
 
+def assert_matches_reference(gmm, x, t, vec):
+    """Score, divergence and HVP each within 1e-12 of the reference's
+    largest entry."""
+    want = logsumexp_gmm_reference(x, t, gmm, vec)
+    got = [gmm.score(x, t), score_divergence(gmm, x, t),
+           score_hvp(gmm, x, t, vec)]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 ZERO_WEIGHT_GMM = tg.Gmm(weights=np.array([0.7, 0.0, 0.3]),
                          means=np.array([[1.0, 0.5, -1.0], [40.0, 0.0, 0.0],
                                          [-2.0, 0.0, 1.0]]),
@@ -221,12 +231,17 @@ class TestGmmResponsibilityPass:
         rng = np.random.default_rng(13)
         x = 1.5 * rng.standard_normal((40, 3))
         vec = rng.standard_normal((40, 3))
-        score, div, hvp = logsumexp_gmm_reference(x, t, gmm, vec)
-        rel = 1e-12
-        got = [gmm.score(x, t), score_divergence(gmm, x, t),
-               score_hvp(gmm, x, t, vec)]
-        for g, want in zip(got, (score, div, hvp)):
-            assert np.max(np.abs(g - want)) <= rel * np.max(np.abs(want))
+        assert_matches_reference(gmm, x, t, vec)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.0])
+    def test_matches_reference_at_the_modes(self, t):
+        # rows drawn from the mixture lie |x - mu_k|^2 ~ d sigma^2 = 1.5
+        # from their mode, against |x|^2 + |mu_k|^2 up to ~80: there the
+        # expansion |x|^2 - 2 mu_k . x + |mu_k|^2 cancels most
+        gmm = tg.two_mode_gmm(10)
+        rng = np.random.default_rng(16)
+        x = gmm.sample(rng, 2000)
+        assert_matches_reference(gmm, x, t, rng.standard_normal(x.shape))
 
     @pytest.mark.parametrize("gmm", [tg.two_mode_gmm(3), ZERO_WEIGHT_GMM],
                              ids=["two_mode", "zero_weight"])
