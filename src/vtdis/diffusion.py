@@ -11,7 +11,8 @@ from the step's proposal Gaussian.  A proposal is the pair
 ``(spec, variances)`` of ``vtdis.gaussians``: tuned, or for the baseline
 the isotropic spec at the posterior variances
 t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2, ``grid.ddpm_vars[:, None]``.
-``StepKernel`` is step n of it, the spec at ``variances[n - 1]``.  Every
+``proposal_steps`` builds its N ``StepKernel``s once, step n the spec at
+``variances[n - 1]``: the one sampler and the one density of a step.  Every
 step reads its coefficients from the grid's per-step arrays
 (``forward_vars``, ``mean_ratios``).  The terminal prior is N(0, T^2 I)
 regardless of the forward marginal; the mismatch is part of what the
@@ -23,15 +24,16 @@ Log weights follow the target-over-proposal convention
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
 The reverse sampler scores its draws as it makes them: each step's
-proposal term from the unit normals z that made the draw,
-x_{n-1} = mean + sqrt(v) z, as -1/2 mult sum_c log(2 pi v_c) - 1/2 |z|^2,
-and its forward term from the step increment x_n - x_{n-1}.  Any other
-path, fresh forward ones (``forward_residuals``) and a stored reverse one
+proposal term in ``StepKernel.sample``, from the unit normals z that made
+the draw, x_{n-1} = mean + sqrt(v) z, as
+-1/2 mult sum_c log(2 pi v_c) - 1/2 |z|^2, and its forward term from the
+step increment x_n - x_{n-1}.  Any other path, fresh forward ones
+(``forward_residuals``) and a stored reverse one
 (``recompute_log_densities``), is scored from its residuals
-x_{n-1} - mean by ``StepKernel.logpdf``'s arithmetic, step by step in
-one residual loop that hands each step's residual to a consumer: O(B d)
-memory.  So recomputing a stored trajectory checks the sampler's
-densities independently.
+x_{n-1} - mean by ``StepKernel.logpdf``, step by step in one residual
+loop that hands each step's residual to a consumer: O(B d) memory.  So
+recomputing a stored trajectory checks the sampler's densities
+independently.
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
 ``ComProjection`` and every kernel lives on the subspace, with every
@@ -66,13 +68,14 @@ def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
 
 
 class StepKernel:
-    """Sampling and density of one reverse step's proposal: ``spec`` at
-    the (p,) variances ``var``, p = ``spec.n_params``.  Both take a
-    (B, d) batch of means, and ``logpdf`` points of the same shape; any
-    other shape, of the means, the points or ``var``, raises
-    ``ValueError``.  ``logpdf`` scores given points, with a projection
-    checking their residuals to lie on the zero-CoM subspace; ``sample``
-    scores its own draws from the normals that made them."""
+    """One reverse step's proposal, ``spec`` at the (p,) variances ``var``,
+    p = ``spec.n_params``: the one place a step is drawn or scored.
+    ``sample`` draws around a (B, d) batch of means; ``logpdf`` scores a
+    (B, d) batch of residuals x - mean, with a projection checking them
+    to lie on the zero-CoM subspace.  d is ``spec.dim``, or
+    ``proj.ambient_dim`` for a spec on that projection's subspace.  Any
+    other shape, and variances not positive and finite, raise
+    ``ValueError``."""
 
     def __init__(self, spec, var: np.ndarray,
                  proj: eq.ComProjection | None = None):
@@ -80,46 +83,45 @@ class StepKernel:
             raise ValueError(f"need step variances of shape "
                              f"({spec.n_params},), got shape "
                              f"{np.shape(var)}")
+        if proj is not None and spec.dim != proj.subspace_dim:
+            raise ValueError(f"a spec of dimension {spec.dim} on a "
+                             f"subspace of dimension {proj.subspace_dim}")
         self.spec = spec
-        self.var = var
+        self.var = ga._checked_variances(var)
         self.proj = proj
+        self.width = spec.dim if proj is None else proj.ambient_dim
 
-    def logpdf(self, x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        mean = _mean_batch(mean)
-        if np.shape(x) != mean.shape:
-            raise ValueError(f"points of shape {np.shape(x)} for means of "
-                             f"shape {mean.shape}")
-        delta = x - mean
+    def logpdf(self, delta: np.ndarray) -> np.ndarray:
+        delta = ga.as_batch(delta, self.width)
         if self.proj is not None:
             eq._check_on_subspace(delta, self.proj, "residual")
         return self.spec.log_density(self.spec.stats(delta), self.var)
 
     def sample(self, rng: np.random.Generator, mean: np.ndarray):
         """``(x, log_density)``: one draw per row of ``mean`` and its
-        ``logpdf``, all rows from one block of standard normals of
-        ``rng``."""
-        return self.spec.draw(rng, self.var, _mean_batch(mean), self.proj)
+        log-density, both from one block of normals z of ``rng``, on the
+        subspace when there is one.  x = mean + sqrt(v) z, the ``mult``
+        coordinates of a column sharing its variance, so the residual's
+        ``stats @ (1 / v)`` is |z|^2 for both kinds."""
+        mean = ga.as_batch(mean, self.width)
+        z = eq.normals(rng, mean.shape, self.proj)
+        log_p = (self.spec._log_norm(self.var)
+                 - 0.5 * np.einsum("bd,bd->b", z, z))
+        z *= np.sqrt(self.var)
+        z += mean
+        return z, log_p
 
 
-def _mean_batch(mean) -> np.ndarray:
-    """``mean`` as a float (B, d) batch; any other shape raises."""
-    m = np.asarray(mean, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a (B, d) batch of means, got shape "
-                         f"{m.shape}")
-    return m
-
-
-def proposal_steps(proposal, grid: TimeGrid):
-    """The ``(spec, variances)`` of a proposal, checked to hold one
-    (n_params,) row of variances per step of ``grid``: step n uses
-    ``variances[n-1]``.  Any other shape raises ``ValueError``."""
+def proposal_steps(proposal, grid: TimeGrid, proj) -> list[StepKernel]:
+    """The N ``StepKernel``s of a proposal ``(spec, variances)`` over
+    ``grid``, step n at index n - 1 with ``variances[n - 1]``; variances
+    of any shape but (N, n_params) raise ``ValueError``."""
     spec, variances = proposal
     want = (grid.n_steps, spec.n_params)
     if np.shape(variances) != want:
         raise ValueError(f"need step covariances of shape {want}, got "
                          f"shape {np.shape(variances)}")
-    return spec, variances
+    return [StepKernel(spec, var, proj) for var in variances]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
     n_steps = grid.n_steps
-    spec, variances = proposal_steps(proposal, grid)
+    kernels = proposal_steps(proposal, grid, proj)
     t_max = grid.t_max
 
     x = t_max * eq.normals(rng, (count, model.dim), proj)
@@ -186,8 +188,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
         r = grid.mean_ratios[n - 1]
         mean = (1.0 - r) * x0_hat
         mean += r * x
-        x_prev, log_p_step = StepKernel(spec, variances[n - 1],
-                                        proj).sample(rng, mean)
+        x_prev, log_p_step = kernels[n - 1].sample(rng, mean)
         log_p += log_p_step
         # the step increment x_n - x_{n-1}, in the buffer of the mean
         step = np.subtract(x, x_prev, out=mean)
@@ -216,13 +217,11 @@ def step_log_densities(proposal, grid: TimeGrid, rows: int, proj=None):
     """``(total, consume)``: ``consume(n, delta)`` adds step n's proposal
     log-density of the residuals into the (rows,) ``total``, in step
     order; with ``proj`` a residual off the zero-CoM subspace raises."""
-    spec, variances = proposal_steps(proposal, grid)
+    kernels = proposal_steps(proposal, grid, proj)
     total = np.zeros(rows)
 
     def consume(n, delta):
-        if proj is not None:
-            eq._check_on_subspace(delta, proj, "residual")
-        total[:] += spec.log_density(spec.stats(delta), variances[n - 1])
+        total[:] += kernels[n - 1].logpdf(delta)
 
     return total, consume
 

@@ -2,8 +2,8 @@
 
 In VT-DIS the Gaussian of each reverse step does three jobs: it is a term
 of the alpha = 2 objective, the reverse draw, and a factor of the
-trajectory weight.  Each covariance kind is one class that does all
-three for a zero-mean Gaussian with positive variances ``v``:
+trajectory weight.  Each covariance kind is one class, the column maths
+of all three for a zero-mean Gaussian with positive variances ``v``:
 
 * ``IsotropicParams``    Sigma = v I, one variance
 * ``DiagonalParams``     Sigma = diag(v), one variance per coordinate
@@ -13,8 +13,8 @@ moments, and both kinds are one Gaussian on columns of them.
 ``stats(deltas)`` maps (..., B, d) residuals to (..., B, p) columns,
 p = n_params: ||delta||^2 as one column (isotropic) or delta^2 per
 coordinate (diagonal).  Column c has variance v_c per coordinate and
-counts ``mult = dim / p`` coordinates, so one density, one gradient, one
-moment match and one sampler serve both kinds:
+counts ``mult = dim / p`` coordinates, so one density, one gradient and
+one moment match serve both kinds:
 
     n_params, mult                  -> int
     stats(deltas)                   -> (..., B, p) columns
@@ -22,32 +22,29 @@ moment match and one sampler serve both kinds:
     weighted_grad(s, v, w)          -> d/dv sum_b w_b log N(delta_b)
     moment_match(s)                 -> the variances that are the rows'
                                        second moments
-    draw(rng, v, mean, proj=None)   -> (one sample per row of ``mean``,
-                                        its log_density), both from the
-                                        one block of normals it draws
 
 Every column function takes s (B, C) and v (C,).  One step is C = p
-columns and the (B, p) stats of its residuals
-(``vtdis.diffusion.StepKernel``).  All N steps at once are C = N p
-columns, column (n - 1) p + k holding step n's statistic k: a row then
+columns and the (B, p) stats of its residuals; its density and its draw
+are ``vtdis.diffusion.StepKernel.logpdf`` and ``.sample``, the one place
+a step is drawn or scored.  All N steps at once are C = N p columns,
+column (n - 1) p + k holding step n's statistic k: a row then
 spans every step, ``log_density`` is the sum over steps and
 ``weighted_grad`` the (N p,) gradient, each one matrix-vector product
 (the tuner's form, ``vtdis.tuner``).  ``moment_match`` is the
 Analytic-DPM / SN-DPM moment match (Bao et al., 2022): the zero of
 ``weighted_grad`` under uniform weights, so the maximum of the average
-log-density over the rows.  ``log_density`` and ``draw`` reject
-variances that are not positive and finite with a ``ValueError``;
-``weighted_grad`` does not check again, and the tuner calls it only on
-variances that ``log_density`` has just scored.  ``draw`` takes the
-zero-CoM projection of a particle system, its normals from
-``vtdis.equivariant.normals``; diagonal is ambient only
+log-density over the rows.  ``log_density`` rejects variances that are
+not positive and finite with a ``ValueError``; ``weighted_grad`` does
+not check again, and the tuner calls it only on variances that
+``log_density`` has just scored.  On the zero-CoM subspace of a particle
+system ``dim`` is the subspace dimension; diagonal is ambient only
 (``vtdis.tuner.make_param_spec`` rejects it on the subspace).
 
 A proposal over a time grid is the pair ``(spec, variances)``: one (p,)
 row of variances per reverse step, step n using ``variances[n - 1]``.
 ``vtdis.tuner.tune`` returns one, the untuned baseline is the isotropic
 spec at the posterior variances ``grid.ddpm_vars[:, None]``,
-``vtdis.diffusion.StepKernel`` wraps one step of it, and
+``vtdis.diffusion.proposal_steps`` makes its N step kernels, and
 ``vtdis.tuner.make_param_spec`` is the one place that maps a kind name
 to its class.  How the variances are parametrized while tuning is the
 tuner's business alone.
@@ -62,8 +59,6 @@ from __future__ import annotations
 from numbers import Integral
 
 import numpy as np
-
-from .equivariant import normals
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -162,21 +157,6 @@ class _ColumnGaussian:
 
     def weighted_grad(self, s, v, weights) -> np.ndarray:
         return ((weights @ s) / v - self.mult * weights.sum()) / (2.0 * v)
-
-    def draw(self, rng, v, mean, proj=None):
-        """``(x, log_density)``: one draw per row of ``mean`` and its
-        log-density, both from one block of ambient normals z, projected
-        onto the zero-CoM subspace of ``proj`` when given.  The ``mult``
-        coordinates of a column share its variance, x = mean + sqrt(v) z,
-        and the residual's ``stats @ (1 / v)`` is |z|^2 for both kinds,
-        so log N(x; mean, Sigma) = -1/2 mult sum_c log(2 pi v_c)
-        - 1/2 |z|^2 per row."""
-        v = _checked_variances(v)
-        z = normals(rng, mean.shape, proj)
-        log_p = self._log_norm(v) - 0.5 * np.einsum("bd,bd->b", z, z)
-        z *= np.sqrt(v)
-        z += mean
-        return z, log_p
 
 
 class IsotropicParams(_ColumnGaussian):

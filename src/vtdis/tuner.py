@@ -180,7 +180,10 @@ class TuneResult:
     variances: np.ndarray       # (N, n_params)
     spec: object
     loss_curve: np.ndarray
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loss_curve)
 
     def covariances(self) -> tuple:
         """The tuned proposal ``(spec, variances)``."""
@@ -240,5 +243,4 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
 
     variances = bases * softplus(raws)
     return TuneResult(variances=variances.reshape(grid.n_steps, -1),
-                      spec=spec, loss_curve=np.asarray(losses),
-                      iterations=len(losses))
+                      spec=spec, loss_curve=np.asarray(losses))

@@ -71,7 +71,7 @@ class TestLogDensity:
             spec, v = random_case(kind, d, rng)
             x = rng.standard_normal(d)
             mean = rng.standard_normal(d)
-            got = StepKernel(spec, v).logpdf(x[None], mean[None])[0]
+            got = StepKernel(spec, v).logpdf((x - mean)[None])[0]
             want = dense_logpdf(x, mean, dense_sigma(kind, v, d))
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -87,7 +87,7 @@ class TestLogDensity:
 
     def test_non_positive_definite_rejected(self):
         # a zero, negative, infinite or NaN variance is a named error of
-        # every kind's density and draw
+        # every kind's density and of its step kernel, before any draw
         deltas, mean = np.zeros((1, 2)), np.zeros((1, 2))
         rng = np.random.default_rng(0)
         for spec in (cls(2) for cls in CLASSES.values()):
@@ -96,7 +96,7 @@ class TestLogDensity:
                 with pytest.raises(ValueError, match="positive"):
                     spec.log_density(spec.stats(deltas), v)
                 with pytest.raises(ValueError, match="positive"):
-                    spec.draw(rng, v, mean)
+                    StepKernel(spec, v).sample(rng, mean)
 
     def test_dimension_mismatch(self):
         spec = ga.DiagonalParams(3)
@@ -195,7 +195,7 @@ class TestRawParamGradients:
         sigma = dense_sigma(kind, v, d)
         want = [dense_logpdf(x, np.zeros(d), sigma) for x in deltas]
         assert np.allclose(direct, want, atol=1e-12)
-        kernel = StepKernel(spec, v).logpdf(deltas, np.zeros_like(deltas))
+        kernel = StepKernel(spec, v).logpdf(deltas)
         assert np.array_equal(direct, kernel)
 
     @pytest.mark.parametrize("kind", list(CLASSES))

@@ -396,6 +396,14 @@ def test_one_residual_pass_scores_every_path_but_the_reverse_draws():
     assert package_call_sites("forward_residuals") == {
         ("tuner.py", "stats_batch"),
         ("metrics.py", "forward_log_weights")}
+    # one scorer of a step's residuals besides the tuner's statistic
+    # matrix, and one sampler of a step: ``StepKernel``'s
+    assert package_call_sites("stats") == {
+        ("diffusion.py", "StepKernel.logpdf"),
+        ("tuner.py", "stats_batch.keep")}
+    assert {scope for module, scope in package_call_sites("normals")
+            if module == "diffusion.py"} == {
+        "StepKernel.sample", "_reverse_steps", "forward_residuals.noised"}
 
 
 def test_check_finds_every_call_site():
