@@ -25,7 +25,8 @@ tuner's pool or of the held-out bound, keeps its activations small; the
 blocks are cut so that the result is bit for bit that of one pass.  The
 training pass and the derivative queries are not blocked.
 
-``AnalyticGmmScore`` wraps the closed-form mixture score.  The trainable
+``AnalyticGmmScore`` answers every query from one posterior pass of the
+mixture at noise level t (``targets._gmm_posterior``).  The trainable
 backends are small networks with hand-written reverse-mode gradients and
 forward-mode directional derivatives, wrapped in the usual denoiser
 preconditioning D(x, t) = c_skip x + c_out F(c_in x, c_noise): the raw
@@ -282,21 +283,21 @@ class AnalyticGmmScore(_Counted):
         self.gmm = gmm
         self.dim = gmm.dim
 
-    @staticmethod
-    def _noise_level(t) -> float:
+    def _posterior(self, x2, t):
+        """The one posterior pass of every query, at one finite t >= 0."""
         if np.ndim(t) != 0 or not 0 <= float(t) < np.inf:
             raise ValueError(f"noise level t must be one finite value >= 0, "
                              f"got {t!r}")
-        return float(t)
+        return tg._gmm_posterior(x2, self.gmm, float(t))
 
     def denoise(self, x, t):
-        t = self._noise_level(t)
         x2 = as_batch(x, self.dim)
+        post = self._posterior(x2, t)
         self.eval_count += x2.shape[0]
-        return x2 + t ** 2 * self.gmm.score(x2, t)
+        return x2 + float(t) ** 2 * post.score
 
     def _linearize(self, x2, t):
-        post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
+        post = self._posterior(x2, t)
         return post.score, lambda v: tg._posterior_hvp(post, v)
 
     def _score_and_div(self, x2, t, proj):
@@ -304,7 +305,7 @@ class AnalyticGmmScore(_Counted):
         # HVP per basis vector of the subspace
         if proj is not None:
             return super()._score_and_div(x2, t, proj)
-        post = tg._gmm_posterior(x2, self.gmm, self._noise_level(t))
+        post = self._posterior(x2, t)
         return post.score, tg._posterior_divergence(post)
 
 

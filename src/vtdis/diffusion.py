@@ -7,7 +7,8 @@ draws ``x_{n-1}`` around the Bayes posterior mean
 
     mean = (t_{n-1}^2 / t_n^2) x_n + (1 - t_{n-1}^2 / t_n^2) x0_hat
 
-from the step's proposal Gaussian.  A proposal is the pair
+from the step's proposal Gaussian.  ``_posterior_mean`` forms it, and
+names the step of a NaN prediction, for every path.  A proposal is the pair
 ``(spec, variances)`` of ``vtdis.gaussians``: tuned, or for the baseline
 the isotropic spec at the posterior variances
 t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2, ``grid.ddpm_vars[:, None]``.
@@ -167,6 +168,18 @@ def reverse_sample_trajectory(rng, model, proposal, grid: TimeGrid,
                       log_q_cond=float(log_q[0]), log_p_joint=float(log_p[0]))
 
 
+def _posterior_mean(model, grid: TimeGrid, n: int, x) -> np.ndarray:
+    """Step n's reverse mean (1 - r) D(x, t_n) + r x at the (B, d) batch
+    x = x_n, r = ``grid.mean_ratios[n - 1]``; a NaN D raises."""
+    x0_hat = model.denoise(x, grid.times[n])
+    if np.isnan(x0_hat).any():
+        raise FloatingPointError(f"denoiser produced NaN at step {n}")
+    r = grid.mean_ratios[n - 1]
+    mean = (1.0 - r) * x0_hat
+    mean += r * x
+    return mean
+
+
 def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
                    states: np.ndarray | None = None):
     """The reverse step loop of both samplers: x_N from the prior, then one
@@ -182,12 +195,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
         states[n_steps] = x
 
     for n in range(n_steps, 0, -1):
-        x0_hat = model.denoise(x, grid.times[n])
-        if np.isnan(x0_hat).any():
-            raise FloatingPointError(f"denoiser produced NaN at step {n}")
-        r = grid.mean_ratios[n - 1]
-        mean = (1.0 - r) * x0_hat
-        mean += r * x
+        mean = _posterior_mean(model, grid, n, x)
         x_prev, log_p_step = kernels[n - 1].sample(rng, mean)
         log_p += log_p_step
         # the step increment x_n - x_{n-1}, in the buffer of the mean
@@ -257,8 +265,6 @@ def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
     x = x0
     for n, x_next in enumerate(states, start=1):
         log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
-        r = grid.mean_ratios[n - 1]
-        consume(n, x - (r * x_next + (1.0 - r)
-                        * model.denoise(x_next, grid.times[n])))
+        consume(n, x - _posterior_mean(model, grid, n, x_next))
         x = x_next
     return log_q, x

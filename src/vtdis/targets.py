@@ -11,11 +11,11 @@ Every target answers its queries on a (B, d) batch of flat states and
 returns batch-shaped results; any other shape raises ``ValueError``:
 
 * ``log_density(x)``          -> (B,) unnormalized log-density
-* ``log_density_and_grad(x)`` -> it and its (B, d) gradient from one pass
 
-Particle targets add ``energy(x)``.  ``Gmm`` adds exact sampling,
-``sample(rng, count)``, and the closed-form noise-convolved score
-``score(x, t)`` (the mixture stays a mixture under Gaussian convolution).
+Particle targets add ``energy(x)`` and ``log_density_and_grad(x)``, the
+log-density and its (B, d) gradient from one pass.  ``Gmm`` adds exact
+sampling, ``sample(rng, count)``; its noise-convolved score is the
+analytic denoiser's (the mixture stays a mixture under convolution).
 The module also provides a Metropolis-adjusted Langevin sampler,
 ``mcmc_sample``, for targets that cannot be sampled exactly.  Its caller
 sets the chain count, burn-in and thinning, and the ``MALA_*`` constants
@@ -88,24 +88,11 @@ class Gmm:
         return logsumexp(_component_logpdfs(as_batch(x, self.dim), self)[2],
                          axis=0)
 
-    def log_density_and_grad(self, x):
-        """(log_density(x), score(x)) from one pass over the components."""
-        post = _gmm_posterior(as_batch(x, self.dim), self, 0.0)
-        return logsumexp(post.lp, axis=0), post.score
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
         noise = rng.standard_normal((count, self.dim))
         return (self.means[comps]
                 + np.sqrt(self.variances[comps])[:, None] * noise)
-
-    def score(self, x, t: float = 0.0):
-        """Exact score of the noise-convolved mixture p_t = pi * N(0, t^2 I).
-
-        Each component convolves to variance sigma_k^2 + t^2, so the score
-        is the responsibility-weighted sum of per-component linear scores.
-        """
-        return _gmm_posterior(as_batch(x, self.dim), self, t).score
 
 
 def two_mode_gmm(dim: int) -> Gmm:
@@ -149,8 +136,7 @@ def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
 
 class _Posterior(NamedTuple):
     """One responsibility pass over a (B, d) batch: all that the score,
-    its divergence, its HVP and the log-density (logsumexp of the
-    component terms ``lp``) need, each a (K, B), (B, 1) or (B, d) array."""
+    its divergence and its HVP need, as (K, B), (B, 1) or (B, d) arrays."""
 
     x: np.ndarray       # (B, d)
     means: np.ndarray   # (K, d)
@@ -159,7 +145,6 @@ class _Posterior(NamedTuple):
     rv: np.ndarray      # (K, B) responsibilities over variances, r_k / v_k
     prec: np.ndarray    # (B, 1) sum_k r_k / v_k
     score: np.ndarray   # (B, d)
-    lp: np.ndarray      # (K, B)
 
 
 def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float) -> _Posterior:
@@ -172,7 +157,7 @@ def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float) -> _Posterior:
     prec = rv.sum(axis=0)[:, None]
     score = rv.T @ gmm.means
     score -= prec * x
-    return _Posterior(x, gmm.means, sq, v, rv, prec, score, lp)
+    return _Posterior(x, gmm.means, sq, v, rv, prec, score)
 
 
 def _posterior_divergence(post: _Posterior) -> np.ndarray:
@@ -373,19 +358,17 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     dim = target.dim
     proj = getattr(target, "proj", None)
 
-    def project(z):
-        return z if proj is None else eq.com_project(z, proj)
-
     def evaluate(z):
         """Capped log-density and clipped, projected drift."""
         lp, g = target.log_density_and_grad(z)
         lp = np.maximum(lp, -MALA_ENERGY_CAP)
-        g = project(g)
+        if proj is not None:
+            g = eq.com_project(g, proj)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         scale = np.minimum(1.0, MALA_GRAD_CLIP / np.maximum(norms, 1e-300))
         return lp, g * scale
 
-    x = project(MALA_INIT_SCALE * rng.standard_normal((n_chains, dim)))
+    x = MALA_INIT_SCALE * eq.normals(rng, (n_chains, dim), proj)
     lp, gx = evaluate(x)
     h = np.full(n_chains, MALA_STEP_SIZE)
     per_chain = -(-count // n_chains)

@@ -551,7 +551,7 @@ OWNERS = {
 ONE_POINT_CASES = [(owner, query) for owner, queries in [
     ("analytic", ("denoise", "score_and_jvp", "score_and_div")),
     ("vector", BACKEND_QUERIES), ("radial", BACKEND_QUERIES),
-    ("gmm", ("log_density", "log_density_and_grad", "score")),
+    ("gmm", ("log_density",)),
     ("dw4", ("log_density", "log_density_and_grad", "energy")),
     ("lj13", ("log_density", "log_density_and_grad", "energy")),
 ] for query in queries]

@@ -262,17 +262,34 @@ class NanAtStep:
         return out
 
 
-@pytest.mark.parametrize("sampler", ["batch", "trajectory"])
-def test_a_nan_from_the_denoiser_names_its_step(sampler):
-    model, proposal, proj = ambient_case()
-    model = NanAtStep(model, GRID.times[3])
+@pytest.mark.parametrize("caller", ["batch", "trajectory", "recompute",
+                                    "elbo_eubo", "tune"])
+def test_a_nan_from_the_denoiser_names_its_step(caller):
+    # every path centres its steps on the reverse mean, so a NaN
+    # prediction stops every caller; on forward paths and stored ones the
+    # bounds and the recomputed proposal density were NaN, and the tuner
+    # blamed its variances
+    clean, proposal, proj = ambient_case()
+    model = NanAtStep(clean, GRID.times[3])
+    gmm = clean.gmm
     rng = np.random.default_rng(16)
+    calls = {
+        "batch": lambda: df.reverse_sample_batch(rng, model, proposal, GRID,
+                                                 4, proj),
+        "trajectory": lambda: df.reverse_sample_trajectory(
+            rng, model, proposal, GRID, proj),
+        "recompute": lambda: df.recompute_log_densities(
+            df.reverse_sample_trajectory(rng, clean, proposal, GRID, proj),
+            model, proposal, proj),
+        "elbo_eubo": lambda: mt.elbo_eubo(rng, gmm.sample(rng, 4), model,
+                                          proposal, GRID, inner=2, proj=proj),
+        "tune": lambda: tu.tune(rng, model, gmm, GRID, "diagonal",
+                                tu.TunerConfig(iterations=2, batch_size=4),
+                                data=gmm.sample(rng, 8)),
+    }
     with pytest.raises(FloatingPointError,
                        match="denoiser produced NaN at step 3"):
-        if sampler == "batch":
-            df.reverse_sample_batch(rng, model, proposal, GRID, 4, proj)
-        else:
-            df.reverse_sample_trajectory(rng, model, proposal, GRID, proj)
+        calls[caller]()
 
 
 class TestUnbiasedWeights:

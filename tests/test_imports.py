@@ -8,9 +8,10 @@ its body, the package imports nothing at runtime but the standard
 library, numpy and itself, each particle system builds its
 ``ComProjection`` in one place, each learned backend computes its
 preconditioning once per pass, one residual pass scores every path but
-the reverse sampler's draws, and importing the package pins glibc's heap
-thresholds, so that the iterations of a repeated training run take no
-page faults.
+the reverse sampler's draws, the reverse mean, the mixture's posterior
+pass and the standard normal draws each have one owner, and importing the
+package pins glibc's heap thresholds, so that the iterations of a
+repeated training run take no page faults.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
@@ -404,6 +405,25 @@ def test_one_residual_pass_scores_every_path_but_the_reverse_draws():
     assert {scope for module, scope in package_call_sites("normals")
             if module == "diffusion.py"} == {
         "StepKernel.sample", "_reverse_steps", "forward_residuals.noised"}
+
+
+def test_one_owner_each_of_the_reverse_mean_posterior_and_normals():
+    # every path centres its steps on ``_posterior_mean``, the one caller
+    # of the denoiser in diffusion.py and so the one NaN check there
+    assert package_call_sites("_posterior_mean") == {
+        ("diffusion.py", "_reverse_steps"),
+        ("diffusion.py", "_residual_steps")}
+    assert {scope for module, scope in package_call_sites("denoise")
+            if module == "diffusion.py"} == {"_posterior_mean"}
+    # the analytic backend answers every query from one posterior pass
+    assert package_call_sites("_gmm_posterior") == {
+        ("denoisers.py", "AnalyticGmmScore._posterior")}
+    # zero-CoM draws, MALA's start among them, come from ``eq.normals``;
+    # the network's initial weights and the mixture's exact draws are the
+    # only other standard normals
+    assert package_call_sites("standard_normal") == {
+        ("denoisers.py", "Mlp.__init__"), ("equivariant.py", "normals"),
+        ("targets.py", "Gmm.sample")}
 
 
 def test_check_finds_every_call_site():
