@@ -132,9 +132,6 @@ class Mlp:
             raise FloatingPointError(f"NaN activation in layer {bad}")
         return a, cache
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
     def backward(self, cache: list, d_out: np.ndarray) -> list[np.ndarray]:
         grads = [None] * len(self.params)
         dz = d_out

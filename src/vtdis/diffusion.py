@@ -74,9 +74,9 @@ class StepKernel:
     ``sample`` draws around a (B, d) batch of means; ``logpdf`` scores a
     (B, d) batch of residuals x - mean, with a projection checking them
     to lie on the zero-CoM subspace.  d is ``spec.dim``, or
-    ``proj.ambient_dim`` for a spec on that projection's subspace.  Any
-    other shape, and variances not positive and finite, raise
-    ``ValueError``."""
+    ``proj.ambient_dim`` for an isotropic spec, the one kind defined
+    there, on that projection's subspace.  Any other shape or kind, and
+    variances not positive and finite, raise ``ValueError``."""
 
     def __init__(self, spec, var: np.ndarray,
                  proj: eq.ComProjection | None = None):
@@ -87,6 +87,9 @@ class StepKernel:
         if proj is not None and spec.dim != proj.subspace_dim:
             raise ValueError(f"a spec of dimension {spec.dim} on a "
                              f"subspace of dimension {proj.subspace_dim}")
+        if proj is not None and spec.n_params != 1:
+            raise ValueError("only isotropic covariance is defined on the "
+                             "zero-CoM subspace")
         self.spec = spec
         self.var = ga._checked_variances(var)
         self.proj = proj
@@ -212,8 +215,13 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
                             proj: eq.ComProjection | None = None
                             ) -> tuple[float, float]:
     """Joint log-densities of a stored trajectory (the cache check),
-    scored by the residual steps of ``forward_residuals``; with ``proj``
-    a residual off the zero-CoM subspace raises ``ValueError``."""
+    scored by the residual steps of ``forward_residuals``; states that do
+    not fill the trajectory's grid, and with ``proj`` a residual off the
+    zero-CoM subspace, raise ``ValueError``."""
+    want = (traj.grid.n_steps + 1, model.dim)
+    if traj.states.shape != want:
+        raise ValueError(f"need trajectory states of shape {want} for its "
+                         f"grid, got shape {traj.states.shape}")
     log_p, score = step_log_densities(proposal, traj.grid, 1, proj)
     log_q, x_n = _residual_steps(traj.states[:1], traj.states[1:, None],
                                  model, traj.grid, proj, score)

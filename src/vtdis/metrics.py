@@ -7,8 +7,8 @@ every log weight by a constant (an unnormalized target) changes nothing.
 
 Weights are unnormalized, w = pi/p, on samples drawn from the proposal p;
 the reverse ESS fraction is (sum w)^2 / (N sum w^2), in [0, 1].  Both
-weight estimators raise ``ValueError`` on an empty array, a NaN or a
-+inf log weight; a -inf one is a zero weight that still counts in N.
+weight estimators raise ``ValueError`` unless given a nonempty 1-D
+array free of NaN and +inf; a -inf log weight counts in N as a zero.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .gaussians import as_batch, logsumexp, require_count, softmax_from_log
 
 def _nonempty(log_weights) -> np.ndarray:
     lw = np.asarray(log_weights, dtype=float)
+    if lw.ndim != 1:
+        raise ValueError(f"need 1-D log weights, got shape {lw.shape}")
     if lw.size == 0:
         raise ValueError("no log weights to estimate from")
     return lw
@@ -79,6 +81,7 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     require_count("inner", inner, 2)
     require_count("repeats", repeats)
     x0 = as_batch(x0, model.dim)
+    require_count("x0 rows", x0.shape[0])
     elbos, eubos = [], []
     for _ in range(repeats):
         r = -forward_log_weights(rng, np.repeat(x0, inner, axis=0), model,

@@ -23,6 +23,8 @@ import zlib
 
 import numpy as np
 
+from .gaussians import require_count
+
 
 def _tag_to_int(tag: str | int) -> int:
     if isinstance(tag, int):
@@ -36,6 +38,7 @@ def derive_rng(root_seed: int, *tags: str | int) -> np.random.Generator:
     The same (seed, tags) pair always yields the same stream; distinct
     tag paths yield statistically independent streams.
     """
+    require_count("root_seed", root_seed, 0)
     entropy = [int(root_seed)] + [_tag_to_int(t) for t in tags]
     seq = np.random.SeedSequence(entropy)
     return np.random.Generator(np.random.SFC64(seq))

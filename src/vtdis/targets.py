@@ -69,10 +69,6 @@ class Gmm:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
-
     @cached_property
     def _log_weights(self) -> np.ndarray:
         with np.errstate(divide="ignore"):    # zero weights give -inf
@@ -89,7 +85,7 @@ class Gmm:
                          axis=0)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        comps = rng.choice(self.n_components, size=count, p=self.weights)
+        comps = rng.choice(len(self.weights), size=count, p=self.weights)
         noise = rng.standard_normal((count, self.dim))
         return (self.means[comps]
                 + np.sqrt(self.variances[comps])[:, None] * noise)

@@ -332,7 +332,7 @@ def radial_reference(model, x, t, v=None):
                 f = np.array([[dist, 1.0 / (dist + model.INV_OFFSET),
                                c_noise[b]]])
                 feats.append(f[0])
-                g = model.net(f)[0, 0]
+                g = model.net.forward(f)[0][0, 0]
                 raw[i] += g * diff
                 raw[j] -= g * diff
                 if w is not None:

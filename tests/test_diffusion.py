@@ -114,18 +114,22 @@ def test_wrongly_shaped_variances_are_named(caller, variances):
 
 def test_elbo_eubo_needs_a_repeat():
     # with no repeat, the bounds were NaN means of empty lists; a float
-    # count failed inside numpy with a TypeError that named nothing
+    # count failed inside numpy with a TypeError that named nothing; a
+    # (0, d) batch gave NaN bounds and "Mean of empty slice" warnings, or
+    # on the subspace a numpy error about a zero-size reduction
     model, proposal, proj = com_case()
     x0 = eq.com_project(np.random.default_rng(8).standard_normal((2, 8)),
                         proj)
-    for inner, repeats, message in [
-            (2, 0, "repeats must be an integer >= 1, got 0"),
-            (2, 1.5, "repeats must be an integer >= 1, got 1.5"),
-            (1, 1, "inner must be an integer >= 2, got 1"),
-            (2.5, 1, "inner must be an integer >= 2, got 2.5")]:
+    for rows, inner, repeats, message in [
+            (2, 2, 0, "repeats must be an integer >= 1, got 0"),
+            (2, 2, 1.5, "repeats must be an integer >= 1, got 1.5"),
+            (2, 1, 1, "inner must be an integer >= 2, got 1"),
+            (2, 2.5, 1, "inner must be an integer >= 2, got 2.5"),
+            (0, 2, 1, "x0 rows must be an integer >= 1, got 0")]:
         with pytest.raises(ValueError, match=re.escape(message)):
-            mt.elbo_eubo(np.random.default_rng(9), x0, model, proposal, GRID,
-                         inner=inner, proj=proj, repeats=repeats)
+            mt.elbo_eubo(np.random.default_rng(9), x0[:rows], model,
+                         proposal, GRID, inner=inner, proj=proj,
+                         repeats=repeats)
 
 
 def test_x0_off_the_subspace_is_rejected():
@@ -150,6 +154,21 @@ def test_stored_state_off_the_subspace_is_rejected():
                                         proposal, GRID, proj)
     traj.states[0] += 1.0
     with pytest.raises(ValueError, match="off the zero-CoM subspace"):
+        df.recompute_log_densities(traj, model, proposal, proj)
+
+
+@pytest.mark.parametrize("states", ["prefix", "one column short"])
+def test_recompute_rejects_states_that_do_not_fit_the_grid(states):
+    # five of the seven rows of a 6-step path were scored as the path of
+    # a 4-step prefix: finite densities of another path, and no error
+    model, proposal, proj = ambient_case()
+    traj = df.reverse_sample_trajectory(np.random.default_rng(12), model,
+                                        proposal, GRID, proj)
+    traj.states = (traj.states[:5] if states == "prefix"
+                   else traj.states[:, :2])
+    with pytest.raises(ValueError, match=re.escape(
+            f"need trajectory states of shape (7, 3) for its grid, got "
+            f"shape {traj.states.shape}")):
         df.recompute_log_densities(traj, model, proposal, proj)
 
 
@@ -210,13 +229,20 @@ def test_step_kernel_names_a_wrongly_shaped_variance_row():
 def test_a_spec_for_the_wrong_space_is_named():
     # an ambient spec on DW-4's subspace would normalise over 8
     # coordinates where the draws have 6; the recompute check shares that
-    # normaliser, so it cannot see the error
+    # normaliser, so it cannot see the error.  A diagonal spec's
+    # per-coordinate draws would leave the subspace; it failed in numpy
+    # with a broadcast error that named nothing
     model, _, _ = com_case()
-    proposal = (ga.IsotropicParams(8), GRID.ddpm_vars[:, None])
-    with pytest.raises(ValueError, match=re.escape(
-            "a spec of dimension 8 on a subspace of dimension 6")):
-        df.reverse_sample_batch(np.random.default_rng(0), model, proposal,
-                                GRID, 4, tg.DoubleWell().proj)
+    for spec, message in [
+            (ga.IsotropicParams(8),
+             "a spec of dimension 8 on a subspace of dimension 6"),
+            (ga.DiagonalParams(6), "only isotropic covariance is defined "
+                                   "on the zero-CoM subspace")]:
+        proposal = (spec, np.repeat(GRID.ddpm_vars[:, None], spec.n_params,
+                                    axis=1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            df.reverse_sample_batch(np.random.default_rng(0), model,
+                                    proposal, GRID, 4, tg.DoubleWell().proj)
 
 
 # the smallest step variance of the benchmark's grid, where a residual
@@ -363,6 +389,15 @@ class TestWeightFailurePaths:
     def test_empty_log_weights_raise(self, estimator):
         with pytest.raises(ValueError, match="no log weights"):
             estimator(np.array([]))
+
+    @pytest.mark.parametrize("shape", [(4, 2), ()], ids=["2-D", "0-D"])
+    @pytest.mark.parametrize("estimator", [mt.reverse_ess, mt.estimate_log_Z])
+    def test_log_weights_not_1d_raise(self, estimator, shape):
+        # (4, 2) zeros counted 4 weights and summed 8: an ESS fraction of
+        # 2.0 and a log Z of log 2 where every weight is 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"need 1-D log weights, got shape {shape}")):
+            estimator(np.zeros(shape))
 
 
 def heldout_peak_bytes(n_steps):

@@ -2,6 +2,8 @@
 bit generator behind them, the normals they draw, and an end-to-end log Z
 oracle on the streams the benchmark's gmm10 sampler uses."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -43,6 +45,14 @@ def test_int_and_str_tags_are_accepted():
         assert np.isfinite(derive_rng(1, *tags).standard_normal())
     assert not np.array_equal(draws(derive_rng(1, "traj", 0)),
                               draws(derive_rng(1, "traj", 1)))
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1"])
+def test_a_seed_must_be_an_integer_of_at_least_zero(seed):
+    # int(1.5) replayed the stream of seed 1 bit for bit
+    with pytest.raises(ValueError, match=re.escape(
+            f"root_seed must be an integer >= 0, got {seed!r}")):
+        derive_rng(seed, "a")
 
 
 def test_streams_are_sfc64():
