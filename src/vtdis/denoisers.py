@@ -267,8 +267,13 @@ class _Counted:
         return out
 
     def _score_and_div(self, x2, t, proj):
+        # sum_k u_k . (J u_k) over the unit axes, or over the rows of
+        # ``proj.basis``, which makes it tr(P J P)
         score, tangent = self._linearize(x2, t)
-        return score, _div_from_jvp(tangent, x2, proj)
+        div = np.zeros(x2.shape[0])
+        for u in np.eye(self.dim) if proj is None else proj.basis:
+            div += np.sum(u * tangent(np.broadcast_to(u, x2.shape)), axis=1)
+        return score, div
 
 
 class AnalyticGmmScore(_Counted):
@@ -455,21 +460,6 @@ class RadialDenoiser(_Preconditioned):
         d_raw = self.proj.scatter(dg[:, :, None] * diff
                                   + g[:, :, None] * wdiff)
         return c_skip[:, None] * v2 + c_out[:, None] * d_raw
-
-
-def _div_from_jvp(tangent, x2, proj):
-    """Exact divergence (B,) from one primal pass and one tangent pass per
-    basis vector: sum_k u_k . (J u_k) over an orthonormal basis u_k of the
-    space the divergence is taken on.  Without ``proj`` the u_k are the
-    unit axes and the sum is the ambient trace.  With it they are the
-    (M-1) n rows of U = ``proj.to_ambient(I)``, a basis of the zero-CoM
-    subspace with U^T U = P, and the sum is tr(U J U^T) = tr(P J P)."""
-    basis = (np.eye(x2.shape[1]) if proj is None
-             else proj.to_ambient(np.eye(proj.subspace_dim)))
-    div = np.zeros(x2.shape[0])
-    for u in basis:
-        div += np.sum(u * tangent(np.broadcast_to(u, x2.shape)), axis=1)
-    return div
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,13 @@ class ComProjection:
 
     ``V`` has shape (M-1, M) with rows orthonormal and orthogonal to the
     all-ones vector, obtained from a QR factorization of the centering
-    projector I - 11^T/M with signs fixed for determinism.  The pairs
-    i < j are in ``np.triu_indices(M, k=1)`` order; column p of the
-    signed incidence matrix (M, P) holds +1 at particle i and -1 at j, so
-    ``diffs`` and its adjoint ``scatter`` are one matmul each.
+    projector I - 11^T/M with signs fixed for determinism.  The rows of
+    the read-only ``basis`` P = V (x) I_n, (M-1) n by M n, are an
+    orthonormal basis of the subspace: ``x @ basis.T`` and ``z @ basis``
+    map coordinates there and back.  The pairs i < j are in
+    ``np.triu_indices(M, k=1)`` order; column p of the signed incidence
+    matrix (M, P) holds +1 at particle i and -1 at j, so ``diffs`` and
+    its adjoint ``scatter`` are one matmul each.
     """
 
     def __init__(self, n_particles: int, spatial_dim: int):
@@ -52,6 +55,12 @@ class ComProjection:
         signs[signs == 0] = 1.0
         q = q * signs[None, :]
         self.V = q[:, : m - 1].T.copy()
+        # V written into zeros: np.kron would write -0.0 where V < 0
+        basis = np.zeros((m - 1, spatial_dim, m, spatial_dim))
+        for j in range(spatial_dim):
+            basis[:, j, :, j] = self.V
+        self.basis = basis.reshape(self.subspace_dim, self.ambient_dim)
+        self.basis.flags.writeable = False
         ii, jj = np.triu_indices(m, k=1)
         cols = np.arange(ii.shape[0])
         self.incidence = np.zeros((m, ii.shape[0]))
@@ -70,19 +79,6 @@ class ComProjection:
         """Flat (..., M*n) -> float particle coordinates (..., M, n)."""
         x = np.asarray(x, dtype=float)
         return x.reshape(*x.shape[:-1], self.n_particles, self.spatial_dim)
-
-    def to_subspace(self, x: np.ndarray) -> np.ndarray:
-        """(..., M*n) -> (..., (M-1)*n), the coordinates P x."""
-        z = np.einsum("km,...mn->...kn", self.V, self.configs(x))
-        return z.reshape(*x.shape[:-1], self.subspace_dim)
-
-    def to_ambient(self, z: np.ndarray) -> np.ndarray:
-        """(..., (M-1)*n) -> (..., M*n), the coordinates P^T z."""
-        zc = np.asarray(z, dtype=float).reshape(*z.shape[:-1],
-                                                self.n_particles - 1,
-                                                self.spatial_dim)
-        x = np.einsum("km,...kn->...mn", self.V, zc)
-        return x.reshape(*z.shape[:-1], self.ambient_dim)
 
     def com_norm(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.configs(x).mean(axis=-2), axis=-1)

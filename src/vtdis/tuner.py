@@ -213,8 +213,6 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     n_batches = min(config.iterations, POOL_BATCHES)
     x0 = data[rng.integers(0, data.shape[0],
                            size=n_batches * config.batch_size)]
-    if proj is not None:
-        x0 = eq.com_project(x0, proj)
     whole = stats_batch(rng, x0, model, target, grid, spec, proj)
     raws = softplus_inv(spec.moment_match(whole.stats) / bases)
     pool = [StatsBatch(stats, offset)       # row slices: views, no copies

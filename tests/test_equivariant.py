@@ -49,15 +49,30 @@ class TestProjection:
             want = np.eye(m) - np.full((m, m), 1.0 / m)
             assert np.max(np.abs(p.V.T @ p.V - want)) < 1e-12
 
+    def test_basis_is_the_read_only_kronecker_product(self):
+        # P = V (x) I_n with +0.0 off the copies of V: np.kron would put
+        # -0.0 wherever V is negative, which array_equal does not see
+        for m, n in [(2, 1), (4, 2), (5, 3), (13, 3)]:
+            p = eq.ComProjection(m, n)
+            assert np.array_equal(p.basis, np.kron(p.V, np.eye(n)))
+            off = np.kron(np.ones_like(p.V), np.eye(n)) == 0
+            assert not np.any(np.signbit(p.basis[off]))
+            assert np.max(np.abs(p.basis @ p.basis.T
+                                 - np.eye(p.subspace_dim))) < 1e-12
+            assert np.max(np.abs(p.basis.T @ p.basis - eq.com_project(
+                np.eye(p.ambient_dim), p))) < 1e-12
+            with pytest.raises(ValueError, match="read-only"):
+                p.basis[0, 0] = 1.0
+
     def test_two_particle_basis(self):
         p = eq.ComProjection(2, 1)
-        z = p.to_subspace(np.array([1.0, -1.0]))
+        z = np.array([1.0, -1.0]) @ p.basis.T
         assert abs(abs(z[0]) - np.sqrt(2)) < 1e-12
 
     def test_translation_annihilated(self):
         p = eq.ComProjection(6, 3)
         x = np.tile([3.7, -1.2, 0.4], 6)
-        assert np.max(np.abs(p.to_subspace(x))) < 1e-12
+        assert np.max(np.abs(x @ p.basis.T)) < 1e-12
 
     def test_projection_deterministic(self):
         a = eq.ComProjection(7, 2).V
@@ -162,7 +177,7 @@ class TestComGaussian:
         mean = eq.com_project(rng.standard_normal(8), p)
         sigma2 = 1.7
         got = subspace_kernel(p, sigma2).logpdf((x - mean)[None])[0]
-        z = p.to_subspace(x - mean)
+        z = (x - mean) @ p.basis.T
         want = (-0.5 * 6 * np.log(2 * np.pi * sigma2)
                 - 0.5 * z @ z / sigma2)
         assert got == pytest.approx(want, abs=1e-12)
@@ -178,7 +193,7 @@ class TestComGaussian:
         scale = 0.6
         got = subspace_kernel(p, b - a, scale).logpdf((x - mean)[None])[0]
         block = (b - a) * np.eye(5) + a * np.ones((5, 5))
-        want = dense_logpdf(p.to_subspace(x - mean),
+        want = dense_logpdf((x - mean) @ p.basis.T,
                             block_sigma(p, block, scale))
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -219,7 +234,7 @@ class TestComGaussian:
         kernel = subspace_kernel(p, 1.3)
 
         def density(z):
-            x = p.to_ambient(np.array([[z]]))
+            x = np.array([[z]]) @ p.basis
             return np.exp(kernel.logpdf(x)[0])
 
         val, err = quad(density, -15, 15)
@@ -245,7 +260,7 @@ class TestComSampling:
         p = eq.ComProjection(4, 3)
         eta = 1.5
         s = com_draw(rng, eta, p, 10 ** 5, scale=2.0)
-        emp = np.cov(p.to_subspace(s), rowvar=False, bias=True)
+        emp = np.cov(s @ p.basis.T, rowvar=False, bias=True)
         want = 2.0 * eta * np.eye(p.subspace_dim)
         assert np.max(np.abs(emp - want)) < 0.05 * np.max(np.abs(want))
 
@@ -254,7 +269,7 @@ class TestComSampling:
         # draw agree in law: compare 1-D projections through a KS test
         p = eq.ComProjection(4, 2)
         rng = np.random.default_rng(8)
-        direct = p.to_ambient(rng.standard_normal((4000, p.subspace_dim)))
+        direct = rng.standard_normal((4000, p.subspace_dim)) @ p.basis
         shortcut = com_draw(rng, 1.0, p, 4000)
         u = rng.standard_normal(8)
         a = direct @ u
@@ -310,7 +325,7 @@ class TestSubspaceParams:
         kernel = StepKernel(spec, v, proj).logpdf(deltas)
         assert np.array_equal(direct, kernel)
         sig = block_sigma(proj, v[0] * np.eye(4))
-        want = [dense_logpdf(proj.to_subspace(x), sig) for x in deltas]
+        want = [dense_logpdf(x @ proj.basis.T, sig) for x in deltas]
         assert np.allclose(direct, want, atol=1e-10)
 
     @pytest.mark.parametrize("kind", list(SPECS))

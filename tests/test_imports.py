@@ -141,8 +141,6 @@ PROGRAM = [SRC / m for m in MODULES] + sorted(
 
 # public names that only the tests use, each kept for a reason
 TEST_ONLY = {
-    "ComProjection.to_subspace": "the oracle that maps zero-CoM rows to "
-                                 "subspace coordinates for dense densities",
     "single_gaussian": "the fixture target with a closed-form optimum",
     "VectorDenoiser": "the learned backend of the learned-score bias oracle "
                       "and of the planned gmm10l workload",

@@ -18,7 +18,7 @@ DIM = M * SPATIAL
 PROJ = eq.ComProjection(M, SPATIAL)
 P_DENSE = eq.com_project(np.eye(DIM), PROJ)
 # orthonormal basis of the zero-CoM subspace, (M - 1) * SPATIAL rows
-BASIS = PROJ.to_ambient(np.eye(PROJ.subspace_dim))
+BASIS = PROJ.basis
 GRID = karras_grid(4, 1e-3, 10.0, 7.0)
 
 BACKENDS = {

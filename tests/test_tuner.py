@@ -405,8 +405,6 @@ def test_steps_run_on_one_contiguous_statistic_per_pool_batch(kind, space,
                      config, data=data, proj=proj)
     rng = np.random.default_rng(12)
     x0 = data[rng.integers(0, 64, size=5 * 6)]
-    if proj is not None:
-        x0 = eq.com_project(x0, proj)
     whole = tu.stats_batch(rng, x0, model, target, GRID, result.spec, proj)
     assert len(seen) == 5
     for p, batch in enumerate(seen):
