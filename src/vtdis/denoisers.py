@@ -35,15 +35,14 @@ backend pushes pair distances through a shared radial network and emits
 a combination of difference vectors, which makes it rotation-, reflection-
 and permutation-equivariant by construction, with exactly zero center of
 mass output; it keeps its pairs in one ``equivariant.ComProjection``,
-``proj``, and training draws its noise there with ``equivariant.normals``.
+``proj``, on whose subspace training takes its data and draws its noise.
 
 All backends count work by what a query returns: ``eval_count`` gains
 one per batch row for each denoiser or score output, ``jvp_count`` one
-per batch row for each directional derivative.  An exact divergence is
-priced at one directional derivative per row and dimension of the space
-it is taken over, ``dim`` or, with a projection, ``proj.subspace_dim``:
-what the learned backends spend on it, also where the analytic backend
-has a closed form.
+per batch row for each directional derivative.  An exact divergence
+takes one directional derivative per row and vector of the basis it is
+summed over, the ``dim`` unit axes or the rows of ``proj.basis``, and
+is priced so also where the analytic backend has a closed form.
 """
 
 from __future__ import annotations
@@ -267,8 +266,7 @@ class _Counted:
         return out
 
     def _score_and_div(self, x2, t, proj):
-        # sum_k u_k . (J u_k) over the unit axes, or over the rows of
-        # ``proj.basis``, which makes it tr(P J P)
+        # sum_k u_k . (J u_k) over the unit axes or the rows of proj.basis
         score, tangent = self._linearize(x2, t)
         div = np.zeros(x2.shape[0])
         for u in np.eye(self.dim) if proj is None else proj.basis:
@@ -424,11 +422,9 @@ class RadialDenoiser(_Preconditioned):
     def __init__(self, n_particles: int, spatial_dim: int, hidden: list[int],
                  sigma_data: float, rng: np.random.Generator | None = None):
         super().__init__(sigma_data)
-        self.n_particles = n_particles
-        self.spatial_dim = spatial_dim
-        self.dim = n_particles * spatial_dim
-        self.net = Mlp([3] + list(hidden) + [1], rng)
         self.proj = eq.ComProjection(n_particles, spatial_dim)
+        self.dim = self.proj.ambient_dim
+        self.net = Mlp([3] + list(hidden) + [1], rng)
         self.net_rows = self.proj.incidence.shape[1]
 
     def _primal(self, x2, tv):
@@ -498,6 +494,8 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
     if data.size == 0:
         raise ValueError("empty training set")
     proj = getattr(model, "proj", None)
+    if proj is not None:
+        eq._check_on_subspace(data, proj, "training data")
     opt = Adam(model.net.params)
     losses = np.empty(config.iterations)
     bad_streak = 0

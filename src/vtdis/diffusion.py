@@ -187,6 +187,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
                    states: np.ndarray | None = None):
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
+    eq._check_geometry(model, proj)
     n_steps = grid.n_steps
     kernels = proposal_steps(proposal, grid, proj)
     t_max = grid.t_max
@@ -269,6 +270,7 @@ def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
     """Score the path x_0, then x_1..x_N from the iterable ``states``:
     step n adds log q(x_n | x_{n-1}) and hands x_{n-1} - mean(x_n) to
     ``consume(n, delta)``.  Returns log q(x_{1:N} | x_0) (B,) and x_N."""
+    eq._check_geometry(model, proj)
     log_q = np.zeros(x0.shape[0])
     x = x0
     for n, x_next in enumerate(states, start=1):

@@ -1,13 +1,13 @@
 """Zero-center-of-mass subspace machinery and its one tunable kernel.
 
 Configurations of M particles in n spatial dimensions live on the
-(M-1)n-dimensional subspace where the particle mean vanishes.  A fixed
-orthonormal change of basis ``P = V (x) I_n`` maps the subspace to plain
-Euclidean coordinates, where Gaussians with Kronecker covariance
-``B (x) I_n`` have ordinary densities.  Because V annihilates the all-ones
-direction and P P^T = I, the resulting kernels are exactly invariant under
-simultaneous rotation/reflection of all particles, and under particle
-permutations whenever S B S^T = B.
+(M-1)n-dimensional subspace where the particle mean vanishes.  The
+orthonormal rows of ``ComProjection.basis``, P = V (x) I_n, built once,
+map the subspace to plain Euclidean coordinates, where Gaussians with
+Kronecker covariance ``B (x) I_n`` have ordinary densities.  Because V
+annihilates the all-ones direction and P P^T = I, the resulting kernels
+are exactly invariant under simultaneous rotation/reflection of all
+particles, and under particle permutations whenever S B S^T = B.
 
 One tunable kind is defined on the subspace: the isotropic one,
 ``vtdis.gaussians.IsotropicParams`` normalised over the (M-1)n subspace
@@ -15,8 +15,9 @@ dimensions, its draws projected by ``com_project``.  An exchangeable
 block (b - a) I + a 11^T is not a family of its own: V 1 = 0 makes
 V B V^T = (b - a) I, the isotropic kernel.
 
-The one ``ComProjection`` of a particle system also owns its pairs and
-the (..., M n) -> (..., M, n) reshape (``configs``).  Particle modules
+The one ``ComProjection`` of a particle system also owns its pairs, the
+(..., M n) -> (..., M, n) reshape (``configs``) and the center of mass
+as one (..., M n) @ (M n, n) product (``com_norm``).  Particle modules
 draw subspace noise with ``normals`` and reduce with ``spatial_dot``.
 """
 
@@ -33,12 +34,11 @@ class ComProjection:
     ``V`` has shape (M-1, M) with rows orthonormal and orthogonal to the
     all-ones vector, obtained from a QR factorization of the centering
     projector I - 11^T/M with signs fixed for determinism.  The rows of
-    the read-only ``basis`` P = V (x) I_n, (M-1) n by M n, are an
-    orthonormal basis of the subspace: ``x @ basis.T`` and ``z @ basis``
-    map coordinates there and back.  The pairs i < j are in
-    ``np.triu_indices(M, k=1)`` order; column p of the signed incidence
-    matrix (M, P) holds +1 at particle i and -1 at j, so ``diffs`` and
-    its adjoint ``scatter`` are one matmul each.
+    the read-only ``basis`` P = V (x) I_n span the subspace, and
+    ``x @ basis.T`` and ``z @ basis`` map coordinates there and back.
+    Pairs i < j are in ``np.triu_indices(M, k=1)`` order; column p of
+    the signed incidence matrix (M, P) holds +1 at particle i and -1 at
+    j, so ``diffs`` and its adjoint ``scatter`` are one matmul each.
     """
 
     def __init__(self, n_particles: int, spatial_dim: int):
@@ -57,10 +57,11 @@ class ComProjection:
         self.V = q[:, : m - 1].T.copy()
         # V written into zeros: np.kron would write -0.0 where V < 0
         basis = np.zeros((m - 1, spatial_dim, m, spatial_dim))
-        for j in range(spatial_dim):
-            basis[:, j, :, j] = self.V
+        basis[:, range(spatial_dim), :, range(spatial_dim)] = self.V
         self.basis = basis.reshape(self.subspace_dim, self.ambient_dim)
         self.basis.flags.writeable = False
+        # column j averages coordinate j over the particles
+        self._com_weights = np.tile(np.eye(spatial_dim) / m, (m, 1))
         ii, jj = np.triu_indices(m, k=1)
         cols = np.arange(ii.shape[0])
         self.incidence = np.zeros((m, ii.shape[0]))
@@ -81,7 +82,8 @@ class ComProjection:
         return x.reshape(*x.shape[:-1], self.n_particles, self.spatial_dim)
 
     def com_norm(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.configs(x).mean(axis=-2), axis=-1)
+        """Flat (..., M*n) -> |center of mass| (...), from one product."""
+        return np.linalg.norm(x @ self._com_weights, axis=-1)
 
     def diffs(self, x: np.ndarray) -> np.ndarray:
         """Flat (..., M*n) -> pair differences x_i - x_j (..., P, n)."""
@@ -114,12 +116,24 @@ def normals(rng: np.random.Generator, shape, proj: ComProjection | None
 
 
 def _check_on_subspace(x: np.ndarray, proj: ComProjection, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite {what}")
-    worst = float(np.max(proj.com_norm(np.atleast_2d(x))))
-    if worst > COM_TOLERANCE:
+    # a NaN or +-inf in x makes ``worst`` NaN or inf: scan only then
+    with np.errstate(invalid="ignore"):
+        worst = float(proj.com_norm(x).max())
+    if not worst <= COM_TOLERANCE:
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"non-finite {what}")
         raise ValueError(
             f"{what} is off the zero-CoM subspace (|com| = {worst:.3e})")
+
+
+def _check_geometry(model, proj: ComProjection | None) -> None:
+    """A model with a ``proj`` runs only on a projection of its geometry."""
+    own = getattr(model, "proj", None)
+    want = None if own is None else (own.n_particles, own.spatial_dim)
+    got = None if proj is None else (proj.n_particles, proj.spatial_dim)
+    if want is not None and got != want:
+        raise ValueError(f"the model's zero-CoM geometry (n_particles, "
+                         f"spatial_dim) is {want}, the projection's {got}")
 
 
 def spatial_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

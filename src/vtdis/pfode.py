@@ -114,6 +114,7 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     directional-derivative rows spent on this call (the cost proxy).
     """
     require_count("count", count)
+    eq._check_geometry(model, proj)
     evals0, jvps0 = model.eval_count, model.jvp_count
     x_t = grid.t_max * eq.normals(rng, (count, model.dim), proj)
     log_prior = prior_log_density(x_t, grid.t_max, proj)

@@ -30,7 +30,7 @@ step on the alpha = 2 objective of pool batch ``it mod P``: log w is the
 offset minus one ``spec.log_density`` of S_k, and the gradient one
 ``spec.weighted_grad``, each a matrix-vector product, with no denoiser
 call.  The spec is the one class of its covariance kind, looked up by
-``make_param_spec`` in the one table whose keys are ``TUNABLE_KINDS``:
+``make_param_spec`` in the one table ``_SPECS``, keyed by kind:
 isotropic and diagonal on vector data, isotropic alone on the zero-CoM
 subspace of particle systems.  The result is the proposal
 ``(spec, variances)`` that the samplers and the bound metrics take.
@@ -53,7 +53,6 @@ from .schedule import TimeGrid
 
 # the spec class of each tunable covariance kind
 _SPECS = {"isotropic": ga.IsotropicParams, "diagonal": ga.DiagonalParams}
-TUNABLE_KINDS = tuple(_SPECS)
 
 # relative change of the windowed mean loss below which tuning stops
 PLATEAU_TOL = 1e-4
@@ -196,13 +195,14 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     """Optimize per-step covariances against a frozen score model.
 
     First draws the pool: ``P = min(iterations, POOL_BATCHES)`` batches
-    of ``batch_size`` x_0, rows of ``data`` drawn with replacement, all
-    reduced by one ``stats_batch`` call, which is all the denoiser work:
-    N * P * ``batch_size`` evaluations.  Starts from the moment match
-    over the whole pool, then takes one Adam step on the alpha = 2
-    objective of pool batch ``it mod P`` per iteration, with a cosine
-    learning-rate schedule.  Stops at the iteration budget or when the
-    windowed loss plateaus (relative change below ``PLATEAU_TOL`` across
+    of ``batch_size`` x_0, rows of ``data`` drawn with replacement (with
+    ``proj`` they must lie on its zero-CoM subspace), all reduced by one
+    ``stats_batch`` call, which is all the denoiser work: N * P *
+    ``batch_size`` evaluations.  Starts from the moment match over the
+    whole pool, then takes one Adam step on the alpha = 2 objective of
+    pool batch ``it mod P`` per iteration, with a cosine learning-rate
+    schedule.  Stops at the iteration budget or when the windowed loss
+    plateaus (relative change below ``PLATEAU_TOL`` across
     ``plateau_window`` iterations).
     """
     if len(data) == 0:

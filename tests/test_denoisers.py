@@ -315,7 +315,7 @@ def assert_rel_close(got, want):
 
 def radial_reference(model, x, t, v=None):
     """(denoise, denoise_jvp along v or None, pair features) by loops."""
-    m, n = model.n_particles, model.spatial_dim
+    m, n = model.proj.n_particles, model.proj.spatial_dim
     c_skip, c_out, c_in, c_noise = dn.precond_coeffs(t, model.sigma_data)
     out = np.zeros_like(x)
     jvp = None if v is None else np.zeros_like(x)
@@ -352,7 +352,7 @@ def radial_reference(model, x, t, v=None):
 
 def radial_pair_cotangent(model, x, t, d_out):
     """d loss / d g for every pair, loop form of the chain rule."""
-    m, n = model.n_particles, model.spatial_dim
+    m, n = model.proj.n_particles, model.proj.spatial_dim
     _, c_out, c_in, _ = dn.precond_coeffs(t, model.sigma_data)
     dg = []
     for b in range(x.shape[0]):
@@ -477,6 +477,17 @@ class TestTraining:
                              eps=1e-3, t_max=100.0)
         losses = dn.train_dsm(rng, data, model, cfg)
         assert np.mean(losses[-200:]) < np.mean(losses[:200])
+
+    def test_off_subspace_data_is_rejected(self):
+        # the radial model's noise lives on the zero-CoM subspace; data
+        # shifted off it trained without a word
+        rng = np.random.default_rng(14)
+        data = rng.standard_normal((256, 8)) + 3.0
+        model = dn.RadialDenoiser(4, 2, [8], 1.0, rng)
+        with pytest.raises(ValueError, match="training data is off the "
+                                             "zero-CoM subspace"):
+            dn.train_dsm(rng, data, model,
+                         dn.TrainConfig(iterations=2, batch_size=16))
 
     def test_divergence_abort(self):
         rng = np.random.default_rng(13)

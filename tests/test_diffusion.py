@@ -9,6 +9,7 @@ from vtdis import diffusion as df
 from vtdis import equivariant as eq
 from vtdis import gaussians as ga
 from vtdis import metrics as mt
+from vtdis import pfode as pf
 from vtdis import targets as tg
 from vtdis import tuner as tu
 from vtdis.schedule import karras_grid
@@ -155,6 +156,34 @@ def test_stored_state_off_the_subspace_is_rejected():
     traj.states[0] += 1.0
     with pytest.raises(ValueError, match="off the zero-CoM subspace"):
         df.recompute_log_densities(traj, model, proposal, proj)
+
+
+@pytest.mark.parametrize("given", [None, (2, 4)])
+@pytest.mark.parametrize("caller", ["reverse_sample_batch", "elbo_eubo",
+                                    "ode_is_weights"])
+def test_a_particle_model_runs_only_on_its_own_geometry(caller, given):
+    # without its projection, or on the subspace of another geometry of
+    # the same ambient dimension, the radial model of DW-4 drew and
+    # weighted another problem's paths, with finite weights
+    target = tg.DoubleWell()
+    model = dn.RadialDenoiser(4, 2, [8], 1.0, np.random.default_rng(2))
+    proj = None if given is None else eq.ComProjection(*given)
+    dim = model.dim if proj is None else proj.subspace_dim
+    proposal = (ga.IsotropicParams(dim), GRID.ddpm_vars[:, None])
+    rng = np.random.default_rng(3)
+    calls = {
+        "reverse_sample_batch": lambda: df.reverse_sample_batch(
+            rng, model, proposal, GRID, 4, proj),
+        "elbo_eubo": lambda: mt.elbo_eubo(
+            rng, np.zeros((2, 8)), model, proposal, GRID, inner=2,
+            proj=proj),
+        "ode_is_weights": lambda: pf.ode_is_weights(
+            rng, model, target, GRID, pf.OdeRunConfig("hutchinson"), 4,
+            proj),
+    }
+    with pytest.raises(ValueError, match=re.escape(
+            f"(n_particles, spatial_dim) is (4, 2), the projection's {given}")):
+        calls[caller]()
 
 
 @pytest.mark.parametrize("states", ["prefix", "one column short"])

@@ -228,6 +228,18 @@ class TestComGaussian:
         with pytest.raises(ValueError, match="off the zero-CoM"):
             subspace_kernel(p, 1.0).logpdf(x)
 
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "+inf and -inf"])
+    def test_non_finite_residual_rejected_by_name(self, bad):
+        # +inf and -inf in one coordinate column make its center of mass
+        # NaN: each case fails the |com| test and is named non-finite
+        p = eq.ComProjection(3, 2)
+        x = np.zeros((2, 6))
+        x[1, 0] = np.nan if bad == "nan" else np.inf
+        if bad == "+inf and -inf":
+            x[1, 2] = -np.inf
+        with pytest.raises(ValueError, match="non-finite residual"):
+            subspace_kernel(p, 1.0).logpdf(x)
+
     def test_normalizes_on_subspace(self):
         # M = 2, n = 1: one effective coordinate, integrate by quadrature
         p = eq.ComProjection(2, 1)

@@ -1,17 +1,17 @@
 """Every name a ``vtdis`` module imports at top level is used in it,
 every private helper is used somewhere in the package, every public
-function, class and method is used by the package or the benchmark
-(named exemptions aside), every call the benchmark's tracer wraps is
-defined where the tracer looks it up, every option of the pipeline's
-configured calls is one the pipeline sets, no function imports inside
-its body, the package imports nothing at runtime but the standard
-library, numpy and itself, each particle system builds its
-``ComProjection`` in one place, each learned backend computes its
-preconditioning once per pass, one residual pass scores every path but
-the reverse sampler's draws, the reverse mean, the mixture's posterior
-pass and the standard normal draws each have one owner, and importing the
-package pins glibc's heap thresholds, so that the iterations of a
-repeated training run take no page faults.
+function, class, method and module-level constant is used by the
+package or the benchmark (named exemptions aside), every call the
+benchmark's tracer wraps is defined where the tracer looks it up, every
+option of the pipeline's configured calls is one the pipeline sets, no
+function imports inside its body, the package imports nothing at
+runtime but the standard library, numpy and itself, each particle system
+builds its ``ComProjection`` in one place, each learned backend computes
+its preconditioning once per pass, one residual pass scores every path
+but the reverse sampler's draws, the reverse mean, the mixture's
+posterior pass and the standard normal draws each have one owner, and
+importing the package pins glibc's heap thresholds, so that the
+iterations of a repeated training run take no page faults.
 
 Deleting code tends to leave its imports and helpers behind; these checks
 find them with the standard library alone.  The runtime import check
@@ -21,12 +21,12 @@ docstring and the heap pin and is checked like every other module;
 ``from __future__`` is skipped.  A private helper is a module-level
 function or class, or a method, whose name starts with one underscore
 and does not end with two (``__init__`` is not one); it counts as used
-when its name appears as a ``Name`` or an attribute anywhere in
-``src/vtdis``.  A public name counts as used when it appears as a
-``Name`` or an attribute in ``src/vtdis`` or in ``bench/`` outside its
-self-tests, or as the attribute a span of the tracer's ``SPANS`` wraps;
-one that only the tests use is API kept for them alone, and is either
-deleted or listed in ``TEST_ONLY`` with its reason.
+when its name is read as a ``Name`` or appears as an attribute anywhere
+in ``src/vtdis``.  A public name counts as used when it is read so in
+``src/vtdis`` or in ``bench/`` outside its self-tests, or is the
+attribute a span of the tracer's ``SPANS`` wraps; assigning a constant
+is no use of it.  One that only the tests use is API kept for them
+alone, and is either deleted or listed in ``TEST_ONLY`` with its reason.
 """
 
 import ast
@@ -103,13 +103,24 @@ def private_definitions(source: str) -> list[str]:
     return [name for _, name in definitions(source) if _private(name)]
 
 
+def constants(source: str):
+    """(name, name) of each module-level constant: a plain name assigned
+    at the top level, in source order."""
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        yield from ((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+
+
 def referenced_names(sources) -> set[str]:
-    """Every ``Name`` and attribute name in ``sources``; a definition
-    itself is neither."""
+    """Every ``Name`` read and attribute name in ``sources``; a
+    definition itself, or the name a constant is assigned to, is
+    neither."""
     refs = set()
     for source in sources:
         for n in ast.walk(ast.parse(source)):
-            if isinstance(n, ast.Name):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
                 refs.add(n.id)
             elif isinstance(n, ast.Attribute):
                 refs.add(n.attr)
@@ -168,9 +179,9 @@ def used_names(sources) -> set[str]:
 
 
 def unreferenced_public(source: str, used: set[str]) -> list[str]:
-    """Public module-level functions and classes, and public methods, of
-    ``source`` whose name is not in ``used``."""
-    return [qual for qual, name in definitions(source)
+    """Public module-level functions, classes and constants, and public
+    methods, of ``source`` whose name is not in ``used``."""
+    return [qual for qual, name in [*definitions(source), *constants(source)]
             if not name.startswith("_") and name not in used]
 
 
@@ -184,7 +195,8 @@ def test_no_test_only_public_name():
 
 
 def test_check_finds_a_test_only_public_name():
-    source = ("def used():\n    return 1\n"
+    source = ("LIMIT = 1\nSTALE: int = 2\n"
+              "def used():\n    return LIMIT\n"
               "def orphan():\n    return used()\n"
               "def _helper():\n    pass\n"
               "def traced():\n    pass\n"
@@ -194,10 +206,12 @@ def test_check_finds_a_test_only_public_name():
               "class B:\n    pass\n"
               "def stray():\n    pass\n"
               "SPANS = [('a.traced', A, 'traced', None)]\n"
-              "RNG = derive_rng(0, 'stray')\n")
-    # a string outside SPANS, such as a seed key, uses nothing
+              "RNG = derive_rng(0, 'stray')\n"
+              "trace(SPANS, RNG)\n")
+    # a string outside SPANS, such as a seed key, uses nothing, and
+    # neither does the assignment of a constant
     assert unreferenced_public(source, used_names([source])) == \
-        ["orphan", "A.stale", "B", "stray"]
+        ["orphan", "A.stale", "B", "stray", "STALE"]
 
 
 def untraceable(spans) -> list:

@@ -39,7 +39,7 @@ def draw_x0(target, proj, count, rng):
     return eq.com_project(x, proj)
 
 
-# every TUNABLE_KINDS entry, on each space where it is defined
+# every tunable kind, on each space where it is defined
 CASES = [("isotropic", "ambient"), ("diagonal", "ambient"),
          ("isotropic", "subspace")]
 
@@ -51,7 +51,7 @@ def baseline_proposal(dim, grid):
 
 
 def test_cases_cover_every_tunable_kind():
-    assert {kind for kind, _ in CASES} == set(tu.TUNABLE_KINDS)
+    assert {kind for kind, _ in CASES} == set(tu._SPECS)
 
 
 @pytest.mark.parametrize("kind", ["diagonal"])
@@ -328,6 +328,17 @@ def test_config_rejects_an_empty_budget(field, value):
     for config in (tu.TunerConfig, dn.TrainConfig):
         with pytest.raises(ValueError):
             config(**{field: value})
+
+
+def test_tune_rejects_data_off_the_subspace():
+    # the pool's x0 meet the check of every other forward path; they are
+    # not projected onto the subspace behind the caller's back
+    target, model, proj = subspace_problem()
+    data = draw_x0(target, proj, 16, np.random.default_rng(1)) + 1.0
+    with pytest.raises(ValueError, match="x0 is off the zero-CoM subspace"):
+        tu.tune(np.random.default_rng(0), model, target, GRID, "isotropic",
+                tu.TunerConfig(iterations=1, batch_size=4), data=data,
+                proj=proj)
 
 
 def test_tune_rejects_empty_data_by_name():
