@@ -486,9 +486,9 @@ def train_dsm(rng: np.random.Generator, data: np.ndarray, model,
 
     Noise levels are drawn log-uniformly on [eps, t_max]; the per-sample
     loss is lambda(t) ||D(x0 + t z, t) - x0||^2 with the inverse c_out^2
-    weighting.  A model with a ``proj`` draws its noise on that zero-CoM
-    subspace.  Returns the per-iteration loss curve.  Aborts if the loss
-    exceeds 10x the initial loss for 100 consecutive iterations.
+    weighting.  Data and noise of a model with a ``proj`` must lie on that
+    zero-CoM subspace.  Returns the per-iteration loss curve.  Aborts if
+    the loss exceeds 10x the initial loss for 100 consecutive iterations.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
