@@ -294,7 +294,10 @@ class AnalyticGmmScore(_Counted):
         x2 = as_batch(x, self.dim)
         post = self._posterior(x2, t)
         self.eval_count += x2.shape[0]
-        return x2 + float(t) ** 2 * post.score
+        out = post.score
+        out *= float(t) ** 2
+        out += x2
+        return out
 
     def _linearize(self, x2, t):
         post = self._posterior(x2, t)

@@ -178,9 +178,9 @@ def _posterior_mean(model, grid: TimeGrid, n: int, x) -> np.ndarray:
     if np.isnan(x0_hat).any():
         raise FloatingPointError(f"denoiser produced NaN at step {n}")
     r = grid.mean_ratios[n - 1]
-    mean = (1.0 - r) * x0_hat
-    mean += r * x
-    return mean
+    x0_hat *= 1.0 - r
+    x0_hat += r * x
+    return x0_hat
 
 
 def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
@@ -258,7 +258,10 @@ def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
     def noised():
         x = x0
         for var in grid.forward_vars:
-            x = x + np.sqrt(var) * eq.normals(rng, x0.shape, proj)
+            z = eq.normals(rng, x0.shape, proj)
+            z *= np.sqrt(var)
+            z += x
+            x = z
             yield x
 
     log_q, x_n = _residual_steps(x0, noised(), model, grid, proj, consume)
@@ -275,6 +278,7 @@ def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
     x = x0
     for n, x_next in enumerate(states, start=1):
         log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
-        consume(n, x - _posterior_mean(model, grid, n, x_next))
+        mean = _posterior_mean(model, grid, n, x_next)
+        consume(n, np.subtract(x, mean, out=mean))
         x = x_next
     return log_q, x

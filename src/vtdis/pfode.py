@@ -62,13 +62,18 @@ def divergence_estimate(model, x, t, config: OdeRunConfig,
     ``proj`` it is the divergence on the zero-CoM subspace."""
     if config.divergence == "exact":
         score, div = model.score_and_div(x, t, proj)
-        return -t * score, -t * div
-    v = draw_probe(rng, np.shape(x))
-    if proj is not None:
-        # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
-        v = eq.com_project(v, proj)
-    score, jv = model.score_and_jvp(x, t, v)
-    return -t * score, -t * np.sum(v * jv, axis=1)
+    else:
+        v = draw_probe(rng, np.shape(x))
+        if proj is not None:
+            # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
+            v = eq.com_project(v, proj)
+        score, jv = model.score_and_jvp(x, t, v)
+        jv *= v
+        div = jv.sum(axis=1)
+    # the model's outputs are the caller's own: negate in place
+    score *= -t
+    div *= -t
+    return score, div
 
 
 def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
@@ -90,13 +95,20 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
         h = t_next - t_cur
         f_cur, g_cur = divergence_estimate(model, x2, t_cur, config, rng,
                                            proj)
-        x_pred = x2 + h * f_cur
+        x_pred = h * f_cur
+        x_pred += x2
         if np.isnan(x_pred).any():
             raise FloatingPointError(f"NaN state at grid node {i}")
         f_next, g_next = divergence_estimate(model, x_pred, t_next, config,
                                              rng, proj)
-        x2 = x2 + 0.5 * h * (f_cur + f_next)
-        div_int += 0.5 * h * (g_cur + g_next)
+        # x2 + 0.5 h (f_cur + f_next), in the buffers of the estimates;
+        # the first x2 is the caller's, so it is never written
+        f_cur += f_next
+        f_cur *= 0.5 * h
+        x2 = np.add(x2, f_cur, out=f_cur)
+        g_cur += g_next
+        g_cur *= 0.5 * h
+        div_int += g_cur
     if np.isnan(x2).any():
         raise FloatingPointError("NaN terminal state")
     return x2, div_int
