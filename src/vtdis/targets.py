@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import equivariant as eq
-from .gaussians import (LOG_2PI, as_batch, logsumexp, require_count,
-                        softmax_from_log)
+from .gaussians import LOG_2PI, as_batch, logsumexp, require_count
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,8 @@ def _component_logpdfs(x: np.ndarray, gmm: Gmm, t: float = 0.0):
     sq *= -2.0
     sq += np.einsum("bd,bd->b", x, x)
     sq += gmm._mean_norms
-    lp = (gmm._log_weights[:, None] - 0.5 * (d * LOG_2PI + d * np.log(v))
-          - 0.5 * sq / v)
+    lp = sq * (-0.5 / v)
+    lp += gmm._log_weights[:, None] - 0.5 * (d * LOG_2PI + d * np.log(v))
     return sq, v, lp
 
 
@@ -148,8 +147,11 @@ def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float) -> _Posterior:
     sbar = -sum_k r_k (x - mu_k) / v_k = (r / v)^T mu - (sum_k r_k / v_k) x
     formed from (K, B) products."""
     sq, v, lp = _component_logpdfs(x, gmm, t)
-    rv = softmax_from_log(lp, axis=0)
-    rv /= v
+    # the softmax over components, shifted by each column's max, and the
+    # division by v_k in one pass, all in the buffer of lp
+    lp -= lp.max(axis=0)
+    rv = np.exp(lp, out=lp)
+    rv /= rv.sum(axis=0) * v
     prec = rv.sum(axis=0)[:, None]
     score = rv.T @ gmm.means
     score -= prec * x
@@ -160,9 +162,12 @@ def _posterior_divergence(post: _Posterior) -> np.ndarray:
     """Trace of the Hessian of log p_t (B,) from a ``_gmm_posterior``
     pass, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
     sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2."""
-    return (np.sum(post.rv * post.sq / post.v, axis=0)
-            - post.x.shape[1] * post.prec[:, 0]
-            - np.einsum("bd,bd->b", post.score, post.score))
+    a = post.sq / post.v
+    a *= post.rv
+    div = a.sum(axis=0)
+    div -= post.x.shape[1] * post.prec[:, 0]
+    div -= np.einsum("bd,bd->b", post.score, post.score)
+    return div
 
 
 def _posterior_hvp(post: _Posterior, vec: np.ndarray) -> np.ndarray:
