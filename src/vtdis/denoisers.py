@@ -186,15 +186,26 @@ class Adam:
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            # in place, with the roundings of b1 * m + (1 - b1) * g
-            self.m[i] *= b1
-            self.m[i] += (1 - b1) * g
-            self.v[i] *= b2
-            self.v[i] += (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        # lr m_hat / (sqrt(v_hat) + eps) = step m / (sqrt(v) + eps_hat),
+        # both bias corrections folded into two scalars
+        root = math.sqrt(1 - b2 ** self.t)
+        step = lr * root / (1 - b1 ** self.t)
+        eps_hat = self.EPS * root
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            # in place, with the roundings of b1 * m + (1 - b1) * g and of
+            # b2 * v + (1 - b2) * g * g, in one work array
+            u = np.multiply(g, 1 - b1)
+            m *= b1
+            m += u
+            np.multiply(g, 1 - b2, out=u)
+            u *= g
+            v *= b2
+            v += u
+            np.sqrt(v, out=u)
+            u += eps_hat
+            np.divide(m, u, out=u)
+            u *= step
+            p -= u
 
 
 # the learning rate that the cosine schedules of training and tuning end at

@@ -95,16 +95,23 @@ def logsumexp(values, axis=None):
     without a warning.
     """
     v = np.asarray(values, dtype=float)
+    shift = _finite_shift(v, axis)
+    with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
+        out = shift + np.log(np.exp(v - shift).sum(axis=axis,
+                                                   keepdims=True))
+    return out.item() if axis is None else np.squeeze(out, axis)
+
+
+def _finite_shift(v: np.ndarray, axis=None) -> np.ndarray:
+    """The maximum of ``v`` over ``axis`` (kept as a length-1 axis), 0
+    where it is ``-inf``: the shift of ``logsumexp``, which raises here
+    on a NaN or ``+inf`` input."""
     vmax = v.max(axis=axis, keepdims=True)         # NaN where a NaN is
     if np.isnan(vmax).any():
         raise ValueError("logsumexp: NaN in input")
     if (vmax == np.inf).any():
         raise ValueError("logsumexp: +inf in input")
-    shift = np.where(np.isfinite(vmax), vmax, 0.0)
-    with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
-        out = shift + np.log(np.exp(v - shift).sum(axis=axis,
-                                                   keepdims=True))
-    return out.item() if axis is None else np.squeeze(out, axis)
+    return np.where(np.isfinite(vmax), vmax, 0.0)
 
 
 def softmax_from_log(log_values: np.ndarray, axis=None) -> np.ndarray:
@@ -149,14 +156,21 @@ class _ColumnGaussian:
 
     def log_density(self, s, v) -> np.ndarray:
         v = _checked_variances(v)
-        return self._log_norm(v) - 0.5 * (s @ (1.0 / v))
+        out = s @ (1.0 / v)
+        out *= -0.5
+        out += self._log_norm(v)
+        return out
 
     def _log_norm(self, v) -> float:
         """-1/2 mult sum_c log(2 pi v_c), the density at the mean."""
         return -0.5 * self.mult * (v.size * LOG_2PI + np.log(v).sum())
 
     def weighted_grad(self, s, v, weights) -> np.ndarray:
-        return ((weights @ s) / v - self.mult * weights.sum()) / (2.0 * v)
+        out = weights @ s
+        out /= v
+        out -= self.mult * weights.sum()
+        out /= 2.0 * v
+        return out
 
 
 class IsotropicParams(_ColumnGaussian):

@@ -41,6 +41,7 @@ deterministic numpy sums, so a fixed seed reproduces results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ POOL_BATCHES = 8
 
 def softplus(z):
     """log(1 + exp(z)), stable for large |z|."""
-    z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return np.logaddexp(0.0, z)
 
 
 def softplus_inv(y):
@@ -139,13 +139,21 @@ def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
         raise ValueError("empty batch")
     eta = softplus(raws)
     v = bases * eta
-    lw = batch.offset - spec.log_density(batch.stats, v)
-    log_total = ga.logsumexp(lw)
-    weights = np.exp(lw - log_total)                  # the softmax of lw
-    loss = float(log_total - np.log(batch.count))
-    # the loss is -log p_phi, so chain d/dv by -dv/draw
-    neg_slope = bases * np.expm1(-eta)
-    grad = spec.weighted_grad(batch.stats, v, weights) * neg_slope
+    lw = spec.log_density(batch.stats, v)
+    np.subtract(batch.offset, lw, out=lw)
+    # the softmax of lw from one shifted exp; logsumexp's shift and checks
+    shift = ga._finite_shift(lw)
+    weights = np.subtract(lw, shift)
+    np.exp(weights, out=weights)
+    total = weights.sum()
+    weights /= total
+    loss = float(shift[0] + np.log(total) - np.log(batch.count))
+    # the loss is -log p_phi, so chain d/dv by -dv/draw, in eta's buffer
+    neg_slope = np.negative(eta, out=eta)
+    np.expm1(neg_slope, out=neg_slope)
+    neg_slope *= bases
+    grad = spec.weighted_grad(batch.stats, v, weights)
+    grad *= neg_slope
     return loss, grad, lw
 
 
@@ -225,7 +233,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     for it in range(config.iterations):
         loss, grad, _ = loss_and_gradient(pool[it % n_batches], spec, raws,
                                           bases)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
