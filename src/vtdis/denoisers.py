@@ -1,7 +1,9 @@
 """Denoiser backends: the x0-prediction used by the reverse sampler.
 
 Every backend answers its queries on a (B, d) batch of flat states and
-returns batch-shaped results; any other shape raises ``ValueError``:
+returns batch-shaped results; any other shape raises ``ValueError``.  A
+query never writes its inputs, and returns new arrays that share memory
+with neither them nor each other: its caller may finish updates in them.
 
 * ``denoise(x, t)``    -> E[x0 | x_t = x] prediction, one per backend
 
@@ -171,9 +173,9 @@ def _tanh_slope(a: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter arrays, at the
-    usual moment decay rates and denominator guard; every step takes its
-    learning rate from the caller's schedule."""
+    """Adam over a list of parameter arrays, at the usual moment decay
+    rates and denominator guard, with both bias corrections folded into
+    two scalars per step; each step's learning rate is the caller's."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -186,26 +188,16 @@ class Adam:
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        # lr m_hat / (sqrt(v_hat) + eps) = step m / (sqrt(v) + eps_hat),
-        # both bias corrections folded into two scalars
+        # lr m_hat / (sqrt(v_hat) + eps) = a m / (sqrt(v) + e)
         root = math.sqrt(1 - b2 ** self.t)
-        step = lr * root / (1 - b1 ** self.t)
-        eps_hat = self.EPS * root
+        a, e = lr * root / (1 - b1 ** self.t), self.EPS * root
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            # in place, with the roundings of b1 * m + (1 - b1) * g and of
-            # b2 * v + (1 - b2) * g * g, in one work array
-            u = np.multiply(g, 1 - b1)
+            # in place, with the roundings of b1 * m + (1 - b1) * g
             m *= b1
-            m += u
-            np.multiply(g, 1 - b2, out=u)
-            u *= g
+            m += (1 - b1) * g
             v *= b2
-            v += u
-            np.sqrt(v, out=u)
-            u += eps_hat
-            np.divide(m, u, out=u)
-            u *= step
-            p -= u
+            v += (1 - b2) * g * g
+            p -= a * m / (np.sqrt(v) + e)
 
 
 # the learning rate that the cosine schedules of training and tuning end at
@@ -305,10 +297,8 @@ class AnalyticGmmScore(_Counted):
         x2 = as_batch(x, self.dim)
         post = self._posterior(x2, t)
         self.eval_count += x2.shape[0]
-        out = post.score
-        out *= float(t) ** 2
-        out += x2
-        return out
+        out = np.multiply(post.score, float(t) ** 2, out=post.score)
+        return np.add(x2, out, out=out)
 
     def _linearize(self, x2, t):
         post = self._posterior(x2, t)

@@ -260,8 +260,7 @@ def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
         for var in grid.forward_vars:
             z = eq.normals(rng, x0.shape, proj)
             z *= np.sqrt(var)
-            z += x
-            x = z
+            x = np.add(x, z, out=z)
             yield x
 
     log_q, x_n = _residual_steps(x0, noised(), model, grid, proj, consume)
@@ -278,7 +277,6 @@ def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
     x = x0
     for n, x_next in enumerate(states, start=1):
         log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
-        mean = _posterior_mean(model, grid, n, x_next)
-        consume(n, np.subtract(x, mean, out=mean))
+        consume(n, x - _posterior_mean(model, grid, n, x_next))
         x = x_next
     return log_q, x

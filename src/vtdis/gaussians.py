@@ -103,15 +103,15 @@ def logsumexp(values, axis=None):
 
 
 def _finite_shift(v: np.ndarray, axis=None) -> np.ndarray:
-    """The maximum of ``v`` over ``axis`` (kept as a length-1 axis), 0
-    where it is ``-inf``: the shift of ``logsumexp``, which raises here
-    on a NaN or ``+inf`` input."""
+    """``logsumexp``'s checks, and its shift: the kept max, 0 where -inf."""
     vmax = v.max(axis=axis, keepdims=True)         # NaN where a NaN is
+    if np.isfinite(vmax).all():
+        return vmax
     if np.isnan(vmax).any():
         raise ValueError("logsumexp: NaN in input")
     if (vmax == np.inf).any():
         raise ValueError("logsumexp: +inf in input")
-    return np.where(np.isfinite(vmax), vmax, 0.0)
+    return np.where(vmax == -np.inf, 0.0, vmax)
 
 
 def softmax_from_log(log_values: np.ndarray, axis=None) -> np.ndarray:
@@ -156,10 +156,8 @@ class _ColumnGaussian:
 
     def log_density(self, s, v) -> np.ndarray:
         v = _checked_variances(v)
-        out = s @ (1.0 / v)
-        out *= -0.5
-        out += self._log_norm(v)
-        return out
+        out = s @ (-0.5 / v)          # -1/2 (s @ (1 / v)), bit for bit
+        return np.add(self._log_norm(v), out, out=out)
 
     def _log_norm(self, v) -> float:
         """-1/2 mult sum_c log(2 pi v_c), the density at the mean."""
@@ -169,8 +167,7 @@ class _ColumnGaussian:
         out = weights @ s
         out /= v
         out -= self.mult * weights.sum()
-        out /= 2.0 * v
-        return out
+        return np.divide(out, 2.0 * v, out=out)
 
 
 class IsotropicParams(_ColumnGaussian):

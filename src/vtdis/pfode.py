@@ -18,13 +18,15 @@ but makes the importance weights biased.
 Each Heun step costs two model passes, 2N per trajectory on an N-step
 grid: ``divergence_estimate`` returns the drift together with the
 divergence, and the probe or every basis vector reuses that pass through
-the backend's fused queries.  With a zero-center-of-mass projection the
-prior is normalised on the subspace, so the divergence is taken there as
-well, tr(P J P): the Hutchinson probe is projected, which keeps the
-estimate unbiased, and the exact trace takes one tangent pass per vector
-of an orthonormal basis of the subspace, (M-1) n of them.  The ambient
-trace would exceed it by the Jacobian's trace along the center-of-mass
-directions, a constant offset in log p0.
+the backend's fused queries.  The step is taken in the arrays those calls
+return, never in the caller's x, with the textbook step's operations in
+its order: x + h (f + f') / 2 bit for bit.  With a zero-center-of-mass
+projection the prior is normalised on the subspace, so the divergence is
+taken there as well, tr(P J P): the Hutchinson probe is projected, which
+keeps the estimate unbiased, and the exact trace takes one tangent pass
+per vector of an orthonormal basis of the subspace, (M-1) n of them.  The
+ambient trace would exceed it by the Jacobian's trace along the
+center-of-mass directions, a constant offset in log p0.
 """
 
 from __future__ import annotations
@@ -68,9 +70,7 @@ def divergence_estimate(model, x, t, config: OdeRunConfig,
             # P v keeps E[(Pv)^T J (Pv)] = tr(P J P) unbiased
             v = eq.com_project(v, proj)
         score, jv = model.score_and_jvp(x, t, v)
-        jv *= v
-        div = jv.sum(axis=1)
-    # the model's outputs are the caller's own: negate in place
+        div = np.multiply(jv, v, out=jv).sum(axis=1)
     score *= -t
     div *= -t
     return score, div
@@ -83,9 +83,8 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
 
     Returns the state at eps and the divergence integral along the
     traversal, int_T^eps (the sign of dt is included, so it is the
-    negative of the eps -> T integral).  Each step is Heun's: one
-    ``divergence_estimate`` call, which gives the drift as well, at its
-    start and one at the predictor, so N steps cost 2N model passes.
+    negative of the eps -> T integral), from Heun steps that each call
+    ``divergence_estimate`` at their start and at the predictor.
     """
     x2 = np.asarray(x, dtype=float)
     times = grid.times[::-1]
@@ -101,14 +100,11 @@ def heun_integrate(x, model, grid: TimeGrid, config: OdeRunConfig,
             raise FloatingPointError(f"NaN state at grid node {i}")
         f_next, g_next = divergence_estimate(model, x_pred, t_next, config,
                                              rng, proj)
-        # x2 + 0.5 h (f_cur + f_next), in the buffers of the estimates;
-        # the first x2 is the caller's, so it is never written
         f_cur += f_next
         f_cur *= 0.5 * h
         x2 = np.add(x2, f_cur, out=f_cur)
         g_cur += g_next
-        g_cur *= 0.5 * h
-        div_int += g_cur
+        div_int += np.multiply(g_cur, 0.5 * h, out=g_cur)
     if np.isnan(x2).any():
         raise FloatingPointError("NaN terminal state")
     return x2, div_int

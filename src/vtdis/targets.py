@@ -15,7 +15,9 @@ returns batch-shaped results; any other shape raises ``ValueError``:
 Particle targets add ``energy(x)`` and ``log_density_and_grad(x)``, the
 log-density and its (B, d) gradient from one pass.  ``Gmm`` adds exact
 sampling, ``sample(rng, count)``; its noise-convolved score is the
-analytic denoiser's (the mixture stays a mixture under convolution).
+analytic denoiser's (the mixture stays a mixture under convolution), from
+one (K, B) responsibility pass whose softmax and division by v_k work in
+the buffer of the component terms, moving only last bits (``_gmm_posterior``).
 The module also provides a Metropolis-adjusted Langevin sampler,
 ``mcmc_sample``, for targets that cannot be sampled exactly.  Its caller
 sets the chain count, burn-in and thinning, and the ``MALA_*`` constants
@@ -147,8 +149,6 @@ def _gmm_posterior(x: np.ndarray, gmm: Gmm, t: float) -> _Posterior:
     sbar = -sum_k r_k (x - mu_k) / v_k = (r / v)^T mu - (sum_k r_k / v_k) x
     formed from (K, B) products."""
     sq, v, lp = _component_logpdfs(x, gmm, t)
-    # the softmax over components, shifted by each column's max, and the
-    # division by v_k in one pass, all in the buffer of lp
     lp -= lp.max(axis=0)
     rv = np.exp(lp, out=lp)
     rv /= rv.sum(axis=0) * v
@@ -163,8 +163,7 @@ def _posterior_divergence(post: _Posterior) -> np.ndarray:
     pass, with |s_k|^2 = |x - mu_k|^2 / v_k^2:
     sum_k r_k (|s_k|^2 - d / v_k) - |sbar|^2."""
     a = post.sq / post.v
-    a *= post.rv
-    div = a.sum(axis=0)
+    div = np.multiply(a, post.rv, out=a).sum(axis=0)
     div -= post.x.shape[1] * post.prec[:, 0]
     div -= np.einsum("bd,bd->b", post.score, post.score)
     return div

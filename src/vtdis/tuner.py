@@ -63,7 +63,8 @@ POOL_BATCHES = 8
 
 def softplus(z):
     """log(1 + exp(z)), stable for large |z|."""
-    return np.logaddexp(0.0, z)
+    z = np.asarray(z, dtype=float)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def softplus_inv(y):
@@ -139,21 +140,15 @@ def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
         raise ValueError("empty batch")
     eta = softplus(raws)
     v = bases * eta
-    lw = spec.log_density(batch.stats, v)
-    np.subtract(batch.offset, lw, out=lw)
-    # the softmax of lw from one shifted exp; logsumexp's shift and checks
-    shift = ga._finite_shift(lw)
-    weights = np.subtract(lw, shift)
-    np.exp(weights, out=weights)
+    lw = batch.offset - spec.log_density(batch.stats, v)
+    shift = ga._finite_shift(lw)          # and logsumexp's checks
+    weights = np.exp(lw - shift)          # the softmax of lw, in place
     total = weights.sum()
     weights /= total
     loss = float(shift[0] + np.log(total) - np.log(batch.count))
-    # the loss is -log p_phi, so chain d/dv by -dv/draw, in eta's buffer
-    neg_slope = np.negative(eta, out=eta)
-    np.expm1(neg_slope, out=neg_slope)
-    neg_slope *= bases
+    # the loss is -log p_phi, so chain d/dv by -dv/draw
     grad = spec.weighted_grad(batch.stats, v, weights)
-    grad *= neg_slope
+    grad *= bases * np.expm1(-eta)
     return loss, grad, lw
 
 

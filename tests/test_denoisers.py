@@ -623,3 +623,48 @@ def test_one_point_is_rejected(owner, query):
     with pytest.raises(ValueError, match="batch"):
         ask(obj, query, point)
     ask(obj, query, point[None])      # the same point as a one-row batch
+
+
+# every backend on 4 particles in the plane, so each has a subspace trace
+OWN_PROJ = eq.ComProjection(4, 2)
+OWNED = {
+    "analytic": lambda: dn.AnalyticGmmScore(tg.two_mode_gmm(8)),
+    "vector": lambda: dn.VectorDenoiser(8, [6], 1.3,
+                                        np.random.default_rng(25)),
+    "radial": lambda: dn.RadialDenoiser(4, 2, [6], 1.3,
+                                        np.random.default_rng(26)),
+}
+OWNED_QUERIES = {
+    "denoise": lambda m, x, v: [m.denoise(x, 0.7)],
+    "score_and_jvp": lambda m, x, v: list(m.score_and_jvp(x, 0.7, v)),
+    "score_and_div": lambda m, x, v: list(m.score_and_div(x, 0.7)),
+    "score_and_div_subspace": lambda m, x, v: list(
+        m.score_and_div(x, 0.7, OWN_PROJ)),
+}
+
+
+@pytest.mark.parametrize("rows", ["one block", "several blocks"])
+@pytest.mark.parametrize("query", list(OWNED_QUERIES))
+@pytest.mark.parametrize("backend", list(OWNED))
+def test_queries_own_their_outputs(backend, query, rows):
+    # a caller finishes its update in the arrays a query returns: they
+    # must be its own, and the query must never write its inputs
+    model = OWNED[backend]()
+    count = 5 if rows == "one block" else 2 * dn.ROW_BLOCK // getattr(
+        model, "net_rows", 1) + 3
+    rng = np.random.default_rng(27)
+    x, v = (eq.com_project(rng.standard_normal((count, 8)), OWN_PROJ)
+            for _ in range(2))
+    x.flags.writeable = v.flags.writeable = False
+    ask = OWNED_QUERIES[query]
+    first = ask(model, x, v)
+    kept = [out.copy() for out in first]
+    for i, out in enumerate(first):
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, v)
+        assert not any(np.shares_memory(out, other)
+                       for other in first[i + 1:])
+        out[...] = np.nan
+    # a repeated query gives the same results in new arrays
+    for again, want in zip(ask(model, x, v), kept):
+        assert np.array_equal(again, want)
+        assert not any(np.shares_memory(again, out) for out in first)

@@ -63,6 +63,83 @@ def test_stored_densities_match_recompute(case):
             assert np.max(proj.com_norm(traj.states)) < 1e-12
 
 
+def loop_reverse_sample(rng, model, proposal, grid, count, proj):
+    """The reverse sampler written out step by step: the prior draw, the
+    textbook mean r x + (1 - r) D(x, t_n), x_prev = mean + sqrt(v) z, and
+    both densities from the explicit Gaussian formulas."""
+    spec, variances = proposal
+    d = model.dim if proj is None else proj.subspace_dim
+
+    def unit_normals():
+        z = rng.standard_normal((count, model.dim))
+        return z if proj is None else eq.com_project(z, proj)
+
+    def iso_logpdf(delta, var):
+        return (-0.5 * d * np.log(2.0 * np.pi * var)
+                - 0.5 * np.sum(delta * delta, axis=1) / var)
+
+    x = grid.t_max * unit_normals()
+    log_p = iso_logpdf(x, grid.t_max ** 2)
+    log_q = np.zeros(count)
+    for n in range(grid.n_steps, 0, -1):
+        r = grid.mean_ratios[n - 1]
+        mean = r * x + (1.0 - r) * model.denoise(x, grid.times[n])
+        var = variances[n - 1]
+        x_prev = mean + np.sqrt(var) * unit_normals()
+        delta = x_prev - mean
+        if spec.n_params == 1:
+            log_p += iso_logpdf(delta, var[0])
+        else:
+            log_p += np.sum(-0.5 * np.log(2.0 * np.pi * var)
+                            - 0.5 * delta * delta / var, axis=1)
+        log_q += iso_logpdf(x - x_prev, grid.forward_vars[n - 1])
+        x = x_prev
+    return x, log_q, log_p
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_reverse_sampler_matches_the_step_loop(case):
+    # the ambient diagonal case on the analytic GMM, and the isotropic
+    # zero-CoM case on the radial backend
+    model, proposal, proj = CASES[case]()
+    got = df.reverse_sample_batch(np.random.default_rng(31), model, proposal,
+                                  GRID, 64, proj)
+    want = loop_reverse_sample(np.random.default_rng(31), model, proposal,
+                               GRID, 64, proj)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def read_only(x):
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_callers_never_write_their_inputs(case):
+    # each caller finishes its updates in the buffers its model queries
+    # return, so a read-only input must never be written
+    model, proposal, proj = CASES[case]()
+    target = model.gmm if proj is None else tg.DoubleWell()
+    learned = (dn.VectorDenoiser(model.dim, [6], 1.0,
+                                 np.random.default_rng(32))
+               if proj is None else model)
+    rng = np.random.default_rng(33)
+    x0 = read_only(eq.normals(rng, (12, model.dim), proj))
+    pf.heun_integrate(read_only(GRID.t_max * x0), model, GRID,
+                      pf.OdeRunConfig(), rng, proj)
+    df.forward_residuals(rng, x0, model, GRID, proj,
+                         consume=lambda n, delta: None)
+    mt.elbo_eubo(rng, x0, model, proposal, GRID, 2, proj, repeats=1)
+    kind = "diagonal" if proj is None else "isotropic"
+    tu.tune(rng, model, target, GRID, kind,
+            tu.TunerConfig(iterations=3, batch_size=4), data=x0, proj=proj)
+    dn.train_dsm(rng, x0, learned, dn.TrainConfig(iterations=3,
+                                                  batch_size=4))
+
+
 def wrong_count(proposal, extra):
     """The proposal with ``extra`` steps appended (> 0) or dropped (< 0)."""
     spec, variances = proposal

@@ -215,6 +215,17 @@ class TestStackedObjective:
         with pytest.raises(ValueError, match="positive"):
             spec.log_density(spec.stats(batch.deltas[2]), variances[2])
 
+    @pytest.mark.parametrize("bad,name", [(np.nan, "NaN"),
+                                          (np.inf, r"\+inf")])
+    def test_nonfinite_log_weight_is_named(self, bad, name):
+        # the softmax is formed in place, but behind logsumexp's checks
+        batch, spec, raws, log_pi = make_case("isotropic", "ambient", seed=4)
+        stats = as_stats(batch, spec, log_pi)
+        stats.offset[3] = bad
+        with pytest.raises(ValueError, match=f"logsumexp: {name} in input"):
+            tu.loss_and_gradient(stats, spec, raws.ravel(),
+                                 column_bases(spec))
+
     @pytest.mark.parametrize("kind,space", CASES)
     @pytest.mark.parametrize("objective", ["alpha2"])
     def test_gradient_matches_finite_differences(self, kind, space,
