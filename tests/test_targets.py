@@ -444,7 +444,79 @@ class TestParticleEnergies:
                 assert g[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
+def mala_reference(rng, target, count, n_chains, burn_in, thin):
+    """``mcmc_sample`` written out operation by operation, in its order:
+    (rows, acceptance rate, per-chain acceptance after burn-in)."""
+    proj = getattr(target, "proj", None)
+    shape = (n_chains, target.dim)
+
+    def project(z):
+        return z if proj is None else eq.com_project(z, proj)
+
+    def evaluate(z):
+        # capped log density and the clipped, projected drift
+        lp, g = target.log_density_and_grad(z)
+        g = project(g)
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        scale = np.minimum(1.0, tg.MALA_GRAD_CLIP / np.maximum(norms, 1e-300))
+        return np.maximum(lp, -tg.MALA_ENERGY_CAP), g * scale
+
+    x = tg.MALA_INIT_SCALE * project(rng.standard_normal(shape))
+    lp, gx = evaluate(x)
+    h = np.full(n_chains, tg.MALA_STEP_SIZE)
+    iterations = burn_in + -(-count // n_chains) * thin
+    rows, accepts, chain_accepts = [], 0, np.zeros(n_chains)
+    for it in range(iterations):
+        h2 = h * h
+        noise = project(rng.standard_normal(shape))
+        mean_fwd = x + 0.5 * h2[:, None] * gx
+        y = mean_fwd + h[:, None] * noise
+        lpy, gy = evaluate(y)
+        mean_bwd = y + 0.5 * h2[:, None] * gy
+        log_q_fwd = -np.sum((y - mean_fwd) ** 2, axis=1) / (2.0 * h2)
+        log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h2)
+        log_alpha = lpy - lp + log_q_bwd - log_q_fwd
+        acc = np.log(rng.uniform(size=n_chains)) < log_alpha
+        x = np.where(acc[:, None], y, x)
+        lp = np.where(acc, lpy, lp)
+        gx = np.where(acc[:, None], gy, gx)
+        accepts += int(acc.sum())
+        if it < burn_in:
+            h = h * np.exp(0.05 * (acc - tg.MALA_TARGET_ACCEPT))
+        else:
+            chain_accepts += acc
+            if (it - burn_in) % thin == thin - 1:
+                rows.append(x)
+    return (np.concatenate(rows)[:count], accepts / (n_chains * iterations),
+            chain_accepts / (iterations - burn_in))
+
+
+class SteepGauss:
+    """N(0, 2e-3 I) in 3-D, without ``proj``: at the test's seed some
+    chain's drift is clipped in each of the first 13 of 52 evaluations,
+    and none after."""
+
+    dim = 3
+
+    def log_density_and_grad(self, x):
+        return -0.5 / 2e-3 * np.sum(x * x, axis=1), -x / 2e-3
+
+
 class TestMcmc:
+    @pytest.mark.parametrize("target,n_chains,burn_in", [
+        (tg.DoubleWell(), 16, 40), (tg.LennardJones(), 8, 60),
+        (SteepGauss(), 8, 30)], ids=["dw4", "lj13", "gauss"])
+    def test_chain_is_the_written_out_kernel_bit_for_bit(
+            self, target, n_chains, burn_in):
+        got, report = tg.mcmc_sample(np.random.default_rng(31), target, 50,
+                                     n_chains=n_chains, burn_in=burn_in,
+                                     thin=3)
+        rows, rate, chain_rate = mala_reference(
+            np.random.default_rng(31), target, 50, n_chains, burn_in, 3)
+        assert np.array_equal(got, rows)
+        assert report.acceptance_rate == rate
+        assert np.array_equal(report.chain_acceptance, chain_rate)
+
     def test_gaussian_target_moments(self):
         class Gauss:
             dim = 3
