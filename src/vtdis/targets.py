@@ -192,10 +192,11 @@ def _posterior_hvp(post: _Posterior, vec: np.ndarray) -> np.ndarray:
 class _PairSystem:
     """Pair geometry shared by the particle targets.
 
-    Subclasses give ``_energy(conf, d)`` (B,) and ``_energy_grad(x2, conf,
-    diff, d)`` (B, M*n) on one pair geometry; the public densities are
-    built from them, so ``log_density_and_grad`` gives ``log_density``
-    bit for bit.  The log-density is -energy / ``temperature``.
+    Subclasses give ``_energy_and_grad(conf, diff, d, grad)``: the (B,)
+    energy of one pair geometry and, when ``grad``, its (B, M*n) gradient
+    from the same pass (else None).  Both public densities take the
+    energy from it, so ``log_density_and_grad`` gives ``log_density`` bit
+    for bit.  The log-density is -energy / ``temperature``.
     """
 
     temperature = 1.0
@@ -208,23 +209,21 @@ class _PairSystem:
     def proj(self) -> eq.ComProjection:
         return eq.ComProjection(self.n_particles, self.spatial_dim)
 
-    def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x2 (B, M*n), conf (B, M, n), pair diffs, pair distances)."""
+    def _pairs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(conf (B, M, n), pair diffs, pair distances)."""
         x2 = as_batch(x, self.dim)
-        return (x2, self.proj.configs(x2)) + self.proj.pairs(x2)
+        return (self.proj.configs(x2),) + self.proj.pairs(x2)
 
     def energy(self, x) -> np.ndarray:
-        _, conf, _, d = self._pairs(x)
-        return self._energy(conf, d)
+        return self._energy_and_grad(*self._pairs(x), False)[0]
 
     def log_density(self, x):
         return -self.energy(x) / self.temperature
 
     def log_density_and_grad(self, x):
-        """(log_density(x), its gradient) from one pair geometry."""
-        x2, conf, diff, d = self._pairs(x)
-        return (-self._energy(conf, d) / self.temperature,
-                -self._energy_grad(x2, conf, diff, d) / self.temperature)
+        """(log_density(x), its gradient) from one energy pass."""
+        e, g = self._energy_and_grad(*self._pairs(x), True)
+        return -e / self.temperature, -g / self.temperature
 
 
 @dataclass(frozen=True)
@@ -245,15 +244,14 @@ class DoubleWell(_PairSystem):
     # bound here as well, where the benchmark's tracer looks it up
     log_density = _PairSystem.log_density
 
-    def _energy(self, conf, d) -> np.ndarray:
+    def _energy_and_grad(self, conf, diff, d, grad):
         delta = d - self.d0
-        return np.sum(self.a * delta + self.b * delta ** 2
-                      + self.c * delta ** 4, axis=1)
-
-    def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
-        delta = d - self.d0
+        e = np.sum(self.a * delta + self.b * delta ** 2
+                   + self.c * delta ** 4, axis=1)
+        if not grad:
+            return e, None
         de = self.a + 2.0 * self.b * delta + 4.0 * self.c * delta ** 3
-        return _pair_force_assemble(self.proj, diff, d, de)
+        return e, _pair_force_assemble(self.proj, diff, d, de)
 
 
 @dataclass(frozen=True)
@@ -273,23 +271,22 @@ class LennardJones(_PairSystem):
 
     log_density = _PairSystem.log_density
 
-    def _energy(self, conf, d) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            inv6 = (self.r_m / d) ** 6
-            pair = self.eps_lj * inv6 * (inv6 - 2.0)   # +inf at coincidence
-        e = np.sum(pair, axis=1)
-        centered = conf - conf.mean(axis=1, keepdims=True)
-        return e + 0.5 * self.c_osc * np.sum(centered ** 2, axis=(1, 2))
-
-    def _energy_grad(self, x2, conf, diff, d) -> np.ndarray:
-        # a coincident pair gives inf - inf = NaN here; _pair_force_assemble
-        # gives it no contribution
+    def _energy_and_grad(self, conf, diff, d, grad):
+        # a coincident pair has energy +inf and de = inf - inf = NaN, which
+        # _pair_force_assemble drops; inv ** 12 is a power, not inv6 * inv6,
+        # which rounds differently
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self.r_m / d
-            de = self.eps_lj * 12.0 * (inv ** 6 - inv ** 12) / d
-        g = _pair_force_assemble(self.proj, diff, d, de)
+            inv6 = inv ** 6
+            pair = self.eps_lj * inv6 * (inv6 - 2.0)
+            de = self.eps_lj * 12.0 * (inv6 - inv ** 12) / d if grad else None
         centered = conf - conf.mean(axis=1, keepdims=True)
-        return g + self.c_osc * centered.reshape(x2.shape)
+        e = np.sum(pair, axis=1) + 0.5 * self.c_osc * np.sum(centered ** 2,
+                                                              axis=(1, 2))
+        if not grad:
+            return e, None
+        g = _pair_force_assemble(self.proj, diff, d, de)
+        return e, g + self.c_osc * centered.reshape(g.shape)
 
 
 def _pair_force_assemble(proj: eq.ComProjection, diff, d, de
@@ -359,14 +356,17 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     proj = getattr(target, "proj", None)
 
     def evaluate(z):
-        """Capped log-density and clipped, projected drift."""
+        """Capped log-density and clipped, projected drift.  With no norm
+        above the clip every scale is exactly 1.0, so the product is
+        skipped; a NaN norm still takes it."""
         lp, g = target.log_density_and_grad(z)
         lp = np.maximum(lp, -MALA_ENERGY_CAP)
         if proj is not None:
             g = eq.com_project(g, proj)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-        scale = np.minimum(1.0, MALA_GRAD_CLIP / np.maximum(norms, 1e-300))
-        return lp, g * scale
+        if not np.all(norms <= MALA_GRAD_CLIP):
+            g = g * np.minimum(1.0, MALA_GRAD_CLIP / np.maximum(norms, 1e-300))
+        return lp, g
 
     x = MALA_INIT_SCALE * eq.normals(rng, (n_chains, dim), proj)
     lp, gx = evaluate(x)
@@ -379,18 +379,19 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     for it in range(total_iters):
         h2 = h * h
+        half = 0.5 * h2[:, None]
         noise = eq.normals(rng, (n_chains, dim), proj)
-        mean_fwd = x + 0.5 * h2[:, None] * gx
+        mean_fwd = x + half * gx
         y = mean_fwd + h[:, None] * noise
         lpy, gy = evaluate(y)
-        mean_bwd = y + 0.5 * h2[:, None] * gy
+        mean_bwd = y + half * gy
         log_q_fwd = -np.sum((y - mean_fwd) ** 2, axis=1) / (2.0 * h2)
         log_q_bwd = -np.sum((x - mean_bwd) ** 2, axis=1) / (2.0 * h2)
         log_alpha = lpy - lp + log_q_bwd - log_q_fwd
         acc = np.log(rng.uniform(size=n_chains)) < log_alpha
-        x[acc] = y[acc]
-        lp[acc] = lpy[acc]
-        gx[acc] = gy[acc]
+        np.copyto(x, y, where=acc[:, None])
+        np.copyto(lp, lpy, where=acc)
+        np.copyto(gx, gy, where=acc[:, None])
         accepts += int(np.sum(acc))
         if it < burn_in:
             # per-chain stochastic approximation toward the target rate
