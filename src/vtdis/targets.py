@@ -13,7 +13,10 @@ returns batch-shaped results; any other shape raises ``ValueError``:
 * ``log_density(x)``          -> (B,) unnormalized log-density
 
 Particle targets add ``energy(x)`` and ``log_density_and_grad(x)``, the
-log-density and its (B, d) gradient from one pass.  ``Gmm`` adds exact
+log-density and its (B, d) gradient; each target has one energy formula,
+which forms the gradient in the same pass when asked, so a MALA proposal
+takes one energy pass and the joint call gives ``log_density`` bit for
+bit.  ``Gmm`` adds exact
 sampling, ``sample(rng, count)``; its noise-convolved score is the
 analytic denoiser's (the mixture stays a mixture under convolution), from
 one (K, B) responsibility pass whose softmax and division by v_k work in
@@ -272,9 +275,8 @@ class LennardJones(_PairSystem):
     log_density = _PairSystem.log_density
 
     def _energy_and_grad(self, conf, diff, d, grad):
-        # a coincident pair has energy +inf and de = inf - inf = NaN, which
-        # _pair_force_assemble drops; inv ** 12 is a power, not inv6 * inv6,
-        # which rounds differently
+        # a coincident pair: energy +inf, de = inf - inf = NaN, which
+        # _pair_force_assemble drops; inv ** 12 rounds unlike inv6 * inv6
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = self.r_m / d
             inv6 = inv ** 6
@@ -356,9 +358,8 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     proj = getattr(target, "proj", None)
 
     def evaluate(z):
-        """Capped log-density and clipped, projected drift.  With no norm
-        above the clip every scale is exactly 1.0, so the product is
-        skipped; a NaN norm still takes it."""
+        """Capped log-density and clipped, projected drift; with no norm
+        above the clip every scale is 1.0, and a NaN norm clips."""
         lp, g = target.log_density_and_grad(z)
         lp = np.maximum(lp, -MALA_ENERGY_CAP)
         if proj is not None:

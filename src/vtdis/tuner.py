@@ -221,7 +221,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     pool = [StatsBatch(stats, offset)       # row slices: views, no copies
             for stats, offset in zip(np.split(whole.stats, n_batches),
                                      np.split(whole.offset, n_batches))]
-    opt = Adam([raws])
+    opt = Adam(raws)
     losses = []
     half = config.plateau_window // 2
 
@@ -232,7 +232,7 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")
         losses.append(loss)
-        opt.step([grad], cosine_lr(it, config.iterations, config.lr))
+        opt.step(grad, cosine_lr(it, config.iterations, config.lr))
         if not np.isfinite(raws).all():
             raise RuntimeError(f"non-finite parameters at iteration {it}")
         if it + 1 >= config.plateau_window:

@@ -167,7 +167,7 @@ class TestMlpMachinery:
     def test_width_one_backward_is_the_gemm_chain_bit_for_bit(self):
         # through a width-1 output layer the cotangent is a broadcast
         # product, not a K = 1 gemm; each entry is one rounded product
-        # either way
+        # either way.  Each bias gradient is the BLAS column sum ones @ dz
         rng = np.random.default_rng(8)
         net = dn.Mlp([3, 6, 5, 1], rng)
         x, d_out = rng.standard_normal((9, 3)), rng.standard_normal((9, 1))
@@ -178,7 +178,7 @@ class TestMlpMachinery:
             if i < net.n_layers - 1:
                 dz = dz * (1.0 - cache[i + 1] ** 2)
             assert np.array_equal(got[2 * i], dz.T @ cache[i])
-            assert np.array_equal(got[2 * i + 1], np.sum(dz, axis=0))
+            assert np.array_equal(got[2 * i + 1], np.ones(9) @ dz)
             dz = dz @ net.params[2 * i]
 
     def test_exact_divergence_from_directional_derivatives(self):
@@ -436,7 +436,58 @@ class TestRadialSymmetries:
         assert np.max(np.abs(out.mean(axis=1))) < 1e-13
 
 
+def dsm_reference(rng, data, model, config):
+    """``train_dsm`` written out, each parameter array stepped by an Adam
+    of its own: the loss curve."""
+    proj = getattr(model, "proj", None)
+    opts = [dn.Adam(p) for p in model.net.params]
+    losses = []
+    for it in range(config.iterations):
+        x0 = data[rng.integers(0, data.shape[0], size=config.batch_size)]
+        u = rng.uniform(size=config.batch_size)
+        log_eps = np.log(config.eps)
+        t = np.exp(log_eps + u * (np.log(config.t_max) - log_eps))
+        z = rng.standard_normal(x0.shape)
+        xt = x0 + t[:, None] * (z if proj is None else eq.com_project(z, proj))
+        out, cache = model.forward_with_cache(xt, t)
+        resid = out - x0
+        lam = dn.dsm_weight(t, model.sigma_data)
+        losses.append(float(np.mean(lam * np.sum(resid * resid, axis=1))))
+        grads = model.param_grad(
+            cache, 2.0 * lam[:, None] * resid / config.batch_size)
+        lr = dn.cosine_lr(it, config.iterations, config.lr)
+        for opt, g in zip(opts, grads):
+            opt.step(g, lr)
+    return np.array(losses)
+
+
+# a learned backend of each kind, and training data on its subspace
+TRAINED = {
+    "vector": (lambda rng: dn.VectorDenoiser(3, [16, 16], 1.2, rng),
+               lambda x: x, 3),
+    "radial": (lambda rng: dn.RadialDenoiser(13, 3, [16, 16], 1.2, rng),
+               lambda x: zero_com(x, 13, 3), 39),
+}
+
+
 class TestTraining:
+    @pytest.mark.parametrize("backend", list(TRAINED))
+    def test_training_is_the_written_out_loop_bit_for_bit(self, backend):
+        # one Adam step on the flat buffer is one per parameter array
+        build, place, dim = TRAINED[backend]
+        data = place(np.random.default_rng(40).standard_normal((64, dim)))
+        cfg = dn.TrainConfig(iterations=5, batch_size=16, lr=1e-2)
+        model, ref = build(np.random.default_rng(41)), build(
+            np.random.default_rng(41))
+        start = model.net.flat.copy()
+        losses = dn.train_dsm(np.random.default_rng(42), data, model, cfg)
+        want = dsm_reference(np.random.default_rng(42), data, ref, cfg)
+        assert np.array_equal(losses, want)
+        assert np.array_equal(model.net.flat, ref.net.flat)
+        assert not np.any(model.net.flat == start)
+        for p in model.net.params:
+            assert np.shares_memory(p, model.net.flat)
+
     def test_gaussian_data_recovers_analytic_denoiser(self):
         rng = np.random.default_rng(10)
         target = tg.single_gaussian(2, 1.0)
