@@ -25,7 +25,10 @@ when its name is read as a ``Name`` or appears as an attribute anywhere
 in ``src/vtdis``.  A public name counts as used when it is read so in
 ``src/vtdis`` or in ``bench/`` outside its self-tests, or is the
 attribute a span of the tracer's ``SPANS`` wraps; assigning a constant
-is no use of it.  One that only the tests use is API kept for them
+is no use of it.  A use whose owner is known, ``self.m`` in a method of
+class C or ``C.m`` with C a class of the program, uses only the ``m`` of
+C, its bases and its subclasses; ``obj.m`` on any other receiver uses
+every class's ``m``.  One that only the tests use is API kept for them
 alone, and is either deleted or listed in ``TEST_ONLY`` with its reason.
 """
 
@@ -158,31 +161,74 @@ TEST_ONLY = {
 }
 
 
-def span_attributes(source: str) -> set[str]:
-    """The attribute names of a top-level ``SPANS`` list of
-    ``(span, owner, attribute, rows)`` tuples: what the tracer wraps."""
-    found = set()
-    for node in ast.parse(source).body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "SPANS"
-                        for t in node.targets)):
-            found.update(span.elts[2].value for span in node.value.elts
-                         if isinstance(span.elts[2], ast.Constant))
-    return found
+def class_families(sources) -> dict[str, set[str]]:
+    """Each class of ``sources`` by name, with its bases and subclasses
+    there: a method looked up on one may be defined on any of them."""
+    bases = {n.name: {getattr(b, "attr", getattr(b, "id", None))
+                      for b in n.bases}
+             for source in sources for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.ClassDef)}
+    up = {c: set() for c in bases}
+    for c, seen in up.items():
+        stack = list(bases[c])
+        while stack:
+            b = stack.pop()
+            if b in bases and b not in seen:
+                seen.add(b)
+                stack.extend(bases[b])
+    return {c: {c} | up[c] | {d for d in bases if c in up[d]} for c in bases}
 
 
 def used_names(sources) -> set[str]:
-    """``referenced_names`` and the attributes of the tracer's ``SPANS``,
-    which names what it wraps by string; no other string counts."""
+    """Every ``Name`` read, and each attribute name: as ``C.m`` for every
+    class C in the family of the attribute's known owner, else bare.  The
+    attributes of the tracer's ``SPANS`` count so too, with the span's
+    owner; no other string counts."""
     sources = list(sources)
-    return referenced_names(sources).union(*map(span_attributes, sources))
+    families = class_families(sources)
+
+    def owner(node, cls):
+        if isinstance(node, ast.Name) and node.id in ("self", "cls"):
+            return cls
+        name = getattr(node, "attr", getattr(node, "id", None))
+        return name if name in families else None
+
+    used = set()
+
+    def use(node, cls, name):
+        key = owner(node, cls)
+        used.update([name] if key is None
+                    else (f"{c}.{name}" for c in families[key]))
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            use(node.value, cls, node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for source in sources:
+        tree = ast.parse(source)
+        visit(tree, None)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "SPANS"
+                            for t in node.targets)):
+                for span in node.value.elts:
+                    if isinstance(span.elts[2], ast.Constant):
+                        use(span.elts[1], None, span.elts[2].value)
+    return used
 
 
 def unreferenced_public(source: str, used: set[str]) -> list[str]:
     """Public module-level functions, classes and constants, and public
-    methods, of ``source`` whose name is not in ``used``."""
+    methods, of ``source`` that ``used`` holds neither bare nor keyed
+    by owner."""
     return [qual for qual, name in [*definitions(source), *constants(source)]
-            if not name.startswith("_") and name not in used]
+            if not name.startswith("_") and not {name, qual} & used]
 
 
 def test_no_test_only_public_name():
@@ -201,17 +247,27 @@ def test_check_finds_a_test_only_public_name():
               "def _helper():\n    pass\n"
               "def traced():\n    pass\n"
               "class A:\n    def __init__(self):\n        self.go()\n"
+              "        self.check()\n"
               "    def go(self):\n        pass\n"
               "    def stale(self):\n        pass\n"
               "class B:\n    pass\n"
+              "class C:\n    def go(self):\n        pass\n"
+              "    def shared(self):\n        pass\n"
+              "class D(A):\n    def check(self):\n        pass\n"
               "def stray():\n    pass\n"
-              "SPANS = [('a.traced', A, 'traced', None)]\n"
+              "def call(obj):\n    return obj.shared()\n"
+              "SPANS = [('a.traced', mod, 'traced', None),\n"
+              "         ('d.step', D, 'step', None)]\n"
               "RNG = derive_rng(0, 'stray')\n"
-              "trace(SPANS, RNG)\n")
+              "trace(SPANS, RNG, C, D, call)\n")
     # a string outside SPANS, such as a seed key, uses nothing, and
-    # neither does the assignment of a constant
+    # neither does the assignment of a constant.  A's self.go() uses A's
+    # go and not C's, and its self.check() the check of its subclass D;
+    # obj.shared(), on a receiver of no known class, uses every shared
     assert unreferenced_public(source, used_names([source])) == \
-        ["orphan", "A.stale", "B", "stray", "STALE"]
+        ["orphan", "A.stale", "B", "C.go", "stray", "STALE"]
+    # a span wraps the method of its owner's family
+    assert {"D.step", "A.step"} <= used_names([source])
 
 
 def untraceable(spans) -> list:
