@@ -358,8 +358,8 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
     proj = getattr(target, "proj", None)
 
     def evaluate(z):
-        """Capped log-density and clipped, projected drift; with no norm
-        above the clip every scale is 1.0, and a NaN norm clips."""
+        """Capped log-density and clipped, projected drift, scaled only
+        when some norm is above the clip or NaN (every scale is else 1.0)."""
         lp, g = target.log_density_and_grad(z)
         lp = np.maximum(lp, -MALA_ENERGY_CAP)
         if proj is not None:
