@@ -63,8 +63,10 @@ class Gmm:
             raise ValueError("inconsistent mixture shapes")
         if np.any(w < 0) or not np.any(w > 0) or not np.isclose(np.sum(w), 1.0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("means must be finite")
+        if not np.all((v > 0) & (v < np.inf)):     # false for a NaN too
+            raise ValueError("variances must be positive and finite")
         for name, value in (("weights", w), ("means", mu), ("variances", v)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -50,6 +50,19 @@ class TestGmmDensity:
         with pytest.raises(ValueError):
             tg.two_mode_gmm(2).log_density(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("name, value", [
+        ("variances", np.nan), ("variances", np.inf),
+        ("means", np.nan), ("means", -np.inf)])
+    def test_non_finite_parameters_are_rejected(self, name, value):
+        # a NaN variance passed ``v <= 0`` and failed only in logsumexp;
+        # an infinite one, or a non-finite mean, was taken as it was
+        params = {"weights": np.array([0.5, 0.5]),
+                  "means": np.array([[0.0, 1.0], [2.0, 3.0]]),
+                  "variances": np.array([0.5, 1.5])}
+        params[name].flat[-1] = value
+        with pytest.raises(ValueError, match=name):
+            tg.Gmm(**params)
+
     def test_parameters_are_read_only_copies(self):
         # the log-weights are cached, so a mixture that kept the caller's
         # arrays would go stale when they changed
