@@ -24,7 +24,7 @@ def _pin_heap_thresholds() -> None:
     ``ode_traj_per_s`` (2-vCPU x86-64).  Pinned, arrays under 32 MiB come
     from the brk heap, whose top alone glibc trims, so freed blocks below a
     live one stay resident until ``malloc_trim(0)``, wherever the pin is
-    made: 133 MiB RSS after freeing 100 arrays of 1 MiB, 33 unpinned."""
+    made: 128 MiB RSS after freeing 100 arrays of 1 MiB, 28 unpinned."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

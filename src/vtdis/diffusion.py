@@ -13,28 +13,29 @@ names the step of a NaN prediction, for every path.  A proposal is the pair
 the isotropic spec at the posterior variances
 t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2, ``grid.ddpm_vars[:, None]``.
 ``proposal_steps`` builds its N ``StepKernel``s once, step n the spec at
-``variances[n - 1]``: the one sampler and the one density of a step.  Every
-step reads its coefficients from the grid's per-step arrays
-(``forward_vars``, ``mean_ratios``).  The terminal prior is N(0, T^2 I)
-regardless of the forward marginal; the mismatch is part of what the
-trajectory importance weight corrects.
+``variances[n - 1]``.  Every step reads its coefficients from the grid's
+per-step arrays (``forward_vars``, ``mean_ratios``).  The terminal prior is
+N(0, T^2 I) regardless of the forward marginal; the mismatch is part of
+what the trajectory importance weight corrects.
 
 Log weights follow the target-over-proposal convention
 
     log w = log pi(x_0) + sum_n log q(x_n | x_{n-1})
             - log p(x_N) - sum_n log p(x_{n-1} | x_n).
 
-The reverse sampler scores its draws as it makes them: each step's
-proposal term in ``StepKernel.sample``, from the unit normals z that made
-the draw, x_{n-1} = mean + sqrt(v) z, as
--1/2 mult sum_c log(2 pi v_c) - 1/2 |z|^2, and its forward term from the
-step increment x_n - x_{n-1}.  Any other path, fresh forward ones
-(``forward_residuals``) and a stored reverse one
-(``recompute_log_densities``), is scored from its residuals
-x_{n-1} - mean by ``StepKernel.logpdf``, step by step in one residual
-loop that hands each step's residual to a consumer: O(B d) memory.  So
-recomputing a stored trajectory checks the sampler's densities
-independently.
+Every Gaussian of both chains is a ``StepKernel``, with one sampler and
+one density: the proposal's N steps, the forward chain's N steps (the
+isotropic spec at ``grid.forward_vars[:, None]``) and the prior
+(``prior_kernel``, that spec at T^2).  ``StepKernel.sample`` scores each
+draw x = mean + sqrt(v) z from its unit normals z, as
+-1/2 mult sum_c log(2 pi v_c) - 1/2 |z|^2: the reverse sampler's prior
+and proposal terms and a fresh forward path's forward terms
+(``forward_residuals``).  ``StepKernel.logpdf`` scores the rest: the
+reverse sampler's increments x_n - x_{n-1}, a forward path's x_N, the
+residuals x_{n-1} - mean(x_n) that ``forward_residuals`` streams to a
+consumer (O(B d) memory), and every term of a stored trajectory, which
+``recompute_log_densities`` scores in a loop of its own, an independent
+check of the sampler.
 
 Particle systems run entirely on the zero-center-of-mass subspace: pass a
 ``ComProjection`` and every kernel lives on the subspace, with every
@@ -56,21 +57,10 @@ from .schedule import TimeGrid
 # elementary kernels
 # ---------------------------------------------------------------------------
 
-def _iso_logpdf(delta: np.ndarray, var: float, proj=None) -> np.ndarray:
-    """log N(delta; 0, var I) per row, over the subspace with ``proj``."""
-    d = delta.shape[-1] if proj is None else proj.subspace_dim
-    q = np.einsum("...d,...d->...", delta, delta)
-    return -0.5 * d * (ga.LOG_2PI + np.log(var)) - 0.5 * q / var
-
-
-def prior_log_density(x: np.ndarray, t_max: float, proj=None) -> np.ndarray:
-    """log N(x; 0, t_max^2 I) per row, over the subspace with ``proj``."""
-    return _iso_logpdf(x, t_max * t_max, proj)
-
-
 class StepKernel:
-    """One reverse step's proposal, ``spec`` at the (p,) variances ``var``,
-    p = ``spec.n_params``: the one place a step is drawn or scored.
+    """One Gaussian kernel, ``spec`` at the (p,) variances ``var``,
+    p = ``spec.n_params``: a reverse step's proposal, a forward step or
+    the terminal prior, and the one place any of them is drawn or scored.
     ``sample`` draws around a (B, d) batch of means; ``logpdf`` scores a
     (B, d) batch of residuals x - mean, with a projection checking them
     to lie on the zero-CoM subspace.  d is ``spec.dim``, or
@@ -126,6 +116,16 @@ def proposal_steps(proposal, grid: TimeGrid, proj) -> list[StepKernel]:
         raise ValueError(f"need step covariances of shape {want}, got "
                          f"shape {np.shape(variances)}")
     return [StepKernel(spec, var, proj) for var in variances]
+
+
+def prior_kernel(model, grid: TimeGrid, proj) -> StepKernel:
+    """The terminal prior N(0, T^2 I) on the model's space, or on the
+    zero-CoM subspace of ``proj``, which must have the model's geometry;
+    its isotropic spec is the forward chain's too."""
+    eq._check_geometry(model, proj)
+    dim = model.dim if proj is None else proj.subspace_dim
+    return StepKernel(ga.IsotropicParams(dim), [grid.t_max * grid.t_max],
+                      proj)
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +187,22 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
                    states: np.ndarray | None = None):
     """The reverse step loop of both samplers: x_N from the prior, then one
     proposal draw per step.  Writes x_n to ``states[n]`` when given."""
-    eq._check_geometry(model, proj)
-    n_steps = grid.n_steps
+    prior = prior_kernel(model, grid, proj)
+    forward = proposal_steps((prior.spec, grid.forward_vars[:, None]), grid,
+                             proj)
     kernels = proposal_steps(proposal, grid, proj)
-    t_max = grid.t_max
 
-    x = t_max * eq.normals(rng, (count, model.dim), proj)
-    log_p = prior_log_density(x, t_max, proj)
+    x, log_p = prior.sample(rng, np.zeros((count, model.dim)))
     log_q = np.zeros(count)
     if states is not None:
-        states[n_steps] = x
+        states[grid.n_steps] = x
 
-    for n in range(n_steps, 0, -1):
+    for n in range(grid.n_steps, 0, -1):
         mean = _posterior_mean(model, grid, n, x)
         x_prev, log_p_step = kernels[n - 1].sample(rng, mean)
         log_p += log_p_step
         # the step increment x_n - x_{n-1}, in the buffer of the mean
-        step = np.subtract(x, x_prev, out=mean)
-        log_q += _iso_logpdf(step, grid.forward_vars[n - 1], proj)
+        log_q += forward[n - 1].logpdf(np.subtract(x, x_prev, out=mean))
         x = x_prev
         if states is not None:
             states[n - 1] = x
@@ -215,68 +213,48 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
 def recompute_log_densities(traj: Trajectory, model, proposal,
                             proj: eq.ComProjection | None = None
                             ) -> tuple[float, float]:
-    """Joint log-densities of a stored trajectory (the cache check),
-    scored by the residual steps of ``forward_residuals``; states that do
-    not fill the trajectory's grid, and with ``proj`` a residual off the
-    zero-CoM subspace, raise ``ValueError``."""
-    want = (traj.grid.n_steps + 1, model.dim)
+    """Joint log-densities of a stored trajectory (the cache check), scored
+    by the kernels in a loop of its own; states that do not fill the
+    trajectory's grid, and with ``proj`` a residual off the zero-CoM
+    subspace, raise ``ValueError``."""
+    grid = traj.grid
+    want = (grid.n_steps + 1, model.dim)
     if traj.states.shape != want:
         raise ValueError(f"need trajectory states of shape {want} for its "
                          f"grid, got shape {traj.states.shape}")
-    log_p, score = step_log_densities(proposal, traj.grid, 1, proj)
-    log_q, x_n = _residual_steps(traj.states[:1], traj.states[1:, None],
-                                 model, traj.grid, proj, score)
-    log_p = prior_log_density(x_n, traj.grid.t_max, proj) + log_p
-    return float(log_q[0]), float(log_p[0])
-
-
-def step_log_densities(proposal, grid: TimeGrid, rows: int, proj=None):
-    """``(total, consume)``: ``consume(n, delta)`` adds step n's proposal
-    log-density of the residuals into the (rows,) ``total``, in step
-    order; with ``proj`` a residual off the zero-CoM subspace raises."""
+    prior = prior_kernel(model, grid, proj)
+    forward = proposal_steps((prior.spec, grid.forward_vars[:, None]), grid,
+                             proj)
     kernels = proposal_steps(proposal, grid, proj)
-    total = np.zeros(rows)
-
-    def consume(n, delta):
-        total[:] += kernels[n - 1].logpdf(delta)
-
-    return total, consume
+    x = traj.states[:, None]            # state n as a one-row batch x[n]
+    log_q = log_p = 0.0
+    for n in range(1, grid.n_steps + 1):
+        log_q += forward[n - 1].logpdf(x[n] - x[n - 1])
+        log_p += kernels[n - 1].logpdf(
+            x[n - 1] - _posterior_mean(model, grid, n, x[n]))
+    log_p += prior.logpdf(x[-1])
+    return float(log_q[0]), float(log_p[0])
 
 
 def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
                       proj: eq.ComProjection | None = None, *, consume
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Noise a (B, d) batch of x_0 forward, one step at a time: step n
-    draws one block of normals for x_n, makes one denoiser call at x_n and
+    draws x_n from its forward kernel, makes one denoiser call at x_n and
     hands x_{n-1} - mean(x_n) to ``consume(n, delta)``; no path is kept.
     Returns log q(x_{1:N} | x_0) and log p(x_N) per row.  With ``proj``
     the x_0 must lie on the zero-CoM subspace, where the kernels live."""
     x0 = ga.as_batch(x0, model.dim)
     if proj is not None:
         eq._check_on_subspace(x0, proj, "x0")
-
-    def noised():
-        x = x0
-        for var in grid.forward_vars:
-            z = eq.normals(rng, x0.shape, proj)
-            z *= np.sqrt(var)
-            x = np.add(x, z, out=z)
-            yield x
-
-    log_q, x_n = _residual_steps(x0, noised(), model, grid, proj, consume)
-    return log_q, prior_log_density(x_n, grid.t_max, proj)
-
-
-def _residual_steps(x0: np.ndarray, states, model, grid: TimeGrid, proj,
-                    consume) -> tuple[np.ndarray, np.ndarray]:
-    """Score the path x_0, then x_1..x_N from the iterable ``states``:
-    step n adds log q(x_n | x_{n-1}) and hands x_{n-1} - mean(x_n) to
-    ``consume(n, delta)``.  Returns log q(x_{1:N} | x_0) (B,) and x_N."""
-    eq._check_geometry(model, proj)
+    prior = prior_kernel(model, grid, proj)
+    forward = proposal_steps((prior.spec, grid.forward_vars[:, None]), grid,
+                             proj)
     log_q = np.zeros(x0.shape[0])
     x = x0
-    for n, x_next in enumerate(states, start=1):
-        log_q += _iso_logpdf(x_next - x, grid.forward_vars[n - 1], proj)
+    for n, kernel in enumerate(forward, start=1):
+        x_next, log_q_step = kernel.sample(rng, x)
+        log_q += log_q_step
         consume(n, x - _posterior_mean(model, grid, n, x_next))
         x = x_next
-    return log_q, x
+    return log_q, prior.logpdf(x)

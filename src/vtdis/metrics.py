@@ -54,8 +54,12 @@ def forward_log_weights(rng: np.random.Generator, x0: np.ndarray, model,
     """log w - log pi(x0) of one forward path per row of ``x0`` under the
     proposal ``(spec, variances)``, scoring each step's residuals as they are
     streamed (O(B d) memory); with ``proj`` off-subspace ones raise."""
-    log_p, score = df.step_log_densities(
-        proposal, grid, as_batch(x0, model.dim).shape[0], proj)
+    kernels = df.proposal_steps(proposal, grid, proj)
+    log_p = np.zeros(as_batch(x0, model.dim).shape[0])
+
+    def score(n, delta):
+        log_p[:] += kernels[n - 1].logpdf(delta)
+
     log_q, log_prior = df.forward_residuals(rng, x0, model, grid, proj,
                                             consume=score)
     return log_q - log_prior - log_p

@@ -6,14 +6,15 @@ of its samples:
 
     log p_eps(x(eps)) = log p_T(x(T)) - int_T^eps div(-t s(x(t), t)) dt.
 
-``ode_is_weights`` draws x(T) from the N(0, T^2 I) prior and integrates
-from T down to eps with Heun's method (trapezoidal predictor-corrector)
-on the same grid as the stochastic sampler, co-integrating the
-divergence in the same pass.  The divergence is either exact (analytic
-trace or one directional derivative per basis vector) or the Hutchinson
-estimate v . J v with one Rademacher probe v (independent +-1 entries)
-per point and node, which is unbiased for the instantaneous divergence
-but makes the importance weights biased.
+``ode_is_weights`` draws x(T) from the N(0, T^2 I) prior, the reverse
+sampler's ``StepKernel`` (``vtdis.diffusion.prior_kernel``), which scores
+the draw from its normals.  It integrates from T down to eps with Heun's
+method (trapezoidal predictor-corrector) on the same grid as the
+stochastic sampler, co-integrating the divergence in the same pass.  The
+divergence is either exact (analytic trace or one directional derivative
+per basis vector) or the Hutchinson estimate v . J v with one Rademacher
+probe v (independent +-1 entries) per point and node, which is unbiased
+for the instantaneous divergence but makes the importance weights biased.
 
 Each Heun step costs two model passes, 2N per trajectory on an N-step
 grid: ``divergence_estimate`` returns the drift together with the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equivariant as eq
-from .diffusion import prior_log_density
+from .diffusion import prior_kernel
 from .gaussians import require_count
 from .metrics import reverse_ess
 from .schedule import TimeGrid
@@ -122,10 +123,9 @@ def ode_is_weights(rng: np.random.Generator, model, target, grid: TimeGrid,
     directional-derivative rows spent on this call (the cost proxy).
     """
     require_count("count", count)
-    eq._check_geometry(model, proj)
     evals0, jvps0 = model.eval_count, model.jvp_count
-    x_t = grid.t_max * eq.normals(rng, (count, model.dim), proj)
-    log_prior = prior_log_density(x_t, grid.t_max, proj)
+    x_t, log_prior = prior_kernel(model, grid, proj).sample(
+        rng, np.zeros((count, model.dim)))
     x0, div_down = heun_integrate(x_t, model, grid, config, rng, proj)
     log_p0 = log_prior - div_down
     log_w = target.log_density(x0) - log_p0

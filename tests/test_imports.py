@@ -7,8 +7,8 @@ option of the pipeline's configured calls is one the pipeline sets, no
 function imports inside its body, the package imports nothing at
 runtime but the standard library, numpy and itself, each particle system
 builds its ``ComProjection`` in one place, each learned backend computes
-its preconditioning once per pass, one residual pass scores every path
-but the reverse sampler's draws, the reverse mean, the mixture's
+its preconditioning once per pass, every Gaussian of both chains is drawn
+and scored by ``StepKernel`` alone, the reverse mean, the mixture's
 posterior pass and the standard normal draws each have one owner, and
 importing the package pins glibc's heap thresholds, so that the
 iterations of a repeated training run take no page faults.
@@ -450,29 +450,30 @@ def test_one_preconditioning_per_network_pass():
         ("denoisers.py", "RadialDenoiser._primal")}
 
 
-def test_one_residual_pass_scores_every_path_but_the_reverse_draws():
-    # forward paths and stored trajectories share ``_residual_steps``;
-    # only the reverse sampler scores its own forward increments.  The
-    # forward pass streams to two consumers: the tuner's pool statistics
-    # and the held-out bound's log weights
-    assert package_call_sites("_iso_logpdf") == {
-        ("diffusion.py", "prior_log_density"),
-        ("diffusion.py", "_reverse_steps"),
-        ("diffusion.py", "_residual_steps")}
-    assert package_call_sites("_residual_steps") == {
-        ("diffusion.py", "forward_residuals"),
-        ("diffusion.py", "recompute_log_densities")}
+def test_every_gaussian_is_drawn_and_scored_by_step_kernel():
+    # the forward chain, the terminal prior and the proposal are all
+    # ``StepKernel``s: in the two modules that run the chains, every
+    # normal is drawn and every Gaussian is scored by its methods alone
+    def in_chains(name):
+        return {(module, scope) for module, scope in package_call_sites(name)
+                if module in ("diffusion.py", "pfode.py")}
+
+    assert in_chains("normals") == {("diffusion.py", "StepKernel.sample")}
+    assert in_chains("_log_norm") == {("diffusion.py", "StepKernel.sample")}
+    # pfode's one density call is the target's
+    assert in_chains("log_density") == {
+        ("diffusion.py", "StepKernel.logpdf"), ("pfode.py", "ode_is_weights")}
+    assert not any("LOG_2PI" in (SRC / m).read_text(encoding="utf-8")
+                   for m in ("diffusion.py", "pfode.py"))
+    # the forward pass streams to two consumers: the tuner's pool
+    # statistics and the held-out bound's log weights
     assert package_call_sites("forward_residuals") == {
         ("tuner.py", "stats_batch"),
         ("metrics.py", "forward_log_weights")}
-    # one scorer of a step's residuals besides the tuner's statistic
-    # matrix, and one sampler of a step: ``StepKernel``'s
+    # one scorer of a step's residuals besides the tuner's statistic matrix
     assert package_call_sites("stats") == {
         ("diffusion.py", "StepKernel.logpdf"),
         ("tuner.py", "stats_batch.keep")}
-    assert {scope for module, scope in package_call_sites("normals")
-            if module == "diffusion.py"} == {
-        "StepKernel.sample", "_reverse_steps", "forward_residuals.noised"}
 
 
 def test_one_owner_each_of_the_reverse_mean_posterior_and_normals():
@@ -480,7 +481,8 @@ def test_one_owner_each_of_the_reverse_mean_posterior_and_normals():
     # of the denoiser in diffusion.py and so the one NaN check there
     assert package_call_sites("_posterior_mean") == {
         ("diffusion.py", "_reverse_steps"),
-        ("diffusion.py", "_residual_steps")}
+        ("diffusion.py", "forward_residuals"),
+        ("diffusion.py", "recompute_log_densities")}
     assert {scope for module, scope in package_call_sites("denoise")
             if module == "diffusion.py"} == {"_posterior_mean"}
     # the analytic backend answers every query from one posterior pass
