@@ -31,9 +31,9 @@ COM_TOLERANCE = 1e-6
 class ComProjection:
     """Orthonormal basis of the zero-CoM subspace, and the pairs.
 
-    ``V`` has shape (M-1, M) with rows orthonormal and orthogonal to the
-    all-ones vector, obtained from a QR factorization of the centering
-    projector I - 11^T/M with signs fixed for determinism.  The rows of
+    ``V`` is the (M-1, M) Helmert basis, rows orthonormal and orthogonal
+    to the all-ones vector: row k - 1 holds 1/sqrt(k (k+1)) on particles
+    1..k and -k/sqrt(k (k+1)) on particle k + 1.  The rows of
     the read-only ``basis`` P = V (x) I_n span the subspace, and
     ``x @ basis.T`` and ``z @ basis`` map coordinates there and back.
     Pairs i < j are in ``np.triu_indices(M, k=1)`` order; column p of
@@ -49,12 +49,10 @@ class ComProjection:
         self.n_particles = n_particles
         self.spatial_dim = spatial_dim
         m = n_particles
-        centering = np.eye(m) - np.full((m, m), 1.0 / m)
-        q, r = np.linalg.qr(centering)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs[None, :]
-        self.V = q[:, : m - 1].T.copy()
+        k = np.arange(1, m)[:, None]
+        j = np.arange(m)
+        self.V = (np.where(j < k, 1.0, np.where(j == k, -k, 0.0))
+                  / np.sqrt(k * (k + 1)))
         # V written into zeros: np.kron would write -0.0 where V < 0
         basis = np.zeros((m - 1, spatial_dim, m, spatial_dim))
         basis[:, range(spatial_dim), :, range(spatial_dim)] = self.V
