@@ -27,16 +27,20 @@ from .gaussians import require_count
 
 
 def _tag_to_int(tag: str | int) -> int:
-    if isinstance(tag, int):
-        return tag
-    return zlib.crc32(tag.encode("utf-8"))
+    """A str tag's CRC-32, or an integer tag (a numpy one too) as itself;
+    any other tag, a bool or a negative integer among them, raises."""
+    if isinstance(tag, str):
+        return zlib.crc32(tag.encode("utf-8"))
+    require_count("a tag that is not a str", tag, 0)
+    return int(tag)
 
 
 def derive_rng(root_seed: int, *tags: str | int) -> np.random.Generator:
     """Child generator for ``(root_seed, *tags)``.
 
     The same (seed, tags) pair always yields the same stream; distinct
-    tag paths yield statistically independent streams.
+    tag paths yield statistically independent streams.  A tag is a str or
+    an integer >= 0, a numpy integer giving the stream of its value.
     """
     require_count("root_seed", root_seed, 0)
     entropy = [int(root_seed)] + [_tag_to_int(t) for t in tags]
