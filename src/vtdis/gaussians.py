@@ -95,31 +95,17 @@ def logsumexp(values, axis=None):
     without a warning.
     """
     v = np.asarray(values, dtype=float)
-    shift = _finite_shift(v, axis)
+    shift = v.max(axis=axis, keepdims=True)        # NaN where a NaN is
+    if not np.isfinite(shift).all():
+        if np.isnan(shift).any():
+            raise ValueError("logsumexp: NaN in input")
+        if (shift == np.inf).any():
+            raise ValueError("logsumexp: +inf in input")
+        shift = np.where(shift == -np.inf, 0.0, shift)
     with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
         out = shift + np.log(np.exp(v - shift).sum(axis=axis,
                                                    keepdims=True))
     return out.item() if axis is None else np.squeeze(out, axis)
-
-
-def _finite_shift(v: np.ndarray, axis=None) -> np.ndarray:
-    """``logsumexp``'s checks, and its shift: the kept max, 0 where -inf."""
-    vmax = v.max(axis=axis, keepdims=True)         # NaN where a NaN is
-    if np.isfinite(vmax).all():
-        return vmax
-    if np.isnan(vmax).any():
-        raise ValueError("logsumexp: NaN in input")
-    if (vmax == np.inf).any():
-        raise ValueError("logsumexp: +inf in input")
-    return np.where(vmax == -np.inf, 0.0, vmax)
-
-
-def softmax_from_log(log_values: np.ndarray, axis=None) -> np.ndarray:
-    """Normalized weights exp(v) / sum exp(v) over ``axis`` (all axes
-    when None), shifted by the maximum there to stay overflow-safe."""
-    v = np.asarray(log_values, dtype=float)
-    w = np.exp(v - np.max(v, axis=axis, keepdims=True))
-    return w / np.sum(w, axis=axis, keepdims=True)
 
 
 def _checked_variances(v) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffusion as df
-from .gaussians import as_batch, logsumexp, require_count, softmax_from_log
+from .gaussians import as_batch, logsumexp, require_count
 
 
 def _nonempty(log_weights) -> np.ndarray:
@@ -73,8 +73,9 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
     R = log p(x_{0:N}) - log q(x_{1:N} | x0) = log pi(x0) - log w, with
     log w from ``forward_log_weights`` under the proposal
     ``(spec, variances)``.  The lower bound is the plain average of R; the
-    upper bound reweights the same draws by softmax(R), i.e. a
-    self-normalized estimate under the reverse-path posterior.  The
+    upper bound reweights the same draws by softmax(R) =
+    exp(R - logsumexp(R)), i.e. a self-normalized estimate under the
+    reverse-path posterior, and so raises on a NaN or +inf R.  The
     weighted average can only move mass toward larger R, so the sandwich
     inequality holds for every finite sample.
 
@@ -91,7 +92,8 @@ def elbo_eubo(rng: np.random.Generator, x0: np.ndarray, model, proposal,
         r = -forward_log_weights(rng, np.repeat(x0, inner, axis=0), model,
                                  proposal, grid, proj).reshape(-1, inner)
         elbo_b = np.mean(r, axis=1)
-        eubo_b = np.sum(softmax_from_log(r, axis=1) * r, axis=1)
+        weights = np.exp(r - logsumexp(r, axis=1)[:, None])
+        eubo_b = np.sum(weights * r, axis=1)
         elbos.append(float(np.mean(elbo_b)))
         eubos.append(float(np.mean(eubo_b)))
     return {"elbo": float(np.mean(elbos)), "eubo": float(np.mean(eubos))}

@@ -4,14 +4,16 @@ The objective is the log of the batch estimate of the alpha = 2
 divergence between the forward-noising joint and the reverse-proposal
 joint,
 
-    J(phi) = logsumexp_m(log w_m) - log M,
+    J(phi) = log (1/M) sum_m w_m,
     log w_m = log pi(x0) + log q(x_{1:N} | x0) - log p_phi(x_{0:N}),
 
-which is proportional (in log) to the second moment of importance weights
-and therefore directly targets effective sample size.  Trajectories are
-always drawn from the forward process; only the Gaussian covariance terms
-depend on phi, so denoiser predictions are computed once per batch and
-the gradient is assembled from the analytic per-structure formulas.
+the log mean weight, ``vtdis.metrics.estimate_log_Z`` of the batch's log
+weights.  It is proportional (in log) to the second moment of importance
+weights and therefore directly targets effective sample size: the forward
+ESS is exp(log Z - J).  Trajectories are always drawn from the forward
+process; only the Gaussian covariance terms depend on phi, so denoiser
+predictions are computed once per batch and the gradient is assembled
+from the analytic per-structure formulas.
 
 Tuning draws its whole pool in one forward pass before any step (see
 ``tune``).  A Gaussian step reads a fixed residual only through its
@@ -50,6 +52,7 @@ from . import equivariant as eq
 from . import gaussians as ga
 from .denoisers import Adam, cosine_lr
 from .diffusion import forward_residuals
+from .metrics import estimate_log_Z
 from .schedule import TimeGrid
 
 # the spec class of each tunable covariance kind
@@ -68,12 +71,13 @@ def softplus(z):
 
 
 def softplus_inv(y):
-    """Inverse of softplus; requires y > 0."""
+    """Inverse of softplus, log(expm1(y)) written as y + log(-expm1(-y)),
+    which neither overflows nor cancels for any y > 0; any other y, a NaN
+    among them, raises ``ValueError``."""
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("softplus_inv requires positive input")
-    # log(expm1(y)) written to stay stable for large y
-    return np.where(y > 20, y, np.log(np.expm1(np.minimum(y, 20.0))))
+    if not np.all(y > 0):                 # false for a NaN too
+        raise ValueError("softplus_inv requires y > 0")
+    return y + np.log(-np.expm1(-y))
 
 
 def make_param_spec(kind: str, dim: int,
@@ -131,21 +135,19 @@ def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
     """Loss value and exact gradient w.r.t. the flat (N * p,) raws, the
     column variances being ``bases * softplus(raws)``.
 
-    The gradient of the logsumexp objective is the softmax-weighted sum
-    of per-trajectory gradients of -log p_phi, chained from d/dv through
-    the softplus, whose slope sigmoid(raw) = -expm1(-softplus(raw)) is
-    accurate for every raw.  Nothing propagates into the score model.
+    The loss is J = ``estimate_log_Z(log w)``, which rejects an empty
+    batch by name.  Its gradient is the sum of per-trajectory gradients of
+    -log p_phi weighted by the softmax exp(log w - J) / M, chained from
+    d/dv through the softplus, whose slope sigmoid(raw) =
+    -expm1(-softplus(raw)) is accurate for every raw.  Nothing propagates
+    into the score model.
     """
-    if batch.count == 0:
-        raise ValueError("empty batch")
     eta = softplus(raws)
     v = bases * eta
     lw = batch.offset - spec.log_density(batch.stats, v)
-    shift = ga._finite_shift(lw)          # and logsumexp's checks
-    weights = np.exp(lw - shift)          # the softmax of lw, in place
-    total = weights.sum()
-    weights /= total
-    loss = float(shift[0] + np.log(total) - np.log(batch.count))
+    loss = estimate_log_Z(lw)
+    weights = np.exp(lw - loss)           # the softmax of lw, in place
+    weights /= batch.count
     # the loss is -log p_phi, so chain d/dv by -dv/draw
     grad = spec.weighted_grad(batch.stats, v, weights)
     grad *= bases * np.expm1(-eta)

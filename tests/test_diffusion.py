@@ -210,6 +210,21 @@ def test_elbo_eubo_needs_a_repeat():
                          repeats=repeats)
 
 
+@pytest.mark.parametrize("bad,name", [(np.nan, "NaN"), (-np.inf, r"\+inf")])
+def test_elbo_eubo_names_a_nonfinite_log_weight(bad, name, monkeypatch):
+    # R = -log w: a NaN, or a zero weight (R = +inf), made a NaN upper
+    # bound before its weights came from logsumexp's checks
+    model, proposal, proj = com_case()
+    x0 = eq.com_project(np.random.default_rng(8).standard_normal((2, 8)),
+                        proj)
+    log_w = np.zeros(4)
+    log_w[1] = bad
+    monkeypatch.setattr(mt, "forward_log_weights", lambda *a: log_w)
+    with pytest.raises(ValueError, match=f"logsumexp: {name} in input"):
+        mt.elbo_eubo(np.random.default_rng(9), x0, model, proposal, GRID,
+                     inner=2, proj=proj, repeats=1)
+
+
 def test_x0_off_the_subspace_is_rejected():
     # shifting every particle by 1.0 leaves the zero-CoM subspace, where
     # the forward kernels and the prior are normalised

@@ -331,15 +331,24 @@ class TestSoftplus:
     """The tuner's map from raw parameters to variance scales."""
 
     def test_inverse_round_trip(self):
-        # 82 values in [1e-6, 1e4]: every decade with both ends, the
-        # switch of softplus_inv at 20 from both sides, and uniform draws
+        # 346 values in [1e-300, 1e5]: every decade with both ends, both
+        # sides of 20 (where a clamp returned y, 9e-11 off at 20.1), 700,
+        # and uniform draws.  The bound is softplus's own rounding, about
+        # |log y| ulps at the smallest y
         rng = np.random.default_rng(seed_of("softplus", "round trip"))
-        ys = np.concatenate([np.geomspace(1e-6, 1e4, 40),
-                             [np.nextafter(20.0, 0.0), 20.0],
-                             rng.uniform(1e-6, 1e4, 40)])
+        ys = np.concatenate([np.geomspace(1e-300, 1e5, 306),
+                             [np.nextafter(20.0, 0.0), 20.0, 20.1, 700.0],
+                             rng.uniform(1e-6, 1e4, 36)])
         for y in ys:
             assert float(tu.softplus(tu.softplus_inv(y))) == pytest.approx(
-                y, rel=1e-9)
+                y, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [0.0, -1.0, -np.inf, np.nan,
+                                   [1.0, np.nan]])
+    def test_inverse_rejects_what_is_not_positive(self, y):
+        # a NaN passed the old y <= 0 check and came back NaN
+        with pytest.raises(ValueError, match="y > 0"):
+            tu.softplus_inv(y)
 
     def test_positive_for_any_input(self):
         z = np.linspace(-40, 40, 401)

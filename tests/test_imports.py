@@ -476,6 +476,15 @@ def test_every_gaussian_is_drawn_and_scored_by_step_kernel():
         ("tuner.py", "stats_batch.keep")}
 
 
+def test_the_alpha2_loss_is_the_log_z_estimate():
+    # J = log mean w is the one log-mean-weight reduction: the tuner
+    # takes its loss from it, not from a logsumexp of its own
+    assert ("tuner.py", "loss_and_gradient") in package_call_sites(
+        "estimate_log_Z")
+    assert {scope for module, scope in package_call_sites("logsumexp")
+            if module == "tuner.py"} == set()
+
+
 def test_one_owner_each_of_the_reverse_mean_posterior_and_normals():
     # every path centres its steps on ``_posterior_mean``, the one caller
     # of the denoiser in diffusion.py and so the one NaN check there

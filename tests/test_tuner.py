@@ -144,13 +144,20 @@ def loop_log_weights(batch, spec, variances, log_pi):
     return log_pi + batch.log_q_cond - batch.log_prior - log_p_steps
 
 
+def softmax(v):
+    """The reference normalized weights exp(v) / sum exp(v), shifted by
+    the maximum to stay overflow-safe."""
+    w = np.exp(v - np.max(v))
+    return w / np.sum(w)
+
+
 def loop_loss_and_gradient(batch, spec, raws, log_pi):
     """The objective and its raw gradient step by step, d/dv chained by
     dv/draw = base * sigmoid(raw)."""
     variances = step_variances(raws)
     lw = loop_log_weights(batch, spec, variances, log_pi)
     loss = ga.logsumexp(lw) - np.log(batch.count)
-    weights = ga.softmax_from_log(lw)
+    weights = softmax(lw)
     grad = np.stack([-spec.weighted_grad(spec.stats(batch.deltas[n]), v,
                                          weights)
                      * BASES[n] * sigmoid(raws[n])
@@ -224,6 +231,14 @@ class TestStackedObjective:
         stats.offset[3] = bad
         with pytest.raises(ValueError, match=f"logsumexp: {name} in input"):
             tu.loss_and_gradient(stats, spec, raws.ravel(),
+                                 column_bases(spec))
+
+    def test_empty_batch_is_named(self):
+        # the loss is estimate_log_Z, which rejects no log weights by name
+        _, spec, raws, _ = make_case("isotropic", "ambient")
+        empty = tu.StatsBatch(np.empty((0, GRID.n_steps)), np.empty(0))
+        with pytest.raises(ValueError, match="no log weights"):
+            tu.loss_and_gradient(empty, spec, raws.ravel(),
                                  column_bases(spec))
 
     @pytest.mark.parametrize("kind,space", CASES)
@@ -310,8 +325,8 @@ def test_elbo_eubo_is_the_bound_of_the_stacked_reference(kind, space):
             assert np.array_equal(log_w, want)
         r = -want.reshape(-1, inner)
         elbos.append(float(np.mean(np.mean(r, axis=1))))
-        eubos.append(float(np.mean(
-            np.sum(ga.softmax_from_log(r, axis=1) * r, axis=1))))
+        weights = np.exp(r - ga.logsumexp(r, axis=1)[:, None])
+        eubos.append(float(np.mean(np.sum(weights * r, axis=1))))
     assert got == {"elbo": float(np.mean(elbos)),
                    "eubo": float(np.mean(eubos))}
 
@@ -579,7 +594,7 @@ def test_weights_remove_the_mode_bias_of_a_learned_score():
     in_mode_1 = (x0.mean(axis=1) > -0.5).astype(float)
     p = np.mean(in_mode_1)
     assert p < 2 / 3 - 4 * np.sqrt(p * (1 - p) / x0.shape[0])
-    w = ga.softmax_from_log(gmm.log_density(x0) + log_q - log_p)
+    w = softmax(gmm.log_density(x0) + log_q - log_p)
     p_w = np.sum(w * in_mode_1)
     se_w = np.sqrt(np.sum(w * w * (in_mode_1 - p_w) ** 2))
     assert abs(p_w - 2 / 3) < 4 * se_w
