@@ -20,11 +20,13 @@ def _pin_heap_thresholds() -> None:
     threshold at 64 MiB; a no-op where libc has no ``mallopt``.  glibc
     raises both only after it frees a large mmapped block; until then,
     work arrays are unmapped or trimmed and faulted back in: unpinned, an
-    lj13 round took ~115k minor faults, 28% more ``setup_s`` and 39% less
-    ``ode_traj_per_s`` (2-vCPU x86-64).  Pinned, arrays under 32 MiB come
-    from the brk heap, whose top alone glibc trims, so freed blocks below a
-    live one stay resident until ``malloc_trim(0)``, wherever the pin is
-    made: 128 MiB RSS after freeing 100 arrays of 1 MiB, 28 unpinned."""
+    lj13 pipeline round took ~255k minor faults (5 pinned), and in six
+    alternating 15 s benchmark pairs 35-43% less ``ode_traj_per_s`` and,
+    in five, more ``setup_s`` (median 1.18x; 2-vCPU x86-64).  Pinned,
+    arrays under 32 MiB come from the brk heap, whose top alone glibc
+    trims, so freed blocks below a live one stay resident until
+    ``malloc_trim(0)``, wherever the pin is made: 128 MiB RSS after
+    freeing 100 arrays of 1 MiB, 28 unpinned."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
