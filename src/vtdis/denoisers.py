@@ -549,5 +549,8 @@ def _dsm_step(rng, data, model, config, proj, opt, it) -> float:
 
 
 def estimate_sigma_data(data: np.ndarray) -> float:
-    return float(np.std(np.asarray(data, dtype=float)))
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        raise ValueError("empty training set")
+    return float(np.std(data))
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gaussians import require_count
+
 COM_TOLERANCE = 1e-6
 
 
@@ -42,10 +44,8 @@ class ComProjection:
     """
 
     def __init__(self, n_particles: int, spatial_dim: int):
-        if n_particles < 2:
-            raise ValueError("need at least two particles")
-        if spatial_dim < 1:
-            raise ValueError("spatial dimension must be >= 1")
+        require_count("n_particles", n_particles, 2)
+        require_count("spatial_dim", spatial_dim)
         self.n_particles = n_particles
         self.spatial_dim = spatial_dim
         m = n_particles

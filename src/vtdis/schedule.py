@@ -26,8 +26,7 @@ from .gaussians import require_count
 @dataclass(frozen=True)
 class TimeGrid:
     times: np.ndarray
-    kind: str = "custom"
-    rho: float | None = None
+    rho: float | None = None     # karras_grid's rho; None on any other grid
 
     def __post_init__(self):
         # a copy: the per-step arrays must not go stale under the caller
@@ -62,8 +61,8 @@ class TimeGrid:
         return float(self.times[-1])
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "steps": self.n_steps,
-             "eps": self.eps, "t_max": self.t_max}
+        d = {"kind": "custom" if self.rho is None else "karras",
+             "steps": self.n_steps, "eps": self.eps, "t_max": self.t_max}
         if self.rho is not None:
             d["rho"] = self.rho
         return d
@@ -85,4 +84,4 @@ def karras_grid(n_steps: int, eps: float, t_max: float, rho: float) -> TimeGrid:
     b = np.exp(np.log(t_max) / rho)
     t = np.exp(rho * np.log(a + u * (b - a)))
     t[0], t[-1] = eps, t_max
-    return TimeGrid(t, kind="karras", rho=float(rho))
+    return TimeGrid(t, rho=float(rho))

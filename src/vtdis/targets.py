@@ -1,9 +1,10 @@
 """Target densities: Gaussian mixtures and pairwise particle systems.
 
-Particle targets follow the standard many-body benchmarks: a double-well
-pair potential on four particles in the plane (DW-4) and a Lennard-Jones
-cluster of thirteen particles in 3-D with a harmonic centering term
-(LJ-13).  Both are evaluated on zero-center-of-mass configurations and the
+The particle targets are DW-4 (``DoubleWell``), a double-well pair
+potential on four particles in the plane, and LJ-13 (``LennardJones``),
+a Lennard-Jones cluster of thirteen particles in 3-D with a harmonic
+centering term: two fixed systems, their geometry class constants.  Both
+are evaluated on zero-center-of-mass configurations and the
 unnormalized log-density is -energy/temperature.  Each keeps its pairs
 and zero-CoM subspace in one ``vtdis.equivariant.ComProjection``, ``proj``.
 
@@ -24,14 +25,14 @@ the buffer of the component terms, moving only last bits (``_gmm_posterior``).
 The module also provides a Metropolis-adjusted Langevin sampler,
 ``mcmc_sample``, for targets that cannot be sampled exactly.  Its caller
 sets the chain count, burn-in and thinning, and the ``MALA_*`` constants
-fix the rest.  Each problem it detects is reported once, in
-``McmcReport.warnings`` and as a ``RuntimeWarning``.
+fix the rest.  Each problem it detects is reported once, as a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -91,6 +92,7 @@ class Gmm:
                          axis=0)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        require_count("count", count)
         comps = rng.choice(len(self.weights), size=count, p=self.weights)
         noise = rng.standard_normal((count, self.dim))
         return (self.means[comps]
@@ -231,17 +233,16 @@ class _PairSystem:
         return -e / self.temperature, -g / self.temperature
 
 
-@dataclass(frozen=True)
 class DoubleWell(_PairSystem):
-    """Pairwise double-well system, 4 particles in 2-D by default.
+    """DW-4: the pairwise double-well system of 4 particles in 2-D.
 
     Pair energy a*(d - d0) + b*(d - d0)^2 + c*(d - d0)^4 summed over
     unordered pairs; log-density is -E/temperature.
     """
 
-    n_particles: int = 4
-    spatial_dim: int = 2
-    d0: float = 4.0
+    n_particles = 4
+    spatial_dim = 2
+    d0 = 4.0
     a = 0.0
     b = -4.0
     c = 0.9
@@ -259,18 +260,17 @@ class DoubleWell(_PairSystem):
         return e, _pair_force_assemble(self.proj, diff, d, de)
 
 
-@dataclass(frozen=True)
 class LennardJones(_PairSystem):
-    """Lennard-Jones cluster with a harmonic pull toward the center of mass.
+    """LJ-13: 13 Lennard-Jones particles in 3-D with a harmonic centering pull.
 
     Pair energy eps_lj * ((r_m/d)^12 - 2 (r_m/d)^6), minimized at d = r_m
     with value -eps_lj; the centering term 0.5 * c_osc * sum_i |x_i - com|^2
     keeps the cluster bounded.
     """
 
-    n_particles: int = 13
-    spatial_dim: int = 3
-    c_osc: float = 0.5
+    n_particles = 13
+    spatial_dim = 3
+    c_osc = 0.5
     eps_lj = 1.0
     r_m = 1.0
 
@@ -328,7 +328,6 @@ class McmcReport:
 
     acceptance_rate: float
     chain_acceptance: np.ndarray
-    warnings: list = field(default_factory=list)
 
 
 def mcmc_sample(rng: np.random.Generator, target, count: int, *,
@@ -406,14 +405,12 @@ def mcmc_sample(rng: np.random.Generator, target, count: int, *,
 
     samples = np.concatenate(keep, axis=0)[:count]
     rate = accepts / (n_chains * total_iters)
-    report = McmcReport(float(rate), chain_accepts / (total_iters - burn_in))
     if not 0.1 <= rate <= 0.9:
-        report.warnings.append(
-            f"acceptance rate {rate:.3f} outside [0.1, 0.9]")
+        warnings.warn(f"mcmc_sample: acceptance rate {rate:.3f} outside "
+                      "[0.1, 0.9]", RuntimeWarning, stacklevel=2)
     frozen = int(np.sum(chain_accepts == 0))
     if frozen:
-        report.warnings.append(
-            f"{frozen} of {n_chains} chains accepted nothing after burn-in")
-    for msg in report.warnings:
-        warnings.warn(f"mcmc_sample: {msg}", RuntimeWarning, stacklevel=2)
-    return samples, report
+        warnings.warn(f"mcmc_sample: {frozen} of {n_chains} chains accepted "
+                      "nothing after burn-in", RuntimeWarning, stacklevel=2)
+    return samples, McmcReport(float(rate),
+                               chain_accepts / (total_iters - burn_in))

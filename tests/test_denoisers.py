@@ -655,6 +655,14 @@ def test_constant_data_gives_no_sigma_data():
         LEARNED["vector"](sigma)
 
 
+@pytest.mark.parametrize("data", [np.zeros((0, 4)), []],
+                         ids=["no-rows", "empty-list"])
+def test_empty_data_gives_no_sigma_data(data):
+    # np.std of nothing warned three times and returned NaN
+    with pytest.raises(ValueError, match="empty training set"):
+        dn.estimate_sigma_data(data)
+
+
 @pytest.mark.parametrize("query", ["denoise_jvp", "score_and_jvp"])
 @pytest.mark.parametrize("owner", ["vector", "radial"])
 def test_tangent_of_another_shape_is_rejected(owner, query):

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestProjection:
     def test_minimum_particles(self):
         with pytest.raises(ValueError):
             eq.ComProjection(1, 3)
+
+    @pytest.mark.parametrize("geometry,name,least", [
+        ((4, True), "spatial_dim", 1), ((4.0, 2), "n_particles", 2),
+        ((3, 2.5), "spatial_dim", 1), ((True, 3), "n_particles", 2),
+        ((4, 0), "spatial_dim", 1)])
+    def test_bad_geometry_is_rejected_by_name(self, geometry, name, least):
+        # (4, True) raised "an integer is required", (4.0, 2) and (3, 2.5)
+        # unnamed TypeErrors, and (True, 3) was rejected as one particle
+        value = geometry[name == "spatial_dim"]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer >= {least}, got {value!r}")):
+            eq.ComProjection(*geometry)
 
 
 class TestComProject:

@@ -3,7 +3,7 @@ every private helper is used somewhere in the package, every public
 function, class, method and module-level constant is used by the
 package or the benchmark (named exemptions aside), every call the
 benchmark's tracer wraps is defined where the tracer looks it up, every
-option of the pipeline's configured calls is one the pipeline sets, no
+option of the public API is one that some call of that program sets, no
 function imports inside its body, the package imports nothing at
 runtime but the standard library, numpy and itself, each particle system
 builds its ``ComProjection`` in one place, each learned backend computes
@@ -30,24 +30,23 @@ class C or ``C.m`` with C a class of the program, uses only the ``m`` of
 C, its bases and its subclasses; ``obj.m`` on any other receiver uses
 every class's ``m``.  One that only the tests use is API kept for them
 alone, and is either deleted or listed in ``TEST_ONLY`` with its reason.
+An option is a parameter or dataclass field with a default; a call
+counts by its callee's name alone, so a call of any ``f`` sets what it
+passes to every ``f``.
 """
 
 import ast
-import dataclasses
+import importlib
 import importlib.util
 import inspect
 import os
 import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
-
-from vtdis import denoisers as dn
-from vtdis import pfode as pf
-from vtdis import targets as tg
-from vtdis import tuner as tu
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vtdis"
@@ -312,35 +311,110 @@ def callee(call: ast.Call) -> str | None:
         else getattr(func, "id", None)
 
 
-def keywords_passed(source: str, names) -> dict[str, set[str]]:
-    """The keywords passed to each callee in ``names``, called by name or
-    as a module attribute, anywhere in ``source``."""
-    passed = {name: set() for name in names}
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            name = callee(node)
-            if name in passed:
-                passed[name].update(k.arg for k in node.keywords if k.arg)
+def optional_parameters(module, exempt=()) -> set[tuple]:
+    """(owner, callee, parameter, position) of each parameter or dataclass
+    field with a default of every public function, class and method that
+    ``module`` defines, names in ``exempt`` aside.  A public class's
+    methods include those it inherits from a base of the same package,
+    a private one too.  ``owner`` is the qualified name of the
+    definition, ``callee`` the name a call of it is made by, and
+    ``position`` the parameter's index among those a call can pass by
+    position (None for a keyword-only one)."""
+    package = module.__name__.split(".")[0]
+    found = set()
+
+    def add(owner, name, signature, skip):
+        params = list(signature.parameters.values())[skip:]
+        positional = [p.name for p in params if p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        found.update(
+            (owner, name, p.name,
+             positional.index(p.name) if p.name in positional else None)
+            for p in params if p.default is not p.empty)
+
+    for name, obj in vars(module).items():
+        if (name.startswith("_") or name in exempt
+                or getattr(obj, "__module__", None) != module.__name__
+                or not (inspect.isfunction(obj) or inspect.isclass(obj))):
+            continue
+        add(name, name, inspect.signature(obj), 0)
+        for attr in dir(obj) if inspect.isclass(obj) else ():
+            base = next(b for b in obj.__mro__ if attr in vars(b))
+            raw = vars(base)[attr]
+            if (not attr.startswith("_")
+                    and base.__module__.split(".")[0] == package
+                    and (inspect.isfunction(raw)
+                         or isinstance(raw, (staticmethod, classmethod)))):
+                # looked up on the class, a plain method keeps ``self``
+                add(f"{base.__name__}.{attr}", attr,
+                    inspect.signature(getattr(obj, attr)),
+                    int(inspect.isfunction(raw)))
+    return found
+
+
+def arguments_passed(sources) -> dict[str, list[tuple[float, set]]]:
+    """Per callee name, the (positional count, keywords) of each call in
+    ``sources``; a starred argument counts as every position and a
+    ``**`` mapping as the keyword None."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                count = (float("inf") if any(isinstance(a, ast.Starred)
+                                             for a in node.args)
+                         else len(node.args))
+                passed.setdefault(callee(node), []).append(
+                    (count, {k.arg for k in node.keywords}))
     return passed
 
 
-def test_every_option_is_set_by_the_pipeline():
-    # the benchmark's pipeline in bench/workloads.py is the one caller of
-    # these four; an option it leaves at its default belongs in a constant
-    options = {
-        "TrainConfig": [f.name for f in dataclasses.fields(dn.TrainConfig)],
-        "TunerConfig": [f.name for f in dataclasses.fields(tu.TunerConfig)],
-        "OdeRunConfig": [f.name for f in dataclasses.fields(pf.OdeRunConfig)],
-        "mcmc_sample": [
-            p.name for p in inspect.signature(tg.mcmc_sample).parameters
-            .values() if p.kind is inspect.Parameter.KEYWORD_ONLY],
-    }
-    passed = keywords_passed(
-        (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"),
-        options)
-    unset = {(callee, name) for callee, names in options.items()
-             for name in names if name not in passed[callee]}
-    assert unset == set()
+def unset_options(modules, sources, exempt=()) -> set[str]:
+    """``owner.parameter`` of each option of ``optional_parameters`` that
+    no call in ``sources`` passes, by keyword or by position, under its
+    callee's name."""
+    calls = arguments_passed(sources)
+    return {f"{owner}.{param}" for module in modules
+            for owner, name, param, position in optional_parameters(
+                module, exempt)
+            if not any(param in keywords or None in keywords
+                       or (position is not None and count > position)
+                       for count, keywords in calls.get(name, ()))}
+
+
+def test_every_option_is_set_by_the_program():
+    # an option that no call of the package or the benchmark passes is
+    # one no caller needs: a class constant, or gone
+    modules = [importlib.import_module(
+        "vtdis" if m == "__init__.py" else f"vtdis.{m[:-3]}")
+        for m in MODULES]
+    sources = [p.read_text(encoding="utf-8") for p in PROGRAM]
+    assert unset_options(modules, sources, TEST_ONLY) == set()
+
+
+def test_check_finds_an_unset_option():
+    module = types.ModuleType("m")
+    exec("class _Base:\n"
+         "    def shared(self, x, scale=1.0):\n        return x\n"
+         "class A(_Base):\n"
+         "    def __init__(self, n, size=2, *, tag=None):\n        pass\n"
+         "    def go(self, x, fast=False):\n        pass\n"
+         "    @staticmethod\n"
+         "    def build(x, k=1):\n        return x\n"
+         "def f(x, y=0, z=1):\n    return x\n"
+         "def g(x, y=0):\n    return x\n"
+         "def _helper(x, y=0):\n    return x\n"
+         "def kept(x, y=0):\n    return x\n", vars(module))
+    program = ("a = A(1, 3)\n"
+               "a.go(2)\n"
+               "a.shared(2)\n"
+               "A.build(1)\n"
+               "f(1, z=2)\n"
+               "g(*args)\n")
+    # A(1, 3) sets ``size`` by position and g(*args) every position; the
+    # inherited ``shared`` is seen on its public subclass; private and
+    # exempt names are not checked
+    assert unset_options([module], [program], {"kept"}) == {
+        "A.tag", "A.go.fast", "A.build.k", "_Base.shared.scale", "f.y"}
 
 
 def function_imports(source: str, module: str) -> set[tuple[str, str]]:

@@ -106,3 +106,11 @@ def test_times_are_a_read_only_copy():
     assert g.mean_ratios[0] == 0.25
     with pytest.raises(ValueError):
         g.times[1] = 1.5
+
+
+def test_to_dict_names_the_grid_family():
+    assert karras_grid(32, 1e-3, 10.0, 7.0).to_dict() == {
+        "kind": "karras", "steps": 32, "eps": 0.001, "t_max": 10.0,
+        "rho": 7.0}
+    assert TimeGrid(np.array([0.5, 1.0, 4.0])).to_dict() == {
+        "kind": "custom", "steps": 2, "eps": 0.5, "t_max": 4.0}
