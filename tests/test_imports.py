@@ -36,7 +36,6 @@ passes to every ``f``.
 """
 
 import ast
-import importlib
 import importlib.util
 import inspect
 import os
