@@ -42,6 +42,21 @@ A network's parameters are views into one flat buffer, which training
 steps with one Adam update per iteration; each bias gradient of its
 backward pass is one BLAS product.
 
+The learned backends run their network in float32 (``net_dtype``) and
+everything around it in float64: the features and tangents are rounded
+to float32 as they enter the network, and its output is read in float64
+by the pair geometry, c_skip x and the preconditioning, and so by every
+residual and step density downstream.  ``Mlp`` reads its float64
+weights in the dtype of each pass, so ``flat`` stays the one master copy
+that Adam steps, in float64, and its gradients come back in float64:
+the mixed-precision recipe of Micikevicius et al. (2018), with float32
+compute and float64 master weights.  This costs the importance weights
+nothing: the sampler and every scorer call the same float32 network, so
+the density that is scored is the density that was drawn from.  The
+float32 pass is about 2.5 times as fast as the float64 one; its results
+are within about 5e-7 of the largest entry of the float64 pass on the
+same weights.
+
 All backends count work by what a query returns: ``eval_count`` gains
 one per batch row for each denoiser or score output, ``jvp_count`` one
 per batch row for each directional derivative.  An exact divergence
@@ -95,12 +110,19 @@ def dsm_weight(t, sigma_data: float):
 class Mlp:
     """Fully connected tanh network with manual reverse- and forward-mode.
 
-    Parameters are views [W1, b1, W2, b2, ...] into one flat buffer,
+    Parameters are views [W1, b1, W2, b2, ...] into one float64 buffer,
     ``flat``, which training steps as one vector; the last layer is
     linear.  ``backward`` returns exact gradients of a scalar loss given
     the output cotangent, one array per parameter, each bias gradient
     from one BLAS product; ``tangent`` propagates an input tangent through
     the activations a ``forward`` pass cached, and ``jvp`` is the two.
+
+    A pass computes in the dtype of the input it is given, and
+    ``backward`` and ``tangent`` in that of the pass they follow.  Each
+    parameter is read in that dtype afresh on every pass, so a float64
+    input gives the float64 pass bit for bit, and no rounded copy is
+    kept to go stale after an Adam step.  Gradients are float64 whatever
+    the pass's dtype, so ``flat`` and its optimizer stay float64.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator | None = None):
@@ -125,7 +147,8 @@ class Mlp:
         a = x
         cache = [a]
         for i in range(self.n_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
+            w = self._param(2 * i, x.dtype)
+            b = self._param(2 * i + 1, x.dtype)
             a = a @ w.T
             a += b
             if i < self.n_layers - 1:
@@ -139,19 +162,22 @@ class Mlp:
         return a, cache
 
     def backward(self, cache: list, d_out: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients in float64, the dtype of ``flat``, each
+        computed in the dtype of the ``forward`` pass that made ``cache``."""
+        dtype = cache[0].dtype
         grads = [None] * len(self.params)
-        ones = np.ones(d_out.shape[0])
-        dz = d_out
+        ones = np.ones(d_out.shape[0], dtype)
+        dz = d_out.astype(dtype, copy=False)
         for i in range(self.n_layers - 1, -1, -1):
             a_prev, a_cur = cache[i], cache[i + 1]
             if i < self.n_layers - 1:
                 # tanh' into the fresh dz of the layer above; the cache
                 # and d_out stay untouched
                 dz *= _tanh_slope(a_cur)
-            w = self.params[2 * i]
-            grads[2 * i] = dz.T @ a_prev
+            w = self._param(2 * i, dtype)
+            grads[2 * i] = (dz.T @ a_prev).astype(float, copy=False)
             # a BLAS column sum: several times np.sum's speed, other bits
-            grads[2 * i + 1] = ones @ dz
+            grads[2 * i + 1] = (ones @ dz).astype(float, copy=False)
             if i > 0:
                 # through a width-1 layer the product is a K = 1 gemm; the
                 # broadcast product makes the same single roundings
@@ -160,10 +186,12 @@ class Mlp:
 
     def tangent(self, cache: list, v: np.ndarray) -> np.ndarray:
         """Output tangent along input tangent v, through the activations
-        that ``forward`` cached; neither the cache nor v is written."""
-        da = v
+        that ``forward`` cached, in their dtype; neither the cache nor v
+        is written."""
+        dtype = cache[0].dtype
+        da = v.astype(dtype, copy=False)
         for i in range(self.n_layers):
-            dz = da @ self.params[2 * i].T
+            dz = da @ self._param(2 * i, dtype).T
             if i < self.n_layers - 1:
                 dz *= _tanh_slope(cache[i + 1])
             da = dz
@@ -171,6 +199,11 @@ class Mlp:
 
     def jvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.tangent(self.forward(x)[1], v)
+
+    def _param(self, k: int, dtype) -> np.ndarray:
+        """Parameter k read in ``dtype``: itself for float64, else a fresh
+        rounded copy, so no copy outlives an Adam step on ``flat``."""
+        return self.params[k].astype(dtype, copy=False)
 
 
 def _tanh_slope(a: np.ndarray) -> np.ndarray:
@@ -330,6 +363,12 @@ class _Preconditioned(_Counted):
     preconditioning, must be positive and finite.
     """
 
+    # the dtype of the network's features and tangents, and so of its
+    # pass; everything around the network is float64.  Not a setting: the
+    # tests set it on a copy of a backend, for a float64 reference on the
+    # same weights
+    net_dtype = np.float32
+
     def __init__(self, sigma_data: float):
         super().__init__()
         if not (np.isfinite(sigma_data) and sigma_data > 0):
@@ -348,11 +387,18 @@ class _Preconditioned(_Counted):
         most ``ROW_BLOCK`` network rows.
 
         The blocks are of equal size, and each but the last is whole
-        groups of 4 network rows.  OpenBLAS computes the rows of a
-        matrix-vector product (the network's one-output layer) 4 at a
-        time and a remainder by another kernel, and a product of few
-        rows by yet another, so a block cut elsewhere, or a short last
-        block, would round some rows differently from one pass.
+        groups of 4 network rows.  The network's one-output layer is a
+        float32 matrix-vector product.  OpenBLAS's single-precision
+        kernel for it (sgemv) computes the rows 4 at a time and a
+        remainder by another kernel, and a product of few rows by yet
+        another: on (4992, 32) float32 rows, a cut at a multiple of 4
+        rows gives one pass's bits, and most other cuts and short
+        products do not.  So a block cut elsewhere, or a short last
+        block, would round some rows differently from one pass.  The
+        hidden layers' products (sgemm) and tanh give a row the same bits
+        wherever it lies.  The row-block test in ``tests/test_denoisers``
+        checks this on the float32 network, at one BLAS thread and at the
+        library's default.
         """
         x2 = as_batch(x, self.dim)
         tv = self._tvec(t, x2.shape[0])
@@ -395,7 +441,8 @@ class VectorDenoiser(_Preconditioned):
 
     def _primal(self, x2, tv):
         c_skip, c_out, c_in, c_noise = precond_coeffs(tv, self.sigma_data)
-        feats = np.concatenate([c_in[:, None] * x2, c_noise[:, None]], axis=1)
+        feats = np.concatenate([c_in[:, None] * x2, c_noise[:, None]], axis=1,
+                               dtype=self.net_dtype)
         raw, net_cache = self.net.forward(feats)
         out = c_skip[:, None] * x2 + c_out[:, None] * raw
         return out, (net_cache, c_skip, c_out, c_in)
@@ -407,7 +454,8 @@ class VectorDenoiser(_Preconditioned):
     def _tangent(self, cache, v2):
         net_cache, c_skip, c_out, c_in = cache
         tangent = np.concatenate([c_in[:, None] * v2,
-                                  np.zeros((v2.shape[0], 1))], axis=1)
+                                  np.zeros((v2.shape[0], 1))], axis=1,
+                                 dtype=self.net_dtype)
         raw_t = self.net.tangent(net_cache, tangent)
         return c_skip[:, None] * v2 + c_out[:, None] * raw_t
 
@@ -443,7 +491,8 @@ class RadialDenoiser(_Preconditioned):
         diff, dist = self.proj.pairs(c_in[:, None] * x2)  # (B, P, n), (B, P)
         feats = np.stack([dist.reshape(-1),
                           1.0 / (dist.reshape(-1) + self.INV_OFFSET),
-                          np.repeat(c_noise, dist.shape[1])], axis=1)
+                          np.repeat(c_noise, dist.shape[1])], axis=1,
+                         dtype=self.net_dtype)
         g_flat, net_cache = self.net.forward(feats)
         g = g_flat.reshape(dist.shape)
         raw = self.proj.scatter(g[:, :, None] * diff)
@@ -462,7 +511,8 @@ class RadialDenoiser(_Preconditioned):
         ddist = eq.spatial_dot(diff, wdiff) / safe
         dinv = -ddist / (dist + self.INV_OFFSET) ** 2
         tangent = np.stack([ddist.reshape(-1), dinv.reshape(-1),
-                            np.zeros(ddist.size)], axis=1)
+                            np.zeros(ddist.size)], axis=1,
+                           dtype=self.net_dtype)
         dg = self.net.tangent(net_cache, tangent).reshape(g.shape)
         d_raw = self.proj.scatter(dg[:, :, None] * diff
                                   + g[:, :, None] * wdiff)

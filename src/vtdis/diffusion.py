@@ -8,7 +8,8 @@ draws ``x_{n-1}`` around the Bayes posterior mean
     mean = (t_{n-1}^2 / t_n^2) x_n + (1 - t_{n-1}^2 / t_n^2) x0_hat
 
 from the step's proposal Gaussian.  ``_posterior_mean`` forms it, and
-names the step of a NaN prediction, for every path.  A proposal is the pair
+names the step of a NaN prediction, for every path; on the zero-CoM
+subspace it also rejects a prediction off it.  A proposal is the pair
 ``(spec, variances)`` of ``vtdis.gaussians``: tuned, or for the baseline
 the isotropic spec at the posterior variances
 t_{n-1}^2 (t_n^2 - t_{n-1}^2) / t_n^2, ``grid.ddpm_vars[:, None]``.
@@ -62,11 +63,14 @@ class StepKernel:
     p = ``spec.n_params``: a reverse step's proposal, a forward step or
     the terminal prior, and the one place any of them is drawn or scored.
     ``sample`` draws around a (B, d) batch of means; ``logpdf`` scores a
-    (B, d) batch of residuals x - mean, with a projection checking them
-    to lie on the zero-CoM subspace.  d is ``spec.dim``, or
+    (B, d) batch of residuals x - mean.  d is ``spec.dim``, or
     ``proj.ambient_dim`` for an isotropic spec, the one kind defined
     there, on that projection's subspace.  Any other shape or kind, and
-    variances not positive and finite, raise ``ValueError``."""
+    variances not positive and finite, raise ``ValueError``.  ``logpdf``
+    does not check that residuals lie on the subspace: the samplers'
+    increments lie there, their states and the model's predictions being
+    checked where they enter (``recompute_log_densities``,
+    ``forward_residuals``, ``_posterior_mean``)."""
 
     def __init__(self, spec, var: np.ndarray,
                  proj: eq.ComProjection | None = None):
@@ -87,8 +91,6 @@ class StepKernel:
 
     def logpdf(self, delta: np.ndarray) -> np.ndarray:
         delta = ga.as_batch(delta, self.width)
-        if self.proj is not None:
-            eq._check_on_subspace(delta, self.proj, "residual")
         return self.spec.log_density(self.spec.stats(delta), self.var)
 
     def sample(self, rng: np.random.Generator, mean: np.ndarray):
@@ -171,12 +173,16 @@ def reverse_sample_trajectory(rng, model, proposal, grid: TimeGrid,
                       log_q_cond=float(log_q[0]), log_p_joint=float(log_p[0]))
 
 
-def _posterior_mean(model, grid: TimeGrid, n: int, x) -> np.ndarray:
+def _posterior_mean(model, grid: TimeGrid, n: int, x, proj) -> np.ndarray:
     """Step n's reverse mean (1 - r) D(x, t_n) + r x at the (B, d) batch
-    x = x_n, r = ``grid.mean_ratios[n - 1]``; a NaN D raises."""
+    x = x_n, r = ``grid.mean_ratios[n - 1]``; a NaN D raises, and so with
+    ``proj`` does a D off the zero-CoM subspace from a model that has no
+    projection of its own (one that has predicts on it by construction)."""
     x0_hat = model.denoise(x, grid.times[n])
     if np.isnan(x0_hat).any():
         raise FloatingPointError(f"denoiser produced NaN at step {n}")
+    if proj is not None and getattr(model, "proj", None) is None:
+        eq._check_on_subspace(x0_hat, proj, "prediction")
     r = grid.mean_ratios[n - 1]
     x0_hat *= 1.0 - r
     x0_hat += r * x
@@ -198,7 +204,7 @@ def _reverse_steps(rng, model, proposal, grid: TimeGrid, count: int, proj,
         states[grid.n_steps] = x
 
     for n in range(grid.n_steps, 0, -1):
-        mean = _posterior_mean(model, grid, n, x)
+        mean = _posterior_mean(model, grid, n, x, proj)
         x_prev, log_p_step = kernels[n - 1].sample(rng, mean)
         log_p += log_p_step
         # the step increment x_n - x_{n-1}, in the buffer of the mean
@@ -215,8 +221,8 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
                             ) -> tuple[float, float]:
     """Joint log-densities of a stored trajectory (the cache check), scored
     by the kernels in a loop of its own; states that do not fill the
-    trajectory's grid, and with ``proj`` a residual off the zero-CoM
-    subspace, raise ``ValueError``."""
+    trajectory's grid, and with ``proj`` states off the zero-CoM subspace,
+    raise ``ValueError``."""
     grid = traj.grid
     want = (grid.n_steps + 1, model.dim)
     if traj.states.shape != want:
@@ -226,12 +232,15 @@ def recompute_log_densities(traj: Trajectory, model, proposal,
     forward = proposal_steps((prior.spec, grid.forward_vars[:, None]), grid,
                              proj)
     kernels = proposal_steps(proposal, grid, proj)
+    if proj is not None:
+        eq._check_on_subspace(ga.as_batch(traj.states, prior.width), proj,
+                              "trajectory state")
     x = traj.states[:, None]            # state n as a one-row batch x[n]
     log_q = log_p = 0.0
     for n in range(1, grid.n_steps + 1):
         log_q += forward[n - 1].logpdf(x[n] - x[n - 1])
         log_p += kernels[n - 1].logpdf(
-            x[n - 1] - _posterior_mean(model, grid, n, x[n]))
+            x[n - 1] - _posterior_mean(model, grid, n, x[n], proj))
     log_p += prior.logpdf(x[-1])
     return float(log_q[0]), float(log_p[0])
 
@@ -255,6 +264,6 @@ def forward_residuals(rng, x0: np.ndarray, model, grid: TimeGrid,
     for n, kernel in enumerate(forward, start=1):
         x_next, log_q_step = kernel.sample(rng, x)
         log_q += log_q_step
-        consume(n, x - _posterior_mean(model, grid, n, x_next))
+        consume(n, x - _posterior_mean(model, grid, n, x_next, proj))
         x = x_next
     return log_q, prior.logpdf(x)

@@ -56,6 +56,7 @@ d/dv_c sum_b w_b log N = (w @ s)_c / (2 v_c^2) - mult sum_b w_b / (2 v_c).
 
 from __future__ import annotations
 
+import contextlib
 from numbers import Integral
 
 import numpy as np
@@ -96,13 +97,17 @@ def logsumexp(values, axis=None):
     """
     v = np.asarray(values, dtype=float)
     shift = v.max(axis=axis, keepdims=True)        # NaN where a NaN is
+    # a finite max makes every sum at least 1; only an all -inf slice sums
+    # to 0, and only then is the errstate, about a microsecond, entered
+    guard = contextlib.nullcontext()
     if not np.isfinite(shift).all():
         if np.isnan(shift).any():
             raise ValueError("logsumexp: NaN in input")
         if (shift == np.inf).any():
             raise ValueError("logsumexp: +inf in input")
         shift = np.where(shift == -np.inf, 0.0, shift)
-    with np.errstate(divide="ignore"):     # an all -inf slice sums to 0
+        guard = np.errstate(divide="ignore")
+    with guard:
         out = shift + np.log(np.exp(v - shift).sum(axis=axis,
                                                    keepdims=True))
     return out.item() if axis is None else np.squeeze(out, axis)

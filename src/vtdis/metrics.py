@@ -53,7 +53,8 @@ def forward_log_weights(rng: np.random.Generator, x0: np.ndarray, model,
                         proposal, grid, proj=None) -> np.ndarray:
     """log w - log pi(x0) of one forward path per row of ``x0`` under the
     proposal ``(spec, variances)``, scoring each step's residuals as they are
-    streamed (O(B d) memory); with ``proj`` off-subspace ones raise."""
+    streamed (O(B d) memory); with ``proj`` an x0 off the zero-CoM
+    subspace raises."""
     kernels = df.proposal_steps(proposal, grid, proj)
     log_p = np.zeros(as_batch(x0, model.dim).shape[0])
 

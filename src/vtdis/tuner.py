@@ -151,7 +151,7 @@ def loss_and_gradient(batch: StatsBatch, spec, raws, bases):
     # the loss is -log p_phi, so chain d/dv by -dv/draw
     grad = spec.weighted_grad(batch.stats, v, weights)
     grad *= bases * np.expm1(-eta)
-    return loss, grad, lw
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +228,8 @@ def tune(rng: np.random.Generator, model, target, grid: TimeGrid, kind: str,
     half = config.plateau_window // 2
 
     for it in range(config.iterations):
-        loss, grad, _ = loss_and_gradient(pool[it % n_batches], spec, raws,
-                                          bases)
+        loss, grad = loss_and_gradient(pool[it % n_batches], spec, raws,
+                                       bases)
         if not math.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at iteration {it} (kind={kind})")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,26 @@ def zero_com(x, m, n):
 def score(model, x, t):
     """The score alone, from the fused query along a zero tangent."""
     return model.score_and_jvp(x, t, np.zeros_like(x))[0]
+
+
+# A learned backend runs its network in float32.  Its results are held to
+# a float64 twin on the same weights, within 1e-5 of the largest entry:
+# about 84 float32 ulps (eps = 2^-23 = 1.19e-7), room for the rounding of
+# a three-layer pass and its sums.  Oracles (finite differences, loops)
+# are taken on the twin at their float64 tolerances.
+F32_TOL = 1e-5
+
+
+def float64_twin(model):
+    """``model`` with its network run in float64, on the same weights."""
+    twin = copy.copy(model)
+    twin.net_dtype = np.float64
+    return twin
+
+
+def assert_f32_close(got, want):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.asarray(got) - want)) <= F32_TOL * scale
 
 
 def finite_diff_param_grads(model, x, t, d_out, h=1e-6):
@@ -125,22 +147,29 @@ class TestMlpMachinery:
     def test_param_grads_match_finite_differences(self, build):
         rng = np.random.default_rng(3)
         model, x, t = build(rng)
-        out, cache = model.forward_with_cache(x, t)
+        ref = float64_twin(model)
+        out, cache = ref.forward_with_cache(x, t)
         d_out = rng.standard_normal(out.shape)
-        got = model.param_grad(cache, d_out)
-        want = finite_diff_param_grads(model, x, t, d_out)
-        for g, w in zip(got, want):
+        want = ref.param_grad(cache, d_out)
+        for g, w in zip(want, finite_diff_param_grads(ref, x, t, d_out)):
             assert np.allclose(g, w, rtol=1e-4, atol=1e-7)
+        got = model.param_grad(model.forward_with_cache(x, t)[1], d_out)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64
+            assert_f32_close(g, w)
 
     def test_jvp_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         model = dn.RadialDenoiser(4, 2, [16], 1.5, rng)
+        ref = float64_twin(model)
         x = zero_com(rng.standard_normal((5, 8)), 4, 2)
         v = zero_com(rng.standard_normal((5, 8)), 4, 2)
         h = 1e-6
-        fd = (model.denoise(x + h * v, 1.3) - model.denoise(x - h * v, 1.3)) \
+        fd = (ref.denoise(x + h * v, 1.3) - ref.denoise(x - h * v, 1.3)) \
             / (2 * h)
-        assert np.allclose(model.denoise_jvp(x, 1.3, v), fd, atol=1e-6)
+        want = ref.denoise_jvp(x, 1.3, v)
+        assert np.allclose(want, fd, atol=1e-6)
+        assert_f32_close(model.denoise_jvp(x, 1.3, v), want)
 
     def test_tweedie_identity_by_construction(self):
         rng = np.random.default_rng(5)
@@ -184,19 +213,44 @@ class TestMlpMachinery:
     def test_exact_divergence_from_directional_derivatives(self):
         rng = np.random.default_rng(6)
         model = dn.VectorDenoiser(3, [8], 1.0, rng)
+        ref = float64_twin(model)
         x = rng.standard_normal((2, 3))
         t = 0.8
         h = 1e-5
+        want = ref.score_and_div(x, t)[1]
         for row in range(2):
             tr = 0.0
             for i in range(3):
                 up, dn_ = x[row:row + 1].copy(), x[row:row + 1].copy()
                 up[0, i] += h
                 dn_[0, i] -= h
-                tr += (score(model, up, t)[0, i]
-                       - score(model, dn_, t)[0, i]) / (2 * h)
-            assert model.score_and_div(x, t)[1][row] == pytest.approx(
-                tr, rel=1e-4)
+                tr += (score(ref, up, t)[0, i]
+                       - score(ref, dn_, t)[0, i]) / (2 * h)
+            assert want[row] == pytest.approx(tr, rel=1e-4)
+        assert_f32_close(model.score_and_div(x, t)[1], want)
+
+    def test_forward_after_an_adam_step_sees_the_new_weights(self):
+        # the float32 pass reads each weight afresh from the float64 flat
+        # buffer, so no rounded copy outlives a step; gradients, moments
+        # and weights stay float64
+        rng = np.random.default_rng(28)
+        model = dn.RadialDenoiser(4, 2, [8], 1.3, rng)
+        x = zero_com(rng.standard_normal((5, 8)), 4, 2)
+        t = np.array([0.1, 0.5, 1.0, 3.0, 9.0])
+        out, cache = model.forward_with_cache(x, t)
+        assert all(a.dtype == np.float32 for a in cache[0])
+        assert out.dtype == np.float64
+        grads = model.param_grad(cache, rng.standard_normal(out.shape))
+        assert all(g.dtype == np.float64 for g in grads)
+        opt = dn.Adam(model.net.flat)
+        opt.step(np.concatenate(grads, axis=None), 1e-2)
+        for a in (model.net.flat, opt.m, opt.v):
+            assert a.dtype == np.float64
+        fresh = dn.RadialDenoiser(4, 2, [8], 1.3)
+        fresh.net.flat[...] = model.net.flat
+        after = model.denoise(x, t)
+        assert not np.array_equal(after, out)
+        assert np.array_equal(after, fresh.denoise(x, t))
 
 
 # learned backends at one network row per point and at 78 (LJ-13 pairs)
@@ -222,6 +276,7 @@ def test_row_blocked_denoise_is_one_pass_bit_for_bit(backend):
     forward = model.net.forward
 
     def counted(x):
+        assert x.dtype == np.float32          # the single-precision kernels
         rows_of_block.append(x.shape[0])
         return forward(x)
 
@@ -237,6 +292,7 @@ def test_row_blocked_denoise_is_one_pass_bit_for_bit(backend):
         got = model.denoise(x, t)
         assert model.eval_count == count
         assert max(rows_of_block) <= dn.ROW_BLOCK
+        assert all(rows % 4 == 0 for rows in rows_of_block[:-1])
         assert sum(rows_of_block) == count * model.net_rows
         assert len(rows_of_block) == -(-count // per_block)
         assert np.array_equal(got, model.forward_with_cache(x, t)[0])
@@ -365,7 +421,9 @@ def radial_pair_cotangent(model, x, t, d_out):
 
 
 class TestRadialReference:
-    """LJ-13 shapes (M = 13, n = 3) with a different t on every row."""
+    """LJ-13 shapes (M = 13, n = 3) with a different t on every row: the
+    float64 twin within float64 rounding of the loop, the float32 backend
+    within float32 rounding of it."""
 
     def setup_method(self):
         rng = np.random.default_rng(16)
@@ -377,22 +435,26 @@ class TestRadialReference:
 
     def test_denoise_matches_loop(self):
         want, _, _ = radial_reference(self.model, self.x, self.t)
-        assert_rel_close(self.model.denoise(self.x, self.t), want)
+        assert_rel_close(float64_twin(self.model).denoise(self.x, self.t),
+                         want)
+        assert_f32_close(self.model.denoise(self.x, self.t), want)
 
     def test_denoise_jvp_matches_loop(self):
         _, want, _ = radial_reference(self.model, self.x, self.t, self.v)
-        assert_rel_close(self.model.denoise_jvp(self.x, self.t, self.v), want)
+        for model, close in [(float64_twin(self.model), assert_rel_close),
+                             (self.model, assert_f32_close)]:
+            close(model.denoise_jvp(self.x, self.t, self.v), want)
 
     def test_param_grad_pair_cotangent_matches_loop(self):
-        model = self.model
-        out, cache = model.forward_with_cache(self.x, self.t)
-        got = model.param_grad(cache, self.d_out)
-        _, _, feats = radial_reference(model, self.x, self.t)
-        _, net_cache = model.net.forward(feats)
-        dg = radial_pair_cotangent(model, self.x, self.t, self.d_out)
-        want = model.net.backward(net_cache, dg)
-        for g, w in zip(got, want):
-            assert_rel_close(g, w)
+        _, _, feats = radial_reference(self.model, self.x, self.t)
+        _, net_cache = self.model.net.forward(feats)
+        dg = radial_pair_cotangent(self.model, self.x, self.t, self.d_out)
+        want = self.model.net.backward(net_cache, dg)
+        for model, close in [(float64_twin(self.model), assert_rel_close),
+                             (self.model, assert_f32_close)]:
+            _, cache = model.forward_with_cache(self.x, self.t)
+            for g, w in zip(model.param_grad(cache, self.d_out), want):
+                close(g, w)
 
     def test_coincident_particles_stay_finite(self):
         x = self.x.copy().reshape(4, 13, 3)
@@ -403,7 +465,8 @@ class TestRadialReference:
         assert np.all(np.isfinite(out)) and np.all(np.isfinite(jvp))
         # a zero difference vector carries no coupling: the loop still holds
         want, _, _ = radial_reference(self.model, x, self.t)
-        assert_rel_close(out, want)
+        assert_rel_close(float64_twin(self.model).denoise(x, self.t), want)
+        assert_f32_close(out, want)
 
 
 class TestRadialSymmetries:

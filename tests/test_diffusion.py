@@ -250,6 +250,42 @@ def test_stored_state_off_the_subspace_is_rejected():
         df.recompute_log_densities(traj, model, proposal, proj)
 
 
+@pytest.mark.parametrize("caller", ["reverse_sample_batch",
+                                    "forward_residuals"])
+def test_prediction_off_the_subspace_is_rejected(caller):
+    # a backend with no projection of its own can predict off the zero-CoM
+    # subspace, and the step kernels score residuals unchecked: its
+    # predictions are checked instead
+    _, proposal, proj = com_case()
+    model = dn.VectorDenoiser(8, [8], 1.0, np.random.default_rng(2))
+    rng = np.random.default_rng(13)
+    x0 = eq.com_project(rng.standard_normal((3, 8)), proj)
+    calls = {
+        "reverse_sample_batch": lambda: df.reverse_sample_batch(
+            rng, model, proposal, GRID, 4, proj),
+        "forward_residuals": lambda: df.forward_residuals(
+            rng, x0, model, GRID, proj, consume=lambda n, delta: None),
+    }
+    with pytest.raises(ValueError, match="prediction is off the zero-CoM"):
+        calls[caller]()
+
+
+@pytest.mark.parametrize("bad", ["nan", "+inf", "+inf and -inf"])
+def test_non_finite_stored_state_is_rejected_by_name(bad):
+    # the step kernels score residuals unchecked, so a stored state is
+    # checked as it enters.  +inf and -inf in one coordinate column make
+    # its center of mass NaN: each case fails the |com| test and is named
+    # non-finite
+    model, proposal, proj = com_case()
+    traj = df.reverse_sample_trajectory(np.random.default_rng(12), model,
+                                        proposal, GRID, proj)
+    traj.states[1, 0] = np.nan if bad == "nan" else np.inf
+    if bad == "+inf and -inf":
+        traj.states[1, 2] = -np.inf
+    with pytest.raises(ValueError, match="non-finite trajectory state"):
+        df.recompute_log_densities(traj, model, proposal, proj)
+
+
 @pytest.mark.parametrize("given", [None, (2, 4)])
 @pytest.mark.parametrize("caller", ["reverse_sample_batch", "elbo_eubo",
                                     "ode_is_weights"])

@@ -1,6 +1,7 @@
 """Probability-flow ODE: oracles for the flow and the divergence, and the
 fused one-pass-per-node path against separate calls."""
 
+import copy
 import re
 
 import numpy as np
@@ -35,6 +36,23 @@ CONFIGS = {
     "exact": pf.OdeRunConfig(divergence="exact"),
     "hutch1": pf.OdeRunConfig(divergence="hutchinson"),
 }
+
+
+# A learned backend runs its network in float32.  Its divergences are held
+# to a float64 twin on the same weights within 1e-5 of the largest entry,
+# about 84 float32 ulps (eps = 2^-23 = 1.19e-7); the float64 oracles are
+# taken on the twin at their float64 tolerances.
+F32_TOL = 1e-5
+
+
+def float64_twin(model):
+    """A learned ``model`` with its network run in float64, on the same
+    weights; any other backend is its own reference."""
+    if not isinstance(model, dn._Preconditioned):
+        return model
+    twin = copy.copy(model)
+    twin.net_dtype = np.float64
+    return twin
 
 
 def points(count, seed=0):
@@ -151,18 +169,22 @@ def test_one_evaluation_and_its_jvp_rows_per_point_and_node(backend, config,
 @pytest.mark.parametrize("backend", list(BACKENDS))
 def test_exact_divergence_matches_dense_jacobian_trace(backend, t, with_proj):
     # one primal and one tangent pass per basis vector against the trace
-    # of a Jacobian built column by column from separate calls; the sums
-    # run in another order, so the tolerance is float64 rounding
+    # of a Jacobian built column by column from separate calls, both on
+    # the float64 reference; the sums run in another order, so the
+    # tolerance is float64 rounding, and float32 rounding for the float32
+    # network
     model = BACKENDS[backend]()
+    ref = float64_twin(model)
     x = points(3)
-    jac = dense_jacobian(model, x, t)
+    jac = dense_jacobian(ref, x, t)
+    proj = PROJ if with_proj else None
     if with_proj:
         want = np.einsum("ij,bjk,ki->b", P_DENSE, jac, P_DENSE)
-        got = model.score_and_div(x, t, PROJ)[1]
     else:
         want = np.trace(jac, axis1=1, axis2=2)
-        got = model.score_and_div(x, t)[1]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(jac)) * DIM
+    for div, tol in [(ref, 1e-12), (model, F32_TOL)]:
+        got = div.score_and_div(x, t, proj)[1]
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(jac)) * DIM
 
 
 @pytest.mark.parametrize("m,spatial", [(4, 2), (13, 3)])
@@ -172,42 +194,68 @@ def test_subspace_divergence_takes_one_jvp_row_per_subspace_dimension(
     # the M n projected axes would take 8 and 39
     model = dn.RadialDenoiser(m, spatial, [12, 8], 1.3,
                               np.random.default_rng(13))
+    ref = float64_twin(model)
     proj = eq.ComProjection(m, spatial)
     x = eq.com_project(np.random.default_rng(6).standard_normal(
         (3, m * spatial)), proj)
-    jac = dense_jacobian(model, x, 0.5)
-    model.reset_counters()
-    got = model.score_and_div(x, 0.5, proj)[1]
-    assert model.jvp_count == 3 * (m - 1) * spatial
+    jac = dense_jacobian(ref, x, 0.5)
     p_dense = eq.com_project(np.eye(m * spatial), proj)
     want = np.einsum("ij,bjk,ki->b", p_dense, jac, p_dense)
-    assert np.max(np.abs(got - want)) <= \
-        1e-12 * np.max(np.abs(jac)) * m * spatial
+    for div, tol in [(ref, 1e-12), (model, F32_TOL)]:
+        div.reset_counters()
+        got = div.score_and_div(x, 0.5, proj)[1]
+        assert div.jvp_count == 3 * (m - 1) * spatial
+        assert np.max(np.abs(got - want)) <= \
+            tol * np.max(np.abs(jac)) * m * spatial
 
 
 @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
 @pytest.mark.parametrize("backend", ["vector", "radial"])
 def test_subspace_divergence_matches_finite_difference_trace(backend, t):
+    # differences of the float64 reference; the float32 network's
+    # divergence is held to that reference's
     model = BACKENDS[backend]()
+    ref = float64_twin(model)
     x = points(2, seed=1)
     h = 1e-5 * max(1.0, t)
-    jac = np.stack([(score(model, x + h * e, t) - score(model, x - h * e, t))
+    jac = np.stack([(score(ref, x + h * e, t) - score(ref, x - h * e, t))
                     / (2 * h) for e in np.eye(DIM)], axis=2)
     want = np.einsum("ij,bjk,ki->b", P_DENSE, jac, P_DENSE)
+    exact = ref.score_and_div(x, t, PROJ)[1]
+    assert np.allclose(exact, want, rtol=1e-7, atol=1e-7 / t ** 2)
     got = model.score_and_div(x, t, PROJ)[1]
-    assert np.allclose(got, want, rtol=1e-7, atol=1e-7 / t ** 2)
+    assert np.max(np.abs(got - exact)) <= F32_TOL * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
 def test_radial_ambient_trace_exceeds_subspace_by_com_skip_term(t):
     # the radial output has zero CoM, so along the n CoM directions the
-    # score Jacobian is (c_skip - 1) / t^2 times the identity
+    # score Jacobian is (c_skip - 1) / t^2 times the identity: within
+    # float64 rounding for the float64 reference, and within float32
+    # rounding of the traces for the float32 network
     model = BACKENDS["radial"]()
+    ref = float64_twin(model)
     x = points(2, seed=2)
     c_skip = dn.precond_coeffs(t, model.sigma_data)[0]
-    gap = model.score_and_div(x, t)[1] - model.score_and_div(x, t, PROJ)[1]
-    assert np.allclose(gap, SPATIAL * (c_skip - 1.0) / t ** 2,
-                       rtol=1e-9, atol=0.0)
+    want = SPATIAL * (c_skip - 1.0) / t ** 2
+    gap = ref.score_and_div(x, t)[1] - ref.score_and_div(x, t, PROJ)[1]
+    assert np.allclose(gap, want, rtol=1e-9, atol=0.0)
+    ambient = model.score_and_div(x, t)[1]
+    gap = ambient - model.score_and_div(x, t, PROJ)[1]
+    assert np.max(np.abs(gap - want)) <= F32_TOL * np.max(np.abs(ambient))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 10.0])
+def test_dw4_subspace_divergence_in_float32_is_float64_within_1e_5(t):
+    # the PF-ODE's exact divergence at DW-4's geometry and the benchmark's
+    # network width, across the grid's noise levels, from the float32
+    # network and from its float64 twin on the same weights
+    model = dn.RadialDenoiser(M, SPATIAL, [32, 32], 1.3,
+                              np.random.default_rng(14))
+    x = 2.0 * points(64, seed=3)
+    want = float64_twin(model).score_and_div(x, t, PROJ)[1]
+    got = model.score_and_div(x, t, PROJ)[1]
+    assert np.max(np.abs(got - want)) <= F32_TOL * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,11 @@ class TestStackedObjective:
         # flat raws (N p,) in, the flat gradient out, column (n - 1) p + k
         # of it the per-step loop's gradient [n - 1, k]
         batch, spec, raws, log_pi = make_case(kind, space)
-        loss, grad, lw = tu.loss_and_gradient(
-            as_stats(batch, spec, log_pi), spec, raws.ravel(),
-            column_bases(spec))
+        stacked, bases = as_stats(batch, spec, log_pi), column_bases(spec)
+        loss, grad = tu.loss_and_gradient(stacked, spec, raws.ravel(), bases)
+        # the log weights the loss reduces, from the same columns
+        lw = stacked.offset - spec.log_density(
+            stacked.stats, bases * tu.softplus(raws.ravel()))
         want = loop_loss_and_gradient(batch, spec, raws, log_pi)
         assert_close(loss, want[0])
         assert_close(grad.reshape(raws.shape), want[1])
@@ -248,7 +250,7 @@ class TestStackedObjective:
         batch, spec, raws, log_pi = make_case(kind, space, seed=2, count=12)
         batch = as_stats(batch, spec, log_pi)
         raws, bases = raws.ravel(), column_bases(spec)
-        _, grad, _ = tu.loss_and_gradient(batch, spec, raws, bases)
+        _, grad = tu.loss_and_gradient(batch, spec, raws, bases)
         h = 1e-6
         for idx in range(raws.size):
             up, dn_ = raws.copy(), raws.copy()
